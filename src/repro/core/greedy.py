@@ -263,7 +263,6 @@ class TsGreedySearch:
             else NULL_RECORDER
         self._partition_seed = partition_seed
         self._prune = prune
-        self._allow_removals = False
         self._names = evaluator.object_names
         missing = set(self._names) - set(self._sizes)
         if missing:
@@ -287,15 +286,14 @@ class TsGreedySearch:
             if initial_layout is None:
                 with self._tracer.span("ts-greedy/step1"):
                     layout = self._initial_layout(graph, kl_stats)
-                self._allow_removals = False
             else:
                 layout = initial_layout
+            with self._tracer.span("ts-greedy/step2"):
                 # Incremental mode: refining an arbitrary starting layout
                 # (e.g. full striping) also needs *narrowing* moves, or a
                 # fully-striped start would be a trivial fixed point.
-                self._allow_removals = True
-            with self._tracer.span("ts-greedy/step2"):
-                result = self._greedy(layout)
+                result = self._greedy(layout,
+                                      narrow=initial_layout is not None)
             result.elapsed_s = time.perf_counter() - start
             result.kl_passes = kl_stats.passes
             result.kl_cut_weights = tuple(kl_stats.cut_weights)
@@ -429,63 +427,48 @@ class TsGreedySearch:
 
     # -- step 2: greedy widening -----------------------------------------------------
 
-    def _greedy(self, layout: Layout) -> SearchResult:
-        matrix = self._evaluator.matrix_of(layout)
-        cost = self._evaluator.set_base(matrix)
-        initial_cost = cost
-        disk_used = np.array([layout.disk_used_blocks(j)
-                              for j in range(len(self._farm))])
-        capacity = np.array([d.capacity_blocks for d in self._farm])
-        groups = {name: sorted(self._constraints.group_of(name))
-                  for name in self._names}
-        result = SearchResult(layout=layout, cost=cost,
-                              initial_cost=initial_cost)
-        # Rows live as ndarrays for the whole search: `_fits` runs per
-        # candidate, so converting per check (np.asarray on tuples)
-        # would dominate the capacity test.
-        current = {name: np.asarray(layout.fractions_of(name),
-                                    dtype=float)
-                   for name in self._names}
+    def _greedy(self, layout: Layout, narrow: bool) -> SearchResult:
+        cost = self._evaluator.set_base(self._evaluator.matrix_of(layout))
+        result = SearchResult(layout=layout, cost=cost, initial_cost=cost)
+        frontiers = self._frontiers(layout, narrow)
+        groups = list(dict.fromkeys(
+            tuple(sorted(self._constraints.group_of(name)))
+            for name in self._names))
         pruned_total = 0
         while True:
             result.iterations += 1
             iteration_evals = 0
             best_cost = cost
             best_change: dict[str, np.ndarray] | None = None
-            seen_groups: set[tuple[str, ...]] = set()
-            for name in self._names:
-                group = tuple(groups[name])
-                if group in seen_groups:
-                    continue
-                seen_groups.add(group)
-                feasible = [change for change in
-                            self._moves(group, current)
-                            if self._fits(change, current, disk_used,
-                                          capacity)]
-                if not feasible:
+            for group in groups:
+                members = frontiers.candidates(group)
+                if members is None:
                     continue
                 if len(group) == 1:
                     # Single-object moves: one fused prune+evaluate
                     # call — bounds for every candidate, full costs
                     # for the survivors, selection inside the kernel.
-                    rows = np.array([change[name]
-                                     for change in feasible])
+                    name = group[0]
+                    rows = members[name]
                     candidate_cost, index, pruned = \
                         self._evaluator.best_for_rows(
                             name, rows, best_cost, prune=self._prune)
                     pruned_total += pruned
-                    evaluated = len(feasible) - pruned
+                    evaluated = len(rows) - pruned
                     result.evaluations += evaluated
                     iteration_evals += evaluated
                     if index >= 0:
                         best_cost = candidate_cost
-                        best_change = feasible[index]
+                        best_change = {name: rows[index]}
                 else:
-                    result.evaluations += len(feasible)
-                    iteration_evals += len(feasible)
-                    for change in feasible:
+                    count = len(members[group[0]])
+                    result.evaluations += count
+                    iteration_evals += count
+                    for position in range(count):
+                        change = {name: rows[position]
+                                  for name, rows in members.items()}
                         candidate_cost = self._evaluator.cost_with_rows(
-                            dict(change))
+                            change)
                         if candidate_cost < best_cost - EPS_COST:
                             best_cost = candidate_cost
                             best_change = change
@@ -499,9 +482,7 @@ class TsGreedySearch:
                     candidates=iteration_evals, best_cost=float(cost),
                     accepted=False, changed=[])
                 break
-            for name, row in best_change.items():
-                disk_used += self._sizes[name] * (row - current[name])
-                current[name] = row
+            frontiers.commit(best_change)
             # O(Δ) adoption: only the subplans touching the moved
             # objects are re-costed (bit-identical to a full set_base).
             cost = self._evaluator.commit_rows(dict(best_change))
@@ -523,10 +504,11 @@ class TsGreedySearch:
         self._metrics.inc("greedy.accepted_moves",
                           sum(1 for s in result.steps if s.accepted))
         result.extras["pruned_candidates"] = float(pruned_total)
+        result.extras.update(frontiers.extras())
         for step in result.steps:
             self._metrics.observe("greedy.candidates_per_iteration",
                                   step.candidates)
-        final = Layout(self._farm, self._sizes, current)
+        final = Layout(self._farm, self._sizes, frontiers.current)
         if self._constraints.movement is not None \
                 and not self._constraints.is_satisfied(final):
             # Should not happen: moves are filtered; fail loudly if so.
@@ -536,48 +518,152 @@ class TsGreedySearch:
         result.cost = cost
         return result
 
-    def _moves(self, group: tuple[str, ...],
-               current: dict[str, np.ndarray]):
-        """Yield candidate fraction-row changes for one object group.
+    def _frontiers(self, layout: Layout, narrow: bool) -> "_Frontiers":
+        """The candidate source of one step-2 run starting at ``layout``."""
+        return _Frontiers(self._farm, self._sizes, self._names,
+                          self._constraints, self._k, layout, narrow)
 
-        A move adds 1..k disks (from the group's allowed set) to the
-        group's current disk set; every member of the group gets the same
-        widened, rate-proportional row (one shared ndarray per move).
-        """
-        lead = group[0]
-        disks_now = tuple(j for j, f in enumerate(current[lead])
-                          if f > EPS_ZERO)
-        allowed = self._constraints.allowed_disks(lead, self._farm)
-        remaining = [j for j in allowed if j not in set(disks_now)]
-        for size in range(1, self._k + 1):
-            for combo in itertools.combinations(remaining, size):
-                row = np.array(stripe_fractions(disks_now + combo,
-                                                self._farm))
-                yield {name: row for name in group}
-        if getattr(self, "_allow_removals", False):
-            for size in range(1, min(self._k, len(disks_now) - 1) + 1):
-                for combo in itertools.combinations(disks_now, size):
-                    kept = tuple(j for j in disks_now
-                                 if j not in set(combo))
-                    row = np.array(stripe_fractions(kept, self._farm))
-                    yield {name: row for name in group}
 
-    def _fits(self, change: dict[str, np.ndarray],
-              current: dict[str, np.ndarray],
-              disk_used: np.ndarray, capacity: np.ndarray) -> bool:
-        """Capacity (and movement-constraint) feasibility of a move."""
-        delta = np.zeros(len(self._farm))
-        for name, row in change.items():
-            delta += self._sizes[name] * (row - current[name])
-        if np.any(disk_used + delta > capacity + EPS_CAPACITY):
-            return False
-        movement = self._constraints.movement
+def _subset_masks(disks: list[int], size: int, m: int) -> np.ndarray:
+    """``(C, m)`` masks of every ``size``-subset of ``disks``, one row
+    per subset in ``itertools.combinations`` order."""
+    combos = np.array(list(itertools.combinations(disks, size)),
+                      dtype=np.intp).reshape(-1, size)
+    masks = np.zeros((len(combos), m), dtype=bool)
+    masks[np.arange(len(combos))[:, None], combos] = True
+    return masks
+
+
+def _moved_blocks(size: float, base: np.ndarray,
+                  rows: np.ndarray) -> np.ndarray:
+    """Blocks an object of ``size`` moves from row ``base`` to each of
+    ``rows``: :meth:`Layout.data_movement_blocks`' per-object term, with
+    the L1 distance accumulated in the same ascending disk order."""
+    return size * np.cumsum(np.abs(base - rows), axis=-1)[..., -1] / 2.0
+
+
+class _Frontiers:
+    """Step 2's candidate moves and their feasibility, for one run.
+
+    Holds the run's mutable state: each object's current row and the
+    blocks used on each disk.  A co-location group's *frontier* is every
+    row one move can give it, as one ``(C, m)`` matrix in move order:
+    widen by 1..k allowed disks, then (``narrow``, seeded runs) drop
+    1..k of its disks, each in ``itertools.combinations`` order.  It is
+    built from boolean disk masks and the read-rate vector, and depends
+    only on the lead object's disk set, so it is cached until the group
+    itself moves.  Row totals accumulate in ascending disk order, as
+    :func:`stripe_fractions` sums them, so every row is bit-identical to
+    that function's.
+
+    Capacity and the movement constraint are then checked for the whole
+    frontier at once, with the same floating-point operations per row as
+    a per-candidate check, so the surviving rows and their order are
+    exactly those of a per-candidate search.
+    """
+
+    def __init__(self, farm: DiskFarm, sizes: dict[str, int],
+                 names: list[str], constraints: ConstraintSet, k: int,
+                 layout: Layout, narrow: bool):
+        self._farm = farm
+        self._sizes = sizes
+        self._constraints = constraints
+        self._k = k
+        self._narrow = narrow
+        self._rates = np.array([d.read_mb_s for d in farm], dtype=float)
+        self._limit = np.array([d.capacity_blocks for d in farm]) \
+            + EPS_CAPACITY
+        self.current = {name: np.asarray(layout.fractions_of(name),
+                                         dtype=float)
+                        for name in names}
+        self.disk_used = np.array([layout.disk_used_blocks(j)
+                                   for j in range(len(farm))])
+        self._rows: dict[tuple[str, ...], np.ndarray] = {}
+        movement = constraints.movement
+        # Baseline size and row per object, in the baseline's order.
+        self._baseline: dict[str, tuple[float, np.ndarray]] = {}
         if movement is not None:
-            trial = dict(current)
-            trial.update(change)
-            layout = Layout(self._farm, self._sizes, trial,
-                            check_capacity=False)
-            if movement.baseline.data_movement_blocks(layout) \
-                    > movement.max_blocks + EPS_CAPACITY:
-                return False
-        return True
+            baseline = movement.baseline
+            if set(baseline.object_names) != set(self.current) \
+                    or len(baseline.farm) != len(farm):
+                raise LayoutError("movement baseline covers different "
+                                  "objects or disks")
+            self._baseline = {
+                name: (baseline.size_of(name),
+                       np.asarray(baseline.fractions_of(name),
+                                  dtype=float))
+                for name in baseline.object_names}
+            self._max_moved = movement.max_blocks + EPS_CAPACITY
+            # Each object's movement at its current row, kept up to
+            # date by commit().
+            self._moved = {name: _moved_blocks(size, base,
+                                               self.current[name])
+                           for name, (size, base) in self._baseline.items()}
+
+    def candidates(self, group: tuple[str, ...],
+                   ) -> dict[str, np.ndarray] | None:
+        """Each member's feasible candidate rows, in move order.
+
+        Returns ``None`` when the group has no feasible move.
+        """
+        rows = self._frontier(group)
+        return self._feasible(dict.fromkeys(group, rows))
+
+    def commit(self, change: dict[str, np.ndarray]) -> None:
+        """Adopt one group's move (``change`` keys are the group, in
+        order)."""
+        for name, row in change.items():
+            self.disk_used += self._sizes[name] * (row - self.current[name])
+            self.current[name] = row
+            if self._baseline:
+                self._moved[name] = _moved_blocks(*self._baseline[name], row)
+        self._rows.pop(tuple(change), None)
+
+    def extras(self) -> dict[str, float]:
+        """Run telemetry for :attr:`SearchResult.extras`."""
+        return {}
+
+    def _frontier(self, group: tuple[str, ...]) -> np.ndarray:
+        rows = self._rows.get(group)
+        if rows is None:
+            rows = self._rows[group] = self._build(group[0])
+        return rows
+
+    def _build(self, lead: str) -> np.ndarray:
+        m = len(self._farm)
+        now = self.current[lead] > EPS_ZERO
+        held = np.flatnonzero(now).tolist()
+        allowed = self._constraints.allowed_disks(lead, self._farm)
+        spare = [j for j in allowed if not now[j]]
+        masks = [now | _subset_masks(spare, size, m)
+                 for size in range(1, self._k + 1)]
+        if self._narrow:
+            masks += [now & ~_subset_masks(held, size, m)
+                      for size in range(1, min(self._k, len(held) - 1) + 1)]
+        rated = np.where(np.concatenate(masks), self._rates, 0.0)
+        # Sequential ascending-disk totals (cumsum), not numpy's
+        # pairwise sum(axis=1), which changes the low bits of some rows.
+        return rated / np.cumsum(rated, axis=1)[:, -1:]
+
+    def _feasible(self, members: dict[str, np.ndarray],
+                  ) -> dict[str, np.ndarray] | None:
+        """The rows of ``members`` (one matrix per member, row ``c``
+        being candidate ``c``) that fit capacity and the movement
+        constraint."""
+        delta = sum(self._sizes[name] * (rows - self.current[name])
+                    for name, rows in members.items())
+        fits = ~(self.disk_used + delta > self._limit).any(axis=1)
+        if self._baseline:
+            # Summed in the baseline's object order, as
+            # Layout.data_movement_blocks does.
+            moved = 0.0
+            for name, (size, base) in self._baseline.items():
+                rows = members.get(name)
+                moved = moved + (self._moved[name] if rows is None
+                                 else _moved_blocks(size, base, rows))
+            fits &= ~(moved > self._max_moved)
+        if not fits.any():
+            return None
+        if fits.all():
+            return members
+        return {name: rows[fits] for name, rows in members.items()}

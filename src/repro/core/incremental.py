@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.constraints import ConstraintSet, MaxDataMovement
 from repro.core.costmodel import WorkloadCostEvaluator
-from repro.core.greedy import SearchResult, TsGreedySearch
+from repro.core.greedy import SearchResult, TsGreedySearch, _Frontiers
 from repro.core.layout import Layout
 from repro.core.tolerance import EPS_CAPACITY, EPS_COST
 from repro.errors import LayoutError
@@ -43,57 +43,78 @@ from repro.storage.disk import DiskFarm
 from repro.workload.access_graph import AccessGraph
 
 
-class _BudgetedGreedySearch(TsGreedySearch):
-    """TS-GREEDY whose over-budget candidates are projected, not dropped.
+class _BudgetedFrontiers(_Frontiers):
+    """Frontiers whose over-budget rows are projected, not dropped.
 
-    The base class's ``_fits`` already rejects moves that exceed the
-    movement constraint; this subclass intercepts candidate generation
-    and replaces each over-budget candidate with its largest feasible
-    blend toward the current row, so the search can keep harvesting the
-    improving direction of a move it can no longer afford in full.
+    Before the capacity and movement checks, every frontier row that
+    would overshoot the remaining budget is replaced by its largest
+    feasible blend toward each member's current row, so the search can
+    keep harvesting the improving direction of a move it can no longer
+    afford in full.  Each object's current movement is kept up to date
+    on commit.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        movement = self._constraints.movement
-        if movement is None:  # pragma: no cover - guarded by caller
-            raise LayoutError("budgeted search needs a movement "
-                              "constraint")
-        self._baseline_rows = {
-            name: np.asarray(movement.baseline.fractions_of(name),
-                             dtype=float)
-            for name in self._names}
-        self._max_blocks = movement.max_blocks
-        self.projected_moves = 0
+    def __init__(self, *args):
+        super().__init__(*args)
+        # Python floats, so the per-group sums below add exactly as
+        # sum() over scalars does.
+        self._spent = {name: float(self._movement_of(name, row))
+                       for name, row in self.current.items()}
+        self._projected = 0
 
-    def _movement_of(self, name: str, row: np.ndarray) -> float:
-        """Blocks object ``name`` moves (vs. baseline) if placed on row."""
-        base = self._baseline_rows[name]
-        return self._sizes[name] * float(np.abs(row - base).sum()) / 2.0
+    def _movement_of(self, name: str, rows: np.ndarray) -> np.ndarray:
+        """Blocks object ``name`` moves (vs. baseline) on each row.
 
-    def _moves(self, group: tuple[str, ...],
-               current: dict[str, np.ndarray]):
-        used_others = sum(
-            self._movement_of(name, current[name])
-            for name in self._names if name not in set(group))
-        budget = self._max_blocks - used_others
-        moved_now = sum(self._movement_of(name, current[name])
-                        for name in group)
-        for change in super()._moves(group, current):
-            moved_cand = sum(self._movement_of(name, change[name])
-                             for name in group)
-            if moved_cand <= budget + EPS_CAPACITY:
-                yield change
-                continue
-            headroom = budget - moved_now
-            if headroom <= EPS_CAPACITY or moved_cand <= moved_now:
-                continue
-            t = headroom / (moved_cand - moved_now)
-            projected = {
-                name: (1.0 - t) * current[name] + t * change[name]
-                for name in change}
-            self.projected_moves += 1
-            yield projected
+        numpy's own (pairwise) row sum, as the budget has always been
+        measured; the movement constraint sums like
+        ``Layout.data_movement_blocks`` instead, and the two differ in
+        the low bits of some rows.
+        """
+        _, base = self._baseline[name]
+        return self._sizes[name] * np.abs(rows - base).sum(axis=-1) / 2.0
+
+    def candidates(self, group: tuple[str, ...],
+                   ) -> dict[str, np.ndarray] | None:
+        rows = self._frontier(group)
+        moved = sum(self._movement_of(name, rows) for name in group)
+        used_others = sum(self._spent[name] for name in self.current
+                          if name not in group)
+        budget = self._constraints.movement.max_blocks - used_others
+        over = moved > budget + EPS_CAPACITY
+        if not over.any():
+            return self._feasible(dict.fromkeys(group, rows))
+        moved_now = sum(self._spent[name] for name in group)
+        headroom = budget - moved_now
+        blend = over & (moved > moved_now) & (headroom > EPS_CAPACITY)
+        t = (headroom / (moved[blend] - moved_now))[:, None]
+        keep = ~over | blend
+        members = {}
+        for name in group:
+            blended = rows.copy()
+            blended[blend] = (1.0 - t) * self.current[name] \
+                + t * rows[blend]
+            members[name] = blended[keep]
+        self._projected += int(blend.sum())
+        return self._feasible(members)
+
+    def commit(self, change: dict[str, np.ndarray]) -> None:
+        super().commit(change)
+        for name, row in change.items():
+            self._spent[name] = float(self._movement_of(name, row))
+
+    def extras(self) -> dict[str, float]:
+        return {"projected_moves": float(self._projected)}
+
+
+class _BudgetedGreedySearch(TsGreedySearch):
+    """TS-GREEDY whose over-budget candidates are projected, not dropped
+    (see :class:`_BudgetedFrontiers`); its result's extras carry
+    ``projected_moves``."""
+
+    def _frontiers(self, layout: Layout, narrow: bool) -> _Frontiers:
+        return _BudgetedFrontiers(self._farm, self._sizes, self._names,
+                                  self._constraints, self._k, layout,
+                                  narrow)
 
 
 class IncrementalSearch:
@@ -176,6 +197,7 @@ class IncrementalSearch:
                     recorder=self._recorder)
                 result = seeded.search(graph,
                                        initial_layout=current_layout)
+            projected = int(result.extras["projected_moves"])
             # Fall back to a from-scratch re-layout when the budget can
             # afford it: seeding from the current layout is a local
             # refinement and cannot re-partition, so Δ -> 1 must
@@ -204,15 +226,13 @@ class IncrementalSearch:
             result.extras["moved_fraction"] = \
                 moved / total_blocks if total_blocks else 0.0
             result.extras["movement_budget"] = movement_budget
-            result.extras["projected_moves"] = \
-                float(seeded.projected_moves)
+            result.extras["projected_moves"] = float(projected)
             result.extras["full_relayout"] = float(used_full)
             span.set("moved_blocks", round(moved, 3))
             span.set("full_relayout", used_full)
             self._metrics.set_gauge("incremental.moved_fraction",
                                     result.extras["moved_fraction"])
-            self._metrics.inc("incremental.projected_moves",
-                              seeded.projected_moves)
+            self._metrics.inc("incremental.projected_moves", projected)
             if used_full:
                 self._metrics.inc("incremental.full_relayout_fallbacks")
         return result

@@ -40,7 +40,12 @@ def stripe_fractions(disks: Iterable[int], farm: DiskFarm,
         raise LayoutError(f"disk index out of range: {disk_set}")
     row = [0.0] * len(farm)
     if rate_proportional:
-        total_rate = sum(farm[j].read_mb_s for j in disk_set)
+        # Accumulated one disk at a time in ascending order (not with
+        # sum(), which is compensated from Python 3.12): TS-GREEDY's
+        # array frontier reproduces exactly this order.
+        total_rate = 0.0
+        for j in disk_set:
+            total_rate += farm[j].read_mb_s
         for j in disk_set:
             row[j] = farm[j].read_mb_s / total_rate
     else:
@@ -166,8 +171,12 @@ class Layout:
             other = target.fractions_of(name)
             if len(other) != len(row):
                 raise LayoutError("layouts use different disk farms")
-            moved += self._sizes[name] * \
-                sum(abs(a - b) for a, b in zip(row, other)) / 2.0
+            # Disk by disk in order, as TS-GREEDY's vectorized movement
+            # check accumulates it (sum() is compensated from 3.12).
+            distance = 0.0
+            for a, b in zip(row, other):
+                distance += abs(a - b)
+            moved += self._sizes[name] * distance / 2.0
         return moved
 
     # -- exports -------------------------------------------------------------------

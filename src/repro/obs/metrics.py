@@ -136,8 +136,13 @@ class MetricsRegistry:
     # -- instrument accessors ---------------------------------------------
 
     def counter(self, name: str) -> Counter:
-        self._check_kind(name, self._counters, "counter")
-        return self._counters.setdefault(name, Counter())
+        # Hot path (greedy and the kernel count every call): an existing
+        # counter already passed the kind and catalog checks.
+        counter = self._counters.get(name)
+        if counter is None:
+            self._check_kind(name, self._counters, "counter")
+            counter = self._counters[name] = Counter()
+        return counter
 
     def gauge(self, name: str) -> Gauge:
         self._check_kind(name, self._gauges, "gauge")

@@ -36,6 +36,10 @@ class _Handler(BaseHTTPRequestHandler):
     # Keep connections alive across a poll loop.
     protocol_version = "HTTP/1.1"
     server_version = "repro-advisor"
+    # A response leaves in two sends (headers, then body).  With
+    # Nagle's algorithm the body waits for the client's delayed ACK of
+    # the headers, about 40 ms on Linux, on every request.
+    disable_nagle_algorithm = True
 
     def _dispatch(self) -> None:
         service: AdvisorService = self.server.service  # type: ignore
@@ -58,6 +62,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self):
         length = int(self.headers.get("Content-Length") or 0)
+        if length < 0:
+            # rfile.read(-1) would block until the client hangs up.
+            raise ValueError(f"negative Content-Length ({length})")
         if length == 0:
             return None
         if length > MAX_BODY_BYTES:

@@ -16,10 +16,13 @@ every worker, the same contract as the parallel engine it wraps.
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -635,6 +638,35 @@ class TestHTTPServer:
             urllib.request.urlopen(request, timeout=30).close()
         with exc_info.value:
             assert exc_info.value.code == 400
+
+    def test_negative_content_length_is_400(self, live):
+        # Reading a body of length -1 would block until the client
+        # hangs up, so no response would ever come back.
+        address = urllib.parse.urlsplit(live)
+        with socket.create_connection((address.hostname, address.port),
+                                      timeout=5.0) as sock:
+            sock.sendall(b"POST /v1/tenants HTTP/1.1\r\nHost: test\r\n"
+                         b"Content-Length: -1\r\n\r\n")
+            assert sock.recv(4096).startswith(b"HTTP/1.1 400")
+
+    def test_keep_alive_responses_skip_the_delayed_ack_wait(self, live):
+        # Headers and body leave in separate sends; with Nagle's
+        # algorithm on, each response waited ~40 ms for the client's
+        # delayed ACK.
+        address = urllib.parse.urlsplit(live)
+        connection = http.client.HTTPConnection(
+            address.hostname, address.port, timeout=30)
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                connection.request("GET", "/v1/health")
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+            elapsed = time.perf_counter() - start
+        finally:
+            connection.close()
+        assert elapsed < 20 * 0.040 / 4
 
     def test_full_cycle_over_http(self, live):
         status, job = self._call(live, "POST", "/v1/tenants/t/jobs",
