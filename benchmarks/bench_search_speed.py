@@ -1,6 +1,6 @@
 """SRCH — search-speed benchmark: pruning and the portfolio engine.
 
-Times five configurations of the layout search on a synthetic
+Times four configurations of the layout search on a synthetic
 paper-scale workload (TPC-H schema, seeded query generator):
 
 1. TS-GREEDY with bound-based pruning disabled (the pre-optimization
@@ -8,11 +8,10 @@ paper-scale workload (TPC-H schema, seeded query generator):
 2. TS-GREEDY with pruning enabled — must return the bit-identical
    layout and cost while fully evaluating fewer candidates;
 3. the trajectory portfolio run serially (``jobs=1``);
-4. the same portfolio on a thread pool over evaluator clones
-   (``backend="thread"``) — must return the bit-identical result of
-   the serial portfolio;
-5. the same portfolio on worker processes (``backend="process"``) —
-   likewise bit-identical.
+4. the same portfolio on the worker-process pool — must return the
+   bit-identical result of the serial portfolio.  The pool is forced
+   (``POOL_MIN_PACKED_BYTES`` set to 0 for this run): small mode's
+   input packs under the threshold and would otherwise run serially.
 
 A separate micro-benchmark isolates the evaluator kernel itself: the
 per-candidate ``cost_with_row`` loop (the pre-fusion access pattern)
@@ -62,6 +61,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -82,6 +82,7 @@ from repro.parallel import (  # noqa: E402
     available_workers,
     default_portfolio,
 )
+from repro.parallel import portfolio as portfolio_module  # noqa: E402
 from repro.workload.access import analyze_workload  # noqa: E402
 from repro.workload.access_graph import build_access_graph  # noqa: E402
 
@@ -243,7 +244,7 @@ def measure_eval_throughput(farm, evaluator, sizes, graph,
 
 
 def run_bench(jobs: int = 0, mode: str | None = None) -> dict:
-    """Run all five configurations; return the BENCH_search payload."""
+    """Run all four configurations; return the BENCH_search payload."""
     mode = resolve_mode(mode)
     evaluator, graph, sizes, farm = _case(mode)
     n_trajectories = MODES[mode][2]
@@ -277,27 +278,24 @@ def run_bench(jobs: int = 0, mode: str | None = None) -> dict:
         == plain.layout.fractions_of(name)
         for name in plain.layout.object_names)
 
-    # 3/4/5 — the portfolio: serial, thread pool, process pool.
+    # 3/4 — the portfolio: serial, then on the forced process pool.
     metrics_serial = MetricsRegistry()
     tracer_serial = Tracer()
     serial, t_serial = _timed(lambda: PortfolioSearch(
         farm, evaluator, sizes, specs=specs, jobs=1,
         tracer=tracer_serial,
         metrics=metrics_serial).search(graph))
-    metrics_thread = MetricsRegistry()
-    tracer_thread = Tracer()
-    threaded, t_thread = _timed(lambda: PortfolioSearch(
-        farm, evaluator, sizes, specs=specs, jobs=jobs,
-        backend="thread", tracer=tracer_thread,
-        metrics=metrics_thread).search(graph))
     metrics_pooled = MetricsRegistry()
     tracer_pooled = Tracer()
-    pooled, t_pooled = _timed(lambda: PortfolioSearch(
-        farm, evaluator, sizes, specs=specs, jobs=jobs,
-        backend="process", tracer=tracer_pooled,
-        metrics=metrics_pooled).search(graph))
+    with mock.patch.object(portfolio_module, "POOL_MIN_PACKED_BYTES", 0):
+        pooled, t_pooled = _timed(lambda: PortfolioSearch(
+            farm, evaluator, sizes, specs=specs, jobs=jobs,
+            tracer=tracer_pooled,
+            metrics=metrics_pooled).search(graph))
+    assert pooled.extras["backend"] \
+        == portfolio_module.BACKEND_CODES["process"], \
+        "the pooled configuration did not run on the process pool"
     portfolio_drift = abs(pooled.cost - serial.cost)
-    portfolio_drift_thread = abs(threaded.cost - serial.cost)
     throughput = measure_eval_throughput(farm, evaluator, sizes, graph,
                                          layout=pruned_run.layout)
 
@@ -330,13 +328,6 @@ def run_bench(jobs: int = 0, mode: str | None = None) -> dict:
             "backend": "serial",
             "phases": phase_breakdown(tracer_serial, metrics_serial),
         },
-        "portfolio_thread": {
-            "wall_s": round(t_thread, 4),
-            "evaluations": threaded.evaluations,
-            "cost": threaded.cost,
-            "backend": "thread",
-            "phases": phase_breakdown(tracer_thread, metrics_thread),
-        },
         "portfolio_parallel": {
             "wall_s": round(t_pooled, 4),
             "evaluations": pooled.evaluations,
@@ -354,12 +345,9 @@ def run_bench(jobs: int = 0, mode: str | None = None) -> dict:
             1.0 - pruned_run.evaluations / max(plain.evaluations, 1), 4),
         "prune_speedup": round(t_noprune / max(t_prune, 1e-9), 3),
         "parallel_speedup": round(t_serial / max(t_pooled, 1e-9), 3),
-        "parallel_speedup_thread": round(
-            t_serial / max(t_thread, 1e-9), 3),
         "prune_drift": prune_drift,
         "prune_same_layout": same_layout,
         "portfolio_drift": portfolio_drift,
-        "portfolio_drift_thread": portfolio_drift_thread,
     }
 
 
@@ -380,9 +368,6 @@ def check_invariants(payload: dict) -> None:
     assert payload["prune_same_layout"], "pruning changed the layout"
     assert payload["portfolio_drift"] == 0.0, \
         f"jobs>1 changed the cost by {payload['portfolio_drift']}"
-    assert payload["portfolio_drift_thread"] == 0.0, \
-        f"the thread backend changed the cost by " \
-        f"{payload['portfolio_drift_thread']}"
     assert payload["greedy_prune"]["evaluations"] \
         < payload["greedy_noprune"]["evaluations"]
     if payload["mode"] == "small":
@@ -419,10 +404,6 @@ def check_invariants(payload: dict) -> None:
         assert payload["parallel_speedup"] > floor, \
             f"no speedup on {payload['cores']} cores: " \
             f"{payload['parallel_speedup']}x"
-        assert payload["parallel_speedup_thread"] >= 1.0, \
-            f"thread backend slower than serial on " \
-            f"{payload['cores']} cores: " \
-            f"{payload['parallel_speedup_thread']}x"
 
 
 def _render(payload: dict) -> str:
@@ -432,8 +413,7 @@ def _render(payload: dict) -> str:
          f"{payload[name]['cost']:.4f}",
          payload[name].get("backend", "-")]
         for name in ("greedy_noprune", "greedy_prune",
-                     "portfolio_serial", "portfolio_thread",
-                     "portfolio_parallel")]
+                     "portfolio_serial", "portfolio_parallel")]
     table = common.format_table(
         ["configuration", "wall", "evaluations", "cost", "backend"],
         rows)
@@ -444,8 +424,7 @@ def _render(payload: dict) -> str:
             f"({100 * payload['prune_eval_reduction']:.1f}% fewer full "
             f"evaluations), prune speedup "
             f"{payload['prune_speedup']}x, parallel speedup "
-            f"{payload['parallel_speedup']}x (thread "
-            f"{payload['parallel_speedup_thread']}x) on "
+            f"{payload['parallel_speedup']}x on "
             f"{payload['cores']} core(s) with jobs={payload['jobs']}, "
             f"drift 0.0, telemetry overhead "
             f"{payload['telemetry_overhead']['overhead_pct']}%\n"

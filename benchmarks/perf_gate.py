@@ -60,12 +60,7 @@ from bench_server import (  # noqa: E402
 
 #: Configurations whose wall/evaluations/cost are compared.
 CONFIGS = ("greedy_noprune", "greedy_prune", "portfolio_serial",
-           "portfolio_thread", "portfolio_parallel")
-
-#: Configurations older baselines may predate (added with the thread
-#: backend).  Missing from the *baseline* -> skipped, not a violation;
-#: missing from the candidate is always a violation.
-OPTIONAL_BASELINE_CONFIGS = frozenset({"portfolio_thread"})
+           "portfolio_parallel")
 
 #: Absolute tolerance for cost comparisons across runs.  The search is
 #: seeded and deterministic; this only absorbs float-accumulation
@@ -126,10 +121,6 @@ def compare(baseline: dict, candidate: dict,
 
     for name in CONFIGS:
         base, cand = baseline.get(name), candidate.get(name)
-        if base is None and name in OPTIONAL_BASELINE_CONFIGS:
-            # The stored baseline predates this configuration; the
-            # candidate's own invariants still cover it.
-            continue
         if base is None or cand is None:
             violations.append(f"{name}: missing from "
                               f"{'baseline' if base is None else 'candidate'}")

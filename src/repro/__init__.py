@@ -76,6 +76,7 @@ from repro.core import (
     LayoutAdvisor,
     MaxDataMovement,
     Recommendation,
+    SearchOptions,
     TsGreedySearch,
     WorkloadCostEvaluator,
     exhaustive_search,
@@ -129,7 +130,8 @@ __all__ = [
     # core
     "AvailabilityRequirement", "CoLocated", "ConstraintSet", "CostModel",
     "IncrementalSearch", "Layout", "LayoutAdvisor", "MaxDataMovement",
-    "Recommendation", "TsGreedySearch", "WorkloadCostEvaluator",
+    "Recommendation", "SearchOptions", "TsGreedySearch",
+    "WorkloadCostEvaluator",
     "exhaustive_search", "full_striping", "random_layout",
     "stripe_fractions",
     # static analysis

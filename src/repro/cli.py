@@ -57,17 +57,16 @@ findings are suppressed per line with a justified
 Performance (see ``docs/performance.md``): ``--method portfolio`` runs
 several search trajectories (seeded TS-GREEDY multi-starts plus
 annealing restarts) and keeps the best layout; ``--jobs N`` spreads
-them over ``N`` workers — ``--backend`` picks threads (evaluator
-clones, GIL-free numpy kernels), worker processes (one cost evaluator
-in shared memory), or the deterministic ``auto`` size heuristic.  The
-recommendation is bit-identical for any ``--jobs``/``--backend``
-combination.
+them over ``N`` worker processes (one cost evaluator in shared memory)
+when the workload is large enough to repay starting them, and runs
+them serially otherwise.  The recommendation is bit-identical for any
+``--jobs``.
 
 Resilience (see ``docs/resilience.md``): ``--deadline S`` bounds the
 portfolio search's wall clock; on expiry (or worker crashes) the
 advisor returns the exact best layout over the trajectories that
 completed and marks the run *degraded* instead of raising.
-``--retries N`` bounds in-process re-runs of failed trajectories,
+``--retries N`` grants a failed trajectory N in-process re-runs,
 ``--trajectory-timeout S`` caps each worker future, and ``--faults``
 injects deterministic faults for testing (same syntax as the
 ``REPRO_FAULTS`` environment variable).
@@ -126,7 +125,7 @@ from repro.catalog.io import (
     save_migration_plan,
     save_recommendation,
 )
-from repro.core.advisor import LayoutAdvisor
+from repro.core.advisor import METHODS, LayoutAdvisor, SearchOptions
 from repro.core.costmodel import CostModel
 from repro.core.fullstripe import full_striping
 from repro.core.report import (
@@ -285,27 +284,19 @@ def build_parser() -> argparse.ArgumentParser:
                      help="constraint set JSON")
     rec.add_argument("--current-layout", type=Path,
                      help="current layout JSON (default: full striping)")
-    rec.add_argument("--method", default="ts-greedy",
-                     choices=["ts-greedy", "portfolio", "exhaustive",
-                              "full-striping", "incremental"])
+    rec.add_argument("--method", default=SearchOptions.method,
+                     choices=METHODS)
     rec.add_argument("--budget", type=float, default=None,
                      metavar="FRACTION",
                      help="for --method incremental: max fraction of "
                           "the database allowed to move (default: 1.0)")
-    rec.add_argument("--k", type=int, default=1,
+    rec.add_argument("--k", type=int, default=SearchOptions.k,
                      help="TS-GREEDY widening parameter")
-    rec.add_argument("--jobs", type=int, default=1, metavar="N",
+    rec.add_argument("--jobs", type=int, default=SearchOptions.jobs,
+                     metavar="N",
                      help="workers for --method portfolio "
                           "(1 = serial in-process, 0 = all cores; "
                           "the result is identical either way)")
-    rec.add_argument("--backend", default="auto",
-                     choices=["auto", "thread", "process"],
-                     help="parallel backend for --method portfolio "
-                          "with --jobs != 1: thread pool over "
-                          "evaluator clones, worker processes over "
-                          "shared memory, or a deterministic size "
-                          "heuristic (default: auto); the result is "
-                          "bit-identical either way")
     rec.add_argument("--portfolio", type=int, default=None,
                      metavar="N",
                      help="trajectory count for --method portfolio "
@@ -317,9 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "best layout over the trajectories that "
                           "completed (a degraded result) instead of "
                           "raising")
-    rec.add_argument("--retries", type=int, default=None, metavar="N",
-                     help="attempts per failed portfolio trajectory "
-                          "when it is re-run in-process (default: 2)")
+    rec.add_argument("--retries", type=int,
+                     default=SearchOptions.retries, metavar="N",
+                     help="extra in-process attempts a failed "
+                          "portfolio trajectory gets after its first "
+                          "(default: %(default)s)")
     rec.add_argument("--trajectory-timeout", type=float, default=None,
                      metavar="SECONDS", dest="trajectory_timeout",
                      help="per-trajectory cap while draining portfolio "
@@ -625,22 +618,20 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         method = args.method
         if args.portfolio is not None and method == "ts-greedy":
             method = "portfolio"
-        retry = None
-        if args.retries is not None:
-            retry = RetryPolicy(attempts=max(1, args.retries))
-        faults = FaultPlan.from_spec(args.faults) if args.faults \
-            else None
+        options = SearchOptions(
+            method=method, k=args.k, jobs=args.jobs,
+            portfolio=args.portfolio, deadline=args.deadline,
+            retries=args.retries,
+            trajectory_timeout_s=args.trajectory_timeout,
+            faults=FaultPlan.from_spec(args.faults) if args.faults
+            else None,
+            movement_budget=args.budget)
         # The CLI renders degradation itself (stderr line + report
         # section), so the library's warning would be a duplicate.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedResult)
             recommendation = advisor.recommend(
-                workload, current_layout=current, method=method,
-                k=args.k, jobs=args.jobs, backend=args.backend,
-                portfolio=args.portfolio,
-                deadline=args.deadline, retry=retry,
-                trajectory_timeout_s=args.trajectory_timeout,
-                faults=faults, movement_budget=args.budget)
+                workload, current_layout=current, options=options)
         search = recommendation.search
         if search is not None and search.degraded:
             print(f"warning: degraded: {len(search.failures)}/"

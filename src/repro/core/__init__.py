@@ -9,7 +9,7 @@
 * searchers — FULL STRIPING, TS-GREEDY (Figure 9), exhaustive and
   random baselines;
 * :class:`LayoutAdvisor` — the end-to-end facade matching Figure 3's
-  architecture.
+  architecture, with its search parameters in :class:`SearchOptions`.
 """
 
 from repro.core.layout import Layout, stripe_fractions
@@ -26,7 +26,7 @@ from repro.core.greedy import GreedyStep, SearchResult, TsGreedySearch
 from repro.core.exhaustive import exhaustive_search
 from repro.core.annealing import annealing_search
 from repro.core.random_layout import random_layout
-from repro.core.advisor import LayoutAdvisor, Recommendation
+from repro.core.advisor import LayoutAdvisor, Recommendation, SearchOptions
 from repro.core.incremental import IncrementalSearch
 
 __all__ = [
@@ -50,4 +50,5 @@ __all__ = [
     "IncrementalSearch",
     "LayoutAdvisor",
     "Recommendation",
+    "SearchOptions",
 ]

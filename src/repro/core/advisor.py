@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field, fields, replace
+from typing import TYPE_CHECKING, Any, Sequence, TypeGuard
 
 from repro.catalog.schema import Database
 from repro.core.constraints import ConstraintSet
@@ -23,6 +23,7 @@ from repro.core.layout import Layout
 from repro.errors import DegradedResult, LayoutError
 from repro.obs import NULL_METRICS, NULL_RECORDER, NULL_TRACER
 from repro.optimizer.planner import Planner
+from repro.resilience import Budget, Deadline, FaultPlan, RetryPolicy
 from repro.storage.disk import DiskFarm
 from repro.storage.migration import MigrationPlan, plan_migration
 from repro.workload.access import AnalyzedWorkload, analyze_workload
@@ -31,6 +32,7 @@ from repro.workload.workload import Workload
 
 if TYPE_CHECKING:
     from repro.analysis.diagnostics import AnalysisReport, Diagnostic
+    from repro.parallel.portfolio import TrajectorySpec
 
 logger = logging.getLogger("repro.core.advisor")
 
@@ -92,6 +94,138 @@ class Recommendation:
             return None
         total = sum(self.layout.object_sizes.values())
         return moved / total if total else 0.0
+
+
+#: Search methods :meth:`LayoutAdvisor.recommend` runs.
+METHODS = ("ts-greedy", "portfolio", "incremental", "full-striping",
+           "exhaustive")
+
+#: :class:`SearchOptions` field roles, stored under the ``"role"`` key
+#: of each field's metadata.  A ``CONTENT`` field can change what the
+#: search recommends; an ``SLO`` field bounds only how long the search
+#: may run and how it survives failures.
+CONTENT = "content"
+SLO = "slo"
+
+
+def _option(default: Any, role: str) -> Any:
+    return field(default=default, metadata={"role": role})
+
+
+def _is_int(value: object) -> TypeGuard[int]:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> TypeGuard[float]:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True)
+class SearchOptions:
+    """The search parameters of :meth:`LayoutAdvisor.recommend`.
+
+    The library, the CLI and the advisor service all build this one
+    object, so each parameter is defined and validated once: a bad
+    value raises :class:`~repro.errors.LayoutError` at construction.
+    Each field's metadata ``role`` is :data:`CONTENT` or :data:`SLO`;
+    :meth:`content` returns the content fields, from which the service
+    derives its job fingerprint.
+
+    Attributes:
+        method: One of :data:`METHODS`; ``"ts-greedy"`` by default.
+        k: TS-GREEDY's widening parameter (>= 1).
+        jobs: Worker count for ``method="portfolio"``: 1 runs the
+            portfolio serially in-process, 0 auto-sizes to the
+            machine.  Results are identical either way.
+        portfolio: For ``method="portfolio"``: a trajectory count, a
+            sequence of :class:`repro.parallel.TrajectorySpec`, or
+            ``None`` for the default portfolio.
+        deadline: For ``method="portfolio"``: wall-clock budget for
+            the search — seconds, a :class:`repro.resilience.Budget`
+            or a live :class:`repro.resilience.Deadline`.  When it
+            expires the advisor returns the exact best layout over the
+            trajectories that completed (a *degraded* result; a
+            :class:`~repro.errors.DegradedResult` warning is emitted)
+            rather than raising.
+        retries: For ``method="portfolio"``: extra in-process attempts
+            a failed trajectory gets after its first.
+        trajectory_timeout_s: For ``method="portfolio"``: per-
+            trajectory cap while draining worker futures.
+        faults: For ``method="portfolio"``: a
+            :class:`repro.resilience.FaultPlan` for tests and chaos
+            runs (``None`` falls back to the ``REPRO_FAULTS``
+            environment variable).
+        movement_budget: For ``method="incremental"``: Δ, the maximum
+            fraction of the database's blocks that may change disks
+            relative to the current layout (``None`` means 1.0, i.e.
+            unbounded).  The search is seeded from the current layout,
+            over-budget moves are projected back onto the budget, and
+            the recommendation carries an ordered capacity-safe
+            :class:`MigrationPlan` (see ``docs/incremental.md``).
+    """
+
+    method: str = _option("ts-greedy", CONTENT)
+    k: int = _option(1, CONTENT)
+    jobs: int = _option(1, SLO)
+    portfolio: int | Sequence[TrajectorySpec] | None = _option(
+        None, CONTENT)
+    deadline: float | Budget | Deadline | None = _option(None, SLO)
+    retries: int = _option(1, SLO)
+    trajectory_timeout_s: float | None = _option(None, SLO)
+    faults: FaultPlan | None = _option(None, SLO)
+    movement_budget: float | None = _option(None, CONTENT)
+
+    def __post_init__(self) -> None:
+        if self.method not in METHODS:
+            raise LayoutError(f"unknown search method {self.method!r}; "
+                              f"expected one of {', '.join(METHODS)}")
+        if not _is_int(self.k) or self.k < 1:
+            raise LayoutError(f"k must be an integer >= 1, "
+                              f"got {self.k!r}")
+        if not _is_int(self.jobs) or self.jobs < 0:
+            raise LayoutError(f"jobs must be an integer >= 0 "
+                              f"(0 = all cores), got {self.jobs!r}")
+        portfolio = self.portfolio
+        if isinstance(portfolio, (list, tuple)) and portfolio:
+            object.__setattr__(self, "portfolio", tuple(portfolio))
+        elif portfolio is not None \
+                and not (_is_int(portfolio) and portfolio >= 1):
+            raise LayoutError(
+                f"portfolio must be a trajectory count >= 1 or a "
+                f"non-empty sequence of TrajectorySpec, "
+                f"got {portfolio!r}")
+        deadline = self.deadline
+        if not (deadline is None
+                or isinstance(deadline, (Budget, Deadline))
+                or (_is_number(deadline) and deadline >= 0)):
+            raise LayoutError(
+                f"deadline must be seconds >= 0, a Budget or a "
+                f"Deadline, got {deadline!r}")
+        if not _is_int(self.retries) or self.retries < 0:
+            raise LayoutError(f"retries must be an integer >= 0, "
+                              f"got {self.retries!r}")
+        timeout = self.trajectory_timeout_s
+        if timeout is not None \
+                and not (_is_number(timeout) and timeout > 0):
+            raise LayoutError(f"trajectory_timeout_s must be > 0, "
+                              f"got {timeout!r}")
+        if self.faults is not None \
+                and not isinstance(self.faults, FaultPlan):
+            raise LayoutError(f"faults must be a FaultPlan, "
+                              f"got {self.faults!r}")
+        budget = self.movement_budget
+        if budget is not None \
+                and not (_is_number(budget) and 0.0 <= budget <= 1.0):
+            raise LayoutError(
+                f"movement budget must be a fraction in [0, 1], "
+                f"got {budget!r}")
+
+    def content(self) -> dict[str, Any]:
+        """The :data:`CONTENT` fields by name: everything here that can
+        change the recommendation."""
+        return {option.name: getattr(self, option.name)
+                for option in fields(self)
+                if option.metadata["role"] == CONTENT}
 
 
 class LayoutAdvisor:
@@ -189,13 +323,8 @@ class LayoutAdvisor:
 
     def recommend(self, workload: Workload | AnalyzedWorkload,
                   current_layout: Layout | None = None,
-                  method: str = "ts-greedy",
-                  k: int = 1, jobs: int = 1, backend: str = "auto",
-                  portfolio=None, deadline=None, retry=None,
-                  trajectory_timeout_s: float | None = None,
-                  faults=None,
-                  movement_budget: float | None = None,
-                  ) -> Recommendation:
+                  options: SearchOptions | None = None,
+                  **overrides: Any) -> Recommendation:
         """Recommend a layout for the workload.
 
         Args:
@@ -203,44 +332,12 @@ class LayoutAdvisor:
             current_layout: The database's current layout; defaults to
                 full striping, the traditional practice the paper
                 compares against.
-            method: ``"ts-greedy"`` (default), ``"portfolio"``,
-                ``"incremental"``, ``"full-striping"`` or
-                ``"exhaustive"``.
-            k: TS-GREEDY's widening parameter.
-            jobs: Worker count for ``method="portfolio"`` (1 runs
-                the portfolio serially in-process, 0 auto-sizes to the
-                machine; results are identical either way).
-            backend: For ``method="portfolio"`` with ``jobs != 1``:
-                ``"thread"``, ``"process"``, or ``"auto"`` (default —
-                a deterministic workload-size heuristic).  Results are
-                bit-identical across backends; only wall time differs.
-            portfolio: For ``method="portfolio"``: a trajectory count,
-                a sequence of :class:`repro.parallel.TrajectorySpec`,
-                or ``None`` for the default portfolio.
-            deadline: For ``method="portfolio"``: wall-clock budget for
-                the search — seconds, a :class:`repro.resilience.Budget`
-                or a live :class:`repro.resilience.Deadline`.  When it
-                expires the advisor returns the exact best layout over
-                the trajectories that completed (a *degraded* result; a
-                :class:`~repro.errors.DegradedResult` warning is
-                emitted) rather than raising.
-            retry: For ``method="portfolio"``: a
-                :class:`repro.resilience.RetryPolicy` governing serial
-                re-runs of failed trajectories.
-            trajectory_timeout_s: For ``method="portfolio"``: per-
-                trajectory cap while draining worker futures.
-            faults: For ``method="portfolio"``: a
-                :class:`repro.resilience.FaultPlan` for tests/chaos
-                runs (defaults to the ``REPRO_FAULTS`` environment
-                variable; ``None`` in production).
-            movement_budget: For ``method="incremental"``: Δ, the
-                maximum fraction of the database's blocks that may
-                change disks relative to ``current_layout`` (defaults
-                to 1.0, i.e. unbounded).  The search is seeded from
-                the current layout, over-budget moves are projected
-                back onto the budget, and the recommendation carries
-                an ordered capacity-safe :class:`MigrationPlan` (see
-                ``docs/incremental.md``).
+            options: The search parameters; defaults to
+                ``SearchOptions()``.
+            **overrides: :class:`SearchOptions` fields set on top of
+                ``options``, so ``recommend(w, method="portfolio",
+                jobs=2)`` equals ``recommend(w,
+                options=SearchOptions(method="portfolio", jobs=2))``.
 
         Returns:
             A :class:`Recommendation`; its ``improvement_pct`` is the
@@ -249,6 +346,7 @@ class LayoutAdvisor:
             whether (and why) trajectories were lost.
 
         Raises:
+            LayoutError: If an option value is invalid.
             AnalysisError: If the pre-flight static analysis finds an
                 error-level diagnostic in the constraints or workload.
             SearchTimeout: If a ``deadline`` expired before *any*
@@ -256,6 +354,10 @@ class LayoutAdvisor:
             WorkerCrash: If every portfolio trajectory was lost to
                 worker failures (after serial re-runs).
         """
+        options = replace(
+            options if options is not None else SearchOptions(),
+            **overrides)
+        method = options.method
         with self._tracer.span("recommend", method=method) as root:
             analyzed = workload if isinstance(workload, AnalyzedWorkload) \
                 else self.analyze(workload)
@@ -270,7 +372,7 @@ class LayoutAdvisor:
                 graph = self.access_graph(analyzed)
                 search = TsGreedySearch(self._farm, evaluator, sizes,
                                         constraints=self._constraints,
-                                        k=k, tracer=self._tracer,
+                                        k=options.k, tracer=self._tracer,
                                         metrics=self._metrics,
                                         recorder=self._recorder)
                 initial = current_layout \
@@ -279,11 +381,7 @@ class LayoutAdvisor:
             elif method == "portfolio":
                 graph = self.access_graph(analyzed)
                 result = self._portfolio_search(
-                    evaluator, sizes, graph, current_layout, k, jobs,
-                    portfolio, backend=backend, deadline=deadline,
-                    retry=retry,
-                    trajectory_timeout_s=trajectory_timeout_s,
-                    faults=faults)
+                    evaluator, sizes, graph, current_layout, options)
                 if result.degraded:
                     detail = "; ".join(f.describe()
                                        for f in result.failures)
@@ -296,12 +394,12 @@ class LayoutAdvisor:
                         DegradedResult, stacklevel=2)
             elif method == "incremental":
                 from repro.core.incremental import IncrementalSearch
-                budget = 1.0 if movement_budget is None \
-                    else movement_budget
+                budget = 1.0 if options.movement_budget is None \
+                    else options.movement_budget
                 graph = self.access_graph(analyzed)
                 engine = IncrementalSearch(
                     self._farm, evaluator, sizes,
-                    constraints=self._constraints, k=k,
+                    constraints=self._constraints, k=options.k,
                     tracer=self._tracer, metrics=self._metrics,
                     recorder=self._recorder)
                 result = engine.search(graph, current_layout, budget)
@@ -318,8 +416,6 @@ class LayoutAdvisor:
                         self._farm, evaluator, sizes,
                         constraints=self._constraints)
                     span.set("evaluations", result.evaluations)
-            else:
-                raise LayoutError(f"unknown search method {method!r}")
             self._constraints.check(result.layout)
             with self._tracer.span("score-current"):
                 current_cost = evaluator.cost(current_layout)
@@ -352,8 +448,7 @@ class LayoutAdvisor:
             migration = None
             budget_used = None
             if method == "incremental":
-                budget_used = 1.0 if movement_budget is None \
-                    else movement_budget
+                budget_used = budget
                 migration = plan_migration(current_layout,
                                            result.layout,
                                            tracer=self._tracer,
@@ -379,11 +474,8 @@ class LayoutAdvisor:
 
     def _portfolio_search(self, evaluator: WorkloadCostEvaluator,
                           sizes: dict[str, int], graph: AccessGraph,
-                          current_layout: Layout, k: int, jobs: int,
-                          portfolio, backend: str = "auto",
-                          deadline=None, retry=None,
-                          trajectory_timeout_s: float | None = None,
-                          faults=None) -> SearchResult:
+                          current_layout: Layout,
+                          options: SearchOptions) -> SearchResult:
         """Run the multi-start portfolio engine (method="portfolio")."""
         # Deferred import: repro.parallel builds on repro.core, so the
         # dependency must point parallel -> core at module-load time.
@@ -391,24 +483,22 @@ class LayoutAdvisor:
         constrained = bool(self._constraints.co_located
                            or self._constraints.availability
                            or self._constraints.movement)
+        portfolio = options.portfolio
         if portfolio is None:
             specs = default_portfolio(
-                k=k, include_annealing=not constrained)
+                k=options.k, include_annealing=not constrained)
         elif isinstance(portfolio, int):
             specs = default_portfolio(
-                portfolio, k=k, include_annealing=not constrained)
+                portfolio, k=options.k, include_annealing=not constrained)
         else:
             specs = list(portfolio)
-        engine = PortfolioSearch(self._farm, evaluator, sizes,
-                                 constraints=self._constraints,
-                                 specs=specs, jobs=jobs,
-                                 backend=backend,
-                                 tracer=self._tracer,
-                                 metrics=self._metrics,
-                                 deadline=deadline, retry=retry,
-                                 trajectory_timeout_s=trajectory_timeout_s,
-                                 faults=faults,
-                                 recorder=self._recorder)
+        engine = PortfolioSearch(
+            self._farm, evaluator, sizes, constraints=self._constraints,
+            specs=specs, jobs=options.jobs, tracer=self._tracer,
+            metrics=self._metrics, deadline=options.deadline,
+            retry=RetryPolicy(attempts=1 + options.retries),
+            trajectory_timeout_s=options.trajectory_timeout_s,
+            faults=options.faults, recorder=self._recorder)
         initial = current_layout \
             if self._constraints.movement is not None else None
         return engine.search(graph, initial_layout=initial)

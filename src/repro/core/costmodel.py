@@ -61,8 +61,8 @@ _CHUNK_TARGET_BYTES = 128 << 10
 _CHUNK_MIN = 16
 _CHUNK_MAX = 1024
 
-#: The read-only packed arrays every evaluator clone / shared-memory
-#: attach shares; mutable per-search state is never in this list.
+#: The read-only packed arrays every shared-memory attach shares;
+#: mutable per-search state is never in this list.
 PACKED_ARRAYS = ("_idx", "_blocks", "_mask", "_inv", "_weights",
                  "_seeks")
 
@@ -228,9 +228,9 @@ class WorkloadCostEvaluator:
     def _init_mutable_state(self) -> None:
         """Fresh per-search mutable state (base matrix and caches).
 
-        Shared by ``__init__``, :meth:`clone` and the shared-memory
-        attach path — anything mutable an evaluator owns starts here,
-        so clones and attached replicas can never alias search state.
+        Shared by ``__init__`` and the shared-memory attach path —
+        anything mutable an evaluator owns starts here, so attached
+        replicas can never alias search state.
         """
         self._base_matrix: np.ndarray | None = None
         self._base_costs: np.ndarray | None = None
@@ -256,37 +256,13 @@ class WorkloadCostEvaluator:
 
     # -- matrix plumbing -----------------------------------------------------
 
-    def clone(self) -> "WorkloadCostEvaluator":
-        """A twin sharing the packed arrays but no mutable state.
-
-        The packed ``(S, K, m)`` arrays and the touching-set index are
-        immutable after construction, so clones reference them without
-        copying; the base matrix, the per-object caches and the metrics
-        binding are private per clone.  This is what lets the
-        thread-backed portfolio run trajectories concurrently: numpy
-        kernels release the GIL, and each trajectory mutates only its
-        own clone.
-        """
-        twin = WorkloadCostEvaluator.__new__(WorkloadCostEvaluator)
-        twin._metrics = NULL_METRICS
-        twin._farm = self._farm
-        twin._names = list(self._names)
-        twin._index = dict(self._index)
-        for attr in PACKED_ARRAYS:
-            setattr(twin, attr, getattr(self, attr))
-        twin._n_subplans = self._n_subplans
-        twin.n_compressed_from = self.n_compressed_from
-        twin._touching = self._touching
-        twin._init_mutable_state()
-        return twin
-
     @property
     def packed_nbytes(self) -> int:
         """Total bytes of the packed evaluation arrays.
 
-        The deterministic size signal the portfolio's ``backend="auto"``
-        heuristic keys on: small packings favor the thread backend
-        (nothing worth paying process spawn + shared memory for).
+        The deterministic size signal the portfolio engine keys its
+        serial-or-process choice on
+        (:data:`repro.parallel.portfolio.POOL_MIN_PACKED_BYTES`).
         """
         return int(sum(getattr(self, attr).nbytes
                        for attr in PACKED_ARRAYS))

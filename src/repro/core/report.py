@@ -214,7 +214,7 @@ def render_search_diagnostics(search, max_steps: int = 8) -> str:
         best = int(extras.pop("best_trajectory", 0))
         extras.pop("best_trajectory_cost", None)
         extras.pop("failed_trajectories", None)
-        backend = {-1.0: "serial", 0.0: "thread", 1.0: "process"}.get(
+        backend = {-1.0: "serial", 1.0: "process"}.get(
             extras.pop("backend", None))
         via = f" via {backend} backend" if backend else ""
         lines.append(f"portfolio: {trajectories} trajectories on "

@@ -145,7 +145,7 @@ METRIC_CATALOG: dict[str, tuple[str, str]] = {
         COUNTER, "node-pair KL swaps applied"),
     # -- portfolio engine -----------------------------------------------
     "portfolio.backend": (
-        GAUGE, "backend of the last run (-1 serial, 0 thread, 1 process)"),
+        GAUGE, "backend of the last run (-1 serial, 1 process)"),
     "portfolio.best_trajectory": (
         GAUGE, "index of the winning trajectory"),
     "portfolio.trajectories": (

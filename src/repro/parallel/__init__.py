@@ -1,17 +1,14 @@
 """repro.parallel — portfolio search over shared-memory cost evaluation.
 
 Runs several independent search trajectories (seeded TS-GREEDY
-variants, annealing restarts) concurrently and keeps the best layout.
-Two parallel backends: a worker-process pool whose cost evaluator is
-published once in ``multiprocessing.shared_memory`` (workers attach
-zero-copy instead of re-pickling megabytes per process), and a thread
-pool running per-thread evaluator clones — the evaluator's numpy
-kernels release the GIL, so at small/medium scale threads skip process
-spawn and shared-memory setup entirely.  ``backend="auto"`` (default)
-picks deterministically by packed-workload size.
+variants, annealing restarts) and keeps the best layout.  A portfolio
+runs serially in-process, or — for ``jobs > 1`` and an input of at
+least ``POOL_MIN_PACKED_BYTES`` — on a worker-process pool whose cost
+evaluator is published once in ``multiprocessing.shared_memory``
+(workers attach zero-copy instead of re-pickling it per process).
 
-Results are bit-identical regardless of ``jobs`` or ``backend``: the
-trajectory list is deterministic and the winner is chosen by
+Results are bit-identical regardless of ``jobs`` or the path taken:
+the trajectory list is deterministic and the winner is chosen by
 ``min((cost, index))``.
 
 The engine degrades instead of dying: worker crashes, hung
@@ -27,11 +24,10 @@ degradation contract and the fault-injection harness.
 """
 
 from repro.parallel.portfolio import (
-    AUTO_THREAD_MAX_BYTES,
     BACKEND_CODES,
     BACKEND_NAMES,
-    BACKENDS,
     DEFAULT_TRAJECTORIES,
+    POOL_MIN_PACKED_BYTES,
     PortfolioSearch,
     TrajectorySpec,
     available_workers,
@@ -52,11 +48,10 @@ from repro.parallel.worker import (
 )
 
 __all__ = [
-    "AUTO_THREAD_MAX_BYTES",
-    "BACKENDS",
     "BACKEND_CODES",
     "BACKEND_NAMES",
     "DEFAULT_TRAJECTORIES",
+    "POOL_MIN_PACKED_BYTES",
     "PortfolioSearch",
     "SharedArraySpec",
     "SharedEvaluatorSpec",

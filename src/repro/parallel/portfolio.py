@@ -11,14 +11,13 @@ concurrently and keeps the best result:
 * simulated-annealing restarts with distinct RNG seeds.
 
 Trajectories share one precompiled
-:class:`~repro.core.costmodel.WorkloadCostEvaluator`.  On the
-``"process"`` backend its packed arrays are published once in shared
-memory (:mod:`repro.parallel.shared`) instead of being re-pickled per
-worker; on the ``"thread"`` backend each trajectory runs against a
-zero-copy :meth:`~repro.core.costmodel.WorkloadCostEvaluator.clone`
-(the evaluator's hot loops are numpy and release the GIL), skipping
-process spawn and shared-memory setup entirely.  ``backend="auto"``
-picks between them by a deterministic packed-size heuristic.
+:class:`~repro.core.costmodel.WorkloadCostEvaluator`.  A portfolio
+runs either serially in-process or on a worker-process pool, whose
+workers attach to the evaluator's packed arrays published once in
+shared memory (:mod:`repro.parallel.shared`) instead of re-pickling
+them per worker.  The engine picks the pool only for inputs of at
+least :data:`POOL_MIN_PACKED_BYTES`; below that, starting the pool
+eats what the parallelism returns.
 
 Determinism: the trajectory list is fixed up front and the winner is
 ``min((cost, index))`` — exact float comparison with ties broken on
@@ -52,10 +51,10 @@ import logging
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing import get_all_start_methods, get_context
 from typing import Sequence
 
@@ -69,7 +68,6 @@ from repro.errors import (
     WorkerCrash,
 )
 from repro.obs import NULL_METRICS, NULL_RECORDER, NULL_TRACER, Span
-from repro.parallel import worker as _worker
 from repro.parallel.shared import share_evaluator
 from repro.parallel.worker import (
     TrajectoryContext,
@@ -91,18 +89,16 @@ DEFAULT_TRAJECTORIES = 4
 #: Worker-count override honored by :func:`available_workers`.
 MAX_WORKERS_ENV = "REPRO_MAX_WORKERS"
 
-#: Execution backends a parallel portfolio can run on.
-BACKENDS = ("auto", "thread", "process")
-
-#: ``backend="auto"``: packed evaluators at or below this size run on
-#: the thread backend (the evaluator's numpy kernels release the GIL,
-#: and at small/medium scale process spawn + shared-memory setup costs
-#: more than it buys).  Purely a function of the workload packing, so
-#: the choice — and therefore telemetry — is deterministic per input.
-AUTO_THREAD_MAX_BYTES = 32 << 20
+#: A ``jobs > 1`` portfolio runs on the process pool only when the
+#: evaluator packs at least this many bytes, and serially otherwise.
+#: Set from interleaved serial-vs-pool measurements
+#: (``docs/performance.md``): below it the pool is at best within
+#: noise of serial.  A pure function of the input, so the same
+#: workload always takes the same path.
+POOL_MIN_PACKED_BYTES = 4 << 10
 
 #: ``portfolio.backend`` gauge / ``extras["backend"]`` encoding.
-BACKEND_CODES = {"serial": -1, "thread": 0, "process": 1}
+BACKEND_CODES = {"serial": -1, "process": 1}
 
 #: Inverse of :data:`BACKEND_CODES`, for report rendering.
 BACKEND_NAMES = {code: name for name, code in BACKEND_CODES.items()}
@@ -232,20 +228,9 @@ class PortfolioSearch:
         specs: Trajectory list; defaults to :func:`default_portfolio`.
         jobs: Worker count.  ``1`` runs every trajectory serially
             in-process (bit-identical results, no pool of any kind);
-            ``0`` auto-sizes to the available cores.
-        backend: How parallel (``jobs > 1``) trajectories execute:
-            ``"process"`` is the original worker-process pool with the
-            evaluator published in shared memory; ``"thread"`` runs
-            trajectories on a thread pool against per-thread evaluator
-            clones — the evaluator's hot loops are numpy and release
-            the GIL, so threads skip process spawn and shared-memory
-            setup entirely; ``"auto"`` (default) picks by a
-            deterministic workload-size heuristic
-            (:data:`AUTO_THREAD_MAX_BYTES` on the evaluator's packed
-            bytes).  The winner is the exact ``min((cost, index))``
-            either way, so all backends return bit-identical results;
-            resilience semantics (deadline, per-trajectory failure
-            capture, serial fallback) carry over unchanged.
+            ``0`` auto-sizes to the available cores.  A larger count
+            uses the process pool when the input packs at least
+            :data:`POOL_MIN_PACKED_BYTES`, and runs serially below it.
         tracer: Optional tracer; emits one ``portfolio`` span with a
             ``portfolio/trajectory-i`` child per trajectory (worker
             span trees are merged in, times relative to each worker's
@@ -290,17 +275,13 @@ class PortfolioSearch:
                  object_sizes: dict[str, int],
                  constraints: ConstraintSet | None = None,
                  specs: Sequence[TrajectorySpec] | None = None,
-                 jobs: int = 1, backend: str = "auto",
-                 tracer=None, metrics=None,
+                 jobs: int = 1, tracer=None, metrics=None,
                  deadline=None, retry: RetryPolicy | None = None,
                  trajectory_timeout_s: float | None = None,
                  faults: FaultPlan | None = None, recorder=None,
                  clock=time.perf_counter, sleep=time.sleep):
         if jobs < 0:
             raise LayoutError("jobs must be >= 0 (0 = auto)")
-        if backend not in BACKENDS:
-            raise LayoutError(
-                f"unknown backend {backend!r}; pick one of {BACKENDS}")
         if trajectory_timeout_s is not None and trajectory_timeout_s <= 0:
             raise LayoutError("trajectory_timeout_s must be > 0")
         self._farm = farm
@@ -312,7 +293,6 @@ class PortfolioSearch:
         if not self._specs:
             raise LayoutError("portfolio needs at least one trajectory")
         self._jobs = jobs if jobs > 0 else available_workers()
-        self._backend = backend
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._metrics = metrics if metrics is not None else NULL_METRICS
         self._recorder = recorder if recorder is not None \
@@ -351,8 +331,9 @@ class PortfolioSearch:
         """
         start = self._clock()
         deadline = Deadline.coerce(self._deadline_spec)
-        jobs = max(1, min(self._jobs, len(self._specs)))
-        backend = self._resolve_backend(jobs)
+        backend = self._resolve_backend()
+        workers = 1 if backend == "serial" \
+            else min(self._jobs, len(self._specs))
         context = TrajectoryContext(
             evaluator=self._evaluator, farm=self._farm,
             sizes=self._sizes, constraints=self._constraints,
@@ -365,20 +346,18 @@ class PortfolioSearch:
         try:
             with self._tracer.span("portfolio",
                                    trajectories=len(self._specs),
-                                   jobs=jobs, backend=backend) as span:
+                                   jobs=workers, backend=backend) as span:
                 if backend == "serial":
                     payloads, failures, errors = self._run_serial(
                         context, deadline)
-                elif backend == "thread":
-                    payloads, failures, errors = self._run_threads(
-                        context, jobs, deadline)
                 else:
                     payloads, failures, errors = self._run_parallel(
-                        context, jobs, deadline)
+                        context, workers, deadline)
                 if not payloads:
                     self._raise_total_failure(failures, errors,
                                               deadline)
-                result = self._merge(payloads, failures, jobs, backend)
+                result = self._merge(payloads, failures, workers,
+                                     backend)
                 result.elapsed_s = self._clock() - start
                 span.set("best_cost", round(result.cost, 6))
                 span.set("best_trajectory",
@@ -397,7 +376,7 @@ class PortfolioSearch:
         logger.info(
             "portfolio: %d trajectories on %d %s worker(s), best cost "
             "%.3f from trajectory %d (%s), %.3fs", len(self._specs),
-            jobs, backend, result.cost,
+            workers, backend, result.cost,
             int(result.extras["best_trajectory"]),
             self._specs[int(result.extras["best_trajectory"])]
             .describe(), result.elapsed_s)
@@ -405,24 +384,17 @@ class PortfolioSearch:
 
     # -- execution paths ---------------------------------------------------
 
-    def _resolve_backend(self, jobs: int) -> str:
-        """The execution backend for this run (deterministic).
+    def _resolve_backend(self) -> str:
+        """``"serial"`` or ``"process"``, from the jobs and the input.
 
-        ``jobs == 1`` is always the serial in-process path — no pool of
-        any kind, exactly as before backends existed.  For parallel
-        runs ``"auto"`` picks threads when the evaluator's packed
-        arrays fit :data:`AUTO_THREAD_MAX_BYTES` (pool + shared-memory
-        setup would dominate) and processes beyond it; the heuristic
-        reads only the workload packing, never the machine, so the
-        same inputs always pick the same backend.
+        Reads only the worker count, the trajectory count and the
+        evaluator's packing, never the machine, so the same inputs
+        always take the same path.
         """
-        if jobs == 1:
+        if min(self._jobs, len(self._specs)) <= 1 \
+                or self._evaluator.packed_nbytes < POOL_MIN_PACKED_BYTES:
             return "serial"
-        if self._backend != "auto":
-            return self._backend
-        return "thread" \
-            if self._evaluator.packed_nbytes <= AUTO_THREAD_MAX_BYTES \
-            else "process"
+        return "process"
 
     def _run_serial(self, context: TrajectoryContext,
                     deadline: Deadline):
@@ -450,49 +422,6 @@ class PortfolioSearch:
                 failures[index] = failure
                 if error is not None:
                     errors[index] = error
-        return payloads, failures, errors
-
-    def _run_threads(self, context: TrajectoryContext, jobs: int,
-                     deadline: Deadline):
-        """Run trajectories on a thread pool against evaluator clones.
-
-        No process spawn, no pickling, no shared-memory segment: each
-        trajectory gets a :meth:`WorkloadCostEvaluator.clone` sharing
-        the read-only packed arrays, so the numpy kernels (which
-        release the GIL) run concurrently while per-trajectory mutable
-        state stays private.  Failure handling mirrors the process
-        path: timeouts abandon the future, an injected kill raises
-        :class:`WorkerCrash` in the thread (a thread cannot be hard-
-        killed, so the crash fault degrades identically without taking
-        the process down), and crashed/errored trajectories are re-run
-        serially by the same :meth:`_fallback`.
-        """
-        payloads: dict[int, dict] = {}
-        failures: dict[int, TrajectoryFailure] = {}
-        errors: dict[int, BaseException] = {}
-        executor = ThreadPoolExecutor(
-            max_workers=jobs, thread_name_prefix="repro-portfolio")
-        try:
-            futures = []
-            for index in range(len(self._specs)):
-                self._recorder.emit("trajectory-start", index=index,
-                                    label=self._label(index))
-                local = replace(context,
-                                evaluator=self._evaluator.clone())
-                # Resolved through the module so test fault injection
-                # (monkeypatching ``worker.run_trajectory``) reaches
-                # threads the same way fork workers inherit it.
-                futures.append(executor.submit(
-                    _worker.run_trajectory, local, index))
-            hung = self._drain(futures, deadline, payloads, failures,
-                               errors)
-        except BaseException:
-            executor.shutdown(wait=False, cancel_futures=True)
-            raise
-        # An abandoned (hung) thread cannot be killed; leave it to
-        # finish in the background rather than blocking the join.
-        executor.shutdown(wait=not hung, cancel_futures=True)
-        self._fallback(context, deadline, payloads, failures, errors)
         return payloads, failures, errors
 
     def _run_parallel(self, context: TrajectoryContext, jobs: int,
@@ -523,8 +452,15 @@ class PortfolioSearch:
                 for index in range(len(self._specs)):
                     self._recorder.emit("trajectory-start", index=index,
                                         label=self._label(index))
-                    futures.append(
-                        executor.submit(run_trajectory_task, index))
+                    try:
+                        future = executor.submit(run_trajectory_task,
+                                                 index)
+                    except BrokenProcessPool as error:
+                        # A worker died before every task was queued;
+                        # _drain records the rest as crashes too.
+                        future = Future()
+                        future.set_exception(error)
+                    futures.append(future)
                 hung = self._drain(futures, deadline, payloads,
                                    failures, errors)
             except BaseException:
@@ -580,10 +516,7 @@ class PortfolioSearch:
                                self._label(index), budget)
             except (BrokenProcessPool, WorkerCrash) as error:
                 # BrokenProcessPool: the pool lost the worker process.
-                # WorkerCrash: the thread backend's equivalent — a
-                # thread cannot die out from under the pool, so the
-                # kill fault raises instead (same failure record,
-                # same serial-fallback treatment).
+                # WorkerCrash: a worker's fail_eval fault raised it.
                 self._metrics.inc("resilience.worker_crashes")
                 self._recorder.emit(
                     "worker-crash", index=index,
@@ -703,7 +636,7 @@ class PortfolioSearch:
 
     def _merge(self, payloads: dict[int, dict],
                failures: dict[int, TrajectoryFailure],
-               jobs: int, backend: str = "serial") -> SearchResult:
+               workers: int, backend: str) -> SearchResult:
         ordered = [payloads[index] for index in sorted(payloads)]
         best = min(ordered, key=lambda p: (p["cost"], p["index"]))
         result = rebuild_result(best, self._farm, self._sizes)
@@ -728,7 +661,7 @@ class PortfolioSearch:
         result.evaluations = total_evaluations
         result.extras.update({
             "trajectories": float(len(self._specs)),
-            "workers": float(jobs),
+            "workers": float(workers),
             "backend": float(BACKEND_CODES[backend]),
             "best_trajectory": float(best["index"]),
             "best_trajectory_cost": float(best["cost"]),
@@ -754,7 +687,7 @@ class PortfolioSearch:
                                         for f in failures.values()})))
         self._metrics.set_gauge("portfolio.trajectories",
                                 len(self._specs))
-        self._metrics.set_gauge("portfolio.workers", jobs)
+        self._metrics.set_gauge("portfolio.workers", workers)
         self._metrics.set_gauge("portfolio.backend",
                                 BACKEND_CODES[backend])
         self._metrics.set_gauge("portfolio.best_trajectory",

@@ -30,14 +30,16 @@ Resources (all JSON; see ``docs/server.md`` for the curl cookbook)::
     GET    /v1/jobs/{id}/events
 
 A job request names an uploaded workload and rides the advisor's
-existing parameters: ``{"workload": "w", "method": "greedy",
-"k": 2, "jobs": 4, "deadline": 30, "retries": 2,
-"movement_budget": 0.25, "faults": "spec"}``.  SLO mapping onto the
-resilience layer (``docs/resilience.md``): ``deadline`` becomes a
-:class:`repro.resilience.Deadline` for the search, ``retries`` a
-:class:`~repro.resilience.RetryPolicy`, and a degraded portfolio
-result is returned as HTTP 200 with ``"degraded": true`` — partial
-answers beat no answers, exactly as in the library API.
+:class:`~repro.core.advisor.SearchOptions`: ``{"workload": "w",
+"method": "greedy", "k": 2, "jobs": 4, "portfolio": 4,
+"deadline": 30, "retries": 2, "movement_budget": 0.25,
+"faults": "spec"}``.  ``null`` means absent, and a malformed value is
+a 400 at submit.  SLO mapping onto the resilience layer
+(``docs/resilience.md``): ``deadline`` becomes a
+:class:`repro.resilience.Deadline` for the job, ``retries`` the extra
+attempts of a :class:`~repro.resilience.RetryPolicy`, and a degraded
+portfolio result is returned as HTTP 200 with ``"degraded": true`` —
+partial answers beat no answers, exactly as in the library API.
 
 Concurrency model: worker threads run searches; one re-entrant lock
 serializes *all* mutable service state — tenant tables, job records,
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 from typing import Any
 
 from repro.catalog.io import (
@@ -62,7 +65,8 @@ from repro.catalog.io import (
     layout_from_dict,
     recommendation_to_dict,
 )
-from repro.core.advisor import LayoutAdvisor
+from repro.core.advisor import METHODS as SEARCH_METHODS
+from repro.core.advisor import LayoutAdvisor, SearchOptions
 from repro.errors import (
     BadRequest,
     QueueFull,
@@ -73,7 +77,7 @@ from repro.errors import (
 from repro.obs.events import EventRecorder, new_run_id
 from repro.obs.export import to_prometheus
 from repro.obs.metrics import MetricsRegistry
-from repro.resilience import Deadline, FaultPlan, RetryPolicy
+from repro.resilience import Deadline, FaultPlan
 from repro.server.cache import FingerprintCache
 from repro.server.fingerprint import catalog_fingerprint, job_fingerprint
 from repro.server.jobs import DONE, FAILED, QUEUED, RUNNING, Job, JobQueue
@@ -81,8 +85,7 @@ from repro.workload.workload import Workload
 
 #: ``method`` values a job may request.  ``greedy`` is accepted as an
 #: alias for the library's ``ts-greedy``.
-METHODS = ("ts-greedy", "greedy", "portfolio", "incremental",
-           "full-striping", "exhaustive")
+METHODS = (*SEARCH_METHODS, "greedy")
 
 _JSON = {"Content-Type": "application/json"}
 _TEXT = {"Content-Type": "text/plain; version=0.0.4; charset=utf-8"}
@@ -477,15 +480,15 @@ class AdvisorService:
         if workload is None:
             raise UnknownResource(
                 f"tenant {name!r} has no workload {workload_name!r}")
-        params = self._job_params(body)
+        options = self._job_options(body)
         catalog_fp = catalog_fingerprint(
             tenant.db_payload, tenant.farm_payload, workload.statements,
             tenant.constraints_payload)
-        params["current_layout"] = tenant.layout_payload
-        fingerprint = job_fingerprint(catalog_fp, params)
+        fingerprint = job_fingerprint(catalog_fp, options,
+                                      tenant.layout_payload)
         job = Job(job_id=new_run_id(), tenant=name,
-                  workload=workload_name, method=params["method"],
-                  fingerprint=fingerprint, params=params)
+                  workload=workload_name, method=options.method,
+                  fingerprint=fingerprint, options=options)
 
         payload, present = self.cache.get(fingerprint)
         if present:
@@ -529,32 +532,36 @@ class AdvisorService:
                                fingerprint=fingerprint, depth=depth)
         return 202, job.describe(), _JSON
 
-    def _job_params(self, body: dict[str, Any]) -> dict[str, Any]:
-        method = str(body.get("method", "ts-greedy"))
-        if method not in METHODS:
-            raise BadRequest(
-                f"unknown method {method!r}; expected one of "
-                f"{', '.join(METHODS)}")
-        if method == "greedy":
-            method = "ts-greedy"
-        params: dict[str, Any] = {
+    def _job_options(self, body: dict[str, Any]) -> SearchOptions:
+        """The job body's search options; any bad value raises here,
+        at submit, so a malformed job is a 400 and is never queued."""
+        method = body.get("method")
+        if method is not None:
+            method = str(method)
+            if method not in METHODS:
+                raise BadRequest(
+                    f"unknown method {method!r}; expected one of "
+                    f"{', '.join(METHODS)}")
+            if method == "greedy":
+                method = "ts-greedy"
+        faults = body.get("faults")
+        given = {
             "method": method,
-            "k": int(body.get("k", 1)),
-            "jobs": int(body.get("jobs", 1)),
-            "backend": str(body.get("backend", "auto")),
+            "k": _integer(body, "k"),
+            "jobs": _integer(body, "jobs"),
+            "portfolio": _integer(body, "portfolio"),
             "deadline": _number(body, "deadline"),
             "retries": _integer(body, "retries"),
             "movement_budget": _number(body, "movement_budget"),
-            "portfolio": body.get("portfolio"),
-            "faults": body.get("faults"),
+            "faults": None if faults is None
+            else FaultPlan.from_spec(str(faults)),
         }
-        if params["k"] < 1:
-            raise BadRequest("k must be >= 1")
-        if params["jobs"] < 1:
+        options = SearchOptions(**{key: value
+                                   for key, value in given.items()
+                                   if value is not None})
+        if options.jobs < 1:
             raise BadRequest("jobs must be >= 1")
-        if params["faults"] is not None:
-            FaultPlan.from_spec(str(params["faults"]))  # validate early
-        return params
+        return options
 
     # -- job execution (worker threads) ------------------------------------
 
@@ -615,27 +622,19 @@ class AdvisorService:
             raise UnknownResource(
                 f"tenant {job.tenant!r} catalog changed while "
                 f"job {job.job_id} was queued")
-        params = job.params
+        options = job.options
+        if options.deadline is not None:
+            # Start the clock now: the deadline covers the whole job,
+            # workload analysis included, not just the search.
+            options = replace(options,
+                              deadline=Deadline.coerce(options.deadline))
         # No shared metrics/recorder: the library's instruments are not
         # thread-safe across concurrent searches, and interleaved
         # search telemetry would be unattributable anyway.  The server
         # keeps its own `server.*` view of the work.
         advisor = LayoutAdvisor(db, farm, constraints=constraints)
-        faults = params.get("faults")
         recommendation = advisor.recommend(
-            workload,
-            current_layout=current_layout,
-            method=params["method"],
-            k=params["k"],
-            jobs=params["jobs"],
-            backend=params["backend"],
-            deadline=(Deadline.coerce(params["deadline"])
-                      if params["deadline"] is not None else None),
-            retry=(RetryPolicy(attempts=1 + params["retries"])
-                   if params["retries"] is not None else None),
-            faults=(FaultPlan.from_spec(str(faults))
-                    if faults is not None else None),
-            movement_budget=params["movement_budget"])
+            workload, current_layout=current_layout, options=options)
         return recommendation_to_dict(recommendation,
                                       run_id=self.recorder.run_id)
 

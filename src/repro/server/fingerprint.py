@@ -18,29 +18,25 @@ Two granularities:
 * :func:`catalog_fingerprint` — database + disk farm + workload +
   constraints.  Keys the *analysis* cache (analyzed workload, access
   graph): anything that changes plans or co-access invalidates it.
-* :func:`job_fingerprint` — the catalog fingerprint plus the search
-  parameters that can change the recommendation (method, k,
-  trajectory portfolio, movement budget, current layout).  Keys the
-  *recommendation* cache.  SLO-only parameters (deadline, retries,
-  trajectory timeout) are deliberately **excluded**: they bound how
-  long the service may spend, not what the search computes, so a
-  repeat submission with a tighter deadline can still be served from
-  cache instantly — the best possible way to meet the deadline.
+* :func:`job_fingerprint` — the catalog fingerprint plus the current
+  layout and the :class:`~repro.core.advisor.SearchOptions` fields
+  tagged as content-affecting (method, k, trajectory portfolio,
+  movement budget).  Keys the *recommendation* cache.  SLO-only
+  fields (jobs, deadline, retries, trajectory timeout, faults) are
+  deliberately **excluded**: they bound how long the service may
+  spend, not what the search computes, so a repeat submission with a
+  tighter deadline can still be served from cache instantly — the
+  best possible way to meet the deadline.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any
 
 from repro.catalog.io import payload_fingerprint
 
-#: Search parameters that participate in the job fingerprint — these
-#: (and only these) can change the recommendation's content.  ``jobs``
-#: and ``backend`` are excluded on purpose: the portfolio engine is
-#: bit-identical across worker counts and backends, so they are
-#: execution detail, not content.
-CONTENT_PARAMS = ("method", "k", "portfolio", "movement_budget",
-                  "current_layout")
+if TYPE_CHECKING:
+    from repro.core.advisor import SearchOptions
 
 #: Schema tag mixed into every fingerprint so a format change in the
 #: serialized inputs can never collide with digests from an older
@@ -67,13 +63,15 @@ def catalog_fingerprint(db_payload: Any, farm_payload: Any,
         workload_payload(statements), constraints_payload)
 
 
-def job_fingerprint(catalog_fp: str,
-                    params: Mapping[str, Any]) -> str:
-    """Fingerprint of a recommendation job: inputs + content params.
+def job_fingerprint(catalog_fp: str, options: SearchOptions,
+                    current_layout: Any = None) -> str:
+    """Fingerprint of a recommendation job: inputs + content options.
 
-    ``params`` may carry any request keys; only :data:`CONTENT_PARAMS`
-    participate, each normalized to ``None`` when absent so explicit
-    defaults and omissions fingerprint identically.
+    Only the content-tagged fields of ``options``
+    (:meth:`~repro.core.advisor.SearchOptions.content`) participate,
+    plus ``current_layout`` (the tenant's layout payload, or ``None``
+    for the full-striping default).
     """
-    content = {key: params.get(key) for key in CONTENT_PARAMS}
+    content = options.content()
+    content["current_layout"] = current_layout
     return payload_fingerprint(FINGERPRINT_VERSION, catalog_fp, content)

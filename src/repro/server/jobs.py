@@ -28,7 +28,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import QueueFull
@@ -55,7 +55,8 @@ class Job:
     workload: str
     method: str
     fingerprint: str
-    params: dict[str, Any] = field(default_factory=dict)
+    #: The job's :class:`~repro.core.advisor.SearchOptions`.
+    options: Any = None
     status: str = QUEUED
     cache: str | None = None
     degraded: bool = False

@@ -65,3 +65,15 @@ def farm8():
 def farm4():
     """A small uniform farm for exhaustive-friendly tests."""
     return uniform_farm(4, capacity_gb=2.0)
+
+
+@pytest.fixture
+def force_pool(monkeypatch):
+    """Run every ``jobs > 1`` portfolio on the process pool.
+
+    The engine runs inputs that pack under
+    ``POOL_MIN_PACKED_BYTES`` serially, which covers every fixture
+    here; tests of the pool itself lower the constant to 0.
+    """
+    monkeypatch.setattr(
+        "repro.parallel.portfolio.POOL_MIN_PACKED_BYTES", 0)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.advisor import LayoutAdvisor
+from repro.core.advisor import LayoutAdvisor, SearchOptions
 from repro.obs import MetricsRegistry, Tracer
 from repro.core.constraints import (
     CoLocated,
@@ -196,3 +196,32 @@ class TestObservedAdvisor:
         payload = rec.search.telemetry_dict()
         json.dumps(payload)  # must be JSON-clean end to end
         assert payload["kl_passes"] == rec.search.kl_passes
+
+
+class TestSearchOptions:
+    @pytest.mark.parametrize("bad", [
+        {"method": "quantum"}, {"k": 0}, {"jobs": -1}, {"portfolio": 0},
+        {"deadline": -1.0}, {"retries": -1},
+        {"trajectory_timeout_s": 0}, {"faults": "kill_worker=1"},
+        {"movement_budget": 1.5}])
+    def test_bad_value_raises_layout_error(self, bad):
+        with pytest.raises(LayoutError):
+            SearchOptions(**bad)
+
+    def test_keywords_fold_into_the_options(self, mini_db,
+                                            join_workload, farm8):
+        advisor = LayoutAdvisor(mini_db, farm8)
+        by_keywords = advisor.recommend(join_workload,
+                                        method="portfolio", portfolio=2)
+        by_options = advisor.recommend(
+            join_workload,
+            options=SearchOptions(method="portfolio", portfolio=2))
+        overridden = advisor.recommend(
+            join_workload,
+            options=SearchOptions(method="portfolio", portfolio=3),
+            portfolio=2)
+        for rec in (by_options, overridden):
+            assert rec.estimated_cost == by_keywords.estimated_cost
+            assert rec.search.extras["trajectories"] == 2.0
+        with pytest.raises(TypeError):
+            advisor.recommend(join_workload, backend="thread")

@@ -1,6 +1,5 @@
 """Tests for the evaluator's fast path: the fused prune+evaluate
-kernel, O(Δ) base commits, chunk auto-sizing, clones, and the
-thread-backed portfolio.
+kernel, O(Δ) base commits and chunk auto-sizing.
 
 Every optimization here claims bit-identical results to the code it
 replaced; these tests hold it to that — ``==`` and
@@ -17,7 +16,6 @@ from hypothesis import strategies as st
 from repro.core.costmodel import (
     _CHUNK_MAX,
     _CHUNK_MIN,
-    PACKED_ARRAYS,
     WorkloadCostEvaluator,
 )
 from repro.core.fullstripe import full_striping
@@ -26,9 +24,6 @@ from repro.core.layout import stripe_fractions
 from repro.core.tolerance import EPS_COST
 from repro.errors import LayoutError
 from repro.obs import MetricsRegistry
-from repro.parallel import PortfolioSearch, default_portfolio
-from repro.parallel.portfolio import AUTO_THREAD_MAX_BYTES, BACKEND_CODES
-from repro.resilience import FaultPlan
 from repro.workload.access import analyze_workload
 from repro.workload.access_graph import build_access_graph
 
@@ -46,11 +41,6 @@ def case(mini_db, join_workload, farm8):
     evaluator = WorkloadCostEvaluator(analyzed, farm8, sorted(sizes))
     graph = build_access_graph(analyzed, mini_db)
     return evaluator, graph, sizes, farm8
-
-
-def _fractions(layout):
-    return {name: layout.fractions_of(name)
-            for name in layout.object_names}
 
 
 def _random_row(rng, farm) -> np.ndarray:
@@ -288,125 +278,6 @@ class TestChunkAutoSizing:
         # More affected subplans -> same or smaller chunks (a fixed
         # byte budget for the candidate tensor).
         assert evaluator._auto_chunk(1) >= evaluator._auto_chunk(100)
-
-
-class TestClone:
-    def test_clone_shares_packed_arrays(self, case):
-        evaluator, _, _, _ = case
-        twin = evaluator.clone()
-        for attr in PACKED_ARRAYS:
-            assert getattr(twin, attr) is getattr(evaluator, attr)
-        assert twin._touching is evaluator._touching
-
-    def test_clone_costs_agree(self, case):
-        evaluator, _, sizes, farm = case
-        twin = evaluator.clone()
-        layout = full_striping(sizes, farm)
-        assert twin.cost(layout) == evaluator.cost(layout)
-
-    def test_clone_base_state_is_isolated(self, case):
-        evaluator, _, sizes, farm = case
-        base = evaluator.matrix_of(full_striping(sizes, farm))
-        base_cost = evaluator.set_base(base)
-        twin = evaluator.clone()
-        # The clone starts without a base of its own...
-        with pytest.raises(LayoutError, match="set_base"):
-            twin.cost_with_row("big",
-                               np.array(stripe_fractions([0], farm)))
-        # ...and committing into it never leaks into the parent.
-        twin.set_base(base.copy())
-        twin.commit_rows(
-            {"big": np.array(stripe_fractions([0], farm))})
-        probe = np.array(stripe_fractions([0, 1], farm))
-        assert evaluator.commit_rows({}) == base_cost
-        fresh = evaluator.clone()
-        fresh.set_base(base.copy())
-        assert evaluator.cost_with_row("big", probe) \
-            == fresh.cost_with_row("big", probe)
-
-
-class TestThreadBackend:
-    def test_thread_serial_process_bit_identical(self, case):
-        evaluator, graph, sizes, farm = case
-        specs = default_portfolio(3)
-        runs = {
-            "serial": PortfolioSearch(farm, evaluator, sizes,
-                                      specs=specs, jobs=1),
-            "thread": PortfolioSearch(farm, evaluator, sizes,
-                                      specs=specs, jobs=2,
-                                      backend="thread"),
-            "process": PortfolioSearch(farm, evaluator, sizes,
-                                       specs=specs, jobs=2,
-                                       backend="process"),
-        }
-        results = {name: engine.search(graph)
-                   for name, engine in runs.items()}
-        serial = results["serial"]
-        for name in ("thread", "process"):
-            assert results[name].cost == serial.cost
-            assert _fractions(results[name].layout) \
-                == _fractions(serial.layout)
-            assert results[name].evaluations == serial.evaluations
-            assert results[name].extras["best_trajectory"] \
-                == serial.extras["best_trajectory"]
-
-    def test_backend_reported_in_extras_and_gauge(self, case):
-        evaluator, graph, sizes, farm = case
-        # jobs=1 always resolves to the serial backend; explicit
-        # thread/process are honored for parallel runs.
-        for backend, jobs, expected in (("auto", 1, "serial"),
-                                        ("thread", 2, "thread")):
-            metrics = MetricsRegistry()
-            result = PortfolioSearch(
-                farm, evaluator, sizes, specs=default_portfolio(2),
-                jobs=jobs, backend=backend,
-                metrics=metrics).search(graph)
-            assert result.extras["backend"] \
-                == float(BACKEND_CODES[expected])
-            assert metrics.value("portfolio.backend") \
-                == float(BACKEND_CODES[expected])
-
-    def test_auto_picks_thread_for_small_packings(self, case):
-        evaluator, graph, sizes, farm = case
-        assert evaluator.packed_nbytes <= AUTO_THREAD_MAX_BYTES
-        result = PortfolioSearch(farm, evaluator, sizes,
-                                 specs=default_portfolio(2),
-                                 jobs=2).search(graph)
-        assert result.extras["backend"] \
-            == float(BACKEND_CODES["thread"])
-
-    def test_unknown_backend_rejected(self, case):
-        evaluator, _, sizes, farm = case
-        with pytest.raises(LayoutError, match="backend"):
-            PortfolioSearch(farm, evaluator, sizes, backend="gpu")
-
-    def test_thread_kill_fault_degrades_to_survivor_best(self, case):
-        evaluator, graph, sizes, farm = case
-        specs = default_portfolio(4)
-        result = PortfolioSearch(
-            farm, evaluator, sizes, specs=specs, jobs=4,
-            backend="thread",
-            faults=FaultPlan(kill_worker=1)).search(graph)
-        assert result.degraded
-        assert [f.index for f in result.failures] == [1]
-        assert result.failures[0].cause == "crash"
-        survivors = [spec for i, spec in enumerate(specs) if i != 1]
-        baseline = PortfolioSearch(farm, evaluator, sizes,
-                                   specs=survivors,
-                                   jobs=1).search(graph)
-        assert result.cost == baseline.cost
-        assert _fractions(result.layout) == _fractions(baseline.layout)
-
-    def test_thread_delay_fault_times_out(self, case):
-        evaluator, graph, sizes, farm = case
-        result = PortfolioSearch(
-            farm, evaluator, sizes, specs=default_portfolio(2),
-            jobs=2, backend="thread", trajectory_timeout_s=0.5,
-            faults=FaultPlan(delay_trajectory=1,
-                             delay_s=3.0)).search(graph)
-        assert result.degraded
-        assert [f.index for f in result.failures] == [1]
-        assert result.failures[0].cause == "timeout"
 
 
 class TestGreedyUsesFastPath:

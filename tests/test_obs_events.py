@@ -21,7 +21,7 @@ from repro.obs import (
     render_timeline,
     validate_events,
 )
-from repro.parallel import PortfolioSearch, default_portfolio
+from repro.parallel import BACKEND_CODES, PortfolioSearch, default_portfolio
 from repro.resilience import FaultPlan
 from repro.workload.access import analyze_workload
 from repro.workload.access_graph import build_access_graph
@@ -133,23 +133,25 @@ class TestDeterminism:
 
         assert run() == run()
 
-    def test_serial_and_pooled_portfolio_share_one_timeline(self, case):
+    def test_serial_and_pooled_portfolio_share_one_timeline(
+            self, case, force_pool):
         evaluator, graph, sizes, farm = case
         specs = default_portfolio(3)
 
-        def run(jobs):
+        def run(jobs, backend):
             recorder = EventRecorder()
-            PortfolioSearch(farm, evaluator, sizes, specs=specs,
-                            jobs=jobs,
-                            recorder=recorder).search(graph)
+            result = PortfolioSearch(farm, evaluator, sizes, specs=specs,
+                                     jobs=jobs,
+                                     recorder=recorder).search(graph)
+            assert result.extras["backend"] == BACKEND_CODES[backend]
             return canonical_lines(recorder.events)
 
-        assert run(1) == run(2)
+        assert run(1, "serial") == run(2, "process")
 
 
 class TestResilienceTimeline:
     def test_killed_worker_run_yields_wellformed_timeline(
-            self, case, tmp_path):
+            self, case, tmp_path, force_pool):
         evaluator, graph, sizes, farm = case
         specs = default_portfolio(4)
         path = tmp_path / "events.jsonl"
@@ -161,7 +163,8 @@ class TestResilienceTimeline:
                 farm, evaluator, sizes, specs=specs, jobs=2,
                 faults=faults, recorder=recorder).search(graph)
         recorder.close()
-        assert result.degraded or result.cost > 0
+        assert result.extras["backend"] == BACKEND_CODES["process"]
+        assert result.degraded
         events = read_events(path)
         assert validate_events(events) == []
         types = {e["type"] for e in events}

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import json
 import os
 import time
 import warnings
 from multiprocessing import shared_memory
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core.advisor import LayoutAdvisor
 from repro.core.costmodel import WorkloadCostEvaluator
 from repro.core.fullstripe import full_striping
@@ -23,6 +26,8 @@ from repro.errors import (
 )
 from repro.obs import MetricsRegistry, Tracer
 from repro.parallel import (
+    BACKEND_CODES,
+    POOL_MIN_PACKED_BYTES,
     PortfolioSearch,
     TrajectorySpec,
     attach_evaluator,
@@ -31,6 +36,7 @@ from repro.parallel import (
     reap_orphans,
     share_evaluator,
 )
+from repro.parallel import portfolio as portfolio_module
 from repro.parallel.portfolio import MAX_WORKERS_ENV
 from repro.parallel.worker import TrajectoryContext, run_trajectory
 from repro.resilience import Budget, FaultPlan, RetryPolicy
@@ -50,6 +56,10 @@ def case(mini_db, join_workload, farm8):
 def _fractions(layout):
     return {name: layout.fractions_of(name)
             for name in layout.object_names}
+
+
+def _on_pool(result) -> bool:
+    return result.extras["backend"] == BACKEND_CODES["process"]
 
 
 class TestSharedEvaluator:
@@ -91,26 +101,39 @@ class TestSharedEvaluator:
         state.close()
         state.close()  # second close must not raise
 
-    def test_no_resource_tracker_warnings(self, case):
+    def test_no_resource_tracker_warnings(self, case, force_pool):
         evaluator, graph, sizes, farm = case
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             engine = PortfolioSearch(farm, evaluator, sizes,
                                      specs=default_portfolio(2),
                                      jobs=2)
-            engine.search(graph)
+            assert _on_pool(engine.search(graph))
 
-    def test_segment_cleaned_up_when_worker_raises(self, case):
+    def test_segment_cleaned_up_when_worker_raises(self, case,
+                                                   force_pool,
+                                                   monkeypatch):
         evaluator, graph, sizes, farm = case
-        bad = [TrajectorySpec(method="no-such-method")]
+        shared = []
+
+        def recording(ev):
+            shared.append(share_evaluator(ev))
+            return shared[-1]
+
+        monkeypatch.setattr("repro.parallel.portfolio.share_evaluator",
+                            recording)
+        # Two trajectories, so jobs=2 really starts two workers.
+        bad = [TrajectorySpec(method="no-such-method")] * 2
         engine = PortfolioSearch(farm, evaluator, sizes, specs=bad,
                                  jobs=2)
         with pytest.raises(LayoutError):
             engine.search(graph)
-        # The finally-path unlink ran: a fresh share uses a new name
-        # and nothing of the failed run lingers to collide with it.
-        with share_evaluator(evaluator) as state:
-            assert state.spec.shm_name
+        # The run really published a segment, and its finally-path
+        # unlink ran: nothing of the failed run lingers.
+        assert len(shared) == 1
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=shared[0].spec.shm_name)
+        assert reap_orphans() == []
 
 
 class TestTrajectories:
@@ -155,13 +178,15 @@ class TestTrajectories:
 
 
 class TestPortfolioSearch:
-    def test_parallel_matches_serial_bit_identically(self, case):
+    def test_parallel_matches_serial_bit_identically(self, case,
+                                                     force_pool):
         evaluator, graph, sizes, farm = case
         specs = default_portfolio(4)
         serial = PortfolioSearch(farm, evaluator, sizes, specs=specs,
                                  jobs=1).search(graph)
         pooled = PortfolioSearch(farm, evaluator, sizes, specs=specs,
                                  jobs=4).search(graph)
+        assert _on_pool(pooled)
         assert pooled.cost == serial.cost
         assert _fractions(pooled.layout) == _fractions(serial.layout)
         assert pooled.evaluations == serial.evaluations
@@ -197,13 +222,14 @@ class TestPortfolioSearch:
                                  jobs=1).search(graph)
         assert result.cost <= canonical.cost
 
-    def test_merged_telemetry_and_metrics(self, case):
+    def test_merged_telemetry_and_metrics(self, case, force_pool):
         evaluator, graph, sizes, farm = case
         tracer, metrics = Tracer(), MetricsRegistry()
         specs = default_portfolio(3)
         result = PortfolioSearch(farm, evaluator, sizes, specs=specs,
                                  jobs=2, tracer=tracer,
                                  metrics=metrics).search(graph)
+        assert _on_pool(result)
         assert result.extras["trajectories"] == 3.0
         assert result.extras["workers"] == 2.0
         root = tracer.find("portfolio")
@@ -222,6 +248,80 @@ class TestPortfolioSearch:
             PortfolioSearch(farm, evaluator, sizes, jobs=-1)
         with pytest.raises(LayoutError):
             PortfolioSearch(farm, evaluator, sizes, specs=[])
+
+
+def _assert_backend(result, metrics, backend, workers):
+    code = float(BACKEND_CODES[backend])
+    assert result.extras["backend"] == code
+    assert metrics.value("portfolio.backend") == code
+    assert result.extras["workers"] == float(workers)
+    assert metrics.value("portfolio.workers") == float(workers)
+
+
+class TestBackendChoice:
+    def test_serial_and_process_bit_identical(self, case, force_pool):
+        # More trajectories than workers, so the pool queues one.
+        evaluator, graph, sizes, farm = case
+        specs = default_portfolio(3)
+        serial = PortfolioSearch(farm, evaluator, sizes, specs=specs,
+                                 jobs=1).search(graph)
+        pooled = PortfolioSearch(farm, evaluator, sizes, specs=specs,
+                                 jobs=2).search(graph)
+        assert _on_pool(pooled)
+        assert pooled.cost == serial.cost
+        assert _fractions(pooled.layout) == _fractions(serial.layout)
+        assert pooled.evaluations == serial.evaluations
+        assert pooled.extras["best_trajectory"] \
+            == serial.extras["best_trajectory"]
+
+    def test_backend_reported_in_extras_and_gauge(self, case,
+                                                  monkeypatch):
+        evaluator, graph, sizes, farm = case
+        for jobs, threshold, backend, workers in (
+                (1, POOL_MIN_PACKED_BYTES, "serial", 1),
+                (1, 0, "serial", 1),
+                (2, 0, "process", 2)):
+            monkeypatch.setattr(portfolio_module,
+                                "POOL_MIN_PACKED_BYTES", threshold)
+            metrics = MetricsRegistry()
+            result = PortfolioSearch(
+                farm, evaluator, sizes, specs=default_portfolio(2),
+                jobs=jobs, metrics=metrics).search(graph)
+            _assert_backend(result, metrics, backend, workers)
+
+    def test_small_packings_run_serially(self, case):
+        # The mini workload packs far under the threshold, so jobs=2
+        # runs serially on one worker.
+        evaluator, graph, sizes, farm = case
+        assert evaluator.packed_nbytes < POOL_MIN_PACKED_BYTES
+        metrics = MetricsRegistry()
+        result = PortfolioSearch(farm, evaluator, sizes,
+                                 specs=default_portfolio(2), jobs=2,
+                                 metrics=metrics).search(graph)
+        _assert_backend(result, metrics, "serial", 1)
+
+    def test_threshold_splits_the_reference_workloads(self):
+        """The example TPC-H workload (13 objects) runs serially and
+        tpch88 on three copies (39 objects) takes the pool, as
+        measured in ``docs/performance.md``."""
+        from repro.benchdb import tpch
+        from repro.catalog.io import load_database, load_farm
+        from repro.experiments import common
+        from repro.workload.workload import Workload
+
+        examples = Path(__file__).parent.parent / "examples" / "tpch"
+        db = load_database(examples / "db.json")
+        small = WorkloadCostEvaluator(
+            analyze_workload(Workload.load(examples / "workload.sql"),
+                             db),
+            load_farm(examples / "disks.json"),
+            sorted(db.object_sizes()))
+        assert small.packed_nbytes < POOL_MIN_PACKED_BYTES
+        db3 = tpch.replicated_database(3)
+        large = WorkloadCostEvaluator(
+            analyze_workload(tpch.tpch88_workload(3), db3),
+            common.paper_farm(8), sorted(db3.object_sizes()))
+        assert large.packed_nbytes >= POOL_MIN_PACKED_BYTES
 
 
 class TestAvailableWorkers:
@@ -265,13 +365,15 @@ class TestAvailableWorkers:
 class TestFaultTolerance:
     """Deterministic fault injection against the full engine."""
 
-    def test_killed_worker_degrades_to_survivor_best(self, case):
+    def test_killed_worker_degrades_to_survivor_best(self, case,
+                                                     force_pool):
         evaluator, graph, sizes, farm = case
         specs = default_portfolio(4)
         engine = PortfolioSearch(farm, evaluator, sizes, specs=specs,
                                  jobs=4,
                                  faults=FaultPlan(kill_worker=1))
         result = engine.search(graph)
+        assert _on_pool(result)
         assert result.degraded
         assert [f.index for f in result.failures] == [1]
         failure = result.failures[0]
@@ -288,7 +390,7 @@ class TestFaultTolerance:
         assert _fractions(result.layout) == _fractions(baseline.layout)
         assert reap_orphans() == []  # no shm segment left behind
 
-    def test_resilience_params_cause_zero_drift(self, case):
+    def test_resilience_params_cause_zero_drift(self, case, force_pool):
         evaluator, graph, sizes, farm = case
         specs = default_portfolio(3)
         plain = PortfolioSearch(farm, evaluator, sizes, specs=specs,
@@ -297,6 +399,7 @@ class TestFaultTolerance:
             farm, evaluator, sizes, specs=specs, jobs=2,
             deadline=Budget(seconds=300.0), retry=RetryPolicy(),
             trajectory_timeout_s=120.0).search(graph)
+        assert _on_pool(guarded)
         assert not guarded.degraded
         assert guarded.failures == []
         assert guarded.cost == plain.cost
@@ -331,7 +434,8 @@ class TestFaultTolerance:
         assert result.failures[0].cause == "crash"
         assert result.failures[0].attempts == 2
 
-    def test_shm_attach_fault_falls_back_serially(self, case):
+    def test_shm_attach_fault_falls_back_serially(self, case,
+                                                  force_pool):
         evaluator, graph, sizes, farm = case
         specs = default_portfolio(3)
         baseline = PortfolioSearch(farm, evaluator, sizes, specs=specs,
@@ -339,9 +443,9 @@ class TestFaultTolerance:
         metrics = MetricsRegistry()
         engine = PortfolioSearch(
             farm, evaluator, sizes, specs=specs, jobs=2,
-            backend="process", metrics=metrics,
-            faults=FaultPlan(fail_shm_attach=True))
+            metrics=metrics, faults=FaultPlan(fail_shm_attach=True))
         result = engine.search(graph)
+        assert _on_pool(result)
         # Every worker died attaching; the serial fallback recovered
         # every trajectory, so the run is NOT degraded and the result
         # is bit-identical to the healthy serial run.
@@ -351,13 +455,14 @@ class TestFaultTolerance:
         assert metrics.value("resilience.serial_fallbacks") == 3.0
         assert reap_orphans() == []
 
-    def test_slow_trajectory_times_out(self, case):
+    def test_slow_trajectory_times_out(self, case, force_pool):
         evaluator, graph, sizes, farm = case
         engine = PortfolioSearch(
             farm, evaluator, sizes, specs=default_portfolio(2),
             jobs=2, trajectory_timeout_s=0.5,
             faults=FaultPlan(delay_trajectory=1, delay_s=3.0))
         result = engine.search(graph)
+        assert _on_pool(result)
         assert result.degraded
         assert [f.index for f in result.failures] == [1]
         assert result.failures[0].cause == "timeout"
@@ -380,7 +485,7 @@ class TestFaultTolerance:
         assert result.cost == only_first.cost
 
     def test_nothing_completes_raises_search_timeout(
-            self, case, monkeypatch):
+            self, case, monkeypatch, force_pool):
         evaluator, graph, sizes, farm = case
 
         def stuck(context, index):
@@ -393,8 +498,19 @@ class TestFaultTolerance:
         engine = PortfolioSearch(farm, evaluator, sizes,
                                  specs=default_portfolio(2), jobs=2,
                                  trajectory_timeout_s=0.2)
+        # Nothing completes, so no result carries the backend code;
+        # check the path instead: only the pool drains futures.
+        drained = []
+        real_drain = engine._drain
+
+        def drain(*args):
+            drained.append(len(args[0]))
+            return real_drain(*args)
+
+        monkeypatch.setattr(engine, "_drain", drain)
         with pytest.raises(SearchTimeout):
             engine.search(graph)
+        assert drained == [2]
         assert reap_orphans() == []
 
     def test_all_crash_raises_worker_crash(self, case):
@@ -406,8 +522,8 @@ class TestFaultTolerance:
         with pytest.raises(WorkerCrash):
             engine.search(graph)
 
-    def test_keyboard_interrupt_unlinks_segment(self, case,
-                                                monkeypatch):
+    def test_keyboard_interrupt_unlinks_segment(self, case, monkeypatch,
+                                                force_pool):
         evaluator, graph, sizes, farm = case
         captured = {}
         original = share_evaluator
@@ -420,8 +536,7 @@ class TestFaultTolerance:
         monkeypatch.setattr("repro.parallel.portfolio.share_evaluator",
                             capturing)
         engine = PortfolioSearch(farm, evaluator, sizes,
-                                 specs=default_portfolio(2), jobs=2,
-                                 backend="process")
+                                 specs=default_portfolio(2), jobs=2)
 
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
@@ -439,26 +554,56 @@ class TestFaultTolerance:
         assert reap_orphans() == []
 
     def test_faults_spec_string_round_trips_from_env(self, case,
-                                                     monkeypatch):
+                                                     monkeypatch,
+                                                     force_pool):
         evaluator, graph, sizes, farm = case
         monkeypatch.setenv("REPRO_FAULTS", "kill_worker=1")
         engine = PortfolioSearch(farm, evaluator, sizes,
                                  specs=default_portfolio(2), jobs=2)
         result = engine.search(graph)
+        assert _on_pool(result)
         assert result.degraded
         assert [f.index for f in result.failures] == [1]
 
 
 class TestAdvisorPortfolio:
     def test_method_portfolio_matches_jobs_invariance(
-            self, mini_db, join_workload, farm8):
+            self, mini_db, join_workload, farm8, force_pool):
         advisor = LayoutAdvisor(mini_db, farm8)
         serial = advisor.recommend(join_workload, method="portfolio",
                                    portfolio=3, jobs=1)
         pooled = advisor.recommend(join_workload, method="portfolio",
                                    portfolio=3, jobs=2)
+        assert _on_pool(pooled.search)
         assert pooled.estimated_cost == serial.estimated_cost
         assert _fractions(pooled.layout) == _fractions(serial.layout)
+
+    def test_examples_tpch_saves_one_recommendation_on_both_paths(
+            self, tmp_path, monkeypatch):
+        examples = Path(__file__).parent.parent / "examples" / "tpch"
+        saved = {}
+        for jobs, threshold in ((1, POOL_MIN_PACKED_BYTES), (2, 0)):
+            monkeypatch.setattr(portfolio_module,
+                                "POOL_MIN_PACKED_BYTES", threshold)
+            path = tmp_path / f"rec-{jobs}.json"
+            assert main(["recommend",
+                         "--database", str(examples / "db.json"),
+                         "--disks", str(examples / "disks.json"),
+                         "--workload", str(examples / "workload.sql"),
+                         "--method", "portfolio", "--jobs", str(jobs),
+                         "--save-recommendation", str(path)]) == 0
+            saved[jobs] = json.loads(path.read_text())
+        serial, pooled = saved[1], saved[2]
+        assert serial["search"]["extras"]["backend"] \
+            == BACKEND_CODES["serial"]
+        assert pooled["search"]["extras"]["backend"] \
+            == BACKEND_CODES["process"]
+        assert pooled["layout"] == serial["layout"]
+        assert pooled["estimated_cost"] == serial["estimated_cost"]
+        assert pooled["search"]["evaluations"] \
+            == serial["search"]["evaluations"]
+        assert pooled["search"]["extras"]["best_trajectory"] \
+            == serial["search"]["extras"]["best_trajectory"]
 
     def test_portfolio_never_worse_than_ts_greedy(
             self, mini_db, join_workload, farm8):

@@ -47,9 +47,6 @@ def payload(mode="ci"):
         "portfolio_serial": {
             "wall_s": 1.2, "evaluations": 11448, "cost": 54.7029,
             "backend": "serial"},
-        "portfolio_thread": {
-            "wall_s": 0.9, "evaluations": 11448, "cost": 54.7029,
-            "backend": "thread"},
         "portfolio_parallel": {
             "wall_s": 0.8, "evaluations": 11448, "cost": 54.7029,
             "backend": "process"},
@@ -58,11 +55,9 @@ def payload(mode="ci"):
         "prune_eval_reduction": 0.836,
         "prune_speedup": 1.11,
         "parallel_speedup": 1.5,
-        "parallel_speedup_thread": 1.3,
         "prune_drift": 0.0,
         "prune_same_layout": True,
         "portfolio_drift": 0.0,
-        "portfolio_drift_thread": 0.0,
     }
 
 

@@ -27,9 +27,19 @@ import urllib.request
 
 import pytest
 
-from repro.catalog.io import database_to_dict, farm_to_dict
+from repro.catalog.io import (
+    database_to_dict,
+    farm_to_dict,
+    layout_to_dict,
+    save_database,
+    save_farm,
+)
+from repro.cli import main
+from repro.core.advisor import SearchOptions
+from repro.core.fullstripe import full_striping
 from repro.errors import QueueFull
 from repro.obs.events import validate_events
+from repro.resilience import FaultPlan
 from repro.server import (
     AdvisorService,
     FingerprintCache,
@@ -94,23 +104,31 @@ class TestFingerprints:
             != catalog_fingerprint(db, farm, reweighted.statements)
 
     def test_content_params_change_job_fingerprint(self):
-        base = job_fingerprint("cat", {"method": "ts-greedy", "k": 1})
-        assert base != job_fingerprint("cat",
-                                       {"method": "ts-greedy", "k": 2})
-        assert base != job_fingerprint("cat", {"method": "portfolio",
-                                               "k": 1})
+        base = job_fingerprint("cat", SearchOptions())
+        for changed in (SearchOptions(k=2),
+                        SearchOptions(method="portfolio"),
+                        SearchOptions(portfolio=2),
+                        SearchOptions(movement_budget=0.5)):
+            assert base != job_fingerprint("cat", changed), changed
+        assert base != job_fingerprint("cat", SearchOptions(),
+                                       current_layout={"x": 1})
 
     def test_slo_params_do_not_change_job_fingerprint(self):
-        relaxed = job_fingerprint("cat", {"method": "ts-greedy"})
-        tight = job_fingerprint("cat", {
-            "method": "ts-greedy", "deadline": 0.5, "retries": 3,
-            "jobs": 8, "backend": "thread"})
+        relaxed = job_fingerprint("cat", SearchOptions())
+        tight = job_fingerprint("cat", SearchOptions(
+            deadline=0.5, retries=3, jobs=8, trajectory_timeout_s=1.0,
+            faults=FaultPlan(kill_worker=1)))
         assert relaxed == tight
 
     def test_absent_and_none_params_are_identical(self):
-        assert job_fingerprint("cat", {"method": "ts-greedy"}) \
-            == job_fingerprint("cat", {"method": "ts-greedy",
-                                       "k": None, "portfolio": None})
+        assert job_fingerprint("cat", SearchOptions()) \
+            == job_fingerprint("cat", SearchOptions(
+                method="ts-greedy", k=1, portfolio=None,
+                movement_budget=None), current_layout=None)
+
+    def test_content_fields_are_the_tagged_ones(self):
+        assert sorted(SearchOptions().content()) \
+            == ["k", "method", "movement_budget", "portfolio"]
 
 
 # ---------------------------------------------------------------------------
@@ -463,17 +481,18 @@ class TestServiceJobs:
         with ``degraded: true`` — and the partial answer is not
         cached, so a resubmission recomputes.
 
-        Thread backend on purpose: the crash/degrade semantics are
-        identical (``fire_kill`` raises ``WorkerCrash`` outside a
-        worker process), and a SIGKILLed process worker leaks its pipe
-        fds by design — which this file's ``-W error::ResourceWarning``
-        CI run would flag.  The real process-kill path is exercised by
-        the chaos suite and the live-daemon CI job."""
+        This small workload runs its portfolio serially, where the
+        fault raises ``WorkerCrash`` in-process; the degrade semantics
+        are the same as for a killed pool worker.  A hard-killed
+        worker process (``os._exit`` -> ``BrokenProcessPool``) is
+        covered by the forced-pool tests in ``tests/test_parallel.py``
+        and ``tests/test_obs_events.py``, not here: it leaks its pipe
+        fds by design, which this file's ``-W error::ResourceWarning``
+        CI run would flag."""
         status, job, _ = service.handle(
             "POST", "/v1/tenants/t/jobs",
             {"workload": "w", "method": "portfolio", "jobs": 2,
-             "retries": 0, "backend": "thread",
-             "faults": "kill_worker=1"})
+             "retries": 0, "faults": "kill_worker=1"})
         assert status == 202
         done = poll(service, job["job_id"], timeout_s=120.0)
         assert done["status"] == "done"
@@ -487,8 +506,7 @@ class TestServiceJobs:
         status, again, _ = service.handle(
             "POST", "/v1/tenants/t/jobs",
             {"workload": "w", "method": "portfolio", "jobs": 2,
-             "retries": 0, "backend": "thread",
-             "faults": "kill_worker=1"})
+             "retries": 0, "faults": "kill_worker=1"})
         assert status == 202  # queued for a fresh computation
         poll(service, again["job_id"], timeout_s=120.0)
 
@@ -497,6 +515,106 @@ class TestServiceJobs:
             "POST", "/v1/tenants/t/jobs",
             {"workload": "w", "faults": "meteor_strike=1"})
         assert status == 400
+
+    @pytest.mark.parametrize("bad", [
+        {"k": "abc"}, {"jobs": "two"}, {"retries": -1},
+        {"deadline": -1}, {"movement_budget": -3}, {"portfolio": 0},
+        {"portfolio": "abc"}])
+    def test_malformed_job_option_is_400_at_submit(self, service, bad):
+        status, body, _ = service.handle(
+            "POST", "/v1/tenants/t/jobs", {"workload": "w", **bad})
+        assert status == 400, (bad, body)
+        assert body["error"]
+        # Rejected before the queue: no job record exists.
+        assert service.handle("GET", "/v1/jobs")[1]["jobs"] == []
+
+    def test_null_means_absent_and_unknown_keys_are_ignored(
+            self, service, monkeypatch):
+        monkeypatch.setattr(service, "_compute",
+                            lambda job: {"search": {"degraded": False}})
+        _, plain, _ = service.handle("POST", "/v1/tenants/t/jobs",
+                                     {"workload": "w"})
+        nulls = dict.fromkeys(("method", "k", "jobs", "portfolio",
+                               "deadline", "retries",
+                               "movement_budget", "faults"))
+        # "backend" was a job key before the engine chose its own
+        # path; an old client sending it is still served.
+        for body in ({"workload": "w", **nulls},
+                     {"workload": "w", "backend": "thread"}):
+            status, job, _ = service.handle("POST", "/v1/tenants/t/jobs",
+                                            body)
+            assert status in (200, 202), job
+            assert job["fingerprint"] == plain["fingerprint"]
+
+    def test_requests_keep_their_fingerprints(self, service, mini_db,
+                                              farm4, monkeypatch):
+        """Digests recorded before the options were derived from
+        ``SearchOptions``: a request served then still keys the same
+        cache entry now."""
+        monkeypatch.setattr(service, "_compute",
+                            lambda job: {"search": {"degraded": False}})
+        pinned = [
+            ({"method": "greedy"},
+             "4effa64c650947fe493251d19bd5af13"
+             "ff20f3452479c75edaa010150a2a635e"),
+            ({"k": 2, "jobs": 2, "deadline": 5, "retries": 3},
+             "1b8e246c915b9d0820d5d9673c1afdb6"
+             "9525cd4c4269fe8d750397ea3b9f0cd3"),
+            ({"method": "portfolio", "portfolio": 2, "jobs": 2},
+             "661c64d0277407843cb8820d1d9bfb93"
+             "6daf55f21720b6ca7a048dbd25a6cf2e"),
+        ]
+        for body, digest in pinned:
+            _, job, _ = service.handle("POST", "/v1/tenants/t/jobs",
+                                       {"workload": "w", **body})
+            assert job["fingerprint"] == digest, body
+        layout = full_striping(mini_db.object_sizes(), farm4)
+        status, _, _ = service.handle("PUT", "/v1/tenants/t/layout",
+                                      layout_to_dict(layout))
+        assert status == 200
+        _, job, _ = service.handle(
+            "POST", "/v1/tenants/t/jobs",
+            {"workload": "w", "method": "incremental",
+             "movement_budget": 0.25})
+        assert job["fingerprint"] == (
+            "93d6133ea69808d9c2b5bd380c88c834"
+            "e63428700082ade91f8fb2783224e4f8")
+
+    def test_portfolio_count_is_honoured(self, service):
+        status, job, _ = service.handle(
+            "POST", "/v1/tenants/t/jobs",
+            {"workload": "w", "method": "portfolio", "portfolio": 2})
+        assert status == 202
+        assert poll(service, job["job_id"])["status"] == "done"
+        _, result, _ = service.handle(
+            "GET", f"/v1/jobs/{job['job_id']}/result")
+        search = result["recommendation"]["search"]
+        assert search["extras"]["trajectories"] == 2.0
+
+    def test_retries_count_extra_attempts_in_cli_and_server(
+            self, service, tmp_path, mini_db, farm4):
+        """``retries: 1`` gives a once-failing trajectory a second
+        attempt on both surfaces, so neither result is degraded."""
+        status, job, _ = service.handle(
+            "POST", "/v1/tenants/t/jobs",
+            {"workload": "w", "method": "portfolio", "retries": 1,
+             "faults": "fail_eval=0:1"})
+        assert status == 202
+        done = poll(service, job["job_id"])
+        assert done["status"] == "done" and not done["degraded"]
+
+        save_database(mini_db, tmp_path / "db.json")
+        save_farm(farm4, tmp_path / "disks.json")
+        (tmp_path / "w.sql").write_text(f"{JOIN_SQL};\n{SCAN_SQL};\n")
+        saved = tmp_path / "rec.json"
+        rc = main(["recommend", "--database", str(tmp_path / "db.json"),
+                   "--disks", str(tmp_path / "disks.json"),
+                   "--workload", str(tmp_path / "w.sql"),
+                   "--method", "portfolio", "--retries", "1",
+                   "--faults", "fail_eval=0:1",
+                   "--save-recommendation", str(saved)])
+        assert rc == 0
+        assert "degraded" not in json.loads(saved.read_text())["search"]
 
     def test_concurrent_identical_submissions_compute_once(
             self, service, monkeypatch):
