@@ -75,7 +75,7 @@ from repro.core.costmodel import WorkloadCostEvaluator  # noqa: E402
 from repro.core.greedy import TsGreedySearch  # noqa: E402
 from repro.core.layout import stripe_fractions  # noqa: E402
 from repro.experiments import common  # noqa: E402
-from repro.obs import EventRecorder, MetricsRegistry, Tracer  # noqa: E402
+from repro.obs import Telemetry  # noqa: E402
 from repro.obs.profile import PROFILE_VERSION, phase_breakdown  # noqa: E402
 from repro.parallel import (  # noqa: E402
     PortfolioSearch,
@@ -121,25 +121,24 @@ def measure_telemetry_overhead(farm, evaluator, sizes, graph,
     """Wall cost of full telemetry vs none on the pruned greedy search.
 
     Best-of-``repeats`` for both arms (minimum is the standard noise
-    filter for micro-benchmarks).  "Full" means a live flight recorder,
-    a recording tracer, and a bound metric registry — everything the
-    CLI turns on for ``--events`` — against a run with all three off.
+    filter for micro-benchmarks).  "Full" means a live telemetry handle
+    (events, spans as phase events, metrics) that the evaluator also
+    counts into — everything the CLI turns on for ``--events`` —
+    against a run on the null handle.
     """
     def run_off():
         return TsGreedySearch(farm, evaluator, sizes,
                               prune=True).search(graph)
 
     def run_on():
-        recorder = EventRecorder()
-        tracer = Tracer(recorder=recorder)
-        metrics = MetricsRegistry()
-        evaluator.bind_metrics(metrics)
+        telemetry = Telemetry()
+        previous = evaluator.bind_telemetry(telemetry)
         try:
             return TsGreedySearch(
-                farm, evaluator, sizes, prune=True, tracer=tracer,
-                metrics=metrics, recorder=recorder).search(graph)
+                farm, evaluator, sizes, prune=True,
+                telemetry=telemetry).search(graph)
         finally:
-            evaluator.bind_metrics(None)
+            evaluator.bind_telemetry(previous)
 
     off_s = min(_timed(run_off)[1] for _ in range(repeats))
     on_s = min(_timed(run_on)[1] for _ in range(repeats))
@@ -256,22 +255,20 @@ def run_bench(jobs: int = 0, mode: str | None = None) -> dict:
     specs = default_portfolio(n_trajectories)
 
     # 1/2 — single-trajectory greedy, pruning off vs on.  Every
-    # configuration runs under its own tracer/registry so the payload
+    # configuration runs under its own telemetry handle so the payload
     # can attribute wall time to search phases (expand/kl/greedy/...).
-    metrics_off = MetricsRegistry()
-    tracer_off = Tracer()
+    telemetry_off = Telemetry()
     plain, t_noprune = _timed(lambda: TsGreedySearch(
-        farm, evaluator, sizes, prune=False, tracer=tracer_off,
-        metrics=metrics_off).search(graph))
-    metrics_on = MetricsRegistry()
-    tracer_on = Tracer()
-    evaluator.bind_metrics(metrics_on)
+        farm, evaluator, sizes, prune=False,
+        telemetry=telemetry_off).search(graph))
+    telemetry_on = Telemetry()
+    previous = evaluator.bind_telemetry(telemetry_on)
     try:
         pruned_run, t_prune = _timed(lambda: TsGreedySearch(
-            farm, evaluator, sizes, prune=True, tracer=tracer_on,
-            metrics=metrics_on).search(graph))
+            farm, evaluator, sizes, prune=True,
+            telemetry=telemetry_on).search(graph))
     finally:
-        evaluator.bind_metrics(None)
+        evaluator.bind_telemetry(previous)
     prune_drift = abs(pruned_run.cost - plain.cost)
     same_layout = all(
         pruned_run.layout.fractions_of(name)
@@ -279,19 +276,15 @@ def run_bench(jobs: int = 0, mode: str | None = None) -> dict:
         for name in plain.layout.object_names)
 
     # 3/4 — the portfolio: serial, then on the forced process pool.
-    metrics_serial = MetricsRegistry()
-    tracer_serial = Tracer()
+    telemetry_serial = Telemetry()
     serial, t_serial = _timed(lambda: PortfolioSearch(
         farm, evaluator, sizes, specs=specs, jobs=1,
-        tracer=tracer_serial,
-        metrics=metrics_serial).search(graph))
-    metrics_pooled = MetricsRegistry()
-    tracer_pooled = Tracer()
+        telemetry=telemetry_serial).search(graph))
+    telemetry_pooled = Telemetry()
     with mock.patch.object(portfolio_module, "POOL_MIN_PACKED_BYTES", 0):
         pooled, t_pooled = _timed(lambda: PortfolioSearch(
             farm, evaluator, sizes, specs=specs, jobs=jobs,
-            tracer=tracer_pooled,
-            metrics=metrics_pooled).search(graph))
+            telemetry=telemetry_pooled).search(graph))
     assert pooled.extras["backend"] \
         == portfolio_module.BACKEND_CODES["process"], \
         "the pooled configuration did not run on the process pool"
@@ -309,31 +302,31 @@ def run_bench(jobs: int = 0, mode: str | None = None) -> dict:
             "wall_s": round(t_noprune, 4),
             "evaluations": plain.evaluations,
             "cost": plain.cost,
-            "phases": phase_breakdown(tracer_off, metrics_off),
+            "phases": phase_breakdown(telemetry_off),
         },
         "greedy_prune": {
             "wall_s": round(t_prune, 4),
             "evaluations": pruned_run.evaluations,
             "pruned_candidates": int(
                 pruned_run.extras.get("pruned_candidates", 0)),
-            "bound_evaluations": int(metrics_on.value(
+            "bound_evaluations": int(telemetry_on.value(
                 "costmodel.bound_evaluations")),
             "cost": pruned_run.cost,
-            "phases": phase_breakdown(tracer_on, metrics_on),
+            "phases": phase_breakdown(telemetry_on),
         },
         "portfolio_serial": {
             "wall_s": round(t_serial, 4),
             "evaluations": serial.evaluations,
             "cost": serial.cost,
             "backend": "serial",
-            "phases": phase_breakdown(tracer_serial, metrics_serial),
+            "phases": phase_breakdown(telemetry_serial),
         },
         "portfolio_parallel": {
             "wall_s": round(t_pooled, 4),
             "evaluations": pooled.evaluations,
             "cost": pooled.cost,
             "backend": "process",
-            "phases": phase_breakdown(tracer_pooled, metrics_pooled),
+            "phases": phase_breakdown(telemetry_pooled),
         },
         "telemetry_overhead": measure_telemetry_overhead(
             farm, evaluator, sizes, graph),
@@ -389,7 +382,7 @@ def check_invariants(payload: dict) -> None:
         f"pruning is a net wall-clock loss: " \
         f"{payload['prune_speedup']}x"
     # Observability must stay out of the hot path: full telemetry
-    # (flight recorder + tracer + bound metrics) may cost at most 5%
+    # (events + spans + bound metrics) may cost at most 5%
     # wall on the pruned greedy search.  Payloads from before
     # phases_version 1 carry no measurement; skip, don't crash.
     overhead_info = payload.get("telemetry_overhead")

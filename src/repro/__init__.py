@@ -98,15 +98,7 @@ from repro.parallel import (
     default_portfolio,
 )
 from repro.simulator import SimulationReport, WorkloadSimulator
-from repro.obs import (
-    MetricsRegistry,
-    NULL_METRICS,
-    NULL_TRACER,
-    NullMetrics,
-    NullTracer,
-    Span,
-    Tracer,
-)
+from repro.obs import MetricsRegistry, NULL_TELEMETRY, Span, Telemetry
 
 __version__ = "1.0.0"
 
@@ -142,7 +134,6 @@ __all__ = [
     # simulator
     "SimulationReport", "WorkloadSimulator",
     # observability
-    "MetricsRegistry", "NULL_METRICS", "NULL_TRACER", "NullMetrics",
-    "NullTracer", "Span", "Tracer",
+    "MetricsRegistry", "NULL_TELEMETRY", "Span", "Telemetry",
     "__version__",
 ]

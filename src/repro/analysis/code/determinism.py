@@ -61,7 +61,7 @@ _GLOBAL_RANDOM_FUNCS = frozenset({
 
 #: Raw time functions banned inside ``parallel/``: workers replay
 #: trajectories and tests fake time, so timing must flow through an
-#: injected ``clock=``/``sleep=`` (the Tracer/EventRecorder/Deadline
+#: injected ``clock=``/``sleep=`` (the Telemetry/Deadline
 #: convention).  Referencing them as *defaults* is fine — only calls
 #: are flagged.
 _RAW_TIME_CALLS = frozenset({

@@ -1,7 +1,7 @@
 """Telemetry-contract rules (``RPC3xx``): catalog-resolved emissions.
 
-``MetricsRegistry(strict=True)`` and ``EventRecorder.emit`` already
-reject undeclared names *at runtime* — but only on code paths a test
+``Telemetry(strict=True)`` and ``Telemetry.emit`` already reject
+undeclared names *at runtime* — but only on code paths a test
 actually exercises.  These rules resolve every literal emission in the
 source against :data:`repro.obs.names.METRIC_CATALOG` and
 :data:`repro.obs.events.EVENT_TYPES` *statically*, with real AST

@@ -37,7 +37,7 @@ from repro.catalog.schema import Database
 from repro.core.constraints import ConstraintSet
 from repro.core.layout import Layout
 from repro.errors import AnalysisError, ReproError
-from repro.obs import NULL_METRICS, NULL_TRACER
+from repro.obs import NULL_TELEMETRY
 from repro.storage.disk import DiskFarm
 from repro.workload.access import AnalyzedWorkload, analyze_workload
 from repro.workload.access_graph import AccessGraph, build_access_graph
@@ -153,23 +153,21 @@ def preflight(db: Database,
               farm: DiskFarm,
               constraints: ConstraintSet | None = None,
               analyzed: AnalyzedWorkload | None = None,
-              tracer: Any = None, metrics: Any = None,
-              ) -> AnalysisReport:
+              telemetry=NULL_TELEMETRY) -> AnalysisReport:
     """Gate an advisor run on its inputs being analyzably sane.
 
     Runs the constraint and workload analyzers (layout rules are not
     relevant pre-search — the advisor *produces* the layout).  Warnings
     and info are returned in the report and recorded as
-    ``analysis.warnings`` / ``analysis.info`` metrics; error-level
-    diagnostics abort the run.
+    ``analysis.warnings`` / ``analysis.info`` metrics in ``telemetry``
+    (which also gets a ``preflight`` span); error-level diagnostics
+    abort the run.
 
     Raises:
         AnalysisError: If any error-level diagnostic was found; the
             message lists each rule ID and message.
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
-    metrics = metrics if metrics is not None else NULL_METRICS
-    with tracer.span("preflight") as span:
+    with telemetry.span("preflight") as span:
         report = AnalysisReport()
         if constraints is not None:
             report.extend(check_constraints(constraints, farm,
@@ -179,9 +177,9 @@ def preflight(db: Database,
         counts = report.counts()
         span.set("errors", counts["error"])
         span.set("warnings", counts["warning"])
-        metrics.inc("analysis.errors", counts["error"])
-        metrics.inc("analysis.warnings", counts["warning"])
-        metrics.inc("analysis.info", counts["info"])
+        telemetry.inc("analysis.errors", counts["error"])
+        telemetry.inc("analysis.warnings", counts["warning"])
+        telemetry.inc("analysis.info", counts["info"])
         for diagnostic in report.warnings:
             logger.warning("preflight %s: %s", diagnostic.rule_id,
                            diagnostic.message)
@@ -198,17 +196,15 @@ def preflight(db: Database,
 
 def audit_recommendation(layout: Layout,
                          graph: AccessGraph,
-                         tracer: Any = None, metrics: Any = None,
-                         ) -> AnalysisReport:
+                         telemetry=NULL_TELEMETRY) -> AnalysisReport:
     """Post-search audit of a recommended layout.
 
     Runs the audit rules (seek blowup, load skew) plus the layout
     smells that apply to a finished layout (idle disks, mixed
-    availability); records ``analysis.audit_findings`` in ``metrics``.
+    availability); records ``analysis.audit_findings`` in
+    ``telemetry``.
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
-    metrics = metrics if metrics is not None else NULL_METRICS
-    with tracer.span("audit-recommendation") as span:
+    with telemetry.span("audit-recommendation") as span:
         report = AnalysisReport()
         report.extend(check_layout(
             layout.farm, layout.object_sizes,
@@ -216,36 +212,32 @@ def audit_recommendation(layout: Layout,
              for name in layout.object_names}))
         report.extend(check_recommendation(layout, graph))
         span.set("findings", len(report))
-        metrics.inc("analysis.audit_findings", len(report))
+        telemetry.inc("analysis.audit_findings", len(report))
     return report
 
 
 def audit_migration(plan, current: Layout,
                     movement_budget: float | None = None,
-                    tracer: Any = None, metrics: Any = None,
-                    ) -> AnalysisReport:
+                    telemetry=NULL_TELEMETRY) -> AnalysisReport:
     """Post-search audit of an incremental run's migration plan.
 
     Runs the migration rules (ALR032 budget respected, ALR033
     intermediate capacity safe) and records
-    ``analysis.migration_findings`` in ``metrics``.  A clean report is
+    ``analysis.migration_findings`` in ``telemetry``.  A clean report is
     the run's proof that the Section-2.3 incrementality guarantees
     actually held.
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
-    metrics = metrics if metrics is not None else NULL_METRICS
-    with tracer.span("audit-migration") as span:
+    with telemetry.span("audit-migration") as span:
         report = AnalysisReport()
         report.extend(check_migration(plan, current,
                                       movement_budget=movement_budget))
         span.set("findings", len(report))
-        metrics.inc("analysis.migration_findings", len(report))
+        telemetry.inc("analysis.migration_findings", len(report))
     return report
 
 
 def audit_journal(records, plan=None, source: Layout | None = None,
-                  tracer: Any = None, metrics: Any = None,
-                  ) -> AnalysisReport:
+                  telemetry=NULL_TELEMETRY) -> AnalysisReport:
     """Audit a migration execution journal (ALR034/ALR035).
 
     ALR034 proves the journal is internally consistent and belongs to
@@ -253,7 +245,7 @@ def audit_journal(records, plan=None, source: Layout | None = None,
     intermediate state still has a capacity-safe reverse path back to
     the source (rollback feasibility is checked only when both ``plan``
     and ``source`` are supplied).  Records
-    ``analysis.migration_findings`` in ``metrics``.
+    ``analysis.migration_findings`` in ``telemetry``.
 
     Args:
         records: Parsed journal records
@@ -262,14 +254,12 @@ def audit_journal(records, plan=None, source: Layout | None = None,
             the journal executes.
         source: The layout the journal's replay starts from.
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
-    metrics = metrics if metrics is not None else NULL_METRICS
-    with tracer.span("audit-journal") as span:
+    with telemetry.span("audit-journal") as span:
         report = AnalysisReport()
         report.extend(check_journal(records, plan=plan, source=source))
         if not report.errors and plan is not None \
                 and source is not None:
             report.extend(check_rollback(records, plan, source))
         span.set("findings", len(report))
-        metrics.inc("analysis.migration_findings", len(report))
+        telemetry.inc("analysis.migration_findings", len(report))
     return report

@@ -92,10 +92,11 @@ them (exit 2 on an inconsistent journal).
 
 Observability (see ``docs/observability.md``): every subcommand takes
 ``--events out.jsonl`` (stream the run's flight-recorder timeline as
-structured JSONL events) and ``--prom out.prom`` (dump the metric
-registry in Prometheus text exposition format); ``recommend`` and
-``incremental`` additionally take ``--otlp out.json`` (OTLP-style span
-export).  ``inspect`` renders a saved event log as a phase/trajectory
+structured JSONL events, one run per file) and ``--prom out.prom``
+(dump the metric registry in Prometheus text exposition format);
+``recommend`` and ``incremental`` additionally take ``--otlp out.json``
+(OTLP-style span export); one telemetry handle per run feeds them
+all.  ``inspect`` renders a saved event log as a phase/trajectory
 timeline with a hotspot table.  ``--trace out.json`` writes the span
 tree as JSON, ``--metrics`` prints the metric summary, ``-v`` prints
 the span tree and enables INFO logging, ``-vv`` enables DEBUG logging
@@ -137,9 +138,8 @@ from repro.core.report import (
 from repro.errors import DegradedResult, MigrationInterrupted, ReproError
 from repro.obs import (
     EVENT_SCHEMA_VERSION,
-    EventRecorder,
-    MetricsRegistry,
-    Tracer,
+    NULL_TELEMETRY,
+    Telemetry,
     read_events,
     render_timeline,
     validate_events,
@@ -175,8 +175,9 @@ def _add_obs_outputs(parser: argparse.ArgumentParser,
     """Attach the flight-recorder/exporter flags every subcommand gets."""
     parser.add_argument("--events", type=Path, metavar="OUT_JSONL",
                         help="stream the run's flight-recorder event "
-                             "timeline to a JSONL file (render it "
-                             "later with 'repro-advisor inspect')")
+                             "timeline to a JSONL file, replacing its "
+                             "contents (render it later with "
+                             "'repro-advisor inspect')")
     parser.add_argument("--prom", type=Path, metavar="OUT_PROM",
                         help="write the run's metrics in Prometheus "
                              "text exposition format")
@@ -186,65 +187,64 @@ def _add_obs_outputs(parser: argparse.ArgumentParser,
                                  "OTLP-style JSON")
 
 
-class _Obs:
-    """Per-invocation observability bundle.
+def _telemetry_begin(args: argparse.Namespace, command: str):
+    """The subcommand's telemetry handle, or ``NULL_TELEMETRY``.
 
-    All three fields are ``None`` when no observability flag is active,
-    so commands can pass them straight through to library entry points
-    (which treat ``None`` as "off").
-    """
-
-    def __init__(self, recorder: EventRecorder | None,
-                 tracer: Tracer | None,
-                 metrics: MetricsRegistry | None):
-        self.recorder = recorder
-        self.tracer = tracer
-        self.metrics = metrics
-
-
-def _obs_begin(args: argparse.Namespace, command: str) -> _Obs:
-    """Build the observability bundle a subcommand asked for.
-
-    The recorder streams to ``--events`` as the run progresses (a
+    A real :class:`~repro.obs.Telemetry` exists whenever *any*
+    observability flag is active, so one run feeds every requested
+    exporter.  It streams to ``--events`` as the run progresses (a
     crashed run still leaves a valid, truncated timeline on disk) and
-    opens with a ``run-start`` event.  The tracer and metric registry
-    exist whenever *any* observability flag is active, so spans and
-    metrics feed every requested exporter from one run.
+    opens with a ``run-start`` event.
     """
-    events = getattr(args, "events", None)
-    active = bool(events or getattr(args, "prom", None)
+    active = bool(getattr(args, "events", None)
+                  or getattr(args, "prom", None)
                   or getattr(args, "otlp", None)
                   or getattr(args, "trace", None)
                   or getattr(args, "metrics", False)
                   or getattr(args, "verbose", 0))
     if not active:
-        return _Obs(None, None, None)
-    recorder = EventRecorder(path=events) if events else None
-    if recorder is not None:
-        recorder.emit("run-start", command=command,
-                      schema=EVENT_SCHEMA_VERSION)
-    return _Obs(recorder, Tracer(recorder=recorder), MetricsRegistry())
+        return NULL_TELEMETRY
+    telemetry = Telemetry(path=getattr(args, "events", None))
+    telemetry.emit("run-start", command=command,
+                   schema=EVENT_SCHEMA_VERSION)
+    return telemetry
 
 
-def _obs_finish(args: argparse.Namespace, obs: _Obs,
-                status: str = "ok") -> None:
-    """Close out the observability bundle: final event + exporters.
+def _telemetry_finish(args: argparse.Namespace, telemetry,
+                      status: str = "ok") -> None:
+    """Close out the handle: final event + exporters.
 
     File-written notes go to stderr so ``--format json`` subcommands
     keep a machine-readable stdout.
     """
-    if obs.recorder is not None:
-        obs.recorder.emit("run-end", status=status)
-        obs.recorder.close()
+    if telemetry is NULL_TELEMETRY:
+        return
+    telemetry.emit("run-end", status=status)
+    telemetry.close()
+    if getattr(args, "events", None):
         print(f"events written to {args.events}", file=sys.stderr)
-    if getattr(args, "prom", None) and obs.metrics is not None:
-        write_prometheus(obs.metrics, args.prom)
+    if getattr(args, "prom", None):
+        write_prometheus(telemetry.metrics, args.prom)
         print(f"prometheus metrics written to {args.prom}",
               file=sys.stderr)
-    if getattr(args, "otlp", None) and obs.tracer is not None:
-        run_id = obs.recorder.run_id if obs.recorder is not None else ""
-        write_otlp(obs.tracer, args.otlp, run_id=run_id)
+    if getattr(args, "otlp", None):
+        write_otlp(telemetry, args.otlp, run_id=telemetry.run_id)
         print(f"otlp spans written to {args.otlp}", file=sys.stderr)
+
+
+def _print_trace_and_metrics(args: argparse.Namespace,
+                             telemetry) -> None:
+    """The ``-v`` span tree, ``--metrics`` summary and ``--trace`` file."""
+    if args.verbose:
+        print()
+        print("=== trace ===")
+        print(telemetry.render_tree())
+    if args.metrics:
+        print()
+        print(telemetry.metrics.render())
+    if args.trace:
+        telemetry.write_trace(args.trace)
+        print(f"\ntrace written to {args.trace}")
 
 
 def _configure_logging(verbosity: int) -> None:
@@ -550,7 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="fingerprint-cache capacity (default: 128)")
     srv.add_argument("--events", type=Path, metavar="OUT_JSONL",
                      help="stream the service's flight-recorder "
-                          "timeline to a JSONL file as it runs")
+                          "timeline to a JSONL file as it runs, "
+                          "replacing its contents")
     srv.add_argument("-v", "--verbose", action="count", default=0,
                      help="enable INFO (-v) / DEBUG (-vv) logging")
     return parser
@@ -589,15 +590,12 @@ def cmd_recommend(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     constraints = _load_constraints(args, farm, db)
-    obs = _obs_begin(args, "recommend")
-    tracer, metrics = obs.tracer, obs.metrics
-    if obs.recorder is not None:
-        obs.recorder.emit(
-            "workload-ingest", statements=len(workload),
-            source="trace" if trace_spec is not None else "sql")
+    telemetry = _telemetry_begin(args, "recommend")
+    telemetry.emit(
+        "workload-ingest", statements=len(workload),
+        source="trace" if trace_spec is not None else "sql")
     advisor = LayoutAdvisor(db, farm, constraints=constraints,
-                            tracer=tracer, metrics=metrics,
-                            recorder=obs.recorder)
+                            telemetry=telemetry)
     current = None
     if args.current_layout:
         current = load_layout(args.current_layout, farm)
@@ -647,22 +645,11 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         save_layout(recommendation.layout, args.save_layout)
         print(f"\nlayout written to {args.save_layout}")
     if args.save_recommendation:
-        run_id = obs.recorder.run_id if obs.recorder is not None \
-            else None
         save_recommendation(recommendation, args.save_recommendation,
-                            run_id=run_id)
+                            run_id=telemetry.run_id)
         print(f"\nrecommendation written to {args.save_recommendation}")
-    if args.verbose and tracer is not None:
-        print()
-        print("=== trace ===")
-        print(tracer.render_tree())
-    if args.metrics and metrics is not None:
-        print()
-        print(metrics.render())
-    if args.trace and tracer is not None:
-        tracer.write_json(args.trace)
-        print(f"\ntrace written to {args.trace}")
-    _obs_finish(args, obs)
+    _print_trace_and_metrics(args, telemetry)
+    _telemetry_finish(args, telemetry)
     return 0
 
 
@@ -670,19 +657,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     """``analyze``: print plans and the access-graph summary."""
     db = load_database(args.database)
     workload = Workload.load(args.workload)
-    obs = _obs_begin(args, "analyze")
-    if obs.recorder is not None:
-        obs.recorder.emit("workload-ingest",
-                          statements=len(workload), source="sql")
-    analyzed = analyze_workload(workload, db, tracer=obs.tracer,
-                                metrics=obs.metrics)
+    telemetry = _telemetry_begin(args, "analyze")
+    telemetry.emit("workload-ingest", statements=len(workload),
+                   source="sql")
+    analyzed = analyze_workload(workload, db, telemetry=telemetry)
     if args.plans:
         for statement in analyzed:
             print(f"--- {statement.statement.name or 'statement'} ---")
             print(explain(statement.plan))
             print()
-    graph = build_access_graph(analyzed, db, tracer=obs.tracer,
-                               metrics=obs.metrics)
+    graph = build_access_graph(analyzed, db, telemetry=telemetry)
     print("=== access graph ===")
     print(f"{'object':30s} {'blocks referenced':>18s}")
     for name in sorted(graph.nodes,
@@ -695,7 +679,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     for (u, v), weight in sorted(graph.edges.items(),
                                  key=lambda kv: -kv[1]):
         print(f"{u + ' -- ' + v:45s} {weight:12.0f}")
-    _obs_finish(args, obs)
+    _telemetry_finish(args, telemetry)
     return 0
 
 
@@ -704,9 +688,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     db = load_database(args.database)
     farm = load_farm(args.disks)
     workload = Workload.load(args.workload)
-    obs = _obs_begin(args, "estimate")
-    analyzed = analyze_workload(workload, db, tracer=obs.tracer,
-                                metrics=obs.metrics)
+    telemetry = _telemetry_begin(args, "estimate")
+    analyzed = analyze_workload(workload, db, telemetry=telemetry)
     model = CostModel(farm)
     candidates = [("full-striping",
                    full_striping(db.object_sizes(), farm))]
@@ -716,7 +699,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     for name, layout in candidates:
         print(f"{name:25s} "
               f"{model.workload_cost(analyzed, layout):19.1f}s")
-    _obs_finish(args, obs)
+    _telemetry_finish(args, telemetry)
     return 0
 
 
@@ -725,20 +708,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     db = load_database(args.database)
     farm = load_farm(args.disks)
     workload = Workload.load(args.workload)
-    obs = _obs_begin(args, "simulate")
-    analyzed = analyze_workload(workload, db, tracer=obs.tracer,
-                                metrics=obs.metrics)
+    telemetry = _telemetry_begin(args, "simulate")
+    analyzed = analyze_workload(workload, db, telemetry=telemetry)
     layout = load_layout(args.layout, farm) if args.layout \
         else full_striping(db.object_sizes(), farm)
-    report = WorkloadSimulator(tracer=obs.tracer,
-                               metrics=obs.metrics).run(analyzed,
-                                                        layout)
+    report = WorkloadSimulator(telemetry=telemetry).run(analyzed, layout)
     print(f"{'statement':15s} {'simulated (s)':>14s} {'weight':>8s}")
     for timing in report.statements:
         print(f"{timing.name:15s} {timing.seconds:14.2f} "
               f"{timing.weight:8.1f}")
     print(f"{'TOTAL':15s} {report.total_seconds:14.2f}")
-    _obs_finish(args, obs)
+    _telemetry_finish(args, telemetry)
     return 0
 
 
@@ -782,7 +762,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         # constructed as a Layout, and linting it is the whole point.
         layout = json.loads(args.layout.read_text())
 
-    obs = _obs_begin(args, "lint")
+    telemetry = _telemetry_begin(args, "lint")
     report = analysis.AnalysisReport()
     constraints = None
     if args.constraints:
@@ -808,8 +788,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print(report.render_text())
     else:
         print("clean: no diagnostics")
-    _obs_finish(args, obs, status="ok" if report.exit_code == 0
-                else "diagnostics")
+    _telemetry_finish(args, telemetry,
+                      status="ok" if report.exit_code == 0
+                      else "diagnostics")
     return report.exit_code
 
 
@@ -887,46 +868,30 @@ def cmd_incremental(args: argparse.Namespace) -> int:
     farm = load_farm(args.disks)
     workload = Workload.load(args.workload)
     constraints = _load_constraints(args, farm, db)
-    obs = _obs_begin(args, "incremental")
-    tracer, metrics = obs.tracer, obs.metrics
-    if obs.recorder is not None:
-        obs.recorder.emit("workload-ingest",
-                          statements=len(workload), source="sql")
+    telemetry = _telemetry_begin(args, "incremental")
+    telemetry.emit("workload-ingest", statements=len(workload),
+                   source="sql")
     advisor = LayoutAdvisor(db, farm, constraints=constraints,
-                            tracer=tracer, metrics=metrics,
-                            recorder=obs.recorder)
+                            telemetry=telemetry)
     current = _load_current_for_incremental(args.current, farm)
     recommendation = advisor.recommend(
         workload, current_layout=current, method="incremental",
         k=args.k, movement_budget=args.budget)
     print(render_report(recommendation))
     if args.save_plan:
-        run_id = obs.recorder.run_id if obs.recorder is not None \
-            else None
         save_migration_plan(recommendation.migration, args.save_plan,
-                            run_id=run_id)
+                            run_id=telemetry.run_id)
         print(f"\nmigration plan written to {args.save_plan}")
     if args.save_layout:
         save_layout(recommendation.layout, args.save_layout)
         print(f"\nlayout written to {args.save_layout}")
     if args.save_recommendation:
-        run_id = obs.recorder.run_id if obs.recorder is not None \
-            else None
         save_recommendation(recommendation, args.save_recommendation,
-                            run_id=run_id)
+                            run_id=telemetry.run_id)
         print(f"\nrecommendation written to "
               f"{args.save_recommendation}")
-    if args.verbose and tracer is not None:
-        print()
-        print("=== trace ===")
-        print(tracer.render_tree())
-    if args.metrics and metrics is not None:
-        print()
-        print(metrics.render())
-    if args.trace and tracer is not None:
-        tracer.write_json(args.trace)
-        print(f"\ntrace written to {args.trace}")
-    _obs_finish(args, obs)
+    _print_trace_and_metrics(args, telemetry)
+    _telemetry_finish(args, telemetry)
     return 0
 
 
@@ -941,30 +906,26 @@ def cmd_drift(args: argparse.Namespace) -> int:
     db = load_database(args.database)
     before = Workload.load(args.before)
     after = Workload.load(args.after)
-    obs = _obs_begin(args, "drift")
+    telemetry = _telemetry_begin(args, "drift")
     graph_before = build_access_graph(
-        analyze_workload(before, db, tracer=obs.tracer,
-                         metrics=obs.metrics),
-        db, tracer=obs.tracer, metrics=obs.metrics)
+        analyze_workload(before, db, telemetry=telemetry),
+        db, telemetry=telemetry)
     graph_after = build_access_graph(
-        analyze_workload(after, db, tracer=obs.tracer,
-                         metrics=obs.metrics),
-        db, tracer=obs.tracer, metrics=obs.metrics)
+        analyze_workload(after, db, telemetry=telemetry),
+        db, telemetry=telemetry)
     report = detect_drift(graph_before, graph_after,
-                          threshold=args.threshold, tracer=obs.tracer,
-                          metrics=obs.metrics, recorder=obs.recorder)
+                          threshold=args.threshold, telemetry=telemetry)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
     else:
         print(report.describe())
     if args.save:
-        run_id = obs.recorder.run_id if obs.recorder is not None \
-            else None
-        save_drift_report(report, args.save, run_id=run_id)
+        save_drift_report(report, args.save, run_id=telemetry.run_id)
         if args.format != "json":
             print(f"\ndrift report written to {args.save}")
-    _obs_finish(args, obs, status="drift" if report.relayout_recommended
-                else "ok")
+    _telemetry_finish(args, telemetry,
+                      status="drift" if report.relayout_recommended
+                      else "ok")
     return 1 if report.relayout_recommended else 0
 
 
@@ -980,15 +941,13 @@ def cmd_migrate(args: argparse.Namespace) -> int:
     from repro.storage import MigrationExecutor, plan_migration
     farm = load_farm(args.disks)
     current = _load_current_for_incremental(args.current, farm)
-    obs = _obs_begin(args, "migrate")
+    telemetry = _telemetry_begin(args, "migrate")
     if args.plan:
         plan = load_migration_plan(args.plan)
         target = None
     else:
         target = load_layout(args.target, farm)
-        plan = plan_migration(current, target, tracer=obs.tracer,
-                              metrics=obs.metrics,
-                              recorder=obs.recorder)
+        plan = plan_migration(current, target, telemetry=telemetry)
     faults = FaultPlan.from_spec(args.faults) if args.faults \
         else FaultPlan.from_env()
     retry = RetryPolicy(attempts=args.retries + 1) if args.retries \
@@ -996,7 +955,7 @@ def cmd_migrate(args: argparse.Namespace) -> int:
     executor = MigrationExecutor(
         plan, current, journal_path=str(args.journal), target=target,
         retry=retry, deadline=args.deadline, faults=faults,
-        tracer=obs.tracer, metrics=obs.metrics, recorder=obs.recorder)
+        telemetry=telemetry)
     try:
         if args.rollback:
             result = executor.rollback()
@@ -1009,26 +968,24 @@ def cmd_migrate(args: argparse.Namespace) -> int:
         print(f"the journal at {args.journal} is a valid prefix; "
               f"rerun with --resume to finish or --rollback to undo",
               file=sys.stderr)
-        _obs_finish(args, obs, status="interrupted")
+        _telemetry_finish(args, telemetry, status="interrupted")
         return 3
     print(render_migration_execution(result))
     if args.database and args.workload and result.status == "complete":
         db = load_database(args.database)
         workload = Workload.load(args.workload)
-        analyzed = analyze_workload(workload, db, tracer=obs.tracer,
-                                    metrics=obs.metrics)
+        analyzed = analyze_workload(workload, db, telemetry=telemetry)
         from repro.simulator import OnlineMigrationSimulator
-        simulator = OnlineMigrationSimulator(tracer=obs.tracer,
-                                             metrics=obs.metrics)
+        simulator = OnlineMigrationSimulator(telemetry=telemetry)
         online = simulator.run_online(
             analyzed, current, plan, target=target,
-            throttle_mb_s=args.throttle, recorder=obs.recorder)
+            throttle_mb_s=args.throttle)
         print()
         print(render_online_migration(online))
-    if args.metrics and obs.metrics is not None:
+    if args.metrics:
         print()
-        print(obs.metrics.render())
-    _obs_finish(args, obs)
+        print(telemetry.metrics.render())
+    _telemetry_finish(args, telemetry)
     return 0
 
 
@@ -1127,15 +1084,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """
     import signal
 
-    from repro.obs.events import new_run_id
     from repro.server import AdvisorService, make_server
 
-    recorder = EventRecorder(run_id=new_run_id(), source="server",
-                             path=getattr(args, "events", None))
+    telemetry = Telemetry(source="server", strict=True,
+                          path=getattr(args, "events", None))
     service = AdvisorService(workers=args.workers,
                              max_queue=args.max_queue,
                              max_cache=args.max_cache,
-                             recorder=recorder)
+                             telemetry=telemetry)
     server = make_server(service, host=args.host, port=args.port)
     host, port = server.server_address[:2]
     print(f"repro-advisor serving on http://{host}:{port} "

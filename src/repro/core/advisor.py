@@ -21,7 +21,7 @@ from repro.core.fullstripe import full_striping
 from repro.core.greedy import SearchResult, TsGreedySearch
 from repro.core.layout import Layout
 from repro.errors import DegradedResult, LayoutError
-from repro.obs import NULL_METRICS, NULL_RECORDER, NULL_TRACER
+from repro.obs import NULL_TELEMETRY
 from repro.optimizer.planner import Planner
 from repro.resilience import Budget, Deadline, FaultPlan, RetryPolicy
 from repro.storage.disk import DiskFarm
@@ -236,56 +236,47 @@ class LayoutAdvisor:
         farm: Available disk drives with their characteristics.
         constraints: Optional manageability/availability constraints.
         planner: Optional custom planner (defaults to one over ``db``).
-        tracer: Optional :class:`repro.obs.Tracer`; every pipeline phase
-            of :meth:`recommend` emits a span under a ``recommend`` root.
-        metrics: Optional :class:`repro.obs.MetricsRegistry`; the
-            pipeline's components record their instruments into it.
-        recorder: Optional :class:`repro.obs.EventRecorder` (the flight
-            recorder); the search loops, the portfolio engine and the
-            migration planner emit their typed events into it.  Pass a
-            tracer built with the same recorder
-            (``Tracer(recorder=recorder)``) to get phase events too.
+        telemetry: Optional :class:`repro.obs.Telemetry`; every pipeline
+            phase of :meth:`recommend` opens a span under a
+            ``recommend`` root, the search loops, the portfolio engine
+            and the migration planner emit their typed events into it,
+            and the pipeline's components record their instruments in
+            its metrics.
 
-    With no ``tracer``/``metrics``/``recorder`` the no-op
-    implementations are used: results are bit-identical and the
-    overhead is a handful of cheap method calls per phase (nothing per
-    candidate layout).
+    With no ``telemetry`` the shared :data:`~repro.obs.NULL_TELEMETRY`
+    is used: results are bit-identical and the overhead is a handful of
+    cheap method calls per phase (nothing per candidate layout).
     """
 
     def __init__(self, db: Database, farm: DiskFarm,
                  constraints: ConstraintSet | None = None,
                  planner: Planner | None = None,
-                 tracer=None, metrics=None, recorder=None):
+                 telemetry=NULL_TELEMETRY):
         self._db = db
         self._farm = farm
         self._constraints = constraints or ConstraintSet()
         self._planner = planner or Planner(db)
-        self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._metrics = metrics if metrics is not None else NULL_METRICS
-        self._recorder = recorder if recorder is not None \
-            else NULL_RECORDER
+        self._telemetry = telemetry
 
     # -- analysis --------------------------------------------------------------
 
     def analyze(self, workload: Workload) -> AnalyzedWorkload:
         """Run the Analyze Workload component (plan, decompose)."""
         return analyze_workload(workload, self._db, self._planner,
-                                tracer=self._tracer,
-                                metrics=self._metrics)
+                                telemetry=self._telemetry)
 
     def access_graph(self, analyzed: AnalyzedWorkload) -> AccessGraph:
         """Build the co-access graph for an analyzed workload."""
         return build_access_graph(analyzed, self._db,
-                                  tracer=self._tracer,
-                                  metrics=self._metrics)
+                                  telemetry=self._telemetry)
 
     def evaluator(self,
                   analyzed: AnalyzedWorkload) -> WorkloadCostEvaluator:
         """Precompile the workload for repeated cost evaluation."""
-        with self._tracer.span("build-evaluator"):
+        with self._telemetry.span("build-evaluator"):
             return WorkloadCostEvaluator(analyzed, self._farm,
                                          sorted(self._db.object_sizes()),
-                                         metrics=self._metrics)
+                                         telemetry=self._telemetry)
 
     # -- static analysis ---------------------------------------------------------
 
@@ -299,15 +290,14 @@ class LayoutAdvisor:
         return preflight(self._db, self._farm,
                          constraints=self._constraints,
                          analyzed=analyzed,
-                         tracer=self._tracer, metrics=self._metrics)
+                         telemetry=self._telemetry)
 
     def _audit(self, layout: Layout,
                graph: AccessGraph) -> "AnalysisReport":
         """Post-search audit of the recommended layout."""
         from repro.analysis.engine import audit_recommendation
         return audit_recommendation(layout, graph,
-                                    tracer=self._tracer,
-                                    metrics=self._metrics)
+                                    telemetry=self._telemetry)
 
     def _audit_migration(self, migration: MigrationPlan,
                          current_layout: Layout,
@@ -316,8 +306,7 @@ class LayoutAdvisor:
         from repro.analysis.engine import audit_migration
         return audit_migration(migration, current_layout,
                                movement_budget,
-                               tracer=self._tracer,
-                               metrics=self._metrics)
+                               telemetry=self._telemetry)
 
     # -- recommendation -----------------------------------------------------------
 
@@ -358,13 +347,13 @@ class LayoutAdvisor:
             options if options is not None else SearchOptions(),
             **overrides)
         method = options.method
-        with self._tracer.span("recommend", method=method) as root:
+        with self._telemetry.span("recommend", method=method) as root:
             analyzed = workload if isinstance(workload, AnalyzedWorkload) \
                 else self.analyze(workload)
             preflight_report = self._preflight(analyzed)
             sizes = self._db.object_sizes()
             if current_layout is None:
-                with self._tracer.span("baseline-layout"):
+                with self._telemetry.span("baseline-layout"):
                     current_layout = full_striping(sizes, self._farm)
             evaluator = self.evaluator(analyzed)
             graph: AccessGraph | None = None
@@ -372,9 +361,8 @@ class LayoutAdvisor:
                 graph = self.access_graph(analyzed)
                 search = TsGreedySearch(self._farm, evaluator, sizes,
                                         constraints=self._constraints,
-                                        k=options.k, tracer=self._tracer,
-                                        metrics=self._metrics,
-                                        recorder=self._recorder)
+                                        k=options.k,
+                                        telemetry=self._telemetry)
                 initial = current_layout \
                     if self._constraints.movement is not None else None
                 result = search.search(graph, initial_layout=initial)
@@ -400,24 +388,23 @@ class LayoutAdvisor:
                 engine = IncrementalSearch(
                     self._farm, evaluator, sizes,
                     constraints=self._constraints, k=options.k,
-                    tracer=self._tracer, metrics=self._metrics,
-                    recorder=self._recorder)
+                    telemetry=self._telemetry)
                 result = engine.search(graph, current_layout, budget)
             elif method == "full-striping":
-                with self._tracer.span("full-striping"):
+                with self._telemetry.span("full-striping"):
                     layout = full_striping(sizes, self._farm)
                     result = SearchResult(layout=layout,
                                           cost=evaluator.cost(layout),
                                           initial_cost=evaluator.cost(
                                               layout))
             elif method == "exhaustive":
-                with self._tracer.span("exhaustive") as span:
+                with self._telemetry.span("exhaustive") as span:
                     result = exhaustive_search(
                         self._farm, evaluator, sizes,
                         constraints=self._constraints)
                     span.set("evaluations", result.evaluations)
             self._constraints.check(result.layout)
-            with self._tracer.span("score-current"):
+            with self._telemetry.span("score-current"):
                 current_cost = evaluator.cost(current_layout)
             # Never recommend a layout the model scores worse than what
             # the DBA already has, provided keeping it is allowed.
@@ -429,7 +416,7 @@ class LayoutAdvisor:
                     result.cost, current_cost)
                 result = result.with_layout(current_layout,
                                             current_cost)
-            with self._tracer.span("per-statement-costs"):
+            with self._telemetry.span("per-statement-costs"):
                 model = CostModel(self._farm)
                 per_statement = []
                 for index, analyzed_stmt in enumerate(analyzed):
@@ -451,9 +438,7 @@ class LayoutAdvisor:
                 budget_used = budget
                 migration = plan_migration(current_layout,
                                            result.layout,
-                                           tracer=self._tracer,
-                                           metrics=self._metrics,
-                                           recorder=self._recorder)
+                                           telemetry=self._telemetry)
                 diagnostics += list(self._audit_migration(
                     migration, current_layout, budget_used))
             recommendation = Recommendation(
@@ -464,8 +449,8 @@ class LayoutAdvisor:
                 movement_budget=budget_used)
             root.set("improvement_pct",
                      round(recommendation.improvement_pct, 3))
-            self._metrics.set_gauge("advisor.improvement_pct",
-                                    recommendation.improvement_pct)
+            self._telemetry.set_gauge("advisor.improvement_pct",
+                                      recommendation.improvement_pct)
             logger.info(
                 "recommendation: %.3fs -> %.3fs (%.1f%% improvement, "
                 "method=%s)", current_cost, result.cost,
@@ -494,11 +479,10 @@ class LayoutAdvisor:
             specs = list(portfolio)
         engine = PortfolioSearch(
             self._farm, evaluator, sizes, constraints=self._constraints,
-            specs=specs, jobs=options.jobs, tracer=self._tracer,
-            metrics=self._metrics, deadline=options.deadline,
+            specs=specs, jobs=options.jobs, deadline=options.deadline,
             retry=RetryPolicy(attempts=1 + options.retries),
             trajectory_timeout_s=options.trajectory_timeout_s,
-            faults=options.faults, recorder=self._recorder)
+            faults=options.faults, telemetry=self._telemetry)
         initial = current_layout \
             if self._constraints.movement is not None else None
         return engine.search(graph, initial_layout=initial)
@@ -527,7 +511,7 @@ class LayoutAdvisor:
             build_access_graph_concurrent,
             concurrent_cost_workload,
         )
-        with self._tracer.span("recommend-concurrent"):
+        with self._telemetry.span("recommend-concurrent"):
             analyzed = workload \
                 if isinstance(workload, AnalyzedWorkload) \
                 else self.analyze(workload)
@@ -537,27 +521,25 @@ class LayoutAdvisor:
             preflight_report = self._preflight(analyzed)
             sizes = self._db.object_sizes()
             if current_layout is None:
-                with self._tracer.span("baseline-layout"):
+                with self._telemetry.span("baseline-layout"):
                     current_layout = full_striping(sizes, self._farm)
-            with self._tracer.span("expand-concurrency"):
+            with self._telemetry.span("expand-concurrency"):
                 expanded = concurrent_cost_workload(analyzed, spec)
-            with self._tracer.span("build-evaluator"):
+            with self._telemetry.span("build-evaluator"):
                 evaluator = WorkloadCostEvaluator(
                     expanded, self._farm, sorted(sizes),
-                    metrics=self._metrics)
-            with self._tracer.span("build-access-graph"):
+                    telemetry=self._telemetry)
+            with self._telemetry.span("build-access-graph"):
                 graph = build_access_graph_concurrent(analyzed, spec,
                                                       self._db)
             search = TsGreedySearch(self._farm, evaluator, sizes,
                                     constraints=self._constraints, k=k,
-                                    tracer=self._tracer,
-                                    metrics=self._metrics,
-                                    recorder=self._recorder)
+                                    telemetry=self._telemetry)
             initial = current_layout \
                 if self._constraints.movement is not None else None
             result = search.search(graph, initial_layout=initial)
             self._constraints.check(result.layout)
-            with self._tracer.span("score-current"):
+            with self._telemetry.span("score-current"):
                 current_cost = evaluator.cost(current_layout)
             if result.cost > current_cost \
                     and self._constraints.is_satisfied(current_layout):

@@ -31,7 +31,7 @@ from repro.core.greedy import SearchResult
 from repro.core.layout import Layout, stripe_fractions
 from repro.core.tolerance import EPS_CAPACITY
 from repro.errors import LayoutError
-from repro.obs import NULL_METRICS, NULL_RECORDER, NULL_TRACER
+from repro.obs import NULL_TELEMETRY
 from repro.storage.disk import DiskFarm
 
 logger = logging.getLogger("repro.core.annealing")
@@ -45,8 +45,7 @@ def annealing_search(farm: DiskFarm,
                      initial_temperature: float | None = None,
                      cooling: float = 0.995,
                      constraints: ConstraintSet | None = None,
-                     tracer=None, metrics=None, recorder=None,
-                     ) -> SearchResult:
+                     telemetry=NULL_TELEMETRY) -> SearchResult:
     """Anneal over rate-proportionally-striped layouts.
 
     Args:
@@ -61,14 +60,12 @@ def annealing_search(farm: DiskFarm,
         cooling: Geometric cooling factor per accepted-or-rejected step.
         constraints: Only capacity is enforced here (the baseline is
             deliberately generic); richer constraints reject proposals.
-        tracer: Optional :class:`repro.obs.Tracer`; emits one
-            ``annealing`` span.
-        metrics: Optional :class:`repro.obs.MetricsRegistry`; records
-            ``annealing.proposals`` / ``annealing.accepted`` /
-            ``annealing.rejected`` / ``annealing.infeasible`` counters.
-        recorder: Optional :class:`repro.obs.EventRecorder`; emits
-            sampled ``anneal-step`` progress events (at most 32 per
-            run, evenly strided over the proposal budget).
+        telemetry: Optional :class:`repro.obs.Telemetry`; opens one
+            ``annealing`` span, emits sampled ``anneal-step`` progress
+            events (at most 32 per run, evenly strided over the
+            proposal budget) and records ``annealing.proposals`` /
+            ``annealing.accepted`` / ``annealing.rejected`` /
+            ``annealing.infeasible`` counters.
 
     Returns:
         A :class:`SearchResult` with the best layout visited; its
@@ -76,9 +73,6 @@ def annealing_search(farm: DiskFarm,
     """
     if iterations < 1:
         raise LayoutError("iterations must be positive")
-    tracer = tracer if tracer is not None else NULL_TRACER
-    metrics = metrics if metrics is not None else NULL_METRICS
-    recorder = recorder if recorder is not None else NULL_RECORDER
     sample_stride = max(1, iterations // 32)
     constraints = constraints or ConstraintSet()
     rng = random.Random(seed)
@@ -102,13 +96,13 @@ def annealing_search(farm: DiskFarm,
                           for j in range(m)])
     evaluations = 0
     accepted = rejected = infeasible = 0
-    with tracer.span("annealing", iterations=iterations,
-                     seed=seed) as span:
+    with telemetry.span("annealing", iterations=iterations,
+                        seed=seed) as span:
         for proposal_index in range(iterations):
             if proposal_index % sample_stride == 0:
-                recorder.emit("anneal-step", proposal=proposal_index,
-                              best_cost=float(best_cost),
-                              temperature=float(temperature))
+                telemetry.emit("anneal-step", proposal=proposal_index,
+                               best_cost=float(best_cost),
+                               temperature=float(temperature))
             name = rng.choice(names)
             disks_now = [j for j, f in enumerate(current[name]) if f > 0]
             kind = rng.random()
@@ -150,10 +144,10 @@ def annealing_search(farm: DiskFarm,
         span.set("rejected", rejected)
         span.set("infeasible", infeasible)
 
-    metrics.inc("annealing.proposals", iterations)
-    metrics.inc("annealing.accepted", accepted)
-    metrics.inc("annealing.rejected", rejected)
-    metrics.inc("annealing.infeasible", infeasible)
+    telemetry.inc("annealing.proposals", iterations)
+    telemetry.inc("annealing.accepted", accepted)
+    telemetry.inc("annealing.rejected", rejected)
+    telemetry.inc("annealing.infeasible", infeasible)
     logger.info(
         "annealing: cost %.3f -> %.3f (%d proposals: %d accepted, "
         "%d rejected, %d infeasible)", initial_cost, best_cost,

@@ -36,7 +36,7 @@ import numpy as np
 from repro.core.layout import Layout
 from repro.core.tolerance import EPS_COST, EPS_ZERO
 from repro.errors import LayoutError
-from repro.obs import NULL_METRICS
+from repro.obs import NULL_TELEMETRY
 from repro.optimizer.planner import TEMPDB
 from repro.storage.disk import DiskFarm, DiskSpec
 from repro.workload.access import (
@@ -162,13 +162,13 @@ class WorkloadCostEvaluator:
         farm: The disk farm candidate layouts are defined over.
         object_names: Row order of the layout matrices to evaluate;
             must match the layouts passed in later.
-        metrics: Optional :class:`repro.obs.MetricsRegistry`; records
+        telemetry: Optional :class:`repro.obs.Telemetry`; records
             ``costmodel.*`` evaluation counters.
     """
 
     def __init__(self, workload: AnalyzedWorkload, farm: DiskFarm,
-                 object_names: Sequence[str], metrics=None):
-        self._metrics = metrics if metrics is not None else NULL_METRICS
+                 object_names: Sequence[str], telemetry=NULL_TELEMETRY):
+        self._telemetry = telemetry
         self._farm = farm
         self._names = list(object_names)
         self._index = {name: i for i, name in enumerate(self._names)}
@@ -221,9 +221,9 @@ class WorkloadCostEvaluator:
                               .any(axis=1))[0]
             self._touching.append(rows)
         self._init_mutable_state()
-        self._metrics.set_gauge("costmodel.subplans", self._n_subplans)
-        self._metrics.set_gauge("costmodel.subplans_raw",
-                                self.n_compressed_from)
+        self._telemetry.set_gauge("costmodel.subplans", self._n_subplans)
+        self._telemetry.set_gauge("costmodel.subplans_raw",
+                                  self.n_compressed_from)
 
     def _init_mutable_state(self) -> None:
         """Fresh per-search mutable state (base matrix and caches).
@@ -267,14 +267,16 @@ class WorkloadCostEvaluator:
         return int(sum(getattr(self, attr).nbytes
                        for attr in PACKED_ARRAYS))
 
-    def bind_metrics(self, metrics) -> None:
-        """Swap the registry recording ``costmodel.*`` counters.
+    def bind_telemetry(self, telemetry):
+        """Swap the handle recording ``costmodel.*`` counters.
 
-        The portfolio workers reuse one attached evaluator across
-        trajectories but want per-trajectory counter attribution; they
-        rebind a fresh registry before each run.
+        Returns the previous handle.  A portfolio trajectory reuses one
+        evaluator but wants per-trajectory counter attribution: it
+        binds its own handle for the run and restores the previous one
+        afterwards.
         """
-        self._metrics = metrics if metrics is not None else NULL_METRICS
+        previous, self._telemetry = self._telemetry, telemetry
+        return previous
 
     @property
     def object_names(self) -> list[str]:
@@ -331,7 +333,7 @@ class WorkloadCostEvaluator:
 
     def cost_matrix(self, matrix: np.ndarray) -> float:
         """Weighted workload cost of a raw fraction matrix."""
-        self._metrics.inc("costmodel.full_evaluations")
+        self._telemetry.inc("costmodel.full_evaluations")
         return float(self._subplan_costs(matrix) @ self._weights)
 
     def cost(self, layout: Layout) -> float:
@@ -347,7 +349,7 @@ class WorkloadCostEvaluator:
         deviations from this base in time proportional to the number of
         subplans that touch the changed object.
         """
-        self._metrics.inc("costmodel.base_evaluations")
+        self._telemetry.inc("costmodel.base_evaluations")
         self._base_matrix = matrix.copy()
         self._base_costs = self._subplan_costs(matrix)
         self._base_total = float(self._base_costs @ self._weights)
@@ -377,7 +379,7 @@ class WorkloadCostEvaluator:
         if self._base_matrix is None or self._base_costs is None:
             raise LayoutError("set_base() must be called before "
                               "commit_rows()")
-        self._metrics.inc("costmodel.commit_evaluations")
+        self._telemetry.inc("costmodel.commit_evaluations")
         affected: np.ndarray | None = None
         for name, row in rows.items():
             i = self._index[name]
@@ -421,7 +423,7 @@ class WorkloadCostEvaluator:
         if self._base_matrix is None or self._base_costs is None:
             raise LayoutError("set_base() must be called before "
                               "cost_with_row()")
-        self._metrics.inc("costmodel.delta_evaluations")
+        self._telemetry.inc("costmodel.delta_evaluations")
         row = np.asarray(row, dtype=float)
         return float(self.costs_for_rows(object_name, row[None])[0])
 
@@ -434,7 +436,7 @@ class WorkloadCostEvaluator:
         if self._base_matrix is None or self._base_costs is None:
             raise LayoutError("set_base() must be called before "
                               "cost_with_rows()")
-        self._metrics.inc("costmodel.delta_evaluations")
+        self._telemetry.inc("costmodel.delta_evaluations")
         affected: np.ndarray | None = None
         saved: dict[int, np.ndarray] = {}
         for name, row in rows.items():
@@ -523,8 +525,8 @@ class WorkloadCostEvaluator:
         if self._base_matrix is None or self._base_costs is None:
             raise LayoutError("set_base() must be called before "
                               "costs_for_rows()")
-        self._metrics.inc("costmodel.batch_evaluations")
-        self._metrics.inc("costmodel.batch_rows", len(rows))
+        self._telemetry.inc("costmodel.batch_evaluations")
+        self._telemetry.inc("costmodel.batch_rows", len(rows))
         i = self._index[object_name]
         affected = self._touching[i]
         rows = np.asarray(rows, dtype=float)
@@ -568,7 +570,7 @@ class WorkloadCostEvaluator:
         non-negative, this never exceeds the true cost — a provable
         underestimate usable for branch-and-bound style pruning.
         """
-        self._metrics.inc("costmodel.bound_evaluations")
+        self._telemetry.inc("costmodel.bound_evaluations")
         sub = matrix[self._idx] * self._blocks[:, :, None] \
             * self._mask[:, :, None]
         transfer = (sub * self._inv).sum(axis=1)        # (S, m)
@@ -591,7 +593,7 @@ class WorkloadCostEvaluator:
             raise LayoutError("set_base() must be called before "
                               "bounds_for_rows()")
         rows = np.asarray(rows, dtype=float)
-        self._metrics.inc("costmodel.bound_evaluations", len(rows))
+        self._telemetry.inc("costmodel.bound_evaluations", len(rows))
         i = self._index[object_name]
         affected = self._touching[i]
         if affected.size == 0:
@@ -662,7 +664,7 @@ class WorkloadCostEvaluator:
             in which case ``best_cost`` is the incumbent, unchanged.
         """
         rows = np.asarray(rows, dtype=float)
-        self._metrics.inc("costmodel.fused_evaluations")
+        self._telemetry.inc("costmodel.fused_evaluations")
         if len(rows) == 0:
             return float(incumbent), -1, 0
         if prune:
@@ -712,13 +714,13 @@ class WorkloadCostEvaluator:
         return share_evaluator(self)
 
     @classmethod
-    def from_shared(cls, spec: "object",
-                    metrics=None) -> "WorkloadCostEvaluator":
+    def from_shared(cls, spec: "object") -> "WorkloadCostEvaluator":
         """Rebuild an evaluator from a shared-memory spec (in a worker).
 
         The packed arrays are zero-copy read-only views into the shared
         segment; per-evaluator mutable state (base matrix, caches) stays
-        private to the process.
+        private to the process.  Telemetry starts at
+        :data:`~repro.obs.NULL_TELEMETRY`; see :meth:`bind_telemetry`.
         """
         from repro.parallel.shared import attach_evaluator
-        return attach_evaluator(spec, metrics=metrics)
+        return attach_evaluator(spec)

@@ -27,7 +27,7 @@ from repro.core.layout import Layout, stripe_fractions
 from repro.core.partitioning import PartitionStats, partition_access_graph
 from repro.core.tolerance import EPS_CAPACITY, EPS_COST, EPS_ZERO
 from repro.errors import LayoutError
-from repro.obs import NULL_METRICS, NULL_RECORDER, NULL_TRACER
+from repro.obs import NULL_TELEMETRY
 from repro.storage.disk import DiskFarm
 from repro.workload.access_graph import AccessGraph
 
@@ -226,13 +226,12 @@ class TsGreedySearch:
         object_sizes: Object name -> size in blocks.
         constraints: Optional manageability/availability constraints.
         k: Max disks added to one object per greedy move (paper uses 1).
-        tracer: Optional :class:`repro.obs.Tracer`; emits ``ts-greedy``
-            with ``ts-greedy/step1`` and ``ts-greedy/step2`` children.
-        metrics: Optional :class:`repro.obs.MetricsRegistry`; records
-            ``greedy.*`` and ``partition.*`` instruments.
-        recorder: Optional :class:`repro.obs.EventRecorder`; emits one
-            ``greedy-iteration`` event per step-2 iteration and one
-            ``kl-pass`` event per converged KL pass.
+        telemetry: Optional :class:`repro.obs.Telemetry`; opens a
+            ``ts-greedy`` span with ``ts-greedy/step1`` and
+            ``ts-greedy/step2`` children, emits one ``greedy-iteration``
+            event per step-2 iteration and one ``kl-pass`` event per
+            converged KL pass, and records ``greedy.*`` and
+            ``partition.*`` instruments.
         partition_seed: ``None`` runs the canonical deterministic KL
             partitioning; an integer shuffles its processing order
             (deterministically per seed), yielding a different step-1
@@ -247,9 +246,9 @@ class TsGreedySearch:
     def __init__(self, farm: DiskFarm, evaluator: WorkloadCostEvaluator,
                  object_sizes: dict[str, int],
                  constraints: ConstraintSet | None = None,
-                 k: int = 1, tracer=None, metrics=None,
+                 k: int = 1, telemetry=NULL_TELEMETRY,
                  partition_seed: int | None = None,
-                 prune: bool = True, recorder=None):
+                 prune: bool = True):
         if k < 1:
             raise LayoutError("k must be at least 1")
         self._farm = farm
@@ -257,10 +256,7 @@ class TsGreedySearch:
         self._sizes = dict(object_sizes)
         self._constraints = constraints or ConstraintSet()
         self._k = k
-        self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._metrics = metrics if metrics is not None else NULL_METRICS
-        self._recorder = recorder if recorder is not None \
-            else NULL_RECORDER
+        self._telemetry = telemetry
         self._partition_seed = partition_seed
         self._prune = prune
         self._names = evaluator.object_names
@@ -281,14 +277,14 @@ class TsGreedySearch:
                 constraint.
         """
         start = time.perf_counter()
-        with self._tracer.span("ts-greedy", k=self._k) as span:
+        with self._telemetry.span("ts-greedy", k=self._k) as span:
             kl_stats = PartitionStats()
             if initial_layout is None:
-                with self._tracer.span("ts-greedy/step1"):
+                with self._telemetry.span("ts-greedy/step1"):
                     layout = self._initial_layout(graph, kl_stats)
             else:
                 layout = initial_layout
-            with self._tracer.span("ts-greedy/step2"):
+            with self._telemetry.span("ts-greedy/step2"):
                 # Incremental mode: refining an arbitrary starting layout
                 # (e.g. full striping) also needs *narrowing* moves, or a
                 # fully-striped start would be a trivial fixed point.
@@ -298,8 +294,8 @@ class TsGreedySearch:
             result.kl_passes = kl_stats.passes
             result.kl_cut_weights = tuple(kl_stats.cut_weights)
             for index, weight in enumerate(result.kl_cut_weights):
-                self._recorder.emit("kl-pass", pass_index=index + 1,
-                                    cut_weight=float(weight))
+                self._telemetry.emit("kl-pass", pass_index=index + 1,
+                                     cut_weight=float(weight))
             span.set("iterations", result.iterations)
             span.set("evaluations", result.evaluations)
         logger.info(
@@ -317,7 +313,7 @@ class TsGreedySearch:
         partitions = [p for p in
                       partition_access_graph(graph, m, nodes=self._names,
                                              stats=kl_stats,
-                                             metrics=self._metrics,
+                                             telemetry=self._telemetry,
                                              seed=self._partition_seed)
                       if p]
         partitions = self._apply_co_location(partitions)
@@ -472,42 +468,34 @@ class TsGreedySearch:
                         if candidate_cost < best_cost - EPS_COST:
                             best_cost = candidate_cost
                             best_change = change
-            if best_change is None:
-                result.steps.append(GreedyStep(
-                    iteration=result.iterations,
-                    candidates=iteration_evals, best_cost=float(cost),
-                    accepted=False))
-                self._recorder.emit(
-                    "greedy-iteration", iteration=result.iterations,
-                    candidates=iteration_evals, best_cost=float(cost),
-                    accepted=False, changed=[])
-                break
-            frontiers.commit(best_change)
-            # O(Δ) adoption: only the subplans touching the moved
-            # objects are re-costed (bit-identical to a full set_base).
-            cost = self._evaluator.commit_rows(dict(best_change))
-            result.steps.append(GreedyStep(
+            if best_change is not None:
+                frontiers.commit(best_change)
+                # O(Δ) adoption: only the subplans touching the moved
+                # objects are re-costed (bit-identical to a full
+                # set_base).
+                cost = self._evaluator.commit_rows(dict(best_change))
+            step = GreedyStep(
                 iteration=result.iterations, candidates=iteration_evals,
-                best_cost=float(cost), accepted=True,
-                changed=tuple(sorted(best_change))))
-            self._recorder.emit(
-                "greedy-iteration", iteration=result.iterations,
-                candidates=iteration_evals, best_cost=float(cost),
-                accepted=True, changed=sorted(best_change))
+                best_cost=float(cost), accepted=best_change is not None,
+                changed=tuple(sorted(best_change or ())))
+            result.steps.append(step)
+            self._telemetry.emit("greedy-iteration", **step.to_dict())
+            if best_change is None:
+                break
             logger.debug(
                 "greedy iteration %d: widened %s, cost %.3f "
                 "(%d candidates)", result.iterations,
                 ",".join(sorted(best_change)), cost, iteration_evals)
-        self._metrics.inc("greedy.iterations", result.iterations)
-        self._metrics.inc("greedy.evaluations", result.evaluations)
-        self._metrics.inc("greedy.pruned_candidates", pruned_total)
-        self._metrics.inc("greedy.accepted_moves",
-                          sum(1 for s in result.steps if s.accepted))
+        self._telemetry.inc("greedy.iterations", result.iterations)
+        self._telemetry.inc("greedy.evaluations", result.evaluations)
+        self._telemetry.inc("greedy.pruned_candidates", pruned_total)
+        self._telemetry.inc("greedy.accepted_moves",
+                            sum(1 for s in result.steps if s.accepted))
         result.extras["pruned_candidates"] = float(pruned_total)
         result.extras.update(frontiers.extras())
         for step in result.steps:
-            self._metrics.observe("greedy.candidates_per_iteration",
-                                  step.candidates)
+            self._telemetry.observe("greedy.candidates_per_iteration",
+                                    step.candidates)
         final = Layout(self._farm, self._sizes, frontiers.current)
         if self._constraints.movement is not None \
                 and not self._constraints.is_satisfied(final):

@@ -38,7 +38,7 @@ from repro.core.greedy import SearchResult, TsGreedySearch, _Frontiers
 from repro.core.layout import Layout
 from repro.core.tolerance import EPS_CAPACITY, EPS_COST
 from repro.errors import LayoutError
-from repro.obs import NULL_METRICS, NULL_RECORDER, NULL_TRACER
+from repro.obs import NULL_TELEMETRY
 from repro.storage.disk import DiskFarm
 from repro.workload.access_graph import AccessGraph
 
@@ -129,20 +129,18 @@ class IncrementalSearch:
             Must not itself carry a movement constraint — the budget is
             this engine's to manage (pass ``movement_budget`` instead).
         k: TS-GREEDY's widening parameter.
-        tracer: Optional :class:`repro.obs.Tracer`; emits an
+        telemetry: Optional :class:`repro.obs.Telemetry`; opens an
             ``incremental`` span with ``incremental/seeded`` and
-            ``incremental/full-relayout`` children.
-        metrics: Optional :class:`repro.obs.MetricsRegistry`; records
-            ``incremental.*`` instruments.
-        recorder: Optional :class:`repro.obs.EventRecorder`; forwarded
-            to the inner greedy searches (``greedy-iteration`` /
-            ``kl-pass`` events).
+            ``incremental/full-relayout`` children, records
+            ``incremental.*`` instruments, and is handed to the inner
+            greedy searches (their spans, ``greedy-iteration`` /
+            ``kl-pass`` events and ``greedy.*`` counters).
     """
 
     def __init__(self, farm: DiskFarm, evaluator: WorkloadCostEvaluator,
                  object_sizes: dict[str, int],
                  constraints: ConstraintSet | None = None,
-                 k: int = 1, tracer=None, metrics=None, recorder=None):
+                 k: int = 1, telemetry=NULL_TELEMETRY):
         self._farm = farm
         self._evaluator = evaluator
         self._sizes = dict(object_sizes)
@@ -153,10 +151,7 @@ class IncrementalSearch:
                 "pass movement_budget instead of a MaxDataMovement "
                 "constraint")
         self._k = k
-        self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._metrics = metrics if metrics is not None else NULL_METRICS
-        self._recorder = recorder if recorder is not None \
-            else NULL_RECORDER
+        self._telemetry = telemetry
 
     def search(self, graph: AccessGraph, current_layout: Layout,
                movement_budget: float) -> SearchResult:
@@ -183,18 +178,17 @@ class IncrementalSearch:
                 f"{movement_budget}")
         total_blocks = sum(self._sizes.values())
         max_blocks = movement_budget * total_blocks
-        with self._tracer.span("incremental",
-                               budget=movement_budget) as span:
+        with self._telemetry.span("incremental",
+                                  budget=movement_budget) as span:
             budgeted = ConstraintSet(
                 co_located=self._constraints.co_located,
                 availability=self._constraints.availability,
                 movement=MaxDataMovement(current_layout, max_blocks))
-            with self._tracer.span("incremental/seeded"):
+            with self._telemetry.span("incremental/seeded"):
                 seeded = _BudgetedGreedySearch(
                     self._farm, self._evaluator, self._sizes,
                     constraints=budgeted, k=self._k,
-                    tracer=self._tracer, metrics=self._metrics,
-                    recorder=self._recorder)
+                    telemetry=self._telemetry)
                 result = seeded.search(graph,
                                        initial_layout=current_layout)
             projected = int(result.extras["projected_moves"])
@@ -202,12 +196,11 @@ class IncrementalSearch:
             # afford it: seeding from the current layout is a local
             # refinement and cannot re-partition, so Δ -> 1 must
             # converge to the unconstrained TS-GREEDY result.
-            with self._tracer.span("incremental/full-relayout"):
+            with self._telemetry.span("incremental/full-relayout"):
                 full = TsGreedySearch(
                     self._farm, self._evaluator, self._sizes,
                     constraints=self._constraints, k=self._k,
-                    tracer=self._tracer, metrics=self._metrics,
-                    recorder=self._recorder).search(graph)
+                    telemetry=self._telemetry).search(graph)
             full_moved = current_layout.data_movement_blocks(full.layout)
             used_full = (full_moved <= max_blocks + EPS_CAPACITY
                          and full.cost < result.cost - EPS_COST)
@@ -230,9 +223,9 @@ class IncrementalSearch:
             result.extras["full_relayout"] = float(used_full)
             span.set("moved_blocks", round(moved, 3))
             span.set("full_relayout", used_full)
-            self._metrics.set_gauge("incremental.moved_fraction",
-                                    result.extras["moved_fraction"])
-            self._metrics.inc("incremental.projected_moves", projected)
+            self._telemetry.set_gauge("incremental.moved_fraction",
+                                      result.extras["moved_fraction"])
+            self._telemetry.inc("incremental.projected_moves", projected)
             if used_full:
-                self._metrics.inc("incremental.full_relayout_fallbacks")
+                self._telemetry.inc("incremental.full_relayout_fallbacks")
         return result

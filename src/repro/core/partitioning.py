@@ -25,7 +25,7 @@ from typing import Sequence
 
 from repro.core.tolerance import EPS_GAIN
 from repro.errors import LayoutError
-from repro.obs import NULL_METRICS
+from repro.obs import NULL_TELEMETRY
 from repro.workload.access_graph import AccessGraph
 
 
@@ -59,7 +59,7 @@ def partition_access_graph(graph: AccessGraph, p: int,
                            nodes: Sequence[str] | None = None,
                            max_passes: int = 16,
                            stats: PartitionStats | None = None,
-                           metrics=NULL_METRICS,
+                           telemetry=NULL_TELEMETRY,
                            seed: int | None = None) -> list[list[str]]:
     """Partition the graph's nodes into ``p`` parts maximizing cut weight.
 
@@ -71,8 +71,8 @@ def partition_access_graph(graph: AccessGraph, p: int,
         max_passes: Upper bound on improvement passes.
         stats: Optional :class:`PartitionStats` filled in with per-pass
             telemetry (cut weight per KL pass, move/swap counts).
-        metrics: Optional metrics registry; records the same telemetry
-            under ``partition.*`` names.
+        telemetry: Optional :class:`repro.obs.Telemetry`; records the
+            same counts under ``partition.*`` names.
         seed: ``None`` (default) keeps the canonical deterministic
             processing order.  An integer shuffles the order with a
             seeded RNG, steering greedy seeding and refinement into a
@@ -144,10 +144,10 @@ def partition_access_graph(graph: AccessGraph, p: int,
         stats.cut_weights.append(graph.cut_weight(assign))
         if not moves and not swaps:
             break
-    metrics.inc("partition.kl_passes", stats.passes)
-    metrics.inc("partition.moves", stats.moves)
-    metrics.inc("partition.swaps", stats.swaps)
-    metrics.set_gauge("partition.cut_weight", stats.final_cut_weight)
+    telemetry.inc("partition.kl_passes", stats.passes)
+    telemetry.inc("partition.moves", stats.moves)
+    telemetry.inc("partition.swaps", stats.swaps)
+    telemetry.set_gauge("partition.cut_weight", stats.final_cut_weight)
 
     partitions: list[list[str]] = [[] for _ in range(p)]
     for name in names:

@@ -209,13 +209,15 @@ def render_search_diagnostics(search, max_steps: int = 8) -> str:
     steps = list(getattr(search, "steps", ()) or ())
     extras = dict(getattr(search, "extras", {}) or {})
     if "trajectories" in extras:
+        # Deferred import: repro.parallel builds on repro.core, so the
+        # dependency must point parallel -> core at module-load time.
+        from repro.parallel import BACKEND_NAMES
         trajectories = int(extras.pop("trajectories"))
         workers = int(extras.pop("workers", 1))
         best = int(extras.pop("best_trajectory", 0))
         extras.pop("best_trajectory_cost", None)
         extras.pop("failed_trajectories", None)
-        backend = {-1.0: "serial", 1.0: "process"}.get(
-            extras.pop("backend", None))
+        backend = BACKEND_NAMES.get(extras.pop("backend", None))
         via = f" via {backend} backend" if backend else ""
         lines.append(f"portfolio: {trajectories} trajectories on "
                      f"{workers} worker(s){via}; "

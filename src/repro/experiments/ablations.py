@@ -24,7 +24,7 @@ from repro.core.fullstripe import full_striping
 from repro.core.greedy import TsGreedySearch
 from repro.core.layout import Layout, stripe_fractions
 from repro.experiments import common
-from repro.obs import Tracer
+from repro.obs import Telemetry
 from repro.storage.disk import uniform_farm
 from repro.workload.access import analyze_workload
 from repro.workload.access_graph import build_access_graph
@@ -106,12 +106,12 @@ def run_k_sweep(k_values: tuple[int, ...] = (1, 2, 3),
     graph = build_access_graph(analyzed, db)
     result = KSweepResult()
     for k in k_values:
-        tracer = Tracer()
+        telemetry = Telemetry()
         search = TsGreedySearch(farm, evaluator, sizes, k=k,
-                                tracer=tracer)
+                                telemetry=telemetry)
         outcome = search.search(graph)
         result.rows.append((k, outcome.cost, outcome.evaluations,
-                            tracer.find("ts-greedy").duration_s))
+                            telemetry.find("ts-greedy").duration_s))
     return result
 
 

@@ -14,7 +14,7 @@ from repro.benchdb import apb, sales, tpch
 from repro.catalog.schema import Database
 from repro.core.advisor import LayoutAdvisor
 from repro.experiments import common
-from repro.obs import Tracer
+from repro.obs import Telemetry
 from repro.workload.workload import Workload
 
 #: Disk counts used by the paper.
@@ -67,10 +67,10 @@ def run_figure11(disk_counts: tuple[int, ...] = DISK_COUNTS,
         series: list[float] = []
         for m in disk_counts:
             farm = common.paper_farm(m)
-            tracer = Tracer()
-            advisor = LayoutAdvisor(db, farm, tracer=tracer)
+            telemetry = Telemetry()
+            advisor = LayoutAdvisor(db, farm, telemetry=telemetry)
             advisor.recommend(analyzed, method=method, jobs=jobs)
-            series.append(tracer.find("recommend").duration_s)
+            series.append(telemetry.find("recommend").duration_s)
         result.seconds[workload.name] = series
     return result
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from repro.benchdb import tpch
 from repro.core.advisor import LayoutAdvisor
 from repro.experiments import common
-from repro.obs import Tracer
+from repro.obs import Telemetry
 
 #: Replication factors used by the paper.
 REPLICATION_FACTORS = (1, 2, 3, 4, 5, 6)
@@ -51,11 +51,11 @@ def run_figure12(factors: tuple[int, ...] = REPLICATION_FACTORS,
     for n in factors:
         db = tpch.replicated_database(n, with_indexes=with_indexes)
         workload = tpch.tpch88_workload(n)
-        tracer = Tracer()
-        advisor = LayoutAdvisor(db, farm, tracer=tracer)
+        telemetry = Telemetry()
+        advisor = LayoutAdvisor(db, farm, telemetry=telemetry)
         analyzed = advisor.analyze(workload)
         advisor.recommend(analyzed, method=method, jobs=jobs)
-        result.seconds.append(tracer.find("recommend").duration_s)
+        result.seconds.append(telemetry.find("recommend").duration_s)
         result.n_objects.append(len(db.objects()))
     return result
 

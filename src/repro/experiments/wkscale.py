@@ -20,7 +20,7 @@ from repro.benchdb import scale, tpch
 from repro.core.advisor import LayoutAdvisor
 from repro.core.costmodel import WorkloadCostEvaluator
 from repro.experiments import common
-from repro.obs import Tracer
+from repro.obs import Telemetry
 
 
 @dataclass
@@ -42,18 +42,18 @@ def run_wkscale(sizes: tuple[int, ...] = (100, 200, 400, 800),
     result = WkScaleResult(sizes=tuple(sizes))
     for n in sizes:
         workload = scale.wk_scale(n)
-        tracer = Tracer()
-        advisor = LayoutAdvisor(db, farm, tracer=tracer)
+        telemetry = Telemetry()
+        advisor = LayoutAdvisor(db, farm, telemetry=telemetry)
         analyzed = advisor.analyze(workload)
         result.analysis_seconds.append(
-            tracer.find("analyze-workload").duration_s)
+            telemetry.find("analyze-workload").duration_s)
         evaluator = WorkloadCostEvaluator(analyzed, farm,
                                           sorted(db.object_sizes()))
         result.compressed_subplans.append(evaluator.n_subplans)
         result.raw_subplans.append(evaluator.n_compressed_from)
         advisor.recommend(analyzed)
         result.search_seconds.append(
-            tracer.find("recommend").duration_s)
+            telemetry.find("recommend").duration_s)
     return result
 
 

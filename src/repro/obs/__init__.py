@@ -1,14 +1,15 @@
 """repro.obs — observability for the advisor pipeline.
 
-Tracing spans (:class:`Tracer`), metrics (:class:`MetricsRegistry`),
-the flight recorder (:class:`EventRecorder` — an append-only JSONL
-event timeline), exporters (Prometheus text exposition, OTLP-style
-JSON spans), a deterministic phase profiler, and the zero-overhead
-no-op defaults (:data:`NULL_TRACER`, :data:`NULL_METRICS`,
-:data:`NULL_RECORDER`).  Every instrumented entry point in the library
-accepts optional ``tracer=`` / ``metrics=`` / ``recorder=`` arguments;
-passing nothing selects the no-ops, which keep untouched callers
-bit-identical in behavior and essentially free in cost.
+One handle, :class:`Telemetry`, carries a run's telemetry: the flight
+recorder (an append-only JSONL event timeline), spans (each a
+``phase-start``/``phase-end`` event pair, read back as a tree of
+:class:`Span` nodes) and metrics (:class:`MetricsRegistry`
+aggregates).  Exporters cover Prometheus text exposition and
+OTLP-style JSON spans; a deterministic phase profiler reads the same
+stream.  Every instrumented entry point in the library accepts one
+optional ``telemetry=`` argument; passing nothing selects
+:data:`NULL_TELEMETRY`, the one shared no-op, which keeps untouched
+callers bit-identical in behavior and essentially free in cost.
 
 See ``docs/observability.md`` for the span naming conventions, the
 event schema, and the metric catalog
@@ -18,9 +19,6 @@ event schema, and the metric catalog
 from repro.obs.events import (
     EVENT_SCHEMA_VERSION,
     EVENT_TYPES,
-    EventRecorder,
-    NULL_RECORDER,
-    NullRecorder,
     canonical_lines,
     read_events,
     render_timeline,
@@ -33,36 +31,24 @@ from repro.obs.export import (
     write_otlp,
     write_prometheus,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NULL_METRICS,
-    NullMetrics,
-)
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.names import METRIC_CATALOG
 from repro.obs.profile import PHASES, phase_breakdown, render_breakdown
-from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer
+from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.obs.trace import Span
 
 __all__ = [
     "Counter",
     "EVENT_SCHEMA_VERSION",
     "EVENT_TYPES",
-    "EventRecorder",
     "Gauge",
     "Histogram",
     "METRIC_CATALOG",
     "MetricsRegistry",
-    "NULL_METRICS",
-    "NULL_RECORDER",
-    "NULL_TRACER",
-    "NullMetrics",
-    "NullRecorder",
-    "NullTracer",
+    "NULL_TELEMETRY",
     "PHASES",
     "Span",
-    "Tracer",
+    "Telemetry",
     "canonical_lines",
     "parse_prometheus",
     "phase_breakdown",

@@ -1,13 +1,14 @@
 """The flight recorder: an append-only, typed, structured event log.
 
-Where :mod:`repro.obs.trace` answers "how long did each phase take"
-and :mod:`repro.obs.metrics` answers "how much work happened", the
-flight recorder answers "*what happened, in what order*": every advisor
-run can emit a single ordered JSONL timeline of typed events — pipeline
-phases, greedy/KL/annealing iterations, portfolio trajectory lifecycle,
-resilience incidents (retries, timeouts, worker crashes, serial
-fallbacks, degraded results), drift scores and migration steps — that
-survives the process and can be shipped, diffed and rendered later
+The flight recorder answers "*what happened, in what order*": every
+advisor run can emit a single ordered JSONL timeline of typed events,
+written by :class:`repro.obs.Telemetry` — pipeline phases (each span
+is a ``phase-start``/``phase-end`` pair, so the same stream also
+answers "how long did each phase take"), greedy/KL/annealing
+iterations, portfolio trajectory lifecycle, resilience incidents
+(retries, timeouts, worker crashes, serial fallbacks, degraded
+results), drift scores and migration steps — that survives the
+process and can be shipped, diffed and rendered later
 (``repro-advisor inspect events.jsonl``).
 
 Event record (one JSON object per line)::
@@ -17,36 +18,35 @@ Event record (one JSON object per line)::
      "data": {"iteration": 3, "candidates": 41, ...}}
 
 * ``seq`` is the parent-assigned append order — the total order of the
-  timeline.  Worker events are relayed through the portfolio engine's
-  telemetry-merge path and re-sequenced there in trajectory order, so
-  a ``jobs=4`` run produces the same ordered timeline as ``jobs=1``.
+  timeline.  Worker events are relayed by the portfolio engine's one
+  :meth:`~repro.obs.Telemetry.merge` and re-sequenced there in
+  trajectory order, so a ``jobs=4`` run produces the same ordered
+  timeline as ``jobs=1``.
 * ``ts_s`` is a monotonic timestamp relative to the emitting
-  recorder's epoch (wall-clock free, machine-independent in meaning
+  handle's epoch (wall-clock free, machine-independent in meaning
   though not in value).
 * ``run_id`` identifies the run; relayed worker events are re-stamped
   with the parent's run id.
-* ``source`` is ``"parent"`` or ``"trajectory-<i>"``.
+* ``source`` is ``"parent"``, ``"trajectory-<i>"`` or ``"server"``.
 * ``type`` must be declared in :data:`EVENT_TYPES` — an undeclared
   type raises ``ValueError`` at emit time, so the schema below is the
   schema, not a convention.
+* A ``phase-end`` carries the span's attributes next to ``phase``,
+  ``wall_s`` and ``cpu_s``.
 
 Determinism: two identical seeded runs produce byte-identical event
 files once the volatile fields (timestamps, run ids, measured
 durations — see :data:`VOLATILE_FIELDS` / :data:`VOLATILE_DATA_KEYS`)
 are stripped; :func:`canonical_lines` does exactly that and is what the
 determinism tests compare.
-
-Like the tracer and the metrics registry, every ``recorder=`` parameter
-in the library defaults to :data:`NULL_RECORDER`, a shared no-op.
 """
 
 from __future__ import annotations
 
 import json
-import time
 import uuid
 from pathlib import Path
-from typing import Any, Callable, IO, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.errors import EventLogFormatError
 
@@ -54,12 +54,13 @@ from repro.errors import EventLogFormatError
 EVENT_SCHEMA_VERSION = 1
 
 #: Every event type the pipeline may emit, with a one-line description.
-#: ``EventRecorder.emit`` rejects anything not declared here.
+#: ``Telemetry.emit`` rejects anything not declared here.
 EVENT_TYPES: dict[str, str] = {
     "run-start": "an advisor CLI/bench run began (command, inputs)",
     "run-end": "the run finished (status, wall_s)",
     "phase-start": "a traced pipeline phase opened (phase)",
-    "phase-end": "a traced pipeline phase closed (phase, wall_s, cpu_s)",
+    "phase-end": "a traced pipeline phase closed (phase, wall_s, cpu_s, "
+                 "the span's attributes)",
     "workload-ingest": "a profiler trace was folded into a workload "
                        "(path, statements, groups, overlap_factor)",
     "greedy-iteration": "one TS-GREEDY step-2 iteration (iteration, "
@@ -138,171 +139,6 @@ REQUIRED_FIELDS = ("seq", "ts_s", "run_id", "source", "type", "data")
 def new_run_id() -> str:
     """A short unique run identifier (12 hex chars)."""
     return uuid.uuid4().hex[:12]
-
-
-class EventRecorder:
-    """Collects (and optionally streams) the run's event timeline.
-
-    Args:
-        run_id: Run identifier; generated when omitted.  Relayed
-            worker events are re-stamped with this id by
-            :meth:`ingest`.
-        source: Name stamped on every event this recorder emits —
-            ``"parent"`` for the main process, ``"trajectory-<i>"``
-            inside portfolio workers.
-        clock: Monotonic time source (injectable for tests).
-        path: Optional JSONL sink; when given, every event is appended
-            and flushed as it is emitted, so a crashed run still leaves
-            a readable prefix of its timeline on disk.
-
-    Usage::
-
-        recorder = EventRecorder(path="events.jsonl")
-        recorder.emit("run-start", command="recommend")
-        ...
-        recorder.emit("run-end", status="ok")
-        recorder.close()
-    """
-
-    def __init__(self, run_id: str | None = None,
-                 source: str = "parent",
-                 clock: Callable[[], float] = time.perf_counter,
-                 path: str | Path | None = None):
-        self.run_id = run_id or new_run_id()
-        self.source = source
-        self._clock = clock
-        self._epoch = clock()
-        self._events: list[dict[str, Any]] = []
-        self._sink: IO[str] | None = None
-        self._path = Path(path) if path is not None else None
-        if self._path is not None:
-            self._sink = open(self._path, "a")
-
-    # -- write side --------------------------------------------------------
-
-    def emit(self, type_: str, **data: Any) -> dict[str, Any]:
-        """Append one typed event; returns the record.
-
-        Raises:
-            ValueError: When ``type_`` is not declared in
-                :data:`EVENT_TYPES` — every event type must be part of
-                the documented schema.
-        """
-        if type_ not in EVENT_TYPES:
-            raise ValueError(
-                f"undeclared event type {type_!r}; declare it in "
-                f"repro.obs.events.EVENT_TYPES")
-        event = {
-            "seq": len(self._events),
-            "ts_s": round(self._clock() - self._epoch, 9),
-            "run_id": self.run_id,
-            "source": self.source,
-            "type": type_,
-            "data": data,
-        }
-        self._append(event)
-        return event
-
-    def ingest(self, events: Iterable[dict[str, Any]],
-               ) -> list[dict[str, Any]]:
-        """Relay events recorded elsewhere (e.g. a pool worker).
-
-        Each event keeps its own ``source``, ``ts_s`` (relative to the
-        *emitting* recorder's epoch), ``type`` and ``data``, but is
-        re-sequenced into this recorder's timeline and re-stamped with
-        this recorder's ``run_id`` — one run, one id, one total order.
-        The portfolio engine calls this in sorted trajectory order, so
-        the merged timeline is deterministic regardless of ``jobs``.
-        """
-        ingested = []
-        for event in events:
-            type_ = event.get("type", "")
-            if type_ not in EVENT_TYPES:
-                raise ValueError(
-                    f"undeclared event type {type_!r} in relayed event")
-            record = {
-                "seq": len(self._events),
-                "ts_s": float(event.get("ts_s", 0.0)),
-                "run_id": self.run_id,
-                "source": str(event.get("source", "unknown")),
-                "type": type_,
-                "data": dict(event.get("data", {})),
-            }
-            self._append(record)
-            ingested.append(record)
-        return ingested
-
-    def _append(self, event: dict[str, Any]) -> None:
-        self._events.append(event)
-        if self._sink is not None:
-            self._sink.write(json.dumps(event, sort_keys=True) + "\n")
-            self._sink.flush()
-
-    # -- read side ---------------------------------------------------------
-
-    @property
-    def events(self) -> list[dict[str, Any]]:
-        """The recorded events, in append (= timeline) order."""
-        return list(self._events)
-
-    def snapshot(self) -> list[dict[str, Any]]:
-        """JSON-ready copy of every event, for cross-process relay."""
-        return [dict(e, data=dict(e["data"])) for e in self._events]
-
-    def write_jsonl(self, path: str | Path) -> None:
-        """Write the full timeline as a JSONL file (one event/line)."""
-        with open(path, "w") as handle:
-            for event in self._events:
-                handle.write(json.dumps(event, sort_keys=True) + "\n")
-
-    def close(self) -> None:
-        """Close the streaming sink, if one is open."""
-        if self._sink is not None:
-            self._sink.close()
-            self._sink = None
-
-    def __enter__(self) -> "EventRecorder":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-
-class NullRecorder:
-    """API-compatible recorder that records nothing (shared default)."""
-
-    run_id = ""
-    source = "null"
-
-    def emit(self, type_: str, **data: Any) -> dict[str, Any]:
-        return {}
-
-    def ingest(self, events: Iterable[dict[str, Any]],
-               ) -> list[dict[str, Any]]:
-        return []
-
-    @property
-    def events(self) -> list[dict[str, Any]]:
-        return []
-
-    def snapshot(self) -> list[dict[str, Any]]:
-        return []
-
-    def write_jsonl(self, path: str | Path) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-    def __enter__(self) -> "NullRecorder":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        pass
-
-
-#: Shared no-op recorder used as the default everywhere.
-NULL_RECORDER = NullRecorder()
 
 
 # -- reading and validating event files ---------------------------------------

@@ -1,7 +1,7 @@
 """Metric and span exporters: Prometheus text exposition and OTLP JSON.
 
-Two standard wire formats for the telemetry the advisor already
-collects in memory:
+Two standard wire formats for the telemetry a
+:class:`~repro.obs.Telemetry` handle collects in memory:
 
 * :func:`to_prometheus` renders a :class:`~repro.obs.MetricsRegistry`
   in the Prometheus text exposition format — counters and gauges as
@@ -9,10 +9,11 @@ collects in memory:
   samples plus ``_sum``/``_count`` — with ``# HELP``/``# TYPE`` lines
   taken from :data:`repro.obs.names.METRIC_CATALOG`.  Metric names are
   sanitized (dots become underscores) and prefixed ``repro_``.
-* :func:`to_otlp` renders a :class:`~repro.obs.Tracer`'s span forest
-  as an OTLP/JSON-shaped document (``resourceSpans`` → ``scopeSpans``
-  → ``spans`` with hex trace/span ids and nanosecond timestamps),
-  ready to feed an OTLP-compatible ingester.  Ids are derived
+* :func:`to_otlp` renders the handle's span forest (rebuilt from its
+  ``phase-start``/``phase-end`` events) as an OTLP/JSON-shaped
+  document (``resourceSpans`` → ``scopeSpans`` → ``spans`` with hex
+  trace/span ids and nanosecond timestamps), ready to feed an
+  OTLP-compatible ingester.  Ids are derived
   deterministically from the run id and span order, so identical runs
   export identical documents.
 
@@ -194,8 +195,8 @@ def _otlp_value(value: Any) -> dict[str, Any]:
     return {"stringValue": str(value)}
 
 
-def to_otlp(tracer, run_id: str = "") -> dict[str, Any]:
-    """OTLP/JSON-shaped document for a tracer's span forest.
+def to_otlp(telemetry, run_id: str = "") -> dict[str, Any]:
+    """OTLP/JSON-shaped document for a handle's span forest.
 
     The trace id is the md5 of ``run_id`` (or of the empty string) and
     span ids are sequential in pre-order, so the export is a pure
@@ -204,7 +205,7 @@ def to_otlp(tracer, run_id: str = "") -> dict[str, Any]:
     trace_id = hashlib.md5(run_id.encode()).hexdigest()
     counter = [1]
     spans: list[dict[str, Any]] = []
-    for root in tracer.roots:
+    for root in telemetry.roots:
         spans.extend(_span_to_otlp(root, trace_id, "", counter))
     return {
         "resourceSpans": [{
@@ -221,9 +222,9 @@ def to_otlp(tracer, run_id: str = "") -> dict[str, Any]:
     }
 
 
-def write_otlp(tracer, path: str | Path, run_id: str = "") -> None:
+def write_otlp(telemetry, path: str | Path, run_id: str = "") -> None:
     """Write :func:`to_otlp` output as a JSON file."""
-    Path(path).write_text(json.dumps(to_otlp(tracer, run_id), indent=2))
+    Path(path).write_text(json.dumps(to_otlp(telemetry, run_id), indent=2))
 
 
 # -- self test (used by the CI lint job) --------------------------------------

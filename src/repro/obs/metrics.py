@@ -17,8 +17,8 @@ breakage), ``resilience.serial_fallbacks`` (in-process re-runs after a
 worker failure) and ``resilience.degraded`` (trajectories missing from
 a returned result).
 
-Like the tracer, every ``metrics=`` parameter in the library defaults to
-:data:`NULL_METRICS`, whose instruments are shared no-op singletons.
+A :class:`repro.obs.Telemetry` owns the run's registry; library code
+writes through the handle's ``inc``/``set_gauge``/``observe``.
 """
 
 from __future__ import annotations
@@ -136,21 +136,23 @@ class MetricsRegistry:
     # -- instrument accessors ---------------------------------------------
 
     def counter(self, name: str) -> Counter:
-        # Hot path (greedy and the kernel count every call): an existing
-        # counter already passed the kind and catalog checks.
-        counter = self._counters.get(name)
-        if counter is None:
-            self._check_kind(name, self._counters, "counter")
-            counter = self._counters[name] = Counter()
-        return counter
+        return self._instrument(self._counters, name, "counter", Counter)
 
     def gauge(self, name: str) -> Gauge:
-        self._check_kind(name, self._gauges, "gauge")
-        return self._gauges.setdefault(name, Gauge())
+        return self._instrument(self._gauges, name, "gauge", Gauge)
 
     def histogram(self, name: str) -> Histogram:
-        self._check_kind(name, self._histograms, "histogram")
-        return self._histograms.setdefault(name, Histogram())
+        return self._instrument(self._histograms, name, "histogram",
+                                Histogram)
+
+    def _instrument(self, table: dict, name: str, kind: str, factory):
+        # An existing instrument already passed the kind and catalog
+        # checks.
+        instrument = table.get(name)
+        if instrument is None:
+            self._check_kind(name, table, kind)
+            instrument = table[name] = factory()
+        return instrument
 
     def _check_kind(self, name: str, expected: dict, kind: str) -> None:
         for table in (self._counters, self._gauges, self._histograms):
@@ -171,15 +173,26 @@ class MetricsRegistry:
                     f"not a {kind}")
 
     # -- convenience write paths ------------------------------------------
+    # Hot paths (greedy and the kernel count every call): an existing
+    # instrument is written without going through its accessor.
 
     def inc(self, name: str, amount: float = 1.0) -> None:
-        self.counter(name).inc(amount)
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self.counter(name)
+        counter.value += amount
 
     def set_gauge(self, name: str, value: float) -> None:
-        self.gauge(name).set(value)
+        gauge = self._gauges.get(name)
+        if gauge is None:
+            gauge = self.gauge(name)
+        gauge.value = float(value)
 
     def observe(self, name: str, value: float) -> None:
-        self.histogram(name).observe(value)
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            histogram = self.histogram(name)
+        histogram.observe(value)
 
     # -- read side ---------------------------------------------------------
 
@@ -248,75 +261,3 @@ class MetricsRegistry:
                 f"p95={hist.percentile(95):.6g} "
                 f"p99={hist.percentile(99):.6g} max={hist.max:.6g}")
         return "\n".join(lines)
-
-
-class _NullInstrument:
-    """Shared no-op counter/gauge/histogram."""
-
-    __slots__ = ()
-    value = 0.0
-    count = 0
-    total = 0.0
-    min = 0.0
-    max = 0.0
-    mean = 0.0
-    samples: list[float] = []
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def percentile(self, q: float) -> float:
-        return 0.0
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullMetrics:
-    """API-compatible registry that records nothing."""
-
-    def counter(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def inc(self, name: str, amount: float = 1.0) -> None:
-        pass
-
-    def set_gauge(self, name: str, value: float) -> None:
-        pass
-
-    def observe(self, name: str, value: float) -> None:
-        pass
-
-    def value(self, name: str) -> float:
-        return 0.0
-
-    def names(self) -> Iterator[str]:
-        return iter(())
-
-    def merge(self, snapshot: dict[str, Any]) -> "NullMetrics":
-        return self
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    def render(self) -> str:
-        return ""
-
-
-#: Shared no-op registry used as the default everywhere.
-NULL_METRICS = NullMetrics()

@@ -1,17 +1,18 @@
 """Deterministic per-phase profiling for the bench and the perf gate.
 
-Aggregates a run's tracer spans and metric counts into a fixed set of
-algorithm phases — the paper's pipeline decomposition plus the fused
-evaluator kernel — so `BENCH_search.json` can carry a versioned
-per-phase breakdown and the CI perf gate can attribute a wall-time
-regression to the phase that grew (see :func:`repro.perf_gate` — the
-violation message names the slowest-growing phase).
+Aggregates a run's ``phase-end`` events and metric counts into a fixed
+set of algorithm phases — the paper's pipeline decomposition — so
+`BENCH_search.json` can carry a versioned per-phase breakdown and the
+CI perf gate can attribute a wall-time regression to the phase that
+grew (see :func:`repro.perf_gate` — the violation message names the
+slowest-growing phase).
 
 The phase set is deliberately closed and stable: every breakdown
-contains all seven phases (zeroed when a phase did not run), so gate
-comparisons never have to reconcile schemas.  Version 2 added the
-``evaluate`` phase (batched candidate-row evaluations inside the
-fused kernel — count-only, like ``bound-prune``).
+contains all five phases (zeroed when a phase did not run), so gate
+comparisons never have to reconcile schemas.  Version 3 dropped the
+count-only ``evaluate`` and ``bound-prune`` phases, which had no span
+and always reported zero time; their counts stay in the
+``costmodel.batch_rows`` and ``costmodel.bound_evaluations`` counters.
 """
 
 from __future__ import annotations
@@ -19,15 +20,15 @@ from __future__ import annotations
 from typing import Any
 
 #: Schema version of the ``phases`` block in bench payloads.
-PROFILE_VERSION = 2
+PROFILE_VERSION = 3
 
 #: The closed set of profiled phases, in pipeline order.
-PHASES = ("expand", "kl", "greedy", "evaluate", "bound-prune",
-          "anneal", "migration-plan")
+PHASES = ("expand", "kl", "greedy", "anneal", "migration-plan")
 
 #: span name -> phase.  Spans not listed here (orchestration wrappers
-#: like ``recommend`` or ``portfolio``) are walked for their children
-#: but contribute no time themselves.
+#: like ``recommend`` or ``portfolio``) contribute no time themselves;
+#: the mapping names only leaf-level phase spans, so nested phases are
+#: counted once.
 _SPAN_PHASE: dict[str, str] = {
     "analyze-workload": "expand",
     "expand-concurrency": "expand",
@@ -39,52 +40,41 @@ _SPAN_PHASE: dict[str, str] = {
     "plan-migration": "migration-plan",
 }
 
-#: phase -> counter whose value is the phase's work count.  The
-#: bound-prune and evaluate phases have no spans of their own (both
-#: happen inside the greedy/annealing loops), so they contribute
-#: counts with zero attributed time.
+#: phase -> counter whose value is the phase's work count.
 _PHASE_COUNTER: dict[str, str] = {
     "expand": "analyze.statements",
     "kl": "partition.kl_passes",
     "greedy": "greedy.evaluations",
-    "evaluate": "costmodel.batch_rows",
-    "bound-prune": "costmodel.bound_evaluations",
     "anneal": "annealing.proposals",
     "migration-plan": "incremental.migration_steps",
 }
 
 
-def phase_breakdown(tracer, metrics) -> dict[str, Any]:
-    """Aggregate a run's spans and metrics into the six-phase schema.
+def phase_breakdown(telemetry) -> dict[str, Any]:
+    """Aggregate a run's phases and counts into the five-phase schema.
 
     Args:
-        tracer: A :class:`repro.obs.Tracer` (or anything with
-            ``roots``); every span in the forest whose name maps to a
-            phase contributes its wall and CPU time.  Sub-phase spans
-            (``ts-greedy/step2`` under ``ts-greedy``) are counted once
-            — the mapping only names leaf-level phase spans.
-        metrics: A :class:`repro.obs.MetricsRegistry` (or anything with
-            ``value``); supplies each phase's work count.
+        telemetry: A :class:`repro.obs.Telemetry`.  Every ``phase-end``
+            in its stream whose phase maps to a profiled phase
+            contributes its wall and CPU time — merged portfolio
+            workers' phases included; its counters supply each
+            phase's work count.
 
     Returns:
-        ``{"version": 1, "phases": {phase: {"wall_s", "cpu_s",
+        ``{"version": 3, "phases": {phase: {"wall_s", "cpu_s",
         "count"}}}`` with every phase of :data:`PHASES` present.
     """
-    totals = {phase: {"wall_s": 0.0, "cpu_s": 0.0, "count": 0.0}
+    totals = {phase: {"wall_s": 0.0, "cpu_s": 0.0,
+                      "count": float(telemetry.value(
+                          _PHASE_COUNTER[phase]))}
               for phase in PHASES}
-
-    def walk(span) -> None:
-        phase = _SPAN_PHASE.get(span.name)
+    for event in telemetry.events:
+        if event["type"] != "phase-end":
+            continue
+        phase = _SPAN_PHASE.get(event["data"]["phase"])
         if phase is not None:
-            totals[phase]["wall_s"] += float(span.duration_s)
-            totals[phase]["cpu_s"] += float(getattr(span, "cpu_s", 0.0))
-        for child in span.children:
-            walk(child)
-
-    for root in tracer.roots:
-        walk(root)
-    for phase, counter in _PHASE_COUNTER.items():
-        totals[phase]["count"] = float(metrics.value(counter))
+            totals[phase]["wall_s"] += float(event["data"]["wall_s"])
+            totals[phase]["cpu_s"] += float(event["data"]["cpu_s"])
     return {
         "version": PROFILE_VERSION,
         "phases": {phase: {"wall_s": round(entry["wall_s"], 9),

@@ -1,13 +1,11 @@
-"""Nested, timed tracing spans for the advisor pipeline.
+"""The read side of spans: a phase tree rebuilt from the event stream.
 
-A :class:`Tracer` produces a tree of :class:`Span` objects — one per
-instrumented pipeline phase (``span("analyze-workload")``,
-``span("ts-greedy/step1")``, …) — with wall-clock timings, arbitrary
-key/value attributes, a JSON round-trip, and a human-readable tree
-renderer.  Library code takes an optional ``tracer=`` argument defaulting
-to :data:`NULL_TRACER`, whose spans are shared no-op singletons, so
-untraced callers pay one cheap method call per *phase* and nothing per
-unit of work.
+The pipeline never keeps span objects.  :meth:`repro.obs.Telemetry.span`
+emits a ``phase-start`` event when a phase opens and a ``phase-end``
+event (wall and CPU seconds plus the span's attributes) when it closes;
+:func:`spans_from_events` rebuilds the forest of :class:`Span` nodes
+from those pairs whenever a reader asks for it — the ``-v`` tree,
+``--trace``, ``--otlp``, the phase profiler and the experiments.
 
 Span naming convention (see ``docs/observability.md``): lowercase,
 dash-separated phase names; sub-phases of an algorithm use a ``/``
@@ -16,19 +14,18 @@ separator under the algorithm's own span (``ts-greedy/step2``).
 
 from __future__ import annotations
 
-import json
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Iterable, Iterator
+
+#: ``phase-end`` data keys that are not span attributes.
+_PHASE_KEYS = frozenset({"phase", "wall_s", "cpu_s"})
 
 
 @dataclass
 class Span:
     """One timed phase: a node of the trace tree.
 
-    Times are seconds relative to the owning tracer's epoch (its
+    Times are seconds relative to the emitting handle's epoch (its
     creation time), so exported traces are self-contained and
     machine-independent.
     """
@@ -83,223 +80,78 @@ class Span:
             out["children"] = [c.to_dict() for c in self.children]
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Span":
-        """Inverse of :meth:`to_dict`."""
-        start = float(data["start_s"])
-        return cls(name=data["name"], start_s=start,
-                   end_s=start + float(data["duration_s"]),
-                   attrs=dict(data.get("attrs", {})),
-                   children=[cls.from_dict(c)
-                             for c in data.get("children", ())],
-                   cpu_s=float(data.get("cpu_s", 0.0)))
 
+def spans_from_events(events: Iterable[dict[str, Any]],
+                      home: str) -> list[Span]:
+    """The span forest recorded by ``phase-start``/``phase-end`` pairs.
 
-class Tracer:
-    """Collects a forest of nested, timed spans.
-
-    Args:
-        clock: Monotonic time source in seconds (injectable for tests).
-        cpu_clock: Process CPU time source; each closed span carries
-            the CPU seconds it covered (``span.cpu_s``), which the
-            phase profiler aggregates.
-        recorder: Optional :class:`repro.obs.events.EventRecorder`;
-            when given, every span emits a ``phase-start`` event on
-            open and a ``phase-end`` event (with wall/CPU seconds) on
-            close, bridging the trace tree into the flight recorder's
-            timeline.  Spans grafted via :meth:`attach` do not emit —
-            the exporting process already recorded their events.
-
-    Usage::
-
-        tracer = Tracer()
-        with tracer.span("recommend") as root:
-            with tracer.span("analyze-workload", statements=22):
-                ...
-        print(tracer.render_tree())
+    Spans of the ``home`` source nest by their order in the stream.
+    Spans of any other source (a portfolio worker's relayed events)
+    nest under the home span open when they were ingested, inside one
+    ``<span>/<source>`` node per source — ``portfolio/trajectory-2``
+    — whose extent covers its children; with no home span open they
+    become roots.  Foreign times stay relative to their own emitter's
+    epoch.  A span still open at the end of the stream keeps
+    ``end_s=None``.
     """
-
-    def __init__(self, clock: Callable[[], float] = time.perf_counter,
-                 cpu_clock: Callable[[], float] = time.process_time,
-                 recorder=None):
-        self._clock = clock
-        self._cpu_clock = cpu_clock
-        self._recorder = recorder
-        self._epoch = clock()
-        self._roots: list[Span] = []
-        self._stack: list[Span] = []
-
-    @property
-    def roots(self) -> list[Span]:
-        """Completed (and in-flight) top-level spans, oldest first."""
-        return list(self._roots)
-
-    @property
-    def current(self) -> Span | None:
-        """The innermost open span, if any."""
-        return self._stack[-1] if self._stack else None
-
-    @contextmanager
-    def span(self, name: str, **attrs: Any):
-        """Open a span named ``name``; nests under the current span."""
-        node = Span(name=name, start_s=self._clock() - self._epoch,
-                    attrs=dict(attrs))
-        if self._stack:
-            self._stack[-1].children.append(node)
+    roots: list[Span] = []
+    stacks: dict[str, list[Span]] = {}
+    groups: dict[tuple[int, str], Span] = {}
+    for event in events:
+        type_ = event["type"]
+        if type_ != "phase-start" and type_ != "phase-end":
+            continue
+        source = event["source"]
+        data = event["data"]
+        stack = stacks.setdefault(source, [])
+        if type_ == "phase-end":
+            if stack:
+                node = stack.pop()
+                node.end_s = node.start_s + float(data["wall_s"])
+                node.cpu_s = float(data["cpu_s"])
+                node.attrs = {key: value for key, value in data.items()
+                              if key not in _PHASE_KEYS}
+            continue
+        node = Span(name=str(data["phase"]), start_s=float(event["ts_s"]))
+        home_stack = stacks.get(home)
+        if stack:
+            stack[-1].children.append(node)
+        elif source == home or not home_stack:
+            roots.append(node)
         else:
-            self._roots.append(node)
-        self._stack.append(node)
-        cpu_start = self._cpu_clock()
-        if self._recorder is not None:
-            self._recorder.emit("phase-start", phase=name)
-        try:
-            yield node
-        finally:
-            node.end_s = self._clock() - self._epoch
-            node.cpu_s = self._cpu_clock() - cpu_start
-            self._stack.pop()
-            if self._recorder is not None:
-                self._recorder.emit(
-                    "phase-end", phase=name,
-                    wall_s=round(node.duration_s, 9),
-                    cpu_s=round(node.cpu_s, 9))
-
-    def find(self, name: str) -> Span | None:
-        """Most recent span named ``name`` across all roots."""
-        for root in reversed(self._roots):
-            found = root.find(name)
-            if found is not None:
-                return found
-        return None
-
-    def attach(self, span: Span) -> None:
-        """Graft a completed span (tree) into the trace.
-
-        Nests under the currently open span, or becomes a new root if
-        none is open.  Used to merge span trees imported from other
-        processes (e.g. portfolio workers); the attached tree keeps its
-        original relative timings, which refer to the *exporting*
-        tracer's epoch, not this one's.
-        """
-        if self._stack:
-            self._stack[-1].children.append(span)
-        else:
-            self._roots.append(span)
-
-    # -- export -----------------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready form: ``{"spans": [root, ...]}``."""
-        return {"spans": [root.to_dict() for root in self._roots]}
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    def write_json(self, path: str | Path) -> None:
-        """Write the trace as a JSON file."""
-        Path(path).write_text(self.to_json())
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Tracer":
-        """Rebuild a (read-only) tracer from :meth:`to_dict` output."""
-        tracer = cls()
-        tracer._roots = [Span.from_dict(s) for s in data.get("spans", ())]
-        return tracer
-
-    def render_tree(self) -> str:
-        """Human-readable span tree with durations and percentages."""
-        lines: list[str] = []
-        for root in self._roots:
-            total = root.duration_s or 1e-12
-            self._render(root, total, 0, lines)
-        return "\n".join(lines)
-
-    def _render(self, span: Span, total: float, depth: int,
-                lines: list[str]) -> None:
-        label = "  " * depth + span.name
-        share = 100.0 * span.duration_s / total
-        extra = ""
-        if span.attrs:
-            pairs = ", ".join(f"{k}={v}" for k, v in span.attrs.items())
-            extra = f"  [{pairs}]"
-        lines.append(f"{label:44s} {span.duration_s:9.4f}s "
-                     f"{share:5.1f}%{extra}")
-        for child in span.children:
-            self._render(child, total, depth + 1, lines)
+            parent = home_stack[-1]
+            group = groups.get((id(parent), source))
+            if group is None:
+                group = groups[id(parent), source] = Span(
+                    name=f"{parent.name}/{source}", start_s=node.start_s)
+                parent.children.append(group)
+            group.children.append(node)
+        stack.append(node)
+    for group in groups.values():
+        group.start_s = min(child.start_s for child in group.children)
+        ends = [child.end_s for child in group.children
+                if child.end_s is not None]
+        group.end_s = max(ends) if ends else None
+    return roots
 
 
-class _NullSpan:
-    """Do-nothing stand-in for :class:`Span` (shared singleton)."""
-
-    __slots__ = ()
-    name = ""
-    attrs: dict[str, Any] = {}
-    children: list = []
-    duration_s = 0.0
-
-    def set(self, key: str, value: Any) -> None:
-        pass
-
-    def find(self, name: str) -> None:
-        return None
-
-    def leaves(self):
-        return iter(())
+def render_tree(roots: Iterable[Span]) -> str:
+    """Human-readable span tree with durations and percentages."""
+    lines: list[str] = []
+    for root in roots:
+        _render(root, root.duration_s or 1e-12, 0, lines)
+    return "\n".join(lines)
 
 
-class _NullSpanContext:
-    """Reusable context manager yielding the shared null span."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> _NullSpan:
-        return _NULL_SPAN
-
-    def __exit__(self, *exc_info) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-_NULL_SPAN_CONTEXT = _NullSpanContext()
-
-
-class NullTracer:
-    """API-compatible tracer that records nothing.
-
-    The default for every ``tracer=`` parameter in the library: one
-    shared context-manager object is handed out for every span, so the
-    untraced path allocates nothing.
-    """
-
-    @property
-    def roots(self) -> list[Span]:
-        return []
-
-    @property
-    def current(self) -> None:
-        return None
-
-    def span(self, name: str, **attrs: Any) -> _NullSpanContext:
-        return _NULL_SPAN_CONTEXT
-
-    def find(self, name: str) -> None:
-        return None
-
-    def attach(self, span: Span) -> None:
-        pass
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"spans": []}
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json())
-
-    def render_tree(self) -> str:
-        return ""
-
-
-#: Shared no-op tracer used as the default everywhere.
-NULL_TRACER = NullTracer()
+def _render(span: Span, total: float, depth: int,
+            lines: list[str]) -> None:
+    label = "  " * depth + span.name
+    share = 100.0 * span.duration_s / total
+    extra = ""
+    if span.attrs:
+        pairs = ", ".join(f"{k}={v}" for k, v in span.attrs.items())
+        extra = f"  [{pairs}]"
+    lines.append(f"{label:44s} {span.duration_s:9.4f}s "
+                 f"{share:5.1f}%{extra}")
+    for child in span.children:
+        _render(child, total, depth + 1, lines)

@@ -67,7 +67,7 @@ from repro.errors import (
     SearchTimeout,
     WorkerCrash,
 )
-from repro.obs import NULL_METRICS, NULL_RECORDER, NULL_TRACER, Span
+from repro.obs import NULL_TELEMETRY
 from repro.parallel.shared import share_evaluator
 from repro.parallel.worker import (
     TrajectoryContext,
@@ -231,14 +231,6 @@ class PortfolioSearch:
             ``0`` auto-sizes to the available cores.  A larger count
             uses the process pool when the input packs at least
             :data:`POOL_MIN_PACKED_BYTES`, and runs serially below it.
-        tracer: Optional tracer; emits one ``portfolio`` span with a
-            ``portfolio/trajectory-i`` child per trajectory (worker
-            span trees are merged in, times relative to each worker's
-            own epoch).
-        metrics: Optional registry; worker-side ``costmodel.*`` /
-            ``greedy.*`` / ``annealing.*`` counters are merged in, plus
-            ``portfolio.trajectories`` / ``portfolio.workers`` gauges
-            and the ``resilience.*`` failure-handling counters.
         deadline: Wall-clock budget for the whole search — seconds, a
             :class:`~repro.resilience.Budget` (starts counting when
             :meth:`search` begins), or a live
@@ -256,14 +248,18 @@ class PortfolioSearch:
             time is recorded as a ``"timeout"`` failure.
         faults: Fault-injection plan for tests/chaos runs; defaults to
             whatever ``REPRO_FAULTS`` names (``None`` in production).
-        recorder: Optional :class:`~repro.obs.EventRecorder`; records
-            the trajectory lifecycle (``trajectory-start`` /
-            ``trajectory-end`` / ``trajectory-failed``), resilience
-            incidents (``retry`` / ``timeout`` / ``worker-crash`` /
-            ``serial-fallback`` / ``degraded``), and relays each
-            worker's own event stream into the parent timeline in
-            trajectory order — so a ``jobs=N`` run reconstructs to the
-            same ordered timeline as ``jobs=1``.
+        telemetry: Optional :class:`~repro.obs.Telemetry`; opens one
+            ``portfolio`` span, records the trajectory lifecycle
+            (``trajectory-start`` / ``trajectory-end`` /
+            ``trajectory-failed``), resilience incidents (``retry`` /
+            ``timeout`` / ``worker-crash`` / ``serial-fallback`` /
+            ``degraded``), the ``portfolio.*`` gauges and the
+            ``resilience.*`` counters, and merges each trajectory's
+            own telemetry snapshot in trajectory order — so a
+            ``jobs=N`` run reconstructs to the same ordered timeline as
+            ``jobs=1``, with each worker's spans read back under a
+            ``portfolio/trajectory-i`` node (times relative to that
+            worker's own epoch).
         clock: Monotonic time source for elapsed-time accounting;
             injectable for tests (defaults to ``time.perf_counter``).
         sleep: Retry-backoff sleeper; injectable for tests (defaults
@@ -275,10 +271,11 @@ class PortfolioSearch:
                  object_sizes: dict[str, int],
                  constraints: ConstraintSet | None = None,
                  specs: Sequence[TrajectorySpec] | None = None,
-                 jobs: int = 1, tracer=None, metrics=None,
-                 deadline=None, retry: RetryPolicy | None = None,
+                 jobs: int = 1, deadline=None,
+                 retry: RetryPolicy | None = None,
                  trajectory_timeout_s: float | None = None,
-                 faults: FaultPlan | None = None, recorder=None,
+                 faults: FaultPlan | None = None,
+                 telemetry=NULL_TELEMETRY,
                  clock=time.perf_counter, sleep=time.sleep):
         if jobs < 0:
             raise LayoutError("jobs must be >= 0 (0 = auto)")
@@ -293,10 +290,7 @@ class PortfolioSearch:
         if not self._specs:
             raise LayoutError("portfolio needs at least one trajectory")
         self._jobs = jobs if jobs > 0 else available_workers()
-        self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._metrics = metrics if metrics is not None else NULL_METRICS
-        self._recorder = recorder if recorder is not None \
-            else NULL_RECORDER
+        self._telemetry = telemetry
         self._deadline_spec = deadline
         self._retry = retry if retry is not None else RetryPolicy()
         self._timeout_s = trajectory_timeout_s
@@ -344,9 +338,8 @@ class PortfolioSearch:
         # counters that must start fresh each run.
         fault_injection.install(self._faults)
         try:
-            with self._tracer.span("portfolio",
-                                   trajectories=len(self._specs),
-                                   jobs=workers, backend=backend) as span:
+            with self._telemetry.span("portfolio",
+                                      trajectories=len(self._specs)) as span:
                 if backend == "serial":
                     payloads, failures, errors = self._run_serial(
                         context, deadline)
@@ -404,16 +397,16 @@ class PortfolioSearch:
         errors: dict[int, BaseException] = {}
         for index in range(len(self._specs)):
             if payloads and deadline.expired():
-                self._metrics.inc("resilience.timeouts")
-                self._recorder.emit("timeout", index=index,
-                                    label=self._label(index),
-                                    budget_s=0.0)
+                self._telemetry.inc("resilience.timeouts")
+                self._telemetry.emit("timeout", index=index,
+                                     label=self._label(index),
+                                     budget_s=0.0)
                 failures[index] = TrajectoryFailure(
                     index, self._label(index), "timeout", 0,
                     "deadline expired before the trajectory started")
                 continue
-            self._recorder.emit("trajectory-start", index=index,
-                                label=self._label(index))
+            self._telemetry.emit("trajectory-start", index=index,
+                                 label=self._label(index))
             payload, failure, error = self._attempt(context, index,
                                                     deadline)
             if payload is not None:
@@ -450,8 +443,8 @@ class PortfolioSearch:
             try:
                 futures = []
                 for index in range(len(self._specs)):
-                    self._recorder.emit("trajectory-start", index=index,
-                                        label=self._label(index))
+                    self._telemetry.emit("trajectory-start", index=index,
+                                         label=self._label(index))
                     try:
                         future = executor.submit(run_trajectory_task,
                                                  index)
@@ -504,10 +497,10 @@ class PortfolioSearch:
             except FutureTimeout:
                 future.cancel()
                 hung = True
-                self._metrics.inc("resilience.timeouts")
-                self._recorder.emit("timeout", index=index,
-                                    label=self._label(index),
-                                    budget_s=round(budget, 6))
+                self._telemetry.inc("resilience.timeouts")
+                self._telemetry.emit("timeout", index=index,
+                                     label=self._label(index),
+                                     budget_s=round(budget, 6))
                 failures[index] = TrajectoryFailure(
                     index, self._label(index), "timeout", 1,
                     f"no result within {budget:.3f}s")
@@ -517,8 +510,8 @@ class PortfolioSearch:
             except (BrokenProcessPool, WorkerCrash) as error:
                 # BrokenProcessPool: the pool lost the worker process.
                 # WorkerCrash: a worker's fail_eval fault raised it.
-                self._metrics.inc("resilience.worker_crashes")
-                self._recorder.emit(
+                self._telemetry.inc("resilience.worker_crashes")
+                self._telemetry.emit(
                     "worker-crash", index=index,
                     label=self._label(index),
                     message=str(error) or "worker process died")
@@ -546,10 +539,10 @@ class PortfolioSearch:
                 continue
             if deadline.expired():
                 break
-            self._metrics.inc("resilience.serial_fallbacks")
-            self._recorder.emit("serial-fallback", index=index,
-                                label=failure.label,
-                                cause=failure.cause)
+            self._telemetry.inc("resilience.serial_fallbacks")
+            self._telemetry.emit("serial-fallback", index=index,
+                                 label=failure.label,
+                                 cause=failure.cause)
             logger.warning("re-running trajectory %d (%s) in-process "
                            "after %s", index, failure.label,
                            failure.cause)
@@ -585,10 +578,10 @@ class PortfolioSearch:
                     self._sleep(pause)
             attempt += 1
             if attempt > 1:
-                self._metrics.inc("resilience.retries")
-                self._recorder.emit("retry", index=index,
-                                    label=self._label(index),
-                                    attempt=attempts_base + attempt)
+                self._telemetry.inc("resilience.retries")
+                self._telemetry.emit("retry", index=index,
+                                     label=self._label(index),
+                                     attempt=attempts_base + attempt)
             try:
                 payload = run_trajectory(context, index)
             except Exception as error:
@@ -649,15 +642,13 @@ class PortfolioSearch:
             pruned += float(telemetry.get("extras", {})
                             .get("pruned_candidates", 0.0))
             bound_evaluations += float(
-                payload["metrics"].get("counters", {})
+                payload["snapshot"]["metrics"]["counters"]
                 .get("costmodel.bound_evaluations", 0.0))
-            self._metrics.merge(payload["metrics"])
-            self._attach_spans(payload)
-            self._recorder.ingest(payload.get("events", ()))
-            self._recorder.emit("trajectory-end",
-                                index=int(payload["index"]),
-                                label=payload["label"],
-                                cost=round(float(payload["cost"]), 6))
+            self._telemetry.merge(payload["snapshot"])
+            self._telemetry.emit("trajectory-end",
+                                 index=int(payload["index"]),
+                                 label=payload["label"],
+                                 cost=round(float(payload["cost"]), 6))
         result.evaluations = total_evaluations
         result.extras.update({
             "trajectories": float(len(self._specs)),
@@ -672,37 +663,24 @@ class PortfolioSearch:
             result.degraded = True
             result.failures = [failures[i] for i in sorted(failures)]
             result.extras["failed_trajectories"] = float(len(failures))
-            self._metrics.inc("resilience.degraded", len(failures))
+            self._telemetry.inc("resilience.degraded", len(failures))
             for index in sorted(failures):
                 failure = failures[index]
-                self._recorder.emit(
+                self._telemetry.emit(
                     "trajectory-failed", index=failure.index,
                     label=failure.label, cause=failure.cause,
                     attempts=failure.attempts,
                     message=failure.message)
-            self._recorder.emit(
+            self._telemetry.emit(
                 "degraded", failed=len(failures),
                 total=len(self._specs),
                 causes=",".join(sorted({f.cause
                                         for f in failures.values()})))
-        self._metrics.set_gauge("portfolio.trajectories",
-                                len(self._specs))
-        self._metrics.set_gauge("portfolio.workers", workers)
-        self._metrics.set_gauge("portfolio.backend",
-                                BACKEND_CODES[backend])
-        self._metrics.set_gauge("portfolio.best_trajectory",
-                                best["index"])
+        self._telemetry.set_gauge("portfolio.trajectories",
+                                  len(self._specs))
+        self._telemetry.set_gauge("portfolio.workers", workers)
+        self._telemetry.set_gauge("portfolio.backend",
+                                  BACKEND_CODES[backend])
+        self._telemetry.set_gauge("portfolio.best_trajectory",
+                                  best["index"])
         return result
-
-    def _attach_spans(self, payload: dict) -> None:
-        """Graft one trajectory's span tree under the portfolio span."""
-        children = [Span.from_dict(data)
-                    for data in payload["spans"].get("spans", ())]
-        duration = sum(child.duration_s for child in children)
-        wrapper = Span(
-            name=f"portfolio/trajectory-{payload['index']}",
-            start_s=0.0, end_s=duration,
-            attrs={"label": payload["label"],
-                   "cost": round(float(payload["cost"]), 6)},
-            children=children)
-        self._tracer.attach(wrapper)

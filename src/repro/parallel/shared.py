@@ -237,7 +237,7 @@ def _reclaim(shm: shared_memory.SharedMemory) -> None:
         pass
 
 
-def attach_evaluator(spec: SharedEvaluatorSpec, metrics=None):
+def attach_evaluator(spec: SharedEvaluatorSpec):
     """Rebuild a :class:`WorkloadCostEvaluator` from a shared spec.
 
     The packed arrays become read-only views into the mapped segment
@@ -250,7 +250,7 @@ def attach_evaluator(spec: SharedEvaluatorSpec, metrics=None):
     # package, so the dependency points parallel -> core only at call
     # time.
     from repro.core.costmodel import WorkloadCostEvaluator
-    from repro.obs import NULL_METRICS
+    from repro.obs import NULL_TELEMETRY
 
     fire_shm_attach(spec.shm_name)
     try:
@@ -263,7 +263,7 @@ def attach_evaluator(spec: SharedEvaluatorSpec, metrics=None):
             "(creator closed it before workers attached?)") from error
     evaluator = WorkloadCostEvaluator.__new__(WorkloadCostEvaluator)
     evaluator._shm = shm  # pin the mapping
-    evaluator._metrics = metrics if metrics is not None else NULL_METRICS
+    evaluator._telemetry = NULL_TELEMETRY
     evaluator._farm = spec.farm
     evaluator._names = list(spec.names)
     evaluator._index = {name: i for i, name in enumerate(spec.names)}

@@ -12,8 +12,9 @@ Pool protocol: the executor's *initializer* calls :func:`init_worker`
 once per worker process with the shared-evaluator spec and the pickled
 search context; tasks then call :func:`run_trajectory_task` with just a
 trajectory index.  Results travel back as plain JSON-ready dicts (the
-layout as fraction rows, telemetry, the worker's span tree and metric
-snapshot) — no live objects cross the process boundary.
+layout as fraction rows, the search telemetry, and one snapshot of the
+trajectory's :class:`~repro.obs.Telemetry` handle) — no live objects
+cross the process boundary.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.core.constraints import ConstraintSet
 from repro.core.greedy import SearchResult, TsGreedySearch
 from repro.core.layout import Layout
 from repro.errors import LayoutError
-from repro.obs import EventRecorder, MetricsRegistry, Tracer
+from repro.obs import Telemetry
 from repro.resilience import faults as fault_injection
 from repro.resilience.faults import FaultPlan
 from repro.storage.disk import DiskFarm
@@ -56,10 +57,14 @@ def run_trajectory(context: TrajectoryContext, index: int,
                    ) -> dict[str, Any]:
     """Execute one trajectory; return a picklable result payload.
 
-    The payload carries the layout as plain fraction rows plus the
-    trajectory's telemetry, span tree and metric snapshot, so the
-    parent can reconstruct a full :class:`SearchResult` and merge the
-    observability data without shipping live objects between processes.
+    The payload carries the layout as plain fraction rows, the search
+    telemetry and one snapshot of the trajectory's own telemetry handle
+    (events, spans as phase events, metrics), so the parent can
+    reconstruct a full :class:`SearchResult` and fold the observability
+    data in with one :meth:`~repro.obs.Telemetry.merge`, without
+    shipping live objects between processes.  The evaluator counts
+    into the trajectory's handle for the run and gets its previous
+    binding back afterwards.
     """
     spec = context.specs[index]
     # Fault-injection hooks: no-ops unless a FaultPlan targets this
@@ -68,30 +73,27 @@ def run_trajectory(context: TrajectoryContext, index: int,
     fault_injection.fire_kill(context.faults, index)
     fault_injection.fire_delay(context.faults, index)
     fault_injection.fire_eval(context.faults, index)
-    recorder = EventRecorder(source=f"trajectory-{index}")
-    tracer = Tracer(recorder=recorder)
-    metrics = MetricsRegistry()
-    context.evaluator.bind_metrics(metrics)
+    telemetry = Telemetry(source=f"trajectory-{index}")
+    previous = context.evaluator.bind_telemetry(telemetry)
     try:
         if spec.method == "ts-greedy":
             search = TsGreedySearch(
                 context.farm, context.evaluator, context.sizes,
                 constraints=context.constraints, k=spec.k,
                 partition_seed=spec.partition_seed, prune=spec.prune,
-                tracer=tracer, metrics=metrics, recorder=recorder)
+                telemetry=telemetry)
             result = search.search(
                 context.graph, initial_layout=context.initial_layout)
         elif spec.method == "annealing":
             result = annealing_search(
                 context.farm, context.evaluator, context.sizes,
                 seed=spec.seed, iterations=spec.iterations,
-                constraints=context.constraints, tracer=tracer,
-                metrics=metrics, recorder=recorder)
+                constraints=context.constraints, telemetry=telemetry)
         else:
             raise LayoutError(
                 f"unknown trajectory method {spec.method!r}")
     finally:
-        context.evaluator.bind_metrics(None)
+        context.evaluator.bind_telemetry(previous)
     layout = result.layout
     return {
         "index": index,
@@ -100,9 +102,7 @@ def run_trajectory(context: TrajectoryContext, index: int,
         "fractions": {name: tuple(map(float, layout.fractions_of(name)))
                       for name in layout.object_names},
         "telemetry": result.telemetry_dict(),
-        "spans": tracer.to_dict(),
-        "metrics": metrics.to_dict(),
-        "events": recorder.snapshot(),
+        "snapshot": telemetry.snapshot(),
     }
 
 

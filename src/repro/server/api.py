@@ -43,7 +43,7 @@ partial answers beat no answers, exactly as in the library API.
 
 Concurrency model: worker threads run searches; one re-entrant lock
 serializes *all* mutable service state — tenant tables, job records,
-and crucially every ``recorder.emit`` / metrics write (the flight
+and crucially every telemetry event and metric write (the flight
 recorder assigns ``seq`` by append position, so unserialized emission
 from worker threads would corrupt the timeline's total order).
 Searches themselves run outside the lock.
@@ -74,9 +74,9 @@ from repro.errors import (
     ServerError,
     UnknownResource,
 )
-from repro.obs.events import EventRecorder, new_run_id
+from repro.obs.events import new_run_id
 from repro.obs.export import to_prometheus
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import Telemetry
 from repro.resilience import Deadline, FaultPlan
 from repro.server.cache import FingerprintCache
 from repro.server.fingerprint import catalog_fingerprint, job_fingerprint
@@ -135,19 +135,18 @@ class AdvisorService:
         workers: Search worker threads.
         max_queue: Bounded queue depth; beyond it submissions get 429.
         max_cache: Fingerprint-cache capacity (recommendations).
-        recorder: Flight recorder; a fresh one is created by default.
-        metrics: Strict metrics registry by default.
+        telemetry: The service's :class:`~repro.obs.Telemetry` (its
+            ``server-*`` events and strict ``server.*`` metrics); a
+            fresh ``Telemetry(source="server", strict=True)`` by
+            default.
     """
 
     def __init__(self, workers: int = 2, max_queue: int = 16,
                  max_cache: int = 128,
-                 recorder: EventRecorder | None = None,
-                 metrics: MetricsRegistry | None = None):
+                 telemetry: Telemetry | None = None):
         self._lock = threading.RLock()
-        self.metrics = metrics if metrics is not None \
-            else MetricsRegistry(strict=True)
-        self.recorder = recorder if recorder is not None \
-            else EventRecorder(run_id=new_run_id(), source="server")
+        self.telemetry = telemetry if telemetry is not None \
+            else Telemetry(source="server", strict=True)
         self._tenants: dict[str, Tenant] = {}
         self._jobs: dict[str, Job] = {}
         self.cache = FingerprintCache(capacity=max_cache)
@@ -156,12 +155,12 @@ class AdvisorService:
                               cancelled=self._cancel_job)
         self._closed = False
         with self._lock:
-            self.metrics.set_gauge("server.workers", workers)
-            self.metrics.set_gauge("server.queue_depth", 0)
-            self.metrics.set_gauge("server.tenants", 0)
-            self.metrics.set_gauge("server.cache_entries", 0)
-            self.recorder.emit("server-start", workers=workers,
-                               max_queue=max_queue)
+            self.telemetry.set_gauge("server.workers", workers)
+            self.telemetry.set_gauge("server.queue_depth", 0)
+            self.telemetry.set_gauge("server.tenants", 0)
+            self.telemetry.set_gauge("server.cache_entries", 0)
+            self.telemetry.emit("server-start", workers=workers,
+                                max_queue=max_queue)
 
     # -- lifecycle --------------------------------------------------------
 
@@ -172,10 +171,10 @@ class AdvisorService:
         self.queue.close(drain=drain)
         with self._lock:
             self._closed = True
-            completed = self.metrics.value("server.jobs_completed")
-            self.recorder.emit("server-stop",
-                               jobs_completed=int(completed))
-            self.recorder.close()
+            completed = self.telemetry.value("server.jobs_completed")
+            self.telemetry.emit("server-stop",
+                                jobs_completed=int(completed))
+            self.telemetry.close()
 
     def __enter__(self) -> "AdvisorService":
         return self
@@ -196,7 +195,7 @@ class AdvisorService:
         the HTTP adapter stays a dumb pipe.
         """
         with self._lock:
-            self.metrics.inc("server.requests")
+            self.telemetry.inc("server.requests")
         try:
             status, payload, headers = self._route(
                 method.upper(), path.rstrip("/") or "/", body)
@@ -218,7 +217,7 @@ class AdvisorService:
                 "error": f"{type(exc).__name__}: {exc}"}, _JSON
         if status >= 400:
             with self._lock:
-                self.metrics.inc("server.errors")
+                self.telemetry.inc("server.errors")
         return status, payload, headers
 
     def _route(self, method: str, path: str, body: Any,
@@ -226,7 +225,7 @@ class AdvisorService:
         parts = [p for p in path.split("/") if p]
         if path in ("/metrics", "/v1/metrics") and method == "GET":
             with self._lock:
-                text = to_prometheus(self.metrics)
+                text = to_prometheus(self.telemetry.metrics)
             return 200, text, dict(_TEXT)
         if not parts or parts[0] != "v1":
             raise UnknownResource(f"no such resource: {path}")
@@ -237,8 +236,8 @@ class AdvisorService:
             return 200, self._stats(), _JSON
         if tail == ["events"] and method == "GET":
             with self._lock:
-                events = self.recorder.snapshot()
-                run_id = self.recorder.run_id
+                events = self.telemetry.events
+                run_id = self.telemetry.run_id
             return 200, {"run_id": run_id, "events": events}, _JSON
         if tail and tail[0] == "tenants":
             return self._route_tenants(method, tail[1:], body)
@@ -252,7 +251,7 @@ class AdvisorService:
         with self._lock:
             return {
                 "status": "ok",
-                "run_id": self.recorder.run_id,
+                "run_id": self.telemetry.run_id,
                 "tenants": len(self._tenants),
                 "jobs": len(self._jobs),
                 "queue_depth": self.queue.depth(),
@@ -302,8 +301,8 @@ class AdvisorService:
                     if name not in self._tenants:
                         raise UnknownResource(f"no such tenant: {name}")
                     del self._tenants[name]
-                    self.metrics.set_gauge("server.tenants",
-                                           len(self._tenants))
+                    self.telemetry.set_gauge("server.tenants",
+                                             len(self._tenants))
                 return 200, {"tenant": name, "deleted": True}, _JSON
             raise BadRequest(f"unsupported method {method} on tenant")
         kind = tail[1]
@@ -341,10 +340,10 @@ class AdvisorService:
             if tenant is None:
                 tenant = Tenant(name)
                 self._tenants[name] = tenant
-                self.metrics.set_gauge("server.tenants",
-                                       len(self._tenants))
-                self.recorder.emit("server-tenant", tenant=name,
-                                   kind="created")
+                self.telemetry.set_gauge("server.tenants",
+                                         len(self._tenants))
+                self.telemetry.emit("server-tenant", tenant=name,
+                                    kind="created")
             return tenant.describe()
 
     def _put_catalog(self, name: str, kind: str,
@@ -384,7 +383,7 @@ class AdvisorService:
                     body)
                 tenant.layout_payload = body
         with self._lock:
-            self.recorder.emit("server-tenant", tenant=name, kind=kind)
+            self.telemetry.emit("server-tenant", tenant=name, kind=kind)
             return tenant.describe()
 
     def _put_workload(self, name: str, workload_name: str,
@@ -409,8 +408,8 @@ class AdvisorService:
             raise BadRequest("workload has no statements")
         with self._lock:
             tenant.workloads[workload_name] = workload
-            self.recorder.emit("server-tenant", tenant=name,
-                               kind=f"workload:{workload_name}")
+            self.telemetry.emit("server-tenant", tenant=name,
+                                kind=f"workload:{workload_name}")
         return {"tenant": name, "workload": workload_name,
                 "statements": len(workload)}
 
@@ -456,7 +455,7 @@ class AdvisorService:
                              "migration": plan}, _JSON
         if sub == "events":
             with self._lock:
-                events = [e for e in self.recorder.snapshot()
+                events = [e for e in self.telemetry.events
                           if e["data"].get("job_id") == job.job_id]
             return 200, {"job_id": job.job_id, "events": events}, _JSON
         raise UnknownResource(f"no such job resource: {sub}")
@@ -503,33 +502,33 @@ class AdvisorService:
                 payload.get("search", {}).get("degraded", False))
             with self._lock:
                 self._jobs[job.job_id] = job
-                self.metrics.inc("server.jobs_submitted")
-                self.metrics.inc("server.cache_hits")
-                self.metrics.inc("server.jobs_completed")
-                self.metrics.observe("server.job_latency_s",
-                                     job.latency_s or 0.0)
-                self.recorder.emit("server-cache-hit",
-                                   job_id=job.job_id,
-                                   fingerprint=fingerprint)
+                self.telemetry.inc("server.jobs_submitted")
+                self.telemetry.inc("server.cache_hits")
+                self.telemetry.inc("server.jobs_completed")
+                self.telemetry.observe("server.job_latency_s",
+                                       job.latency_s or 0.0)
+                self.telemetry.emit("server-cache-hit",
+                                    job_id=job.job_id,
+                                    fingerprint=fingerprint)
             return 200, job.describe(), _JSON
 
         try:
             self.queue.submit(job)
         except QueueFull as exc:
             with self._lock:
-                self.metrics.inc("server.jobs_rejected")
-                self.recorder.emit("server-job-rejected", tenant=name,
-                                   depth=self.queue.depth(),
-                                   retry_after_s=exc.retry_after_s)
+                self.telemetry.inc("server.jobs_rejected")
+                self.telemetry.emit("server-job-rejected", tenant=name,
+                                    depth=self.queue.depth(),
+                                    retry_after_s=exc.retry_after_s)
             raise
         with self._lock:
             self._jobs[job.job_id] = job
             depth = self.queue.depth()
-            self.metrics.inc("server.jobs_submitted")
-            self.metrics.set_gauge("server.queue_depth", depth)
-            self.recorder.emit("server-job-queued", job_id=job.job_id,
-                               tenant=name, method=job.method,
-                               fingerprint=fingerprint, depth=depth)
+            self.telemetry.inc("server.jobs_submitted")
+            self.telemetry.set_gauge("server.queue_depth", depth)
+            self.telemetry.emit("server-job-queued", job_id=job.job_id,
+                                tenant=name, method=job.method,
+                                fingerprint=fingerprint, depth=depth)
         return 202, job.describe(), _JSON
 
     def _job_options(self, body: dict[str, Any]) -> SearchOptions:
@@ -569,10 +568,10 @@ class AdvisorService:
         with self._lock:
             job.started_at = time.monotonic()
             job.status = RUNNING
-            self.metrics.observe("server.job_wait_s", job.wait_s or 0.0)
-            self.metrics.set_gauge("server.queue_depth",
-                                   self.queue.depth())
-            self.recorder.emit("server-job-started", job_id=job.job_id)
+            self.telemetry.observe("server.job_wait_s", job.wait_s or 0.0)
+            self.telemetry.set_gauge("server.queue_depth",
+                                     self.queue.depth())
+            self.telemetry.emit("server-job-started", job_id=job.job_id)
         try:
             payload, verdict = self.cache.get_or_compute(
                 job.fingerprint, lambda: self._compute(job),
@@ -583,10 +582,10 @@ class AdvisorService:
                 job.finished_at = time.monotonic()
                 job.status = FAILED
                 job.error = f"{type(exc).__name__}: {exc}"
-                self.metrics.inc("server.jobs_failed")
-                self.recorder.emit("server-job-finished",
-                                   job_id=job.job_id, status=FAILED,
-                                   degraded=False, cache="miss")
+                self.telemetry.inc("server.jobs_failed")
+                self.telemetry.emit("server-job-finished",
+                                    job_id=job.job_id, status=FAILED,
+                                    degraded=False, cache="miss")
             return
         with self._lock:
             job.finished_at = time.monotonic()
@@ -595,20 +594,20 @@ class AdvisorService:
             job.payload = payload
             job.degraded = bool(
                 payload.get("search", {}).get("degraded", False))
-            self.metrics.inc("server.jobs_completed")
+            self.telemetry.inc("server.jobs_completed")
             if verdict == "miss":
-                self.metrics.inc("server.cache_misses")
+                self.telemetry.inc("server.cache_misses")
             else:
-                self.metrics.inc("server.cache_hits")
+                self.telemetry.inc("server.cache_hits")
             if job.degraded:
-                self.metrics.inc("server.jobs_degraded")
-            self.metrics.observe("server.job_latency_s",
-                                 job.latency_s or 0.0)
-            self.metrics.set_gauge("server.cache_entries",
-                                   len(self.cache))
-            self.recorder.emit("server-job-finished", job_id=job.job_id,
-                               status=DONE, degraded=job.degraded,
-                               cache=verdict)
+                self.telemetry.inc("server.jobs_degraded")
+            self.telemetry.observe("server.job_latency_s",
+                                   job.latency_s or 0.0)
+            self.telemetry.set_gauge("server.cache_entries",
+                                     len(self.cache))
+            self.telemetry.emit("server-job-finished", job_id=job.job_id,
+                                status=DONE, degraded=job.degraded,
+                                cache=verdict)
 
     def _compute(self, job: Job) -> dict[str, Any]:
         """Run the actual advisor search for a cache miss."""
@@ -628,7 +627,7 @@ class AdvisorService:
             # workload analysis included, not just the search.
             options = replace(options,
                               deadline=Deadline.coerce(options.deadline))
-        # No shared metrics/recorder: the library's instruments are not
+        # No shared telemetry: the library's instruments are not
         # thread-safe across concurrent searches, and interleaved
         # search telemetry would be unattributable anyway.  The server
         # keeps its own `server.*` view of the work.
@@ -636,17 +635,17 @@ class AdvisorService:
         recommendation = advisor.recommend(
             workload, current_layout=current_layout, options=options)
         return recommendation_to_dict(recommendation,
-                                      run_id=self.recorder.run_id)
+                                      run_id=self.telemetry.run_id)
 
     def _cancel_job(self, job: Job) -> None:
         with self._lock:
             job.finished_at = time.monotonic()
             job.status = FAILED
             job.error = "service shut down before the job started"
-            self.metrics.inc("server.jobs_failed")
-            self.recorder.emit("server-job-finished", job_id=job.job_id,
-                               status=FAILED, degraded=False,
-                               cache="miss")
+            self.telemetry.inc("server.jobs_failed")
+            self.telemetry.emit("server-job-finished", job_id=job.job_id,
+                                status=FAILED, degraded=False,
+                                cache="miss")
 
 
 def _parse(kind: str, parser, payload: Any) -> Any:

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 from repro.core.layout import Layout
 from repro.errors import SimulationError
-from repro.obs import NULL_RECORDER
 from repro.optimizer.planner import TEMPDB
 from repro.simulator.buffer import BufferPool
 from repro.simulator.engine import DiskState, SubplanRun, _Stream
@@ -236,8 +235,7 @@ class OnlineMigrationSimulator(ConcurrentWorkloadSimulator):
     def run_online(self, workload: AnalyzedWorkload, source: Layout,
                    plan, target: Layout | None = None,
                    throttle_mb_s: float | None = None,
-                   max_windows: int = 64,
-                   recorder=None) -> OnlineMigrationReport:
+                   max_windows: int = 64) -> OnlineMigrationReport:
         """Execute ``plan``'s transfers under live traffic.
 
         Args:
@@ -253,22 +251,19 @@ class OnlineMigrationSimulator(ConcurrentWorkloadSimulator):
                 window.
             max_windows: Guard against a throttle so low the migration
                 never finishes.
-            recorder: Optional :class:`repro.obs.EventRecorder`; emits
-                one ``migration-window`` event per window.
 
         Raises:
             SimulationError: When the throttle cannot finish within
                 ``max_windows`` windows, or a throttle is given for a
                 workload with no foreground I/O.
         """
-        recorder = recorder if recorder is not None else NULL_RECORDER
         if target is None:
             state = FarmState.from_layout(source)
             for step in plan.steps:
                 state.apply(step.obj, step.src, step.dst,
                             float(step.blocks))
             target = state.to_layout()
-        with self._tracer.span("simulate-online-migration") as span:
+        with self._telemetry.span("simulate-online-migration") as span:
             baseline_s = self._solo_pass(workload, source)
             target_s = self._solo_pass(workload, target)
             if throttle_mb_s is not None and baseline_s <= 0:
@@ -327,7 +322,7 @@ class OnlineMigrationSimulator(ConcurrentWorkloadSimulator):
                 report.windows.append(MigrationWindow(
                     index=window, foreground_s=foreground_s,
                     migration_blocks=moved))
-                recorder.emit(
+                self._telemetry.emit(
                     "migration-window", window=window,
                     foreground_s=round(foreground_s, 6),
                     baseline_s=round(baseline_s, 6),
@@ -335,14 +330,14 @@ class OnlineMigrationSimulator(ConcurrentWorkloadSimulator):
             span.set("windows", len(report.windows))
             span.set("mean_degradation",
                      round(report.mean_degradation, 6))
-            self._metrics.set_gauge("migration.windows",
-                                    len(report.windows))
-            self._metrics.set_gauge("migration.foreground_degradation",
-                                    report.mean_degradation)
+            self._telemetry.set_gauge("migration.windows",
+                                      len(report.windows))
+            self._telemetry.set_gauge("migration.foreground_degradation",
+                                      report.mean_degradation)
             benefit = report.time_to_benefit_s
             if benefit is not None:
-                self._metrics.set_gauge("migration.time_to_benefit_s",
-                                        benefit)
+                self._telemetry.set_gauge("migration.time_to_benefit_s",
+                                          benefit)
         return report
 
     def _solo_pass(self, workload: AnalyzedWorkload,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import SimulationError
-from repro.obs import NULL_METRICS
+from repro.obs import NULL_TELEMETRY
 from repro.optimizer.operators import ObjectAccess
 from repro.simulator.buffer import BufferPool
 from repro.simulator.geometry import SeekModel
@@ -87,14 +87,14 @@ class SubplanRun:
         readahead_blocks: Streams are interleaved in units of this many
             consecutive blocks — the drive-level read-ahead that makes
             real seek counts lower than the model's per-block estimate.
-        metrics: Optional :class:`repro.obs.MetricsRegistry`; records
+        telemetry: Optional :class:`repro.obs.Telemetry`; records
             coarse ``sim.*`` counters (per subplan, never per block).
     """
 
     disks: Sequence[DiskState]
     tempdb: DiskState | None
     readahead_blocks: int = 2
-    metrics: object = None
+    telemetry: object = NULL_TELEMETRY
 
     def run(self, accesses: Sequence[ObjectAccess],
             placements: dict[str, list[tuple[int, int]]],
@@ -103,14 +103,12 @@ class SubplanRun:
         """Execute the subplan; returns its elapsed (busiest-disk) time."""
         if self.readahead_blocks < 1:
             raise SimulationError("readahead must be at least one block")
-        metrics = self.metrics if self.metrics is not None \
-            else NULL_METRICS
         streams = self._expand(accesses, placements, temp_cursor,
                                temp_name)
-        metrics.inc("sim.subplans")
-        metrics.inc("sim.streams", len(streams))
-        metrics.inc("sim.blocks",
-                    sum(len(s.indices) for s in streams))
+        self.telemetry.inc("sim.subplans")
+        self.telemetry.inc("sim.streams", len(streams))
+        self.telemetry.inc("sim.blocks",
+                           sum(len(s.indices) for s in streams))
         if not streams:
             return 0.0
         elapsed: dict[int, float] = {}

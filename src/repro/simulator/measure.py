@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.core.layout import Layout
 from repro.errors import SimulationError
-from repro.obs import NULL_METRICS, NULL_TRACER
+from repro.obs import NULL_TELEMETRY
 from repro.optimizer.planner import TEMPDB
 from repro.simulator.buffer import BufferPool
 from repro.simulator.engine import DiskState, SubplanRun
@@ -89,30 +89,28 @@ class WorkloadSimulator:
         readahead_blocks: Read-ahead unit in blocks (default 2 = 128 KB).
         cold_runs: Clear the buffer pool before every statement, matching
             the paper's "average of three cold runs" methodology.
-        tracer: Optional :class:`repro.obs.Tracer`; :meth:`run` emits
-            one ``simulate-workload`` span.
-        metrics: Optional :class:`repro.obs.MetricsRegistry`; the
-            engine records coarse ``sim.*`` counters and :meth:`run`
-            records buffer hit/miss gauges.
+        telemetry: Optional :class:`repro.obs.Telemetry`; :meth:`run`
+            opens one ``simulate-workload`` span and records buffer
+            hit/miss gauges, and the engine records coarse ``sim.*``
+            counters.
     """
 
     def __init__(self, tempdb: DiskSpec | None = None,
                  buffer_blocks: int = 2400,
                  readahead_blocks: int = 2,
                  cold_runs: bool = True,
-                 tracer=None, metrics=None):
+                 telemetry=NULL_TELEMETRY):
         self._tempdb = tempdb
         self._buffer_blocks = buffer_blocks
         self._readahead = readahead_blocks
         self._cold_runs = cold_runs
-        self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._metrics = metrics if metrics is not None else NULL_METRICS
+        self._telemetry = telemetry
 
     def run(self, workload: AnalyzedWorkload,
             layout: Layout) -> SimulationReport:
         """Simulate the whole workload under ``layout``."""
-        with self._tracer.span("simulate-workload",
-                               statements=len(workload)) as span:
+        with self._telemetry.span("simulate-workload",
+                                  statements=len(workload)) as span:
             materialized = layout.materialize()
             placements = {name: list(materialized.logical_blocks(name))
                           for name in materialized.object_names}
@@ -137,8 +135,8 @@ class WorkloadSimulator:
                 report.tempdb_busy_seconds = temp_state.total_busy_s
             span.set("simulated_seconds",
                      round(report.total_seconds, 6))
-            self._metrics.set_gauge("sim.buffer_hits", pool.hits)
-            self._metrics.set_gauge("sim.buffer_misses", pool.misses)
+            self._telemetry.set_gauge("sim.buffer_hits", pool.hits)
+            self._telemetry.set_gauge("sim.buffer_misses", pool.misses)
         return report
 
     def run_statement(self, analyzed: AnalyzedStatement,
@@ -157,7 +155,7 @@ class WorkloadSimulator:
                        disks, temp_state, pool: BufferPool) -> float:
         runner = SubplanRun(disks=disks, tempdb=temp_state,
                             readahead_blocks=self._readahead,
-                            metrics=self._metrics)
+                            telemetry=self._telemetry)
         temp_cursor = [0]
         total = 0.0
         for subplan in analyzed.subplans:

@@ -61,7 +61,7 @@ from repro.errors import (
     MigrationInterrupted,
     WorkerCrash,
 )
-from repro.obs import NULL_METRICS, NULL_RECORDER, NULL_TRACER
+from repro.obs import NULL_TELEMETRY
 from repro.resilience.faults import (
     FaultPlan,
     fire_step_crash,
@@ -619,8 +619,9 @@ class MigrationExecutor:
             for deterministic chaos testing (``fail_step``,
             ``crash_after_intent``, ``crash_before_done``,
             ``stall_step``).
-        tracer / metrics / recorder: Standard observability trio;
-            emits ``migration-*`` events and ``migration.*`` metrics.
+        telemetry: Optional :class:`repro.obs.Telemetry`; opens the
+            ``*-migration`` spans, emits ``migration-*`` events and
+            records ``migration.*`` metrics; journals carry its run id.
         sleep: Injectable sleep (retry backoff and stall faults).
     """
 
@@ -628,7 +629,7 @@ class MigrationExecutor:
                  journal_path: str, target: "Layout | None" = None,
                  retry: RetryPolicy | None = None,
                  deadline=None, faults: FaultPlan | None = None,
-                 tracer=None, metrics=None, recorder=None,
+                 telemetry=NULL_TELEMETRY,
                  sleep: Callable[[float], None] = time.sleep):
         self._plan = plan
         self._source = source
@@ -637,10 +638,7 @@ class MigrationExecutor:
         self._retry = retry if retry is not None else RetryPolicy.none()
         self._deadline = Deadline.coerce(deadline)
         self._faults = faults
-        self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._metrics = metrics if metrics is not None else NULL_METRICS
-        self._recorder = recorder if recorder is not None \
-            else NULL_RECORDER
+        self._telemetry = telemetry
         self._sleep = sleep
         self._step_failures: dict[int, int] = {}
 
@@ -661,7 +659,7 @@ class MigrationExecutor:
                 f"journal {self._journal_path!r} already has records; "
                 f"use resume() to continue or rollback() to undo",
                 journal=self._journal_path)
-        with self._tracer.span("execute-migration") as span:
+        with self._telemetry.span("execute-migration") as span:
             span.set("steps", len(self._plan.steps))
             journal = _Journal(self._journal_path)
             state = FarmState.from_layout(self._source)
@@ -694,17 +692,17 @@ class MigrationExecutor:
             logger.warning("journal %s ends in an unfinished rollback; "
                            "resuming the rollback", self._journal_path)
             return self._rollback_from(records, replay)
-        with self._tracer.span("resume-migration") as span:
+        with self._telemetry.span("resume-migration") as span:
             done = len(replay.done_steps)
             span.set("done", done)
             span.set("pending", len(self._plan.steps) - done)
             journal = _Journal(self._journal_path,
                                start_seq=replay.records)
             self._open(journal, "resume")
-            self._metrics.inc("migration.resumes")
+            self._telemetry.inc("migration.resumes")
             if done:
-                self._metrics.inc("migration.skipped_steps", done)
-            self._recorder.emit(
+                self._telemetry.inc("migration.skipped_steps", done)
+            self._telemetry.emit(
                 "migration-resume", done=done,
                 pending=len(self._plan.steps) - done)
             result = self._run_forward(journal, replay.state, start=done)
@@ -760,7 +758,7 @@ class MigrationExecutor:
         return records
 
     def _open(self, journal: _Journal, mode: str, **extra) -> None:
-        run_id = getattr(self._recorder, "run_id", None)
+        run_id = self._telemetry.run_id
         fields: dict[str, Any] = {
             "version": JOURNAL_VERSION, "mode": mode,
             "steps": extra.pop("steps", len(self._plan.steps)),
@@ -771,9 +769,9 @@ class MigrationExecutor:
             fields["run_id"] = str(run_id)
         fields.update(extra)
         journal.append("open", **fields)
-        self._recorder.emit("migration-exec-start", mode=mode,
-                            steps=fields["steps"],
-                            journal=self._journal_path)
+        self._telemetry.emit("migration-exec-start", mode=mode,
+                             steps=fields["steps"],
+                             journal=self._journal_path)
 
     def _run_steps(self, journal: _Journal, state: FarmState,
                    steps: list[MigrationStep], start: int,
@@ -794,7 +792,7 @@ class MigrationExecutor:
                 "intent", step=index, phase=phase, obj=step.obj,
                 src=step.src, dst=step.dst,
                 blocks=float(step.blocks), staged=step.staged)
-            self._recorder.emit(
+            self._telemetry.emit(
                 "migration-intent", step=index, phase=phase,
                 obj=step.obj, src=step.src, dst=step.dst,
                 blocks=round(float(step.blocks), 3),
@@ -830,15 +828,15 @@ class MigrationExecutor:
                             journal=self._journal_path)
             journal.append("done", step=index, phase=phase,
                            attempts=attempts, state=state.digest())
-            self._recorder.emit("migration-step-done", step=index,
-                                phase=phase, attempts=attempts)
-            self._metrics.inc("migration.executed_steps")
+            self._telemetry.emit("migration-step-done", step=index,
+                                 phase=phase, attempts=attempts)
+            self._telemetry.inc("migration.executed_steps")
             executed += 1
             transfer += step.est_seconds
             if attempts > 1:
                 retried += 1
-                self._metrics.inc("migration.step_retries",
-                                  attempts - 1)
+                self._telemetry.inc("migration.step_retries",
+                                    attempts - 1)
         return executed, retried, transfer
 
     def _run_forward(self, journal: _Journal, state: FarmState,
@@ -857,10 +855,10 @@ class MigrationExecutor:
             layout = state.to_layout()
         journal.append("close", status="complete",
                        state=state.digest())
-        self._recorder.emit("migration-exec-end", status="complete",
-                            executed=executed,
-                            skipped=start)
-        self._metrics.set_gauge("migration.transfer_seconds", transfer)
+        self._telemetry.emit("migration-exec-end", status="complete",
+                             executed=executed,
+                             skipped=start)
+        self._telemetry.set_gauge("migration.transfer_seconds", transfer)
         return ExecutionResult(
             status="complete", layout=layout, executed_steps=executed,
             retried_steps=retried, transfer_seconds=transfer,
@@ -869,13 +867,12 @@ class MigrationExecutor:
 
     def _rollback_from(self, records: list[dict[str, Any]],
                        replay: JournalReplay) -> ExecutionResult:
-        with self._tracer.span("rollback-migration") as span:
+        with self._telemetry.span("rollback-migration") as span:
             state = replay.state
             from_step = len(replay.done_steps)
             reverse = plan_migration(
                 state.to_layout(), self._source,
-                tracer=self._tracer, metrics=self._metrics,
-                recorder=self._recorder)
+                telemetry=self._telemetry)
             span.set("from_step", from_step)
             span.set("reverse_steps", len(reverse.steps))
             journal = _Journal(self._journal_path,
@@ -885,10 +882,10 @@ class MigrationExecutor:
                        plan=plan_digest(reverse),
                        plan_steps=[s.to_dict() for s in reverse.steps],
                        from_step=from_step)
-            self._metrics.inc("migration.rollbacks")
-            self._recorder.emit("migration-rollback",
-                                steps=len(reverse.steps),
-                                from_step=from_step)
+            self._telemetry.inc("migration.rollbacks")
+            self._telemetry.emit("migration-rollback",
+                                 steps=len(reverse.steps),
+                                 from_step=from_step)
             executed, retried, transfer = self._run_steps(
                 journal, state, list(reverse.steps), 0, "rollback")
             expected = FarmState.from_layout(self._source)
@@ -899,11 +896,11 @@ class MigrationExecutor:
                     journal=self._journal_path)
             journal.append("close", status="rolled-back",
                            state=state.digest())
-            self._recorder.emit("migration-exec-end",
-                                status="rolled-back",
-                                executed=executed, skipped=from_step)
-            self._metrics.set_gauge("migration.transfer_seconds",
-                                    transfer)
+            self._telemetry.emit("migration-exec-end",
+                                 status="rolled-back",
+                                 executed=executed, skipped=from_step)
+            self._telemetry.set_gauge("migration.transfer_seconds",
+                                      transfer)
         return ExecutionResult(
             status="rolled-back", layout=self._source,
             executed_steps=executed, retried_steps=retried,

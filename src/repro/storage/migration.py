@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import LayoutError
-from repro.obs import NULL_METRICS, NULL_RECORDER, NULL_TRACER
+from repro.obs import NULL_TELEMETRY
 from repro.storage.disk import BLOCK_BYTES, DiskFarm
 
 if TYPE_CHECKING:
@@ -207,20 +207,17 @@ def _object_transfers(current: "Layout", target: "Layout",
 
 
 def plan_migration(current: "Layout", target: "Layout",
-                   tracer=None, metrics=None,
-                   recorder=None) -> MigrationPlan:
+                   telemetry=NULL_TELEMETRY) -> MigrationPlan:
     """Build a capacity-safe ordered migration plan between two layouts.
 
     Args:
         current: The layout the data is in now.
         target: The layout the advisor recommended.
-        tracer: Optional :class:`repro.obs.Tracer`; emits one
-            ``plan-migration`` span.
-        metrics: Optional :class:`repro.obs.MetricsRegistry`; records
+        telemetry: Optional :class:`repro.obs.Telemetry`; opens one
+            ``plan-migration`` span, records
             ``incremental.migration_steps`` /
-            ``incremental.staged_blocks`` / ``incremental.moved_blocks``.
-        recorder: Optional :class:`repro.obs.EventRecorder`; emits one
-            ``migration-plan`` summary event plus one
+            ``incremental.staged_blocks`` / ``incremental.moved_blocks``,
+            and emits one ``migration-plan`` summary event plus one
             ``migration-step`` event per planned move.
 
     Returns:
@@ -234,14 +231,11 @@ def plan_migration(current: "Layout", target: "Layout",
             move is blocked (migration is then impossible without a
             scratch disk).
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
-    metrics = metrics if metrics is not None else NULL_METRICS
-    recorder = recorder if recorder is not None else NULL_RECORDER
     farm = current.farm
     if len(target.farm) != len(farm):
         raise LayoutError("cannot plan a migration across different "
                           "disk farms")
-    with tracer.span("plan-migration") as span:
+    with telemetry.span("plan-migration") as span:
         # data_movement_blocks also validates the object sets match.
         net_moved = current.data_movement_blocks(target)
         pending = _object_transfers(current, target)
@@ -323,16 +317,16 @@ def plan_migration(current: "Layout", target: "Layout",
         span.set("steps", len(steps))
         span.set("moved_blocks", round(net_moved, 3))
         span.set("staged_blocks", round(staged_total, 3))
-        metrics.inc("incremental.migration_steps", len(steps))
-        metrics.set_gauge("incremental.moved_blocks", net_moved)
-        metrics.set_gauge("incremental.staged_blocks", staged_total)
-        recorder.emit("migration-plan", steps=len(steps),
-                      moved_blocks=round(float(net_moved), 3),
-                      staged_blocks=round(float(staged_total), 3),
-                      est_seconds=round(float(plan.est_seconds), 6))
+        telemetry.inc("incremental.migration_steps", len(steps))
+        telemetry.set_gauge("incremental.moved_blocks", net_moved)
+        telemetry.set_gauge("incremental.staged_blocks", staged_total)
+        telemetry.emit("migration-plan", steps=len(steps),
+                       moved_blocks=round(float(net_moved), 3),
+                       staged_blocks=round(float(staged_total), 3),
+                       est_seconds=round(float(plan.est_seconds), 6))
         for index, step in enumerate(steps):
-            recorder.emit("migration-step", step=index,
-                          obj=step.obj, src=step.src, dst=step.dst,
-                          blocks=round(float(step.blocks), 3),
-                          staged=step.staged)
+            telemetry.emit("migration-step", step=index,
+                           obj=step.obj, src=step.src, dst=step.dst,
+                           blocks=round(float(step.blocks), 3),
+                           staged=step.staged)
     return plan

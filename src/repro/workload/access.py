@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.catalog.schema import Database
-from repro.obs import NULL_METRICS, NULL_TRACER
+from repro.obs import NULL_TELEMETRY
 from repro.optimizer.operators import ObjectAccess, PlanOp
 from repro.optimizer.planner import Planner, TEMPDB
 from repro.sql import parse_statement
@@ -129,7 +129,7 @@ class AnalyzedWorkload:
 
 def analyze_workload(workload: Workload, db: Database,
                      planner: Planner | None = None,
-                     tracer=None, metrics=None) -> AnalyzedWorkload:
+                     telemetry=NULL_TELEMETRY) -> AnalyzedWorkload:
     """Plan and decompose every statement of a workload.
 
     This is the paper's *Analyze Workload* component: statements are
@@ -139,26 +139,23 @@ def analyze_workload(workload: Workload, db: Database,
         workload: The SQL workload to analyze.
         db: The database catalog to plan against.
         planner: Optional custom planner (defaults to one over ``db``).
-        tracer: Optional :class:`repro.obs.Tracer`; emits one
-            ``analyze-workload`` span covering the whole analysis.
-        metrics: Optional :class:`repro.obs.MetricsRegistry`; records
-            ``analyze.statements`` and the per-statement subplan
-            distribution ``analyze.subplans_per_statement``.
+        telemetry: Optional :class:`repro.obs.Telemetry`; opens one
+            ``analyze-workload`` span covering the whole analysis and
+            records ``analyze.statements`` and the per-statement
+            subplan distribution ``analyze.subplans_per_statement``.
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
-    metrics = metrics if metrics is not None else NULL_METRICS
     planner = planner or Planner(db)
     analyzed = []
-    with tracer.span("analyze-workload",
-                     statements=len(workload)) as span:
+    with telemetry.span("analyze-workload",
+                        statements=len(workload)) as span:
         for stmt in workload:
             plan = planner.plan(parse_statement(stmt.sql))
             subplans = decompose(plan)
             analyzed.append(AnalyzedStatement(statement=stmt, plan=plan,
                                               subplans=subplans))
-            metrics.inc("analyze.statements")
-            metrics.observe("analyze.subplans_per_statement",
-                            len(subplans))
+            telemetry.inc("analyze.statements")
+            telemetry.observe("analyze.subplans_per_statement",
+                              len(subplans))
         span.set("subplans",
                  sum(len(a.subplans) for a in analyzed))
     return AnalyzedWorkload(analyzed, name=workload.name)

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 
 from repro.catalog.schema import Database
 from repro.errors import WorkloadError
-from repro.obs import NULL_METRICS, NULL_TRACER
+from repro.obs import NULL_TELEMETRY
 from repro.workload.access import AnalyzedWorkload
 
 
@@ -129,7 +129,7 @@ class AccessGraph:
 
 def build_access_graph(analyzed: AnalyzedWorkload,
                        db: Database | None = None,
-                       tracer=None, metrics=None) -> AccessGraph:
+                       telemetry=NULL_TELEMETRY) -> AccessGraph:
     """Construct the access graph per the paper's Figure 6 algorithm.
 
     Steps (with statement weights ``w_Q`` applied to both node and edge
@@ -147,15 +147,11 @@ def build_access_graph(analyzed: AnalyzedWorkload,
         db: Optional catalog; when given, every catalog object gets a
             node even if the workload never touches it (as in Fig. 6
             step 1).
-        tracer: Optional :class:`repro.obs.Tracer`; emits one
-            ``build-access-graph`` span.
-        metrics: Optional :class:`repro.obs.MetricsRegistry`; records
-            ``graph.nodes`` / ``graph.edges`` /
-            ``graph.total_edge_weight`` gauges.
+        telemetry: Optional :class:`repro.obs.Telemetry`; opens one
+            ``build-access-graph`` span and records ``graph.nodes`` /
+            ``graph.edges`` / ``graph.total_edge_weight`` gauges.
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
-    metrics = metrics if metrics is not None else NULL_METRICS
-    with tracer.span("build-access-graph") as span:
+    with telemetry.span("build-access-graph") as span:
         graph = AccessGraph(
             o.name for o in (db.objects() if db is not None else ()))
         for item in analyzed:
@@ -174,8 +170,8 @@ def build_access_graph(analyzed: AnalyzedWorkload,
                             u, v, w * (per_object[u] + per_object[v]))
         span.set("nodes", len(graph))
         span.set("edges", len(graph.edges))
-        metrics.set_gauge("graph.nodes", len(graph))
-        metrics.set_gauge("graph.edges", len(graph.edges))
-        metrics.set_gauge("graph.total_edge_weight",
-                          graph.total_edge_weight())
+        telemetry.set_gauge("graph.nodes", len(graph))
+        telemetry.set_gauge("graph.edges", len(graph.edges))
+        telemetry.set_gauge("graph.total_edge_weight",
+                            graph.total_edge_weight())
     return graph

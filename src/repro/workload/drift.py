@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.obs import NULL_METRICS, NULL_RECORDER, NULL_TRACER
+from repro.obs import NULL_TELEMETRY
 from repro.workload.access_graph import AccessGraph
 
 #: Default drift score above which a re-layout run is recommended.
@@ -201,8 +201,7 @@ def _normalized_l1(before: dict, after: dict) -> float:
 
 def detect_drift(before: AccessGraph, after: AccessGraph,
                  threshold: float = RELAYOUT_THRESHOLD,
-                 tracer=None, metrics=None,
-                 recorder=None) -> DriftReport:
+                 telemetry=NULL_TELEMETRY) -> DriftReport:
     """Compare two workload windows via their access graphs.
 
     Args:
@@ -210,12 +209,10 @@ def detect_drift(before: AccessGraph, after: AccessGraph,
             layout was designed for).
         after: Access graph of the later (observed) window.
         threshold: Drift score at which re-layout is recommended.
-        tracer: Optional :class:`repro.obs.Tracer`; emits one
-            ``detect-drift`` span.
-        metrics: Optional :class:`repro.obs.MetricsRegistry`; records
-            ``drift.score`` / ``drift.node_drift`` / ``drift.edge_drift``
-            gauges and the ``drift.relayout_recommended`` counter.
-        recorder: Optional :class:`repro.obs.EventRecorder`; emits one
+        telemetry: Optional :class:`repro.obs.Telemetry`; opens one
+            ``detect-drift`` span, records ``drift.score`` /
+            ``drift.node_drift`` / ``drift.edge_drift`` gauges and the
+            ``drift.relayout_recommended`` counter, and emits one
             ``drift-score`` event with the report's headline numbers.
 
     Returns:
@@ -223,10 +220,7 @@ def detect_drift(before: AccessGraph, after: AccessGraph,
         re-run trigger, ``report.objects`` / ``report.edges`` explain
         what moved.
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
-    metrics = metrics if metrics is not None else NULL_METRICS
-    recorder = recorder if recorder is not None else NULL_RECORDER
-    with tracer.span("detect-drift") as span:
+    with telemetry.span("detect-drift") as span:
         nodes_before = {n: before.node_weight(n) for n in before.nodes}
         nodes_after = {n: after.node_weight(n) for n in after.nodes}
         edges_before = before.edges
@@ -251,13 +245,13 @@ def detect_drift(before: AccessGraph, after: AccessGraph,
             edges=[e for e in edges if e.delta != 0.0])
         span.set("score", round(score, 6))
         span.set("relayout_recommended", report.relayout_recommended)
-        metrics.set_gauge("drift.score", score)
-        metrics.set_gauge("drift.node_drift", node_drift)
-        metrics.set_gauge("drift.edge_drift", edge_drift)
+        telemetry.set_gauge("drift.score", score)
+        telemetry.set_gauge("drift.node_drift", node_drift)
+        telemetry.set_gauge("drift.edge_drift", edge_drift)
         if report.relayout_recommended:
-            metrics.inc("drift.relayout_recommended")
-        recorder.emit("drift-score", score=round(score, 6),
-                      node_drift=round(node_drift, 6),
-                      edge_drift=round(edge_drift, 6),
-                      relayout_recommended=report.relayout_recommended)
+            telemetry.inc("drift.relayout_recommended")
+        telemetry.emit("drift-score", score=round(score, 6),
+                       node_drift=round(node_drift, 6),
+                       edge_drift=round(edge_drift, 6),
+                       relayout_recommended=report.relayout_recommended)
     return report

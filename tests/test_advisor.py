@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core.advisor import LayoutAdvisor, SearchOptions
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import Telemetry
 from repro.core.constraints import (
     CoLocated,
     ConstraintSet,
@@ -152,12 +152,10 @@ class TestConstrainedAdvisor:
 class TestObservedAdvisor:
     def test_traced_recommend_emits_the_pipeline_phases(
             self, mini_db, join_workload, farm8):
-        tracer = Tracer()
-        metrics = MetricsRegistry()
-        advisor = LayoutAdvisor(mini_db, farm8, tracer=tracer,
-                                metrics=metrics)
+        telemetry = Telemetry()
+        advisor = LayoutAdvisor(mini_db, farm8, telemetry=telemetry)
         rec = advisor.recommend(join_workload)
-        root = tracer.find("recommend")
+        root = telemetry.find("recommend")
         assert root is not None
         phases = [child.name for child in root.children]
         for expected in ["analyze-workload", "baseline-layout",
@@ -173,14 +171,14 @@ class TestObservedAdvisor:
         # Search telemetry: the cost model ran, KL partitioning ran.
         assert rec.search.evaluations > 0
         assert rec.search.kl_passes >= 1
-        assert metrics.value("costmodel.full_evaluations") > 0
+        assert telemetry.value("costmodel.full_evaluations") > 0
 
     def test_tracing_does_not_change_the_recommendation(
             self, mini_db, join_workload, farm8):
         plain = LayoutAdvisor(mini_db, farm8).recommend(join_workload)
         traced = LayoutAdvisor(
-            mini_db, farm8, tracer=Tracer(),
-            metrics=MetricsRegistry()).recommend(join_workload)
+            mini_db, farm8,
+            telemetry=Telemetry()).recommend(join_workload)
         assert traced.estimated_cost == plain.estimated_cost
         assert traced.current_cost == plain.current_cost
         for name in plain.layout.object_names:

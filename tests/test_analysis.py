@@ -26,7 +26,7 @@ from repro.core.constraints import (
 from repro.core.fullstripe import full_striping
 from repro.core.layout import Layout
 from repro.errors import AnalysisError, ConstraintError
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import Telemetry
 from repro.optimizer import operators as ops
 from repro.storage.disk import Availability, DiskFarm, DiskSpec
 from repro.workload.access import (
@@ -415,25 +415,25 @@ class TestEngine:
 
     def test_preflight_records_metrics(self, mini_db, farm8,
                                        join_workload):
-        tracer, metrics = Tracer(), MetricsRegistry()
+        telemetry = Telemetry()
         analyzed = analyze_workload(join_workload, mini_db)
         report = preflight(mini_db, farm8, analyzed=analyzed,
-                           tracer=tracer, metrics=metrics)
+                           telemetry=telemetry)
         assert report.exit_code == 0
-        summary = metrics.render()
+        summary = telemetry.metrics.render()
         assert "analysis.info" in summary
-        assert "preflight" in tracer.render_tree()
+        assert "preflight" in telemetry.render_tree()
 
     def test_audit_recommendation_counts_findings(self, mini_db,
                                                   join_workload):
         farm, layout = TestAuditRules()._packed_layout(mini_db)
         analyzed = analyze_workload(join_workload, mini_db)
         graph = build_access_graph(analyzed, mini_db)
-        metrics = MetricsRegistry()
-        report = audit_recommendation(layout, graph, metrics=metrics)
+        telemetry = Telemetry()
+        report = audit_recommendation(layout, graph, telemetry=telemetry)
         assert "ALR030" in rule_ids(report)
         assert "ALR004" in rule_ids(report)
-        assert "analysis.audit_findings" in metrics.render()
+        assert "analysis.audit_findings" in telemetry.metrics.render()
 
 
 class TestAdvisorWiring:

@@ -23,7 +23,7 @@ from repro.core.greedy import TsGreedySearch
 from repro.core.layout import stripe_fractions
 from repro.core.tolerance import EPS_COST
 from repro.errors import LayoutError
-from repro.obs import MetricsRegistry
+from repro.obs import Telemetry
 from repro.workload.access import analyze_workload
 from repro.workload.access_graph import build_access_graph
 
@@ -158,13 +158,13 @@ class TestCommitRows:
 
     def test_commit_counts_metric(self, case):
         evaluator, _, sizes, farm = case
-        metrics = MetricsRegistry()
-        evaluator.bind_metrics(metrics)
+        telemetry = Telemetry()
+        evaluator.bind_telemetry(telemetry)
         evaluator.set_base(
             evaluator.matrix_of(full_striping(sizes, farm)))
         evaluator.commit_rows(
             {"big": np.array(stripe_fractions([0], farm))})
-        assert metrics.value("costmodel.commit_evaluations") == 1.0
+        assert telemetry.value("costmodel.commit_evaluations") == 1.0
 
 
 class TestBestForRows:
@@ -248,13 +248,13 @@ class TestBestForRows:
 
     def test_fused_counts_metric(self, case):
         evaluator, _, sizes, farm = case
-        metrics = MetricsRegistry()
-        evaluator.bind_metrics(metrics)
+        telemetry = Telemetry()
+        evaluator.bind_telemetry(telemetry)
         incumbent = evaluator.set_base(
             evaluator.matrix_of(full_striping(sizes, farm)))
         rows = np.array([stripe_fractions([0], farm)])
         evaluator.best_for_rows("big", rows, incumbent)
-        assert metrics.value("costmodel.fused_evaluations") == 1.0
+        assert telemetry.value("costmodel.fused_evaluations") == 1.0
 
 
 class TestChunkAutoSizing:
@@ -283,10 +283,10 @@ class TestChunkAutoSizing:
 class TestGreedyUsesFastPath:
     def test_greedy_search_emits_commit_and_fused_counters(self, case):
         evaluator, graph, sizes, farm = case
-        metrics = MetricsRegistry()
-        evaluator.bind_metrics(metrics)
+        telemetry = Telemetry()
+        evaluator.bind_telemetry(telemetry)
         result = TsGreedySearch(farm, evaluator, sizes, prune=True,
-                                metrics=metrics).search(graph)
+                                telemetry=telemetry).search(graph)
         assert result.cost > 0
-        assert metrics.value("costmodel.fused_evaluations") > 0
-        assert metrics.value("costmodel.commit_evaluations") > 0
+        assert telemetry.value("costmodel.fused_evaluations") > 0
+        assert telemetry.value("costmodel.commit_evaluations") > 0

@@ -45,7 +45,7 @@ from repro.core.layout import Layout, stripe_fractions
 from repro.core.random_layout import random_layout
 from repro.core.tolerance import EPS_CAPACITY, EPS_COST, EPS_ZERO
 from repro.errors import LayoutError, ReproError
-from repro.obs import EventRecorder, MetricsRegistry
+from repro.obs import Telemetry
 from repro.obs.events import canonical_lines
 from repro.storage.disk import Availability, DiskFarm, winbench_farm
 from repro.workload.access import analyze_workload
@@ -120,7 +120,7 @@ class ReferenceGreedy(TsGreedySearch):
                     iteration=result.iterations,
                     candidates=iteration_evals, best_cost=float(cost),
                     accepted=False))
-                self._recorder.emit(
+                self._telemetry.emit(
                     "greedy-iteration", iteration=result.iterations,
                     candidates=iteration_evals, best_cost=float(cost),
                     accepted=False, changed=[])
@@ -133,20 +133,20 @@ class ReferenceGreedy(TsGreedySearch):
                 iteration=result.iterations, candidates=iteration_evals,
                 best_cost=float(cost), accepted=True,
                 changed=tuple(sorted(best_change))))
-            self._recorder.emit(
+            self._telemetry.emit(
                 "greedy-iteration", iteration=result.iterations,
                 candidates=iteration_evals, best_cost=float(cost),
                 accepted=True, changed=sorted(best_change))
-        self._metrics.inc("greedy.iterations", result.iterations)
-        self._metrics.inc("greedy.evaluations", result.evaluations)
-        self._metrics.inc("greedy.pruned_candidates", pruned_total)
-        self._metrics.inc("greedy.accepted_moves",
-                          sum(1 for s in result.steps if s.accepted))
+        self._telemetry.inc("greedy.iterations", result.iterations)
+        self._telemetry.inc("greedy.evaluations", result.evaluations)
+        self._telemetry.inc("greedy.pruned_candidates", pruned_total)
+        self._telemetry.inc("greedy.accepted_moves",
+                            sum(1 for s in result.steps if s.accepted))
         result.extras["pruned_candidates"] = float(pruned_total)
         result.extras.update(self._reference_extras())
         for step in result.steps:
-            self._metrics.observe("greedy.candidates_per_iteration",
-                                  step.candidates)
+            self._telemetry.observe("greedy.candidates_per_iteration",
+                                    step.candidates)
         final = Layout(self._farm, self._sizes, current)
         if self._constraints.movement is not None \
                 and not self._constraints.is_satisfied(final):
@@ -258,9 +258,9 @@ class Case:
     prune: bool
     seed: int
 
-    def evaluator(self, metrics) -> WorkloadCostEvaluator:
+    def evaluator(self, telemetry) -> WorkloadCostEvaluator:
         return WorkloadCostEvaluator(self.analyzed, self.farm, _NAMES,
-                                     metrics=metrics)
+                                     telemetry=telemetry)
 
     def layout(self) -> Layout:
         """A seeded random layout that satisfies the case's
@@ -321,13 +321,13 @@ def cases(draw, co_location: bool | None = None) -> Case:
 
 def _run(run) -> tuple:
     """Run one search with fresh telemetry; capture everything."""
-    metrics = MetricsRegistry()
-    recorder = EventRecorder(run_id="harness", clock=lambda: 0.0)
+    telemetry = Telemetry(run_id="harness", clock=lambda: 0.0)
     try:
-        result = run(metrics, recorder)
+        result = run(telemetry)
     except ReproError as exc:
         return ("error", type(exc).__name__, str(exc)), None, None
-    return result, metrics.to_dict(), canonical_lines(recorder.events)
+    return (result, telemetry.metrics.to_dict(),
+            canonical_lines(telemetry.events))
 
 
 def _bits(values) -> bytes:
@@ -359,21 +359,21 @@ def _assert_identical(new, reference) -> None:
 
 
 def _greedy(case: Case, cls, initial=None, constraints=None):
-    def run(metrics, recorder):
-        search = cls(case.farm, case.evaluator(metrics), _SIZES,
+    def run(telemetry):
+        search = cls(case.farm, case.evaluator(telemetry), _SIZES,
                      constraints=constraints or case.constraints,
-                     k=case.k, metrics=metrics, prune=case.prune,
-                     recorder=recorder)
+                     k=case.k, telemetry=telemetry, prune=case.prune)
         return search.search(case.graph, initial_layout=initial)
     return _run(run)
 
 
 def _incremental(case: Case, budget: float, reference: bool):
-    def run(metrics, recorder):
+    def run(telemetry):
         return IncrementalSearch(
-            case.farm, case.evaluator(metrics), _SIZES,
-            constraints=case.constraints, k=case.k, metrics=metrics,
-            recorder=recorder).search(case.graph, case.layout(), budget)
+            case.farm, case.evaluator(telemetry), _SIZES,
+            constraints=case.constraints, k=case.k,
+            telemetry=telemetry).search(case.graph, case.layout(),
+                                        budget)
     if not reference:
         return _run(run)
     with mock.patch.object(incremental, "_BudgetedGreedySearch",

@@ -20,7 +20,7 @@ from repro.core.greedy import TsGreedySearch
 from repro.core.layout import stripe_fractions
 from repro.core.random_layout import random_layout
 from repro.errors import LayoutError
-from repro.obs import MetricsRegistry
+from repro.obs import Telemetry
 from repro.workload.access import analyze_workload
 from repro.workload.access_graph import build_access_graph
 
@@ -63,10 +63,10 @@ class TestPruningParity:
 
     def test_pruned_counter_reported(self, case):
         evaluator, graph, sizes, farm = case
-        metrics = MetricsRegistry()
+        telemetry = Telemetry()
         result = TsGreedySearch(farm, evaluator, sizes, prune=True,
-                                metrics=metrics).search(graph)
-        assert metrics.value("greedy.pruned_candidates") \
+                                telemetry=telemetry).search(graph)
+        assert telemetry.value("greedy.pruned_candidates") \
             == result.extras["pruned_candidates"]
 
     def test_parity_with_wider_k(self, case):
@@ -144,8 +144,8 @@ class TestLowerBoundSoundness:
 
     def test_bound_evaluations_counted(self, case):
         evaluator, _, sizes, farm = case
-        metrics = MetricsRegistry()
-        evaluator.bind_metrics(metrics)
+        telemetry = Telemetry()
+        previous = evaluator.bind_telemetry(telemetry)
         try:
             base = full_striping(sizes, farm)
             evaluator.set_base(np.array(
@@ -155,5 +155,5 @@ class TestLowerBoundSoundness:
                              stripe_fractions([0, 1], farm)])
             evaluator.bounds_for_rows(evaluator.object_names[0], rows)
         finally:
-            evaluator.bind_metrics(None)
-        assert metrics.value("costmodel.bound_evaluations") == 2.0
+            evaluator.bind_telemetry(previous)
+        assert telemetry.value("costmodel.bound_evaluations") == 2.0

@@ -25,7 +25,7 @@ from repro.core.layout import Layout
 from repro.core.tolerance import EPS_COST, EPS_FRACTION
 from repro.core import tolerance
 from repro.errors import LayoutError
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import Telemetry
 from repro.storage import migration as migration_module
 from repro.storage.disk import DiskSpec, DiskFarm, uniform_farm
 from repro.storage.migration import (
@@ -110,15 +110,14 @@ class TestDriftDetection:
         assert "drift score" in text
 
     def test_observability(self):
-        tracer, metrics = Tracer(), MetricsRegistry()
+        telemetry = Telemetry()
         before = graph_of({"a": 100.0})
         after = graph_of({"b": 100.0})
-        report = detect_drift(before, after, tracer=tracer,
-                              metrics=metrics)
-        assert metrics.value("drift.score") == pytest.approx(
+        report = detect_drift(before, after, telemetry=telemetry)
+        assert telemetry.value("drift.score") == pytest.approx(
             report.score)
-        assert metrics.value("drift.relayout_recommended") == 1
-        assert tracer.find("detect-drift") is not None
+        assert telemetry.value("drift.relayout_recommended") == 1
+        assert telemetry.find("detect-drift") is not None
 
 
 def two_disk_farm(capacity: int = 1000) -> DiskFarm:
@@ -235,16 +234,16 @@ class TestMigrationPlanner:
         assert len(rebuilt) == len(plan)
 
     def test_observability(self):
-        tracer, metrics = Tracer(), MetricsRegistry()
+        telemetry = Telemetry()
         farm = two_disk_farm()
         plan_migration(
             Layout(farm, {"t": 100}, {"t": [1.0, 0.0]}),
             Layout(farm, {"t": 100}, {"t": [0.0, 1.0]}),
-            tracer=tracer, metrics=metrics)
-        assert metrics.value("incremental.migration_steps") == 1
-        assert metrics.value("incremental.moved_blocks") == \
+            telemetry=telemetry)
+        assert telemetry.value("incremental.migration_steps") == 1
+        assert telemetry.value("incremental.moved_blocks") == \
             pytest.approx(100.0)
-        assert tracer.find("plan-migration") is not None
+        assert telemetry.find("plan-migration") is not None
 
 
 class TestMigrationAuditRules:

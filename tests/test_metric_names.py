@@ -4,7 +4,7 @@ The source-wide scan is the AST contract checker (``RPC301``–``RPC304``
 in :mod:`repro.analysis.code.telemetry`), which replaced the regex
 scrape this file used to run: string literals in comments/docstrings no
 longer count, multi-line calls resolve, the method must agree with the
-declared kind, and the same pass covers ``EventRecorder.emit`` against
+declared kind, and the same pass covers ``Telemetry.emit`` against
 ``EVENT_TYPES``.  The adversarial cases prove each rule still catches
 a planted violation; the strict-registry tests remain the runtime
 backstop for dynamic names the static pass cannot resolve.
@@ -19,7 +19,7 @@ import pytest
 
 from repro.analysis.code import analyze_paths
 from repro.core.advisor import LayoutAdvisor
-from repro.obs import METRIC_CATALOG, MetricsRegistry
+from repro.obs import METRIC_CATALOG, MetricsRegistry, Telemetry
 from repro.obs.events import EVENT_TYPES
 from repro.obs.names import (
     COUNTER,
@@ -130,21 +130,21 @@ class TestStrictRegistry:
             self, mini_db, farm8, join_workload):
         # The integration backstop: a real recommendation under a
         # strict registry — any undeclared emission raises.
-        metrics = MetricsRegistry(strict=True)
-        advisor = LayoutAdvisor(mini_db, farm8, metrics=metrics)
+        telemetry = Telemetry(strict=True)
+        advisor = LayoutAdvisor(mini_db, farm8, telemetry=telemetry)
         recommendation = advisor.recommend(join_workload)
         assert recommendation.estimated_cost > 0
-        snapshot = metrics.to_dict()
+        snapshot = telemetry.metrics.to_dict()
         emitted = (set(snapshot["counters"]) | set(snapshot["gauges"])
                    | set(snapshot["histograms"]))
         assert emitted <= set(METRIC_CATALOG)
 
     def test_portfolio_run_emits_only_declared_metrics(
             self, mini_db, farm8, join_workload):
-        metrics = MetricsRegistry(strict=True)
-        advisor = LayoutAdvisor(mini_db, farm8, metrics=metrics)
+        telemetry = Telemetry(strict=True)
+        advisor = LayoutAdvisor(mini_db, farm8, telemetry=telemetry)
         advisor.recommend(join_workload, method="portfolio", jobs=2)
-        snapshot = metrics.to_dict()
+        snapshot = telemetry.metrics.to_dict()
         emitted = (set(snapshot["counters"]) | set(snapshot["gauges"])
                    | set(snapshot["histograms"]))
         assert emitted <= set(METRIC_CATALOG)

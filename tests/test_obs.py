@@ -1,4 +1,5 @@
-"""Tests for the observability layer: tracer, metrics and no-ops."""
+"""Tests for the observability layer: the telemetry handle, spans as
+events, metrics and the null handle."""
 
 import json
 
@@ -6,11 +7,12 @@ import pytest
 
 from repro.obs import (
     MetricsRegistry,
-    NULL_METRICS,
-    NULL_TRACER,
+    NULL_TELEMETRY,
     Span,
-    Tracer,
+    Telemetry,
+    read_events,
 )
+from repro.obs.trace import spans_from_events
 
 
 class FakeClock:
@@ -31,56 +33,136 @@ def clock():
     return FakeClock()
 
 
+def _open_path(telemetry):
+    """Names of the spans still open, outermost first."""
+    path = []
+    nodes = telemetry.roots
+    while nodes and nodes[-1].end_s is None:
+        path.append(nodes[-1].name)
+        nodes = nodes[-1].children
+    return path
+
+
 class TestSpanNesting:
     def test_spans_nest_under_the_open_span(self, clock):
-        tracer = Tracer(clock=clock)
-        with tracer.span("outer"):
-            with tracer.span("inner-a"):
+        telemetry = Telemetry(clock=clock)
+        with telemetry.span("outer"):
+            with telemetry.span("inner-a"):
                 clock.advance(1.0)
-            with tracer.span("inner-b"):
+            with telemetry.span("inner-b"):
                 clock.advance(2.0)
-        [root] = tracer.roots
+        [root] = telemetry.roots
         assert root.name == "outer"
         assert [c.name for c in root.children] == ["inner-a", "inner-b"]
         assert root.children[0].children == []
 
     def test_sibling_roots_form_a_forest(self, clock):
-        tracer = Tracer(clock=clock)
-        with tracer.span("first"):
+        telemetry = Telemetry(clock=clock)
+        with telemetry.span("first"):
             pass
-        with tracer.span("second"):
+        with telemetry.span("second"):
             pass
-        assert [r.name for r in tracer.roots] == ["first", "second"]
+        assert [r.name for r in telemetry.roots] == ["first", "second"]
 
     def test_current_tracks_the_innermost_open_span(self, clock):
-        tracer = Tracer(clock=clock)
-        assert tracer.current is None
-        with tracer.span("outer"):
-            assert tracer.current.name == "outer"
-            with tracer.span("inner"):
-                assert tracer.current.name == "inner"
-            assert tracer.current.name == "outer"
-        assert tracer.current is None
+        # The stream read back mid-flight (a crashed run's prefix)
+        # shows exactly the spans still open.
+        telemetry = Telemetry(clock=clock)
+        assert _open_path(telemetry) == []
+        with telemetry.span("outer"):
+            assert _open_path(telemetry) == ["outer"]
+            with telemetry.span("inner"):
+                assert _open_path(telemetry) == ["outer", "inner"]
+            assert _open_path(telemetry) == ["outer"]
+        assert _open_path(telemetry) == []
 
     def test_span_closes_even_when_the_body_raises(self, clock):
-        tracer = Tracer(clock=clock)
+        telemetry = Telemetry(clock=clock)
         with pytest.raises(RuntimeError):
-            with tracer.span("doomed"):
+            with telemetry.span("doomed"):
                 clock.advance(0.5)
                 raise RuntimeError("boom")
-        [root] = tracer.roots
+        [root] = telemetry.roots
         assert root.duration_s == pytest.approx(0.5)
-        assert tracer.current is None
+        assert _open_path(telemetry) == []
+        assert telemetry.events[-1]["type"] == "phase-end"
+
+
+class TestSpansAreEvents:
+    def test_span_emits_a_phase_pair_with_attrs_on_the_end(self, clock):
+        telemetry = Telemetry(clock=clock, cpu_clock=clock)
+        with telemetry.span("ts-greedy", k=1) as span:
+            clock.advance(2.0)
+            span.set("iterations", 7)
+        start, end = telemetry.events
+        assert start["type"] == "phase-start"
+        assert start["data"] == {"phase": "ts-greedy"}
+        assert end["type"] == "phase-end"
+        assert end["data"] == {"phase": "ts-greedy", "wall_s": 2.0,
+                               "cpu_s": 2.0, "k": 1, "iterations": 7}
+
+    def test_file_sink_gets_the_same_phase_events(self, clock,
+                                                  tmp_path):
+        path = tmp_path / "events.jsonl"
+        with Telemetry(clock=clock, path=path) as telemetry:
+            with telemetry.span("recommend", method="ts-greedy"):
+                clock.advance(1.0)
+        assert read_events(path) == telemetry.events
+
+    def test_sink_is_truncated_on_open(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        for _ in range(2):
+            with Telemetry(path=path) as telemetry:
+                telemetry.emit("note", message="one run")
+        assert len(read_events(path)) == 1
+
+    def test_foreign_spans_group_by_source_under_the_open_span(self):
+        def worker(index):
+            handle = Telemetry(source=f"trajectory-{index}")
+            with handle.span("ts-greedy"):
+                with handle.span("ts-greedy/step2"):
+                    pass
+            return handle.snapshot()
+
+        parent = Telemetry()
+        with parent.span("portfolio"):
+            for index in range(2):
+                parent.merge(worker(index))
+        [root] = parent.roots
+        assert [c.name for c in root.children] == [
+            "portfolio/trajectory-0", "portfolio/trajectory-1"]
+        group = root.children[1]
+        [greedy] = group.children
+        assert [c.name for c in greedy.children] == ["ts-greedy/step2"]
+        assert group.start_s == greedy.start_s
+        assert group.end_s == greedy.end_s
+
+    def test_rebuild_reads_a_stream_without_its_handle(self, clock,
+                                                       tmp_path):
+        path = tmp_path / "events.jsonl"
+        with Telemetry(clock=clock, path=path) as telemetry:
+            with telemetry.span("open-at-crash"):
+                with telemetry.span("done"):
+                    clock.advance(1.0)
+        events = read_events(path)[:-1]  # drop the outer phase-end
+        [root] = spans_from_events(events, "parent")
+        assert root.end_s is None
+        assert root.children[0].duration_s == pytest.approx(1.0)
+
+    def test_inc_is_the_registry_method_itself(self):
+        telemetry = Telemetry()
+        assert telemetry.inc.__self__ is telemetry.metrics
+        assert telemetry.inc.__func__ is MetricsRegistry.inc
 
 
 class TestSpanTiming:
     def test_durations_are_epoch_relative(self, clock):
         clock.now = 500.0  # arbitrary absolute origin
-        tracer = Tracer(clock=clock)
+        telemetry = Telemetry(clock=clock)
         clock.advance(2.0)
-        with tracer.span("work"):
+        with telemetry.span("work"):
             clock.advance(3.0)
-        [root] = tracer.roots
+        [root] = telemetry.roots
         assert root.start_s == pytest.approx(2.0)
         assert root.duration_s == pytest.approx(3.0)
 
@@ -89,13 +171,13 @@ class TestSpanTiming:
         assert span.duration_s == 0.0
 
     def test_child_time_is_contained_in_parent_time(self, clock):
-        tracer = Tracer(clock=clock)
-        with tracer.span("parent"):
+        telemetry = Telemetry(clock=clock)
+        with telemetry.span("parent"):
             clock.advance(1.0)
-            with tracer.span("child"):
+            with telemetry.span("child"):
                 clock.advance(2.0)
             clock.advance(1.0)
-        [parent] = tracer.roots
+        [parent] = telemetry.roots
         [child] = parent.children
         assert child.start_s >= parent.start_s
         assert child.duration_s <= parent.duration_s
@@ -104,67 +186,69 @@ class TestSpanTiming:
 
 class TestSpanQueries:
     def test_find_is_preorder_within_a_tree(self, clock):
-        tracer = Tracer(clock=clock)
-        with tracer.span("a"):
-            with tracer.span("b"):
-                with tracer.span("target"):
+        telemetry = Telemetry(clock=clock)
+        with telemetry.span("a"):
+            with telemetry.span("b"):
+                with telemetry.span("target"):
                     pass
-        assert tracer.find("target").name == "target"
-        assert tracer.find("missing") is None
+        assert telemetry.find("target").name == "target"
+        assert telemetry.find("missing") is None
 
     def test_find_prefers_the_most_recent_root(self, clock):
-        tracer = Tracer(clock=clock)
-        with tracer.span("run") as first:
+        telemetry = Telemetry(clock=clock)
+        with telemetry.span("run") as first:
             first.set("generation", 1)
-        with tracer.span("run") as second:
+        with telemetry.span("run") as second:
             second.set("generation", 2)
-        assert tracer.find("run").attrs["generation"] == 2
+        assert telemetry.find("run").attrs["generation"] == 2
 
     def test_leaves_yields_only_leaf_spans(self, clock):
-        tracer = Tracer(clock=clock)
-        with tracer.span("root"):
-            with tracer.span("mid"):
-                with tracer.span("leaf-1"):
+        telemetry = Telemetry(clock=clock)
+        with telemetry.span("root"):
+            with telemetry.span("mid"):
+                with telemetry.span("leaf-1"):
                     pass
-            with tracer.span("leaf-2"):
+            with telemetry.span("leaf-2"):
                 pass
-        [root] = tracer.roots
+        [root] = telemetry.roots
         assert [s.name for s in root.leaves()] == ["leaf-1", "leaf-2"]
 
 
 class TestTraceSerialization:
-    def test_json_round_trip_preserves_the_tree(self, clock):
-        tracer = Tracer(clock=clock)
-        with tracer.span("root", method="ts-greedy"):
-            clock.advance(1.5)
-            with tracer.span("child"):
-                clock.advance(0.25)
-        data = json.loads(tracer.to_json())
-        rebuilt = Tracer.from_dict(data)
-        [root] = rebuilt.roots
+    def test_json_round_trip_preserves_the_tree(self, clock, tmp_path):
+        # The event file is the serialization: the tree read back from
+        # it equals the live one.
+        path = tmp_path / "events.jsonl"
+        with Telemetry(clock=clock, path=path) as telemetry:
+            with telemetry.span("root", method="ts-greedy"):
+                clock.advance(1.5)
+                with telemetry.span("child"):
+                    clock.advance(0.25)
+        [root] = spans_from_events(read_events(path), "parent")
         assert root.name == "root"
         assert root.attrs == {"method": "ts-greedy"}
         assert root.duration_s == pytest.approx(1.75)
         [child] = root.children
         assert child.name == "child"
         assert child.duration_s == pytest.approx(0.25)
+        assert root.to_dict() == telemetry.roots[0].to_dict()
 
     def test_write_json_produces_a_valid_file(self, clock, tmp_path):
-        tracer = Tracer(clock=clock)
-        with tracer.span("root"):
+        telemetry = Telemetry(clock=clock)
+        with telemetry.span("root"):
             clock.advance(1.0)
         path = tmp_path / "trace.json"
-        tracer.write_json(path)
+        telemetry.write_trace(path)
         data = json.loads(path.read_text())
         assert data["spans"][0]["name"] == "root"
 
     def test_render_tree_shows_names_durations_and_attrs(self, clock):
-        tracer = Tracer(clock=clock)
-        with tracer.span("root", k=1):
+        telemetry = Telemetry(clock=clock)
+        with telemetry.span("root", k=1):
             clock.advance(2.0)
-            with tracer.span("half"):
+            with telemetry.span("half"):
                 clock.advance(2.0)
-        text = tracer.render_tree()
+        text = telemetry.render_tree()
         assert "root" in text and "half" in text
         assert "[k=1]" in text
         assert "50.0%" in text  # the child's share of the root
@@ -235,69 +319,66 @@ class TestHistograms:
 
 class TestNullObjects:
     def test_null_tracer_matches_the_tracer_api(self):
-        with NULL_TRACER.span("anything", attr=1) as span:
+        with NULL_TELEMETRY.span("anything", attr=1) as span:
             span.set("key", "value")
-            assert span.find("x") is None
-            assert list(span.leaves()) == []
-        assert NULL_TRACER.roots == []
-        assert NULL_TRACER.current is None
-        assert NULL_TRACER.find("anything") is None
-        assert json.loads(NULL_TRACER.to_json()) == {"spans": []}
-        assert NULL_TRACER.render_tree() == ""
+        NULL_TELEMETRY.emit("note", message="dropped")
+        assert NULL_TELEMETRY.events == []
+        assert NULL_TELEMETRY.run_id == ""
 
     def test_null_tracer_hands_out_one_shared_context(self):
-        assert NULL_TRACER.span("a") is NULL_TRACER.span("b")
+        assert NULL_TELEMETRY.span("a") is NULL_TELEMETRY.span("b")
 
     def test_null_metrics_matches_the_registry_api(self):
-        NULL_METRICS.inc("c")
-        NULL_METRICS.set_gauge("g", 5)
-        NULL_METRICS.observe("h", 5)
-        assert NULL_METRICS.value("c") == 0.0
-        assert list(NULL_METRICS.names()) == []
-        assert NULL_METRICS.counter("c").value == 0.0
-        assert NULL_METRICS.histogram("h").percentile(95) == 0.0
-        assert json.loads(NULL_METRICS.to_json()) == {
-            "counters": {}, "gauges": {}, "histograms": {}}
-        assert NULL_METRICS.render() == ""
+        NULL_TELEMETRY.inc("c")
+        NULL_TELEMETRY.set_gauge("g", 5)
+        NULL_TELEMETRY.observe("h", 5)
+        assert NULL_TELEMETRY.value("c") == 0.0
+        assert NULL_TELEMETRY.value("g") == 0.0
 
     def test_null_objects_swallow_exceptions_properly(self):
         # __exit__ must return falsy so exceptions still propagate.
         with pytest.raises(RuntimeError):
-            with NULL_TRACER.span("doomed"):
+            with NULL_TELEMETRY.span("doomed"):
                 raise RuntimeError("boom")
 
 
 class TestTracerAttach:
-    def test_attach_as_root_when_nothing_open(self, clock):
-        tracer = Tracer(clock=clock)
-        imported = Span(name="worker-run", start_s=0.0, end_s=1.5)
-        tracer.attach(imported)
-        assert tracer.roots == [imported]
+    """Worker spans merged into a parent attach under its open span."""
 
-    def test_attach_nests_under_the_open_span(self, clock):
-        tracer = Tracer(clock=clock)
-        imported = Span(name="portfolio/trajectory-0", start_s=0.0,
-                        end_s=0.25,
-                        children=[Span("ts-greedy", 0.0, 0.2)])
-        with tracer.span("portfolio") as parent:
-            tracer.attach(imported)
-        assert parent.children == [imported]
-        assert tracer.find("ts-greedy") is imported.children[0]
+    @staticmethod
+    def _worker(index, **attrs):
+        worker = Telemetry(source=f"trajectory-{index}")
+        with worker.span("ts-greedy", **attrs):
+            pass
+        return worker.snapshot()
 
-    def test_attached_tree_survives_serialization(self, clock):
-        tracer = Tracer(clock=clock)
-        with tracer.span("portfolio"):
-            tracer.attach(Span("portfolio/trajectory-1", 0.0, 0.5,
-                               attrs={"label": "anneal-104"}))
-        data = tracer.to_dict()
-        rebuilt = Tracer.from_dict(data)
-        found = rebuilt.find("portfolio/trajectory-1")
+    def test_attach_as_root_when_nothing_open(self):
+        parent = Telemetry()
+        parent.merge(self._worker(0))
+        assert [r.name for r in parent.roots] == ["ts-greedy"]
+
+    def test_attach_nests_under_the_open_span(self):
+        parent = Telemetry()
+        with parent.span("portfolio"):
+            parent.merge(self._worker(0))
+        [root] = parent.roots
+        [group] = root.children
+        assert group.name == "portfolio/trajectory-0"
+        assert parent.find("ts-greedy") == group.children[0]
+
+    def test_attached_tree_survives_serialization(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        with Telemetry(path=path) as parent:
+            with parent.span("portfolio"):
+                parent.merge(self._worker(1, label="anneal-104"))
+        [root] = spans_from_events(read_events(path), "parent")
+        found = root.find("portfolio/trajectory-1")
         assert found is not None
-        assert found.attrs["label"] == "anneal-104"
+        assert found.children[0].attrs["label"] == "anneal-104"
 
     def test_null_tracer_attach_is_a_noop(self):
-        NULL_TRACER.attach(Span("x", 0.0, 1.0))
-        assert NULL_TRACER.roots == []
+        NULL_TELEMETRY.merge(self._worker(0))
+        assert NULL_TELEMETRY.events == []
 
 
 class TestMetricsMerge:
@@ -352,7 +433,19 @@ class TestMetricsMerge:
         assert one_shot.value("n") == 33.0
 
     def test_null_metrics_merge_is_a_noop(self):
-        src = MetricsRegistry()
+        src = Telemetry()
         src.inc("c", 5)
-        assert NULL_METRICS.merge(src.to_dict()) is NULL_METRICS
-        assert NULL_METRICS.value("c") == 0.0
+        NULL_TELEMETRY.merge(src.snapshot())
+        assert NULL_TELEMETRY.value("c") == 0.0
+
+    def test_telemetry_merge_folds_counters_and_events(self):
+        worker = Telemetry(source="trajectory-0")
+        worker.inc("greedy.evaluations", 3)
+        worker.emit("note", message="from the worker")
+        parent = Telemetry()
+        parent.inc("greedy.evaluations", 4)
+        parent.merge(worker.snapshot())
+        assert parent.value("greedy.evaluations") == 7.0
+        [event] = parent.events
+        assert event["source"] == "trajectory-0"
+        assert event["run_id"] == parent.run_id

@@ -14,8 +14,8 @@ from repro.core.greedy import TsGreedySearch
 from repro.errors import DegradedResult, EventLogFormatError
 from repro.obs import (
     EVENT_TYPES,
-    EventRecorder,
-    NULL_RECORDER,
+    NULL_TELEMETRY,
+    Telemetry,
     canonical_lines,
     read_events,
     render_timeline,
@@ -38,7 +38,7 @@ def case(mini_db, join_workload, farm8):
 
 class TestRecorderApi:
     def test_emit_assigns_total_order(self):
-        recorder = EventRecorder()
+        recorder = Telemetry()
         first = recorder.emit("run-start", command="test")
         second = recorder.emit("note", message="hi")
         assert first["seq"] == 0 and second["seq"] == 1
@@ -47,7 +47,7 @@ class TestRecorderApi:
         assert validate_events(recorder.events) == []
 
     def test_undeclared_type_rejected_at_emit(self):
-        recorder = EventRecorder()
+        recorder = Telemetry()
         with pytest.raises(ValueError, match="undeclared event type"):
             recorder.emit("made-up-type", x=1)
         assert recorder.events == []
@@ -57,33 +57,35 @@ class TestRecorderApi:
             assert type_ and description
 
     def test_snapshot_is_a_deep_copy(self):
-        recorder = EventRecorder()
+        recorder = Telemetry()
         recorder.emit("note", message="original")
-        snap = recorder.snapshot()
+        snap = recorder.snapshot()["events"]
         snap[0]["data"]["message"] = "mutated"
         assert recorder.events[0]["data"]["message"] == "original"
 
     def test_ingest_resequences_and_restamps_run_id(self):
-        worker = EventRecorder(source="trajectory-3")
+        worker = Telemetry(source="trajectory-3")
         worker.emit("kl-pass", pass_index=1, cut_weight=10.0)
         worker.emit("greedy-iteration", iteration=1, candidates=4,
                     best_cost=1.0, accepted=True, changed=["big"])
-        parent = EventRecorder()
+        parent = Telemetry()
         parent.emit("run-start", command="test")
-        relayed = parent.ingest(worker.snapshot())
+        parent.merge(worker.snapshot())
+        relayed = parent.events[1:]
         assert [e["seq"] for e in relayed] == [1, 2]
         assert all(e["run_id"] == parent.run_id for e in relayed)
         assert all(e["source"] == "trajectory-3" for e in relayed)
         assert validate_events(parent.events) == []
 
     def test_ingest_rejects_undeclared_types(self):
-        parent = EventRecorder()
+        parent = Telemetry()
         with pytest.raises(ValueError, match="undeclared event type"):
-            parent.ingest([{"type": "bogus", "data": {}}])
+            parent.merge({"events": [{"type": "bogus", "data": {}}],
+                          "metrics": {}})
 
     def test_streaming_sink_flushes_per_event(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        recorder = EventRecorder(path=path)
+        recorder = Telemetry(path=path)
         recorder.emit("run-start", command="test")
         # Before close: the event is already on disk (crash safety).
         assert len(read_events(path)) == 1
@@ -94,9 +96,10 @@ class TestRecorderApi:
         assert validate_events(events) == []
 
     def test_null_recorder_records_nothing(self):
-        NULL_RECORDER.emit("note", message="dropped")
-        assert NULL_RECORDER.events == []
-        assert NULL_RECORDER.snapshot() == []
+        NULL_TELEMETRY.emit("note", message="dropped")
+        with NULL_TELEMETRY.span("dropped"):
+            pass
+        assert NULL_TELEMETRY.events == []
 
     def test_read_events_names_file_and_line_on_bad_json(self, tmp_path):
         path = tmp_path / "broken.jsonl"
@@ -105,17 +108,17 @@ class TestRecorderApi:
             read_events(path)
 
     def test_validate_catches_broken_sequence(self):
-        recorder = EventRecorder()
+        recorder = Telemetry()
         recorder.emit("note", message="a")
-        events = recorder.snapshot()
+        events = recorder.snapshot()["events"]
         events[0]["seq"] = 7
         assert any("total order" in p for p in validate_events(events))
 
     def test_validate_catches_mixed_run_ids(self):
-        a, b = EventRecorder(), EventRecorder()
+        a, b = Telemetry(), Telemetry()
         a.emit("note", message="a")
         b.emit("note", message="b")
-        mixed = a.snapshot() + b.snapshot()
+        mixed = a.snapshot()["events"] + b.snapshot()["events"]
         mixed[1]["seq"] = 1
         assert any("multiple run_ids" in p
                    for p in validate_events(mixed))
@@ -126,10 +129,10 @@ class TestDeterminism:
         evaluator, graph, sizes, farm = case
 
         def run():
-            recorder = EventRecorder()
+            telemetry = Telemetry()
             TsGreedySearch(farm, evaluator, sizes, partition_seed=7,
-                           recorder=recorder).search(graph)
-            return canonical_lines(recorder.events)
+                           telemetry=telemetry).search(graph)
+            return canonical_lines(telemetry.events)
 
         assert run() == run()
 
@@ -139,12 +142,12 @@ class TestDeterminism:
         specs = default_portfolio(3)
 
         def run(jobs, backend):
-            recorder = EventRecorder()
+            telemetry = Telemetry()
             result = PortfolioSearch(farm, evaluator, sizes, specs=specs,
                                      jobs=jobs,
-                                     recorder=recorder).search(graph)
+                                     telemetry=telemetry).search(graph)
             assert result.extras["backend"] == BACKEND_CODES[backend]
-            return canonical_lines(recorder.events)
+            return canonical_lines(telemetry.events)
 
         assert run(1, "serial") == run(2, "process")
 
@@ -155,14 +158,14 @@ class TestResilienceTimeline:
         evaluator, graph, sizes, farm = case
         specs = default_portfolio(4)
         path = tmp_path / "events.jsonl"
-        recorder = EventRecorder(path=path)
+        telemetry = Telemetry(path=path)
         faults = FaultPlan.from_spec("kill_worker=1")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedResult)
             result = PortfolioSearch(
                 farm, evaluator, sizes, specs=specs, jobs=2,
-                faults=faults, recorder=recorder).search(graph)
-        recorder.close()
+                faults=faults, telemetry=telemetry).search(graph)
+        telemetry.close()
         assert result.extras["backend"] == BACKEND_CODES["process"]
         assert result.degraded
         events = read_events(path)
@@ -182,16 +185,16 @@ class TestNoopOverhead:
     def test_disabled_observability_emits_zero_events(self, case):
         evaluator, graph, sizes, farm = case
         TsGreedySearch(farm, evaluator, sizes).search(graph)
-        assert NULL_RECORDER.events == []
+        assert NULL_TELEMETRY.events == []
 
     def test_noop_recorder_cost_is_under_two_percent(self, case):
         # Bound the cost of the no-op instrumentation: the events a
         # real recorder would capture, replayed against the no-op
         # recorder, must cost under 2% of the search's own wall time.
         evaluator, graph, sizes, farm = case
-        probe = EventRecorder()
+        probe = Telemetry()
         TsGreedySearch(farm, evaluator, sizes,
-                       recorder=probe).search(graph)
+                       telemetry=probe).search(graph)
         emitted = [(e["type"], e["data"]) for e in probe.events]
         assert emitted, "instrumented search emitted no events"
 
@@ -201,7 +204,7 @@ class TestNoopOverhead:
         start = time.perf_counter()
         for _ in range(rounds):
             for type_, data in emitted:
-                NULL_RECORDER.emit(type_, **data)
+                NULL_TELEMETRY.emit(type_, **data)
         per_run = (time.perf_counter() - start) / rounds
         assert per_run <= 0.02 * wall, \
             f"no-op emit cost {per_run:.6f}s vs search {wall:.4f}s"
@@ -274,10 +277,10 @@ class TestCliRoundTrip:
         assert "error" in capsys.readouterr().err
 
     def test_inspect_rejects_broken_total_order(self, tmp_path, capsys):
-        recorder = EventRecorder()
+        recorder = Telemetry()
         recorder.emit("run-start", command="test")
         recorder.emit("run-end", status="ok")
-        events = recorder.snapshot()
+        events = recorder.snapshot()["events"]
         events[1]["seq"] = 9
         path = tmp_path / "events.jsonl"
         path.write_text("\n".join(json.dumps(e) for e in events) + "\n")

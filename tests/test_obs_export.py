@@ -8,7 +8,7 @@ import pytest
 
 from repro.obs import (
     MetricsRegistry,
-    Tracer,
+    Telemetry,
     parse_prometheus,
     to_otlp,
     to_prometheus,
@@ -94,21 +94,21 @@ class TestPrometheus:
 
 
 class TestOtlp:
-    def _tracer(self):
+    def _telemetry(self):
         clock_value = [0.0]
 
         def clock():
             clock_value[0] += 0.5
             return clock_value[0]
 
-        tracer = Tracer(clock=clock, cpu_clock=clock)
-        with tracer.span("recommend", statements=2):
-            with tracer.span("ts-greedy", accepted=True):
+        telemetry = Telemetry(clock=clock, cpu_clock=clock)
+        with telemetry.span("recommend", statements=2):
+            with telemetry.span("ts-greedy", accepted=True):
                 pass
-        return tracer
+        return telemetry
 
     def test_structure_and_parenting(self):
-        doc = to_otlp(self._tracer(), run_id="abc123")
+        doc = to_otlp(self._telemetry(), run_id="abc123")
         spans = doc["resourceSpans"][0]["scopeSpans"][0]["spans"]
         assert [s["name"] for s in spans] == ["recommend", "ts-greedy"]
         root, child = spans
@@ -117,30 +117,30 @@ class TestOtlp:
         assert all(s["traceId"] == root["traceId"] for s in spans)
 
     def test_export_is_deterministic(self):
-        first = to_otlp(self._tracer(), run_id="abc123")
-        second = to_otlp(self._tracer(), run_id="abc123")
+        first = to_otlp(self._telemetry(), run_id="abc123")
+        second = to_otlp(self._telemetry(), run_id="abc123")
         assert json.dumps(first, sort_keys=True) \
             == json.dumps(second, sort_keys=True)
 
     def test_span_ids_are_sequential_preorder(self):
-        doc = to_otlp(self._tracer(), run_id="x")
+        doc = to_otlp(self._telemetry(), run_id="x")
         spans = doc["resourceSpans"][0]["scopeSpans"][0]["spans"]
         assert [s["spanId"] for s in spans] == \
             [f"{n:016x}" for n in (1, 2)]
 
     def test_attributes_carry_span_attrs_and_cpu(self):
-        doc = to_otlp(self._tracer(), run_id="x")
+        doc = to_otlp(self._telemetry(), run_id="x")
         root = doc["resourceSpans"][0]["scopeSpans"][0]["spans"][0]
         keys = {a["key"] for a in root["attributes"]}
         assert {"statements", "cpu_s"} <= keys
 
     def test_run_id_lands_in_resource_attributes(self):
-        doc = to_otlp(self._tracer(), run_id="run-42")
+        doc = to_otlp(self._telemetry(), run_id="run-42")
         resource = doc["resourceSpans"][0]["resource"]["attributes"]
         values = {a["key"]: a["value"] for a in resource}
         assert values["run.id"] == {"stringValue": "run-42"}
 
     def test_write_otlp_is_valid_json(self, tmp_path):
         path = tmp_path / "spans.json"
-        write_otlp(self._tracer(), path, run_id="abc")
+        write_otlp(self._telemetry(), path, run_id="abc")
         assert "resourceSpans" in json.loads(path.read_text())

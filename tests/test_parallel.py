@@ -24,7 +24,7 @@ from repro.errors import (
     SearchTimeout,
     WorkerCrash,
 )
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import Telemetry
 from repro.parallel import (
     BACKEND_CODES,
     POOL_MIN_PACKED_BYTES,
@@ -224,23 +224,23 @@ class TestPortfolioSearch:
 
     def test_merged_telemetry_and_metrics(self, case, force_pool):
         evaluator, graph, sizes, farm = case
-        tracer, metrics = Tracer(), MetricsRegistry()
+        telemetry = Telemetry()
         specs = default_portfolio(3)
         result = PortfolioSearch(farm, evaluator, sizes, specs=specs,
-                                 jobs=2, tracer=tracer,
-                                 metrics=metrics).search(graph)
+                                 jobs=2,
+                                 telemetry=telemetry).search(graph)
         assert _on_pool(result)
         assert result.extras["trajectories"] == 3.0
         assert result.extras["workers"] == 2.0
-        root = tracer.find("portfolio")
+        root = telemetry.find("portfolio")
         assert root is not None
         names = [child.name for child in root.children]
         assert names == [f"portfolio/trajectory-{i}" for i in range(3)]
-        assert metrics.value("portfolio.trajectories") == 3.0
-        assert metrics.value("portfolio.workers") == 2.0
+        assert telemetry.value("portfolio.trajectories") == 3.0
+        assert telemetry.value("portfolio.workers") == 2.0
         # Worker-side counters really crossed the process boundary.
-        assert metrics.value("greedy.iterations") > 0
-        assert metrics.value("costmodel.bound_evaluations") > 0
+        assert telemetry.value("greedy.iterations") > 0
+        assert telemetry.value("costmodel.bound_evaluations") > 0
 
     def test_rejects_bad_arguments(self, case):
         evaluator, _, sizes, farm = case
@@ -250,12 +250,12 @@ class TestPortfolioSearch:
             PortfolioSearch(farm, evaluator, sizes, specs=[])
 
 
-def _assert_backend(result, metrics, backend, workers):
+def _assert_backend(result, telemetry, backend, workers):
     code = float(BACKEND_CODES[backend])
     assert result.extras["backend"] == code
-    assert metrics.value("portfolio.backend") == code
+    assert telemetry.value("portfolio.backend") == code
     assert result.extras["workers"] == float(workers)
-    assert metrics.value("portfolio.workers") == float(workers)
+    assert telemetry.value("portfolio.workers") == float(workers)
 
 
 class TestBackendChoice:
@@ -283,22 +283,22 @@ class TestBackendChoice:
                 (2, 0, "process", 2)):
             monkeypatch.setattr(portfolio_module,
                                 "POOL_MIN_PACKED_BYTES", threshold)
-            metrics = MetricsRegistry()
+            telemetry = Telemetry()
             result = PortfolioSearch(
                 farm, evaluator, sizes, specs=default_portfolio(2),
-                jobs=jobs, metrics=metrics).search(graph)
-            _assert_backend(result, metrics, backend, workers)
+                jobs=jobs, telemetry=telemetry).search(graph)
+            _assert_backend(result, telemetry, backend, workers)
 
     def test_small_packings_run_serially(self, case):
         # The mini workload packs far under the threshold, so jobs=2
         # runs serially on one worker.
         evaluator, graph, sizes, farm = case
         assert evaluator.packed_nbytes < POOL_MIN_PACKED_BYTES
-        metrics = MetricsRegistry()
+        telemetry = Telemetry()
         result = PortfolioSearch(farm, evaluator, sizes,
                                  specs=default_portfolio(2), jobs=2,
-                                 metrics=metrics).search(graph)
-        _assert_backend(result, metrics, "serial", 1)
+                                 telemetry=telemetry).search(graph)
+        _assert_backend(result, telemetry, "serial", 1)
 
     def test_threshold_splits_the_reference_workloads(self):
         """The example TPC-H workload (13 objects) runs serially and
@@ -411,16 +411,16 @@ class TestFaultTolerance:
         specs = default_portfolio(2)
         baseline = PortfolioSearch(farm, evaluator, sizes, specs=specs,
                                    jobs=1).search(graph)
-        metrics = MetricsRegistry()
+        telemetry = Telemetry()
         engine = PortfolioSearch(
             farm, evaluator, sizes, specs=specs, jobs=1,
-            metrics=metrics,
+            telemetry=telemetry,
             retry=RetryPolicy(attempts=2, base_delay_s=0.0),
             faults=FaultPlan(fail_eval=0, fail_eval_times=1))
         result = engine.search(graph)
         assert not result.degraded
         assert result.cost == baseline.cost
-        assert metrics.value("resilience.retries") == 1.0
+        assert telemetry.value("resilience.retries") == 1.0
 
     def test_eval_fault_exhausts_retries_and_degrades(self, case):
         evaluator, graph, sizes, farm = case
@@ -440,10 +440,10 @@ class TestFaultTolerance:
         specs = default_portfolio(3)
         baseline = PortfolioSearch(farm, evaluator, sizes, specs=specs,
                                    jobs=1).search(graph)
-        metrics = MetricsRegistry()
+        telemetry = Telemetry()
         engine = PortfolioSearch(
             farm, evaluator, sizes, specs=specs, jobs=2,
-            metrics=metrics, faults=FaultPlan(fail_shm_attach=True))
+            telemetry=telemetry, faults=FaultPlan(fail_shm_attach=True))
         result = engine.search(graph)
         assert _on_pool(result)
         # Every worker died attaching; the serial fallback recovered
@@ -452,7 +452,7 @@ class TestFaultTolerance:
         assert not result.degraded
         assert result.cost == baseline.cost
         assert _fractions(result.layout) == _fractions(baseline.layout)
-        assert metrics.value("resilience.serial_fallbacks") == 3.0
+        assert telemetry.value("resilience.serial_fallbacks") == 3.0
         assert reap_orphans() == []
 
     def test_slow_trajectory_times_out(self, case, force_pool):

@@ -25,7 +25,7 @@ from perf_gate import (  # noqa: E402
 
 from repro.core.costmodel import WorkloadCostEvaluator
 from repro.core.greedy import TsGreedySearch
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import Telemetry
 from repro.obs.profile import phase_breakdown
 from repro.workload.access import analyze_workload
 from repro.workload.access_graph import build_access_graph
@@ -173,16 +173,16 @@ class TestPhaseAttribution:
         graph = build_access_graph(analyzed, mini_db)
 
         def run_config():
-            tracer, metrics = Tracer(), MetricsRegistry()
+            telemetry = Telemetry()
             start = time.perf_counter()
             result = TsGreedySearch(
-                farm8, evaluator, sizes, prune=True, tracer=tracer,
-                metrics=metrics).search(graph)
+                farm8, evaluator, sizes, prune=True,
+                telemetry=telemetry).search(graph)
             return {
                 "wall_s": time.perf_counter() - start,
                 "evaluations": result.evaluations,
                 "cost": result.cost,
-                "phases": phase_breakdown(tracer, metrics),
+                "phases": phase_breakdown(telemetry),
             }
 
         fast = run_config()

@@ -27,6 +27,7 @@ from repro.errors import (
     SharedStateError,
     WorkerCrash,
 )
+from repro.parallel import BACKEND_CODES
 from repro.resilience import Budget, Deadline, FaultPlan, RetryPolicy
 from repro.resilience import faults as fault_injection
 
@@ -349,6 +350,13 @@ class TestDegradedRendering:
         text = render_search_diagnostics(result)
         assert "degraded" not in text
         assert "portfolio: 4 trajectories" in text
+
+    def test_diagnostics_name_each_backend(self, mini_db, farm8):
+        result = self._degraded_result(mini_db, farm8)
+        for name, code in BACKEND_CODES.items():
+            result.extras["backend"] = float(code)
+            text = render_search_diagnostics(result)
+            assert f"2 worker(s) via {name} backend" in text
 
     def test_degraded_result_is_warning_and_repro_error(self):
         assert issubclass(DegradedResult, Warning)

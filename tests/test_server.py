@@ -700,7 +700,7 @@ class TestServiceJobs:
         for job_id in jobs:
             status, job, _ = svc.handle("GET", f"/v1/jobs/{job_id}")
             assert job["status"] == "done", job
-        events = svc.recorder.snapshot()
+        events = svc.telemetry.events
         assert events[-1]["type"] == "server-stop"
         assert events[-1]["data"]["jobs_completed"] == 3
         assert validate_events(events) == []

@@ -8,7 +8,7 @@ import pytest
 from repro.core.fullstripe import full_striping
 from repro.core.layout import Layout, stripe_fractions
 from repro.errors import SimulationError
-from repro.obs import EventRecorder, MetricsRegistry
+from repro.obs import Telemetry
 from repro.simulator.concurrent import (
     MigrationWindow,
     OnlineMigrationReport,
@@ -93,18 +93,16 @@ class TestOnlineMigration:
                                                layouts):
         source, target = layouts
         plan = plan_migration(source, target)
-        metrics = MetricsRegistry(strict=True)
-        recorder = EventRecorder()
-        sim = OnlineMigrationSimulator(metrics=metrics)
-        report = sim.run_online(scan_pair, source, plan, target=target,
-                                recorder=recorder)
-        windows = [e for e in recorder.events
+        telemetry = Telemetry(strict=True)
+        sim = OnlineMigrationSimulator(telemetry=telemetry)
+        report = sim.run_online(scan_pair, source, plan, target=target)
+        windows = [e for e in telemetry.events
                    if e["type"] == "migration-window"]
         assert len(windows) == len(report.windows)
         assert windows[0]["data"]["window"] == 0
-        assert metrics.value("migration.windows") == \
+        assert telemetry.value("migration.windows") == \
             len(report.windows)
-        assert metrics.value("migration.foreground_degradation") == \
+        assert telemetry.value("migration.foreground_degradation") == \
             pytest.approx(report.mean_degradation)
 
     def test_migrating_away_from_hot_pair_pays_back(self, scan_pair,
