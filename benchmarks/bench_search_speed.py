@@ -14,7 +14,7 @@ paper-scale workload (TPC-H schema, seeded query generator):
    input packs under the threshold and would otherwise run serially.
 
 A separate micro-benchmark isolates the evaluator kernel itself: the
-per-candidate ``cost_with_row`` loop (the pre-fusion access pattern)
+per-candidate ``cost_with_rows`` loop (the pre-fusion access pattern)
 against one fused ``best_for_rows`` call over the same candidate
 rows, reported as ``eval_throughput_candidates_per_s`` and the
 speedup ratio.
@@ -248,7 +248,7 @@ def run_bench(jobs: int = 0, mode: str | None = None) -> dict:
     evaluator, graph, sizes, farm = _case(mode)
     n_trajectories = MODES[mode][2]
     cores = available_workers()
-    # At least 2 so the pooled path (shared memory, process pool) is
+    # At least 2 so the pooled path (the process pool) is
     # always exercised — the drift check needs to cross the process
     # boundary even on a single-core machine.
     jobs = jobs if jobs > 0 else min(4, max(cores, 2))

@@ -1,13 +1,14 @@
 """Concurrency/resource rules (``RPC2xx``): workers, shm, globals.
 
 The portfolio engine survives killed workers and interrupts only
-because ``parallel/`` keeps three disciplines: every shared-memory
-segment is created under the creator-owns-unlink lifecycle (registered
-in the ``_LIVE_SEGMENTS`` ledger so the ``atexit`` sweeper can reap a
-crash window), no exception is swallowed silently on the worker/drain
-paths (a silent ``except: pass`` there turns a crashed trajectory into
-a hung run), and no fork-hostile mutable module global leaks state
-between the parent and forked workers.  These rules enforce all three.
+because three disciplines hold: a shared-memory segment is only ever
+created under a creator-owns-unlink lifecycle (registered in a
+``_LIVE_SEGMENTS`` ledger that an ``atexit`` sweeper empties, so a
+crash window cannot leak it), no exception is swallowed silently on
+the worker/drain paths of ``parallel/`` (a silent ``except: pass``
+there turns a crashed trajectory into a hung run), and no fork-hostile
+mutable module global in ``parallel/`` leaks state between the parent
+and forked workers.  These rules enforce all three.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ RPC203 = register(
     "RPC203", Severity.WARNING, "code",
     "Fork-hostile mutable module global in the parallel engine")
 
-#: The sanctioned ledger name (see ``repro/parallel/shared.py``).
+#: The sanctioned ledger name: a module-level set of the names of
+#: live segments this process created, unlinked by an ``atexit``
+#: sweeper.
 _LEDGER = "_LIVE_SEGMENTS"
 
 
@@ -54,9 +57,9 @@ def check_shm_ledger(source: SourceFile) -> Iterator[CodeFinding]:
     """``SharedMemory(create=True)`` must register in the ledger.
 
     The enclosing function must reference ``_LIVE_SEGMENTS`` (the
-    crash-recovery ledger backing :func:`repro.parallel.shared
-    .reap_orphans`); a segment created outside it can leak in
-    ``/dev/shm`` past process exit on any path ``finally`` misses.
+    crash-recovery ledger an ``atexit`` sweeper unlinks from); a
+    segment created outside it can leak in ``/dev/shm`` past process
+    exit on any path ``finally`` misses.
     """
     functions = [node for node in ast.walk(source.tree)
                  if isinstance(node, (ast.FunctionDef,
@@ -77,7 +80,7 @@ def check_shm_ledger(source: SourceFile) -> Iterator[CodeFinding]:
                 f"never registers in {_LEDGER}",
                 suggestion=f"add the segment to {_LEDGER} right after "
                            "creation (and discard it on unlink) so "
-                           "reap_orphans() covers crash paths")
+                           "an atexit sweeper covers crash paths")
 
 
 def _swallows(handler: ast.ExceptHandler) -> bool:
@@ -130,8 +133,8 @@ def check_mutable_globals(source: SourceFile) -> Iterator[CodeFinding]:
     Forked workers inherit a snapshot of module state; a mutable
     module-level container mutated after the fork silently diverges
     between parent and children.  Deliberate process-local registries
-    (the shm ledger, the worker context) are named ``_UPPER_CASE`` and
-    documented; anything else is suspect.
+    (the worker context) are named ``_UPPER_CASE`` and documented;
+    anything else is suspect.
     """
     for statement in source.tree.body:
         if isinstance(statement, ast.Assign):

@@ -57,10 +57,10 @@ findings are suppressed per line with a justified
 Performance (see ``docs/performance.md``): ``--method portfolio`` runs
 several search trajectories (seeded TS-GREEDY multi-starts plus
 annealing restarts) and keeps the best layout; ``--jobs N`` spreads
-them over ``N`` worker processes (one cost evaluator in shared memory)
-when the workload is large enough to repay starting them, and runs
-them serially otherwise.  The recommendation is bit-identical for any
-``--jobs``.
+them over ``N`` worker processes (each gets the one cost evaluator
+once, at start) when the workload is large enough to repay starting
+them, and runs them serially otherwise.  The recommendation is
+bit-identical for any ``--jobs``.
 
 Resilience (see ``docs/resilience.md``): ``--deadline S`` bounds the
 portfolio search's wall clock; on expiry (or worker crashes) the
@@ -112,6 +112,7 @@ import logging
 import sys
 import threading
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 from repro.catalog.io import (
@@ -330,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--concurrency", type=Path,
                      help="overlap spec JSON: {\"groups\": [[0, 1]], "
                           "\"overlap_factor\": 0.5} — statements in a "
-                          "group are treated as co-executing")
+                          "group are treated as co-executing; this "
+                          "search takes --k and no other search option")
     rec.add_argument("--trace", type=Path, metavar="OUT_JSON",
                      help="write the advisor run's span tree as JSON")
     rec.add_argument("--metrics", action="store_true",
@@ -589,6 +591,41 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         print("error: provide --workload or --workload-trace",
               file=sys.stderr)
         return 2
+    method = args.method
+    if args.portfolio is not None and method == "ts-greedy":
+        method = "portfolio"
+    options = SearchOptions(
+        method=method, k=args.k, jobs=args.jobs,
+        portfolio=args.portfolio, deadline=args.deadline,
+        retries=args.retries,
+        trajectory_timeout_s=args.trajectory_timeout,
+        faults=FaultPlan.from_spec(args.faults) if args.faults
+        else None,
+        movement_budget=args.budget)
+    concurrency = None
+    if trace_spec is not None and trace_spec.groups:
+        concurrency = trace_spec
+    elif args.concurrency:
+        import json
+
+        from repro.workload.concurrency import ConcurrencySpec
+        payload = json.loads(args.concurrency.read_text())
+        concurrency = ConcurrencySpec.from_groups(
+            payload.get("groups", ()),
+            overlap_factor=payload.get("overlap_factor", 0.5))
+    if concurrency is not None:
+        # The concurrency-aware search is TS-GREEDY with k only; any
+        # other option would be dropped without a word.
+        plain = SearchOptions(k=options.k)
+        ignored = [option.name for option in fields(SearchOptions)
+                   if getattr(options, option.name)
+                   != getattr(plain, option.name)]
+        if ignored:
+            print(f"error: the concurrency-aware search (--concurrency, "
+                  f"or overlap groups in --workload-trace) takes only "
+                  f"--k; it cannot apply: {', '.join(ignored)}",
+                  file=sys.stderr)
+            return 2
     constraints = _load_constraints(args, farm, db)
     telemetry = _telemetry_begin(args, "recommend")
     telemetry.emit(
@@ -599,31 +636,10 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     current = None
     if args.current_layout:
         current = load_layout(args.current_layout, farm)
-    if trace_spec is not None and trace_spec.groups:
+    if concurrency is not None:
         recommendation = advisor.recommend_concurrent(
-            workload, trace_spec, current_layout=current, k=args.k)
-    elif args.concurrency:
-        import json
-
-        from repro.workload.concurrency import ConcurrencySpec
-        payload = json.loads(args.concurrency.read_text())
-        spec = ConcurrencySpec.from_groups(
-            payload.get("groups", ()),
-            overlap_factor=payload.get("overlap_factor", 0.5))
-        recommendation = advisor.recommend_concurrent(
-            workload, spec, current_layout=current, k=args.k)
+            workload, concurrency, current_layout=current, k=options.k)
     else:
-        method = args.method
-        if args.portfolio is not None and method == "ts-greedy":
-            method = "portfolio"
-        options = SearchOptions(
-            method=method, k=args.k, jobs=args.jobs,
-            portfolio=args.portfolio, deadline=args.deadline,
-            retries=args.retries,
-            trajectory_timeout_s=args.trajectory_timeout,
-            faults=FaultPlan.from_spec(args.faults) if args.faults
-            else None,
-            movement_budget=args.budget)
         # The CLI renders degradation itself (stderr line + report
         # section), so the library's warning would be a duplicate.
         with warnings.catch_warnings():

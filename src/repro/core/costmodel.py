@@ -61,8 +61,8 @@ _CHUNK_TARGET_BYTES = 128 << 10
 _CHUNK_MIN = 16
 _CHUNK_MAX = 1024
 
-#: The read-only packed arrays every shared-memory attach shares;
-#: mutable per-search state is never in this list.
+#: The read-only packed evaluation arrays (sized by
+#: ``packed_nbytes``); mutable per-search state is never in this list.
 PACKED_ARRAYS = ("_idx", "_blocks", "_mask", "_inv", "_weights",
                  "_seeks")
 
@@ -228,9 +228,9 @@ class WorkloadCostEvaluator:
     def _init_mutable_state(self) -> None:
         """Fresh per-search mutable state (base matrix and caches).
 
-        Shared by ``__init__`` and the shared-memory attach path —
-        anything mutable an evaluator owns starts here, so attached
-        replicas can never alias search state.
+        Shared by ``__init__`` and unpickling — anything mutable an
+        evaluator owns starts here, so a pool worker's copy never
+        carries the sender's search state.
         """
         self._base_matrix: np.ndarray | None = None
         self._base_costs: np.ndarray | None = None
@@ -698,29 +698,23 @@ class WorkloadCostEvaluator:
                 best_index = int(keep[position])
         return best_cost, best_index, pruned
 
-    # -- shared-memory plumbing --------------------------------------------------
+    # -- pickling ----------------------------------------------------------
 
-    def to_shared(self) -> "object":
-        """Publish the packed arrays in a shared-memory segment.
+    def __getstate__(self) -> dict:
+        """The evaluator minus its telemetry handle and search state.
 
-        Returns a :class:`repro.parallel.shared.SharedEvaluatorState`
-        (a context manager) whose picklable :attr:`spec` lets worker
-        processes rebuild this evaluator with :meth:`from_shared`
-        without re-pickling the MB-scale ``(S, K, m)`` arrays.  The
-        caller owns the segment and must ``close()`` it (or use a
-        ``with`` block).
+        A spawned pool worker unpickles the evaluator once; a handle
+        with a file sink cannot be pickled, and the sender's base
+        matrix and caches mean nothing to the worker.
         """
-        from repro.parallel.shared import share_evaluator
-        return share_evaluator(self)
+        # The search state is whatever _init_mutable_state sets.
+        blank = WorkloadCostEvaluator.__new__(WorkloadCostEvaluator)
+        blank._init_mutable_state()
+        return {name: value for name, value in vars(self).items()
+                if name != "_telemetry" and name not in vars(blank)}
 
-    @classmethod
-    def from_shared(cls, spec: "object") -> "WorkloadCostEvaluator":
-        """Rebuild an evaluator from a shared-memory spec (in a worker).
-
-        The packed arrays are zero-copy read-only views into the shared
-        segment; per-evaluator mutable state (base matrix, caches) stays
-        private to the process.  Telemetry starts at
-        :data:`~repro.obs.NULL_TELEMETRY`; see :meth:`bind_telemetry`.
-        """
-        from repro.parallel.shared import attach_evaluator
-        return attach_evaluator(spec)
+    def __setstate__(self, state: dict) -> None:
+        """Rebuild with the no-op handle and fresh search state."""
+        vars(self).update(state)
+        self._telemetry = NULL_TELEMETRY
+        self._init_mutable_state()

@@ -73,16 +73,6 @@ class WorkloadError(ReproError):
     """A workload file or statement set is malformed."""
 
 
-class SharedStateError(LayoutError):
-    """Publishing or attaching shared search state failed.
-
-    Raised by :mod:`repro.parallel.shared` when the shared-memory
-    segment carrying the cost evaluator's packed arrays cannot be
-    populated or attached.  Subclasses :class:`LayoutError` so existing
-    callers of the parallel engine keep catching it.
-    """
-
-
 class SearchTimeout(ReproError):
     """A search deadline expired before any usable result was produced.
 

@@ -13,11 +13,12 @@ concurrently and keeps the best result:
 Trajectories share one precompiled
 :class:`~repro.core.costmodel.WorkloadCostEvaluator`.  A portfolio
 runs either serially in-process or on a worker-process pool, whose
-workers attach to the evaluator's packed arrays published once in
-shared memory (:mod:`repro.parallel.shared`) instead of re-pickling
-them per worker.  The engine picks the pool only for inputs of at
-least :data:`POOL_MIN_PACKED_BYTES`; below that, starting the pool
-eats what the parallelism returns.
+initializer hands each worker the run's
+:class:`~repro.parallel.worker.TrajectoryContext` (evaluator included)
+once: workers inherit it through fork, or unpickle it once each under
+spawn.  The engine picks the pool only for inputs of at least
+:data:`POOL_MIN_PACKED_BYTES`; below that, starting the pool eats what
+the parallelism returns.
 
 Determinism: the trajectory list is fixed up front and the winner is
 ``min((cost, index))`` — exact float comparison with ties broken on
@@ -35,10 +36,7 @@ losing the whole process degrades instead of raising:
   run's :class:`~repro.resilience.Deadline`;
 * the winner is always the exact ``min((cost, index))`` over the
   trajectories that *completed*, with :class:`TrajectoryFailure`
-  records for the rest (``SearchResult.degraded`` / ``failures``);
-* the shared-memory segment is unlinked on every path (``finally`` in
-  the owner plus the :func:`repro.parallel.shared.reap_orphans`
-  ``atexit`` sweeper).
+  records for the rest (``SearchResult.degraded`` / ``failures``).
 
 Only when *no* trajectory completes does the engine raise — a typed
 :class:`~repro.errors.SearchTimeout` / :class:`~repro.errors.WorkerCrash`
@@ -68,7 +66,6 @@ from repro.errors import (
     WorkerCrash,
 )
 from repro.obs import NULL_TELEMETRY
-from repro.parallel.shared import share_evaluator
 from repro.parallel.worker import (
     TrajectoryContext,
     init_worker,
@@ -220,9 +217,9 @@ class PortfolioSearch:
 
     Args:
         farm: Available disk drives.
-        evaluator: Precompiled workload cost evaluator.  For parallel
-            runs its packed arrays are published in shared memory and
-            the evaluator itself never crosses the process boundary.
+        evaluator: Precompiled workload cost evaluator.  Pool workers
+            get it once each through the pool initializer, without its
+            telemetry handle or per-search state.
         object_sizes: Object name -> size in blocks.
         constraints: Optional manageability/availability constraints.
         specs: Trajectory list; defaults to :func:`default_portfolio`.
@@ -333,33 +330,28 @@ class PortfolioSearch:
             sizes=self._sizes, constraints=self._constraints,
             graph=graph, initial_layout=initial_layout,
             specs=self._specs, faults=self._faults)
-        # Install the plan in this process too (workers install their
-        # own copy in init_worker): the in-process hooks keep per-search
-        # counters that must start fresh each run.
-        fault_injection.install(self._faults)
-        try:
-            with self._telemetry.span("portfolio",
-                                      trajectories=len(self._specs)) as span:
-                if backend == "serial":
-                    payloads, failures, errors = self._run_serial(
-                        context, deadline)
-                else:
-                    payloads, failures, errors = self._run_parallel(
-                        context, workers, deadline)
-                if not payloads:
-                    self._raise_total_failure(failures, errors,
-                                              deadline)
-                result = self._merge(payloads, failures, workers,
-                                     backend)
-                result.elapsed_s = self._clock() - start
-                span.set("best_cost", round(result.cost, 6))
-                span.set("best_trajectory",
-                         int(result.extras["best_trajectory"]))
-                if failures:
-                    span.set("degraded", True)
-                    span.set("failed_trajectories", len(failures))
-        finally:
-            fault_injection.install(None)
+        # The fail_eval hook counts its firings per process; each
+        # search starts the count afresh (a forked worker inherits the
+        # fresh count, a spawned one starts empty).
+        fault_injection.reset_eval_counts()
+        with self._telemetry.span("portfolio",
+                                  trajectories=len(self._specs)) as span:
+            if backend == "serial":
+                payloads, failures, errors = self._run_serial(
+                    context, deadline)
+            else:
+                payloads, failures, errors = self._run_parallel(
+                    context, workers, deadline)
+            if not payloads:
+                self._raise_total_failure(failures, errors, deadline)
+            result = self._merge(payloads, failures, workers, backend)
+            result.elapsed_s = self._clock() - start
+            span.set("best_cost", round(result.cost, 6))
+            span.set("best_trajectory",
+                     int(result.extras["best_trajectory"]))
+            if failures:
+                span.set("degraded", True)
+                span.set("failed_trajectories", len(failures))
         if failures:
             logger.warning(
                 "portfolio degraded: %d/%d trajectories failed (%s)",
@@ -421,57 +413,46 @@ class PortfolioSearch:
                       deadline: Deadline):
         """Run trajectories in a process pool, surviving worker loss.
 
-        The shared segment is unlinked on *every* exit path: the
-        ``finally`` below owns it, and the module-level ``atexit``
-        sweeper (:func:`repro.parallel.shared.reap_orphans`) backstops
-        a crash inside this window.
+        The initializer's one argument is the run's context: under
+        fork the workers inherit it without pickling, under spawn each
+        unpickles it once.
         """
         mp_context = get_context(
             "fork" if "fork" in get_all_start_methods() else "spawn")
         payloads: dict[int, dict] = {}
         failures: dict[int, TrajectoryFailure] = {}
         errors: dict[int, BaseException] = {}
-        state = share_evaluator(self._evaluator)
+        executor = ProcessPoolExecutor(
+            max_workers=jobs, mp_context=mp_context,
+            initializer=init_worker, initargs=(context,))
         try:
-            executor = ProcessPoolExecutor(
-                max_workers=jobs, mp_context=mp_context,
-                initializer=init_worker,
-                initargs=(state.spec, self._farm, self._sizes,
-                          self._constraints, context.graph,
-                          context.initial_layout, self._specs,
-                          self._faults))
-            try:
-                futures = []
-                for index in range(len(self._specs)):
-                    self._telemetry.emit("trajectory-start", index=index,
-                                         label=self._label(index))
-                    try:
-                        future = executor.submit(run_trajectory_task,
-                                                 index)
-                    except BrokenProcessPool as error:
-                        # A worker died before every task was queued;
-                        # _drain records the rest as crashes too.
-                        future = Future()
-                        future.set_exception(error)
-                    futures.append(future)
-                hung = self._drain(futures, deadline, payloads,
-                                   failures, errors)
-            except BaseException:
-                # Interrupt/crash while draining: abandon workers
-                # without waiting so the finally can unlink promptly.
-                executor.shutdown(wait=False, cancel_futures=True)
-                raise
-            # A hung worker would block a waiting join forever; a
-            # healthy pool is joined before unlink as in the serial
-            # creator-owns lifecycle.
-            executor.shutdown(wait=not hung, cancel_futures=True)
-        finally:
-            state.close()
+            futures = []
+            for index in range(len(self._specs)):
+                self._telemetry.emit("trajectory-start", index=index,
+                                     label=self._label(index))
+                try:
+                    future = executor.submit(run_trajectory_task, index)
+                except BrokenProcessPool as error:
+                    # A worker died before every task was queued;
+                    # _drain records the rest as crashes too.
+                    future = Future()
+                    future.set_exception(error)
+                futures.append(future)
+            hung = self._drain(futures, deadline, payloads, failures,
+                               errors)
+        except BaseException:
+            # Interrupt/crash while draining: abandon the workers
+            # without waiting, so the error surfaces promptly.
+            executor.shutdown(wait=False, cancel_futures=True)
+            raise
+        # A hung worker would block a waiting join forever; a healthy
+        # pool is joined.
+        executor.shutdown(wait=not hung, cancel_futures=True)
         # Graceful degradation: crashed/errored trajectories are re-run
-        # serially in-process (against the parent's own evaluator —
-        # the shared segment is gone).  Timeouts are *not* re-run: a
-        # trajectory too slow for its budget would blow through the
-        # deadline again in-process, where it cannot be preempted.
+        # serially in-process, against the parent's own evaluator.
+        # Timeouts are *not* re-run: a trajectory too slow for its
+        # budget would blow through the deadline again in-process,
+        # where it cannot be preempted.
         self._fallback(context, deadline, payloads, failures, errors)
         return payloads, failures, errors
 

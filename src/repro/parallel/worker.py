@@ -9,12 +9,13 @@ engine executes trajectories either in-process (``jobs=1``) or in a
 construction.
 
 Pool protocol: the executor's *initializer* calls :func:`init_worker`
-once per worker process with the shared-evaluator spec and the pickled
-search context; tasks then call :func:`run_trajectory_task` with just a
-trajectory index.  Results travel back as plain JSON-ready dicts (the
-layout as fraction rows, the search telemetry, and one snapshot of the
-trajectory's :class:`~repro.obs.Telemetry` handle) — no live objects
-cross the process boundary.
+once per worker process with the run's :class:`TrajectoryContext`,
+cost evaluator included — inherited through fork, or unpickled once
+per worker under spawn; tasks then call :func:`run_trajectory_task`
+with just a trajectory index.  Results travel back as plain JSON-ready
+dicts (the layout as fraction rows, the search telemetry, and one
+snapshot of the trajectory's :class:`~repro.obs.Telemetry` handle) —
+no live objects cross the process boundary.
 """
 
 from __future__ import annotations
@@ -119,28 +120,15 @@ def rebuild_result(payload: dict[str, Any], farm: DiskFarm,
 _WORKER_CONTEXT: TrajectoryContext | None = None
 
 
-def init_worker(shared_spec, farm: DiskFarm, sizes: dict[str, int],
-                constraints: ConstraintSet, graph: AccessGraph,
-                initial_layout: Layout | None,
-                specs: "tuple[TrajectorySpec, ...]",
-                faults: FaultPlan | None = None) -> None:
-    """Pool initializer: attach the shared evaluator, stash context.
+def init_worker(context: TrajectoryContext) -> None:
+    """Pool initializer: keep the run's context for this worker's tasks.
 
-    Runs once per worker process.  The evaluator attaches zero-copy to
-    the creator's shared segment; everything else arrives pickled once
-    here instead of once per task.  The fault plan (if any) is
-    installed *before* the attach so ``fail_shm_attach`` can fire.
+    Runs once per worker process.  A ``fail_worker_init`` fault fires
+    first, so a test can make every worker die at start.
     """
-    from repro.core.costmodel import WorkloadCostEvaluator
-
     global _WORKER_CONTEXT
-    fault_injection.install(faults)
-    evaluator = WorkloadCostEvaluator.from_shared(shared_spec)
-    _WORKER_CONTEXT = TrajectoryContext(
-        evaluator=evaluator, farm=farm, sizes=sizes,
-        constraints=constraints, graph=graph,
-        initial_layout=initial_layout, specs=tuple(specs),
-        faults=faults)
+    fault_injection.fire_worker_init(context.faults)
+    _WORKER_CONTEXT = context
 
 
 def run_trajectory_task(index: int) -> dict[str, Any]:

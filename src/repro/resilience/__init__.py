@@ -11,9 +11,10 @@ layout found so far:
   deterministic jitter (seeded from the trajectory index, so resilient
   runs stay reproducible).
 * :class:`FaultPlan` — deterministic fault injection (kill a worker,
-  delay a trajectory, raise in cost evaluation, fail the shared-memory
-  attach), enabled via the ``REPRO_FAULTS`` environment variable or the
-  CLI ``--faults`` flag; used by the test suite and the chaos CI job.
+  delay a trajectory, raise in cost evaluation, fail every pool
+  worker at start), enabled via the ``REPRO_FAULTS`` environment
+  variable or the CLI ``--faults`` flag; used by the test suite and
+  the chaos CI job.
 
 See ``docs/resilience.md`` for deadline semantics, the degradation
 contract and the fault-injection cookbook.

@@ -2,8 +2,8 @@
 
 A :class:`FaultPlan` names the failures to inject into a portfolio run
 — kill the worker running trajectory *N*, delay trajectory *M* by *T*
-seconds, raise from trajectory *N*'s cost evaluation, or fail the
-shared-memory attach — so resilience behavior is testable without
+seconds, raise from trajectory *N*'s cost evaluation, or make every
+pool worker fail at start — so resilience behavior is testable without
 flaky sleeps or real crashes.  Plans are plain frozen dataclasses:
 picklable (they ride the process-pool initializer into workers) and
 parseable from a compact spec string used by the ``REPRO_FAULTS``
@@ -13,7 +13,9 @@ environment variable and the CLI ``--faults`` flag::
     delay=2:0.75                  # trajectory 2 sleeps 0.75s first
     fail_eval=0:2                 # trajectory 0 raises on its first
                                   # 2 attempts (then succeeds)
-    fail_shm_attach               # attach_evaluator raises
+    fail_worker_init              # every pool worker's initializer
+                                  # raises (also =1/true/yes; =0/
+                                  # false/no turns it off)
     kill_worker=1,delay=2:0.5     # faults compose with commas
 
 Migration-executor faults (see ``docs/migration.md``) target a *step
@@ -49,12 +51,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Mapping
 
-from repro.errors import (
-    FaultSpecError,
-    MigrationInterrupted,
-    SharedStateError,
-    WorkerCrash,
-)
+from repro.errors import FaultSpecError, MigrationInterrupted, WorkerCrash
 
 logger = logging.getLogger("repro.resilience.faults")
 
@@ -67,9 +64,13 @@ KILL_EXIT_CODE = 86
 
 #: Every fault kind :meth:`FaultPlan.from_spec` accepts; unknown-kind
 #: errors list exactly this tuple.
-FAULT_KINDS = ("kill_worker", "delay", "fail_eval", "fail_shm_attach",
+FAULT_KINDS = ("kill_worker", "delay", "fail_eval", "fail_worker_init",
                "fail_step", "crash_after_intent", "crash_before_done",
                "stall_step")
+
+#: Spellings of a boolean fault's value; anything else is malformed.
+_TRUE = ("", "1", "true", "yes")
+_FALSE = ("0", "false", "no")
 
 
 @dataclass(frozen=True)
@@ -86,9 +87,9 @@ class FaultPlan:
             :class:`WorkerCrash`.
         fail_eval_times: How many attempts of ``fail_eval`` fail before
             it succeeds; ``0`` means every attempt fails.
-        fail_shm_attach: Make :func:`repro.parallel.shared.attach_evaluator`
-            raise :class:`SharedStateError` (exercises the
-            broken-pool -> serial-fallback path).
+        fail_worker_init: Make every pool worker's initializer raise
+            :class:`WorkerCrash` (exercises the broken-pool ->
+            serial-fallback path).
         fail_step: Migration step whose transfer raises
             :class:`WorkerCrash` (a transient, retryable failure).
         fail_step_times: How many attempts of ``fail_step`` fail before
@@ -108,7 +109,7 @@ class FaultPlan:
     delay_s: float = 0.0
     fail_eval: int | None = None
     fail_eval_times: int = 0
-    fail_shm_attach: bool = False
+    fail_worker_init: bool = False
     fail_step: int | None = None
     fail_step_times: int = 1
     crash_after_intent: int | None = None
@@ -121,7 +122,7 @@ class FaultPlan:
         return (self.kill_worker is None
                 and self.delay_trajectory is None
                 and self.fail_eval is None
-                and not self.fail_shm_attach
+                and not self.fail_worker_init
                 and self.fail_step is None
                 and self.crash_after_intent is None
                 and self.crash_before_done is None
@@ -149,11 +150,13 @@ class FaultPlan:
                     index, _, times = value.partition(":")
                     plan = replace(plan, fail_eval=int(index),
                                    fail_eval_times=int(times or 0))
-                elif name == "fail_shm_attach":
-                    plan = replace(
-                        plan,
-                        fail_shm_attach=value.lower()
-                        not in ("0", "false", "no") if value else True)
+                elif name == "fail_worker_init":
+                    flag = value.lower()
+                    if flag not in _TRUE + _FALSE:
+                        raise ValueError(
+                            "expected no value, 1/true/yes or "
+                            "0/false/no")
+                    plan = replace(plan, fail_worker_init=flag in _TRUE)
                 elif name == "fail_step":
                     index, _, times = value.partition(":")
                     plan = replace(plan, fail_step=int(index),
@@ -189,23 +192,13 @@ class FaultPlan:
         return None if plan.empty else plan
 
 
-# -- process-global plan (needed where no context object reaches) ------------
-
-_ACTIVE: FaultPlan | None = None
 #: Per-process count of fail_eval firings (supports fail_eval_times).
 _EVAL_FIRED: dict[int, int] = {}
 
 
-def install(plan: FaultPlan | None) -> None:
-    """Set the process-global plan (used by the shm-attach hook)."""
-    global _ACTIVE
-    _ACTIVE = None if plan is None or plan.empty else plan
+def reset_eval_counts() -> None:
+    """Forget this process's fail_eval firings (once per search)."""
     _EVAL_FIRED.clear()
-
-
-def active() -> FaultPlan | None:
-    """The installed plan, or ``None``."""
-    return _ACTIVE
 
 
 def _in_worker_process() -> bool:
@@ -262,14 +255,11 @@ def fire_eval(plan: FaultPlan | None, index: int) -> None:
         f"{index} (attempt {fired + 1})")
 
 
-def fire_shm_attach(segment_name: str) -> None:
-    """Fail a shared-memory attach when the installed plan says so."""
-    plan = _ACTIVE
-    if plan is None or not plan.fail_shm_attach:
+def fire_worker_init(plan: FaultPlan | None) -> None:
+    """Fail a pool worker's initializer when the plan says so."""
+    if plan is None or not plan.fail_worker_init:
         return
-    raise SharedStateError(
-        f"fault injection: refusing to attach shared segment "
-        f"{segment_name!r}")
+    raise WorkerCrash("fault injection: pool worker failed to start")
 
 
 # -- migration-executor hooks --------------------------------------------------

@@ -289,7 +289,7 @@ class AdvisorService:
                                for name in sorted(self._tenants)]
                 return 200, {"tenants": listing}, _JSON
             if method == "POST":
-                name = str(_require(body, "tenant"))
+                name = _require(body, "tenant")
                 return 201, self._create_tenant(name), _JSON
             raise BadRequest(f"unsupported method {method} on /v1/tenants")
         name = tail[0]
@@ -307,11 +307,11 @@ class AdvisorService:
             raise BadRequest(f"unsupported method {method} on tenant")
         kind = tail[1]
         if kind == "jobs" and len(tail) == 2 and method == "POST":
-            return self._submit(name, body or {})
+            return self._submit(name, _object(body))
         if kind == "workloads":
             if len(tail) == 3 and method == "PUT":
                 return 200, self._put_workload(name, tail[2],
-                                              body or {}), _JSON
+                                              _object(body)), _JSON
             if len(tail) == 2 and method == "GET":
                 tenant = self._tenant(name)
                 with self._lock:
@@ -390,17 +390,17 @@ class AdvisorService:
                       body: dict[str, Any]) -> dict[str, Any]:
         tenant = self._tenant(name)
         if "statements" in body:
+            entries = body["statements"]
+            if not isinstance(entries, list):
+                raise BadRequest("'statements' must be a list")
             workload = Workload(name=workload_name)
-            for entry in body["statements"]:
-                if isinstance(entry, str):
-                    workload.add(entry)
-                else:
-                    workload.add(str(entry["sql"]),
-                                 weight=float(entry.get("weight", 1.0)),
-                                 name=entry.get("name"))
+            for entry in entries:
+                sql, weight, label = _statement(entry)
+                workload.add(sql, weight=weight, name=label)
         elif "sql" in body:
-            workload = Workload.loads(str(body["sql"]),
-                                      name=workload_name)
+            if not isinstance(body["sql"], str):
+                raise BadRequest("'sql' must be a string")
+            workload = Workload.loads(body["sql"], name=workload_name)
         else:
             raise BadRequest(
                 "workload upload needs 'statements' or 'sql'")
@@ -470,7 +470,7 @@ class AdvisorService:
     def _submit(self, name: str, body: dict[str, Any],
                 ) -> tuple[int, Any, dict[str, str]]:
         tenant = self._tenant(name)
-        workload_name = str(_require(body, "workload"))
+        workload_name = _require(body, "workload")
         with self._lock:
             if not tenant.ready():
                 raise BadRequest(
@@ -658,10 +658,39 @@ def _parse(kind: str, parser, payload: Any) -> Any:
             f"{type(exc).__name__}: {exc}") from exc
 
 
-def _require(body: dict[str, Any] | None, key: str) -> Any:
-    if not body or key not in body:
+def _statement(entry: Any) -> tuple[str, float, str | None]:
+    """One ``statements`` entry as ``(sql, weight, name)``."""
+    if isinstance(entry, str):
+        return entry, 1.0, None
+    if isinstance(entry, dict) and isinstance(entry.get("sql"), str):
+        weight = _number(entry, "weight")
+        name = entry.get("name")
+        if name is None or isinstance(name, str):
+            return (entry["sql"], 1.0 if weight is None else weight,
+                    name)
+    raise BadRequest(
+        f"malformed statement {entry!r}: expected SQL text or an "
+        f"object with string 'sql', optional numeric 'weight' and "
+        f"string 'name'")
+
+
+def _object(body: Any) -> dict[str, Any]:
+    """The body as a JSON object; no body reads as ``{}``."""
+    if body is None:
+        return {}
+    if not isinstance(body, dict):
+        raise BadRequest("request body must be a JSON object")
+    return body
+
+
+def _require(body: Any, key: str) -> str:
+    """The string ``body[key]``; anything else is a 400."""
+    value = _object(body).get(key)
+    if value is None:
         raise BadRequest(f"request body needs {key!r}")
-    return body[key]
+    if not isinstance(value, str):
+        raise BadRequest(f"{key!r} must be a string")
+    return value
 
 
 def _number(body: dict[str, Any], key: str) -> float | None:

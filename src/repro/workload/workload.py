@@ -7,6 +7,7 @@ a weight w_Q that signifies the importance of that statement".
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,8 +37,9 @@ class Statement:
     def __post_init__(self) -> None:
         if not self.sql.strip():
             raise WorkloadError("statement text is empty")
-        if self.weight <= 0:
-            raise WorkloadError("statement weight must be positive")
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise WorkloadError(
+                "statement weight must be a positive finite number")
 
 
 class Workload:

@@ -104,6 +104,29 @@ class TestCli:
                if f > 0}
         assert not big & mid
 
+    def test_concurrency_rejects_options_it_cannot_apply(self, tool_files,
+                                                         capsys):
+        (tool_files / "conc.json").write_text(
+            json.dumps({"groups": [[0, 1]]}))
+        saved = tool_files / "rec.json"
+        rc = main(["recommend", *_args(tool_files),
+                   "--concurrency", str(tool_files / "conc.json"),
+                   "--method", "portfolio", "--jobs", "2",
+                   "--deadline", "0.001", "--budget", "0.1",
+                   "--save-recommendation", str(saved)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        for name in ("method", "jobs", "deadline", "movement_budget"):
+            assert name in err
+        assert not saved.exists()
+        # --k is the one option the concurrency-aware search takes.
+        assert main(["recommend", *_args(tool_files),
+                     "--concurrency", str(tool_files / "conc.json"),
+                     "--k", "2", "--save-recommendation",
+                     str(saved)]) == 0
+        assert saved.exists()
+
     def test_recommend_from_profile_trace(self, tool_files, capsys):
         (tool_files / "trace.csv").write_text(
             "start,end,sql\n"

@@ -1,15 +1,14 @@
-"""Tests for repro.parallel: shared memory, trajectories, portfolio."""
+"""Tests for repro.parallel: evaluator pickling, trajectories, portfolio."""
 
 from __future__ import annotations
 
 import json
 import os
+import pickle
 import time
 import warnings
-from multiprocessing import shared_memory
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.cli import main
@@ -30,11 +29,8 @@ from repro.parallel import (
     POOL_MIN_PACKED_BYTES,
     PortfolioSearch,
     TrajectorySpec,
-    attach_evaluator,
     available_workers,
     default_portfolio,
-    reap_orphans,
-    share_evaluator,
 )
 from repro.parallel import portfolio as portfolio_module
 from repro.parallel.portfolio import MAX_WORKERS_ENV
@@ -67,39 +63,32 @@ class TestSharedEvaluator:
         evaluator, _, sizes, farm = case
         layouts = [full_striping(sizes, farm)] + \
             [random_layout(sizes, farm, seed) for seed in range(5)]
-        with share_evaluator(evaluator) as state:
-            attached = attach_evaluator(state.spec)
-            for layout in layouts:
-                assert attached.cost(layout) == evaluator.cost(layout)
-            del attached  # release the views before unlink
+        restored = pickle.loads(pickle.dumps(evaluator))
+        for layout in layouts:
+            assert restored.cost(layout) == evaluator.cost(layout)
 
-    def test_attached_arrays_are_read_only_views(self, case):
-        evaluator, _, _, _ = case
-        with share_evaluator(evaluator) as state:
-            attached = attach_evaluator(state.spec)
-            assert not attached._blocks.flags.writeable
-            np.testing.assert_array_equal(attached._blocks,
-                                          evaluator._blocks)
-            with pytest.raises(ValueError):
-                attached._blocks[0, 0] = 1.0
-            del attached
-
-    def test_close_unlinks_the_segment(self, case):
-        evaluator, _, _, _ = case
-        state = share_evaluator(evaluator)
-        name = state.spec.shm_name
-        state.close()
-        with pytest.raises(LayoutError, match="gone"):
-            attach_evaluator(state.spec)
-        # And raw reattachment by name fails too: truly unlinked.
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_close_is_idempotent(self, case):
-        evaluator, _, _, _ = case
-        state = share_evaluator(evaluator)
-        state.close()
-        state.close()  # second close must not raise
+    def test_spawned_workers_match_serial(self, case, force_pool,
+                                          monkeypatch, tmp_path):
+        evaluator, graph, sizes, farm = case
+        specs = default_portfolio(2)
+        serial = PortfolioSearch(farm, evaluator, sizes, specs=specs,
+                                 jobs=1).search(graph)
+        monkeypatch.setattr(portfolio_module, "get_all_start_methods",
+                            lambda: ["spawn"])
+        # What the CLI binds under --events: a handle whose open file
+        # sink cannot be pickled, so spawn must leave it behind.
+        with Telemetry(path=tmp_path / "events.jsonl") as sink:
+            previous = evaluator.bind_telemetry(sink)
+            try:
+                pooled = PortfolioSearch(farm, evaluator, sizes,
+                                         specs=specs,
+                                         jobs=2).search(graph)
+            finally:
+                evaluator.bind_telemetry(previous)
+        assert _on_pool(pooled)
+        assert pooled.cost == serial.cost
+        assert _fractions(pooled.layout) == _fractions(serial.layout)
+        assert pooled.evaluations == serial.evaluations
 
     def test_no_resource_tracker_warnings(self, case, force_pool):
         evaluator, graph, sizes, farm = case
@@ -110,30 +99,25 @@ class TestSharedEvaluator:
                                      jobs=2)
             assert _on_pool(engine.search(graph))
 
-    def test_segment_cleaned_up_when_worker_raises(self, case,
-                                                   force_pool,
-                                                   monkeypatch):
+    def test_worker_error_is_reraised_typed(self, case, force_pool,
+                                            monkeypatch):
         evaluator, graph, sizes, farm = case
-        shared = []
-
-        def recording(ev):
-            shared.append(share_evaluator(ev))
-            return shared[-1]
-
-        monkeypatch.setattr("repro.parallel.portfolio.share_evaluator",
-                            recording)
         # Two trajectories, so jobs=2 really starts two workers.
         bad = [TrajectorySpec(method="no-such-method")] * 2
         engine = PortfolioSearch(farm, evaluator, sizes, specs=bad,
                                  jobs=2)
+        drained = []
+        real_drain = engine._drain
+
+        def drain(*args):
+            drained.append(len(args[0]))
+            return real_drain(*args)
+
+        monkeypatch.setattr(engine, "_drain", drain)
         with pytest.raises(LayoutError):
             engine.search(graph)
-        # The run really published a segment, and its finally-path
-        # unlink ran: nothing of the failed run lingers.
-        assert len(shared) == 1
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=shared[0].spec.shm_name)
-        assert reap_orphans() == []
+        # The run really went through the pool.
+        assert drained == [2]
 
 
 class TestTrajectories:
@@ -388,7 +372,6 @@ class TestFaultTolerance:
                                    specs=survivors, jobs=1).search(graph)
         assert result.cost == baseline.cost
         assert _fractions(result.layout) == _fractions(baseline.layout)
-        assert reap_orphans() == []  # no shm segment left behind
 
     def test_resilience_params_cause_zero_drift(self, case, force_pool):
         evaluator, graph, sizes, farm = case
@@ -434,8 +417,8 @@ class TestFaultTolerance:
         assert result.failures[0].cause == "crash"
         assert result.failures[0].attempts == 2
 
-    def test_shm_attach_fault_falls_back_serially(self, case,
-                                                  force_pool):
+    def test_worker_init_fault_falls_back_serially(self, case,
+                                                   force_pool):
         evaluator, graph, sizes, farm = case
         specs = default_portfolio(3)
         baseline = PortfolioSearch(farm, evaluator, sizes, specs=specs,
@@ -443,17 +426,16 @@ class TestFaultTolerance:
         telemetry = Telemetry()
         engine = PortfolioSearch(
             farm, evaluator, sizes, specs=specs, jobs=2,
-            telemetry=telemetry, faults=FaultPlan(fail_shm_attach=True))
+            telemetry=telemetry, faults=FaultPlan(fail_worker_init=True))
         result = engine.search(graph)
         assert _on_pool(result)
-        # Every worker died attaching; the serial fallback recovered
+        # Every worker died at start; the serial fallback recovered
         # every trajectory, so the run is NOT degraded and the result
         # is bit-identical to the healthy serial run.
         assert not result.degraded
         assert result.cost == baseline.cost
         assert _fractions(result.layout) == _fractions(baseline.layout)
         assert telemetry.value("resilience.serial_fallbacks") == 3.0
-        assert reap_orphans() == []
 
     def test_slow_trajectory_times_out(self, case, force_pool):
         evaluator, graph, sizes, farm = case
@@ -466,7 +448,6 @@ class TestFaultTolerance:
         assert result.degraded
         assert [f.index for f in result.failures] == [1]
         assert result.failures[0].cause == "timeout"
-        assert reap_orphans() == []
 
     def test_deadline_skips_remaining_trajectories(self, case):
         evaluator, graph, sizes, farm = case
@@ -511,7 +492,6 @@ class TestFaultTolerance:
         with pytest.raises(SearchTimeout):
             engine.search(graph)
         assert drained == [2]
-        assert reap_orphans() == []
 
     def test_all_crash_raises_worker_crash(self, case):
         evaluator, graph, sizes, farm = case
@@ -522,36 +502,22 @@ class TestFaultTolerance:
         with pytest.raises(WorkerCrash):
             engine.search(graph)
 
-    def test_keyboard_interrupt_unlinks_segment(self, case, monkeypatch,
-                                                force_pool):
+    def test_keyboard_interrupt_propagates_cleanly(self, case,
+                                                   monkeypatch,
+                                                   force_pool):
         evaluator, graph, sizes, farm = case
-        captured = {}
-        original = share_evaluator
-
-        def capturing(ev):
-            state = original(ev)
-            captured["name"] = state.spec.shm_name
-            return state
-
-        monkeypatch.setattr("repro.parallel.portfolio.share_evaluator",
-                            capturing)
         engine = PortfolioSearch(farm, evaluator, sizes,
                                  specs=default_portfolio(2), jobs=2)
 
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
+        # Only the pool path drains, so the interrupt comes from it.
         monkeypatch.setattr(engine, "_drain", interrupted)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ResourceWarning)
             with pytest.raises(KeyboardInterrupt):
                 engine.search(graph)
-        # The finally-owned close ran: the segment is really unlinked
-        # and the orphan ledger has nothing left to sweep.
-        assert "name" in captured
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=captured["name"])
-        assert reap_orphans() == []
 
     def test_faults_spec_string_round_trips_from_env(self, case,
                                                      monkeypatch,
@@ -643,7 +609,6 @@ class TestAdvisorPortfolio:
                                      portfolio=survivors, jobs=1)
         assert rec.estimated_cost == baseline.estimated_cost
         assert _fractions(rec.layout) == _fractions(baseline.layout)
-        assert reap_orphans() == []
 
     def test_deadline_parameter_reaches_the_engine(
             self, mini_db, join_workload, farm8):

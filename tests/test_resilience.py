@@ -1,7 +1,7 @@
 """Tests for repro.resilience: deadlines, retries, fault injection.
 
 The parallel-engine integration of these primitives (degraded
-portfolio runs, serial fallback, shm cleanup under faults) lives in
+portfolio runs, serial fallback, clean shutdown under faults) lives in
 ``tests/test_parallel.py``; this file covers the primitives themselves
 plus the satellite surfaces: the typed recommendation loader, the
 degraded report rendering, and the CLI flags.
@@ -24,7 +24,6 @@ from repro.errors import (
     RecommendationFormatError,
     ReproError,
     SearchTimeout,
-    SharedStateError,
     WorkerCrash,
 )
 from repro.parallel import BACKEND_CODES
@@ -190,19 +189,24 @@ class TestFaultPlan:
     def test_from_spec_parses_every_fault(self):
         plan = FaultPlan.from_spec(
             "kill_worker=1, delay=2:0.75, fail_eval=0:2, "
-            "fail_shm_attach")
+            "fail_worker_init")
         assert plan.kill_worker == 1
         assert plan.delay_trajectory == 2
         assert plan.delay_s == pytest.approx(0.75)
         assert plan.fail_eval == 0
         assert plan.fail_eval_times == 2
-        assert plan.fail_shm_attach
+        assert plan.fail_worker_init
         assert not plan.empty
 
     def test_from_spec_defaults(self):
         assert FaultPlan.from_spec("delay=3").delay_s == 1.0
         assert FaultPlan.from_spec("fail_eval=1").fail_eval_times == 0
         assert FaultPlan.from_spec("").empty
+        for on in ("1", "True", "yes"):
+            assert FaultPlan.from_spec(
+                f"fail_worker_init={on}").fail_worker_init
+        for off in ("0", "false", "NO"):
+            assert FaultPlan.from_spec(f"fail_worker_init={off}").empty
 
     def test_from_spec_rejects_garbage(self):
         with pytest.raises(FaultSpecError, match="unknown fault"):
@@ -211,6 +215,8 @@ class TestFaultPlan:
             FaultPlan.from_spec("kill_worker=soon")
         with pytest.raises(FaultSpecError, match="malformed"):
             FaultPlan.from_spec("delay=1:fast")
+        with pytest.raises(FaultSpecError, match="malformed"):
+            FaultPlan.from_spec("fail_worker_init=maybe")
 
     def test_unknown_kind_error_lists_valid_kinds(self):
         from repro.resilience import FAULT_KINDS
@@ -241,15 +247,6 @@ class TestFaultPlan:
         plan = FaultPlan.from_env({"REPRO_FAULTS": "kill_worker=2"})
         assert plan is not None and plan.kill_worker == 2
 
-    def test_install_and_active(self):
-        try:
-            fault_injection.install(FaultPlan(kill_worker=0))
-            assert fault_injection.active().kill_worker == 0
-            fault_injection.install(FaultPlan())  # empty -> None
-            assert fault_injection.active() is None
-        finally:
-            fault_injection.install(None)
-
     def test_fire_kill_in_parent_raises_worker_crash(self):
         plan = FaultPlan(kill_worker=1)
         fault_injection.fire_kill(plan, 0)  # wrong index: no-op
@@ -268,24 +265,21 @@ class TestFaultPlan:
     def test_fire_eval_honors_times_limit(self):
         try:
             plan = FaultPlan(fail_eval=0, fail_eval_times=2)
-            fault_injection.install(plan)
+            fault_injection.reset_eval_counts()
             for _ in range(2):
                 with pytest.raises(WorkerCrash):
                     fault_injection.fire_eval(plan, 0)
             fault_injection.fire_eval(plan, 0)  # third attempt passes
             fault_injection.fire_eval(plan, 1)  # other index untouched
         finally:
-            fault_injection.install(None)
+            fault_injection.reset_eval_counts()
 
-    def test_fire_shm_attach_consults_installed_plan(self):
-        fault_injection.fire_shm_attach("seg")  # nothing installed
-        try:
-            fault_injection.install(FaultPlan(fail_shm_attach=True))
-            with pytest.raises(SharedStateError, match="seg"):
-                fault_injection.fire_shm_attach("seg")
-        finally:
-            fault_injection.install(None)
-        fault_injection.fire_shm_attach("seg")  # uninstalled again
+    def test_fire_worker_init_reads_the_plan(self):
+        fault_injection.fire_worker_init(None)  # no plan: no-op
+        fault_injection.fire_worker_init(FaultPlan(kill_worker=0))
+        with pytest.raises(WorkerCrash, match="failed to start"):
+            fault_injection.fire_worker_init(
+                FaultPlan(fail_worker_init=True))
 
 
 class TestTrajectoryFailure:

@@ -368,6 +368,41 @@ class TestServiceRouting:
             "PUT", "/v1/tenants/t/workloads/bad", {"queries": []})
         assert status == 400
 
+    @pytest.mark.parametrize("method, path, body", [
+        ("PUT", "/v1/tenants/t/workloads/bad", {"statements": 5}),
+        ("PUT", "/v1/tenants/t/workloads/bad", {"statements": [5]}),
+        ("PUT", "/v1/tenants/t/workloads/bad",
+         {"statements": [{"weight": 1}]}),
+        ("PUT", "/v1/tenants/t/workloads/bad",
+         {"statements": [{"sql": SCAN_SQL, "weight": "heavy"}]}),
+        ("PUT", "/v1/tenants/t/workloads/bad",
+         {"statements": [{"sql": SCAN_SQL, "weight": "nan"}]}),
+        ("PUT", "/v1/tenants/t/workloads/bad",
+         {"statements": [{"sql": SCAN_SQL, "name": ["s"]}]}),
+        ("PUT", "/v1/tenants/t/workloads/bad", "statements"),
+        ("PUT", "/v1/tenants/t/workloads/bad", ["sql"]),
+        ("PUT", "/v1/tenants/t/workloads/bad", {"sql": None}),
+        ("POST", "/v1/tenants", {"tenant": None}),
+        ("POST", "/v1/tenants", {"tenant": ["x"]}),
+        ("POST", "/v1/tenants", ["tenant"]),
+        ("POST", "/v1/tenants/t/jobs", ["workload"]),
+    ], ids=["statements-int", "statement-int", "statement-no-sql",
+            "weight-text", "weight-nan", "name-list", "string-body", "list-body",
+            "sql-null", "tenant-null", "tenant-list", "tenants-list-body",
+            "job-list-body"])
+    def test_malformed_body_is_400_and_stores_nothing(self, service,
+                                                      method, path,
+                                                      body):
+        tenants = service.handle("GET", "/v1/tenants")[1]
+        workloads = service.handle("GET", "/v1/tenants/t/workloads")[1]
+        status, payload, _ = service.handle(method, path, body)
+        assert status == 400, payload
+        assert payload["error"]
+        assert service.handle("GET", "/v1/tenants")[1] == tenants
+        assert service.handle("GET",
+                              "/v1/tenants/t/workloads")[1] == workloads
+        assert service.handle("GET", "/v1/jobs")[1]["jobs"] == []
+
     def test_workload_upload_accepts_sql_text(self, service):
         status, body, _ = service.handle(
             "PUT", "/v1/tenants/t/workloads/text",
