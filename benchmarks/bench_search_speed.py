@@ -168,8 +168,8 @@ def measure_eval_throughput(farm, evaluator, sizes, graph,
     * ``loop`` — one ``cost_with_rows({name: row})`` call per
       candidate plus a Python running-minimum: the pre-fusion
       per-candidate access pattern (the dict path re-gathers the
-      touched subplans on every call, exactly as ``cost_with_row``
-      did before it was routed through the batched kernel);
+      touched subplans on every call, where :meth:`costs_for_rows`
+      reads them from the evaluator's per-object slice cache);
     * ``fused`` — a single :meth:`best_for_rows` call (vectorized
       bounds prune + chunked batch evaluation of the survivors).
 

@@ -120,6 +120,14 @@ def _is_number(value: object) -> TypeGuard[float]:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_specs(value: object) -> bool:
+    """A non-empty sequence of :class:`repro.parallel.TrajectorySpec`."""
+    if not isinstance(value, (list, tuple)) or not value:
+        return False
+    from repro.parallel import TrajectorySpec
+    return all(isinstance(spec, TrajectorySpec) for spec in value)
+
+
 @dataclass(frozen=True)
 class SearchOptions:
     """The search parameters of :meth:`LayoutAdvisor.recommend`.
@@ -186,7 +194,7 @@ class SearchOptions:
             raise LayoutError(f"jobs must be an integer >= 0 "
                               f"(0 = all cores), got {self.jobs!r}")
         portfolio = self.portfolio
-        if isinstance(portfolio, (list, tuple)) and portfolio:
+        if _is_specs(portfolio):
             object.__setattr__(self, "portfolio", tuple(portfolio))
         elif portfolio is not None \
                 and not (_is_int(portfolio) and portfolio >= 1):
@@ -219,6 +227,9 @@ class SearchOptions:
             raise LayoutError(
                 f"movement budget must be a fraction in [0, 1], "
                 f"got {budget!r}")
+        if budget is not None:
+            # 1 and 1.0 are one budget: one content fingerprint.
+            object.__setattr__(self, "movement_budget", float(budget))
 
     def content(self) -> dict[str, Any]:
         """The :data:`CONTENT` fields by name: everything here that can
@@ -393,10 +404,9 @@ class LayoutAdvisor:
             elif method == "full-striping":
                 with self._telemetry.span("full-striping"):
                     layout = full_striping(sizes, self._farm)
-                    result = SearchResult(layout=layout,
-                                          cost=evaluator.cost(layout),
-                                          initial_cost=evaluator.cost(
-                                              layout))
+                    cost = evaluator.cost(layout)
+                    result = SearchResult(layout=layout, cost=cost,
+                                          initial_cost=cost)
             elif method == "exhaustive":
                 with self._telemetry.span("exhaustive") as span:
                     result = exhaustive_search(

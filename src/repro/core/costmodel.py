@@ -29,6 +29,7 @@ thousands of layouts.  They agree to float precision (tested).
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -138,14 +139,39 @@ class CostModel:
                    for a in workload)
 
 
+@dataclass(eq=False)
+class _Slice:
+    """One object's touched subplans, gathered for candidate evaluation.
+
+    The first six fields depend only on the packed workload and are
+    built once.  ``base_sub`` and ``affected_base`` describe the base
+    layout at ``epoch`` and are (re)built whenever the evaluator's base
+    epoch differs from it; ``other_transfer`` is derived from
+    ``base_sub`` by the first bound pass at that epoch.
+    """
+
+    idx: np.ndarray            # (S, K) object row of each stream
+    blocks_mask: np.ndarray    # (S, K, 1) stream blocks, 0 on padding
+    inv: np.ndarray            # (S, K, m) inverse transfer rates
+    is_target: np.ndarray      # (S, K, 1) streams of this object
+    weights: np.ndarray        # (S,) subplan weights
+    target_coeff: np.ndarray   # (S, m) this object's transfer per unit row
+    epoch: int = -1
+    base_sub: np.ndarray = field(init=False)  # (S, K, m) base stream spread
+    affected_base: float = field(init=False)  # these subplans' base total
+    other_transfer: np.ndarray | None = None  # (S, m) other objects' transfer
+
+
 class WorkloadCostEvaluator:
     """Precompiled, vectorized workload cost evaluation.
 
     The search algorithms evaluate thousands of candidate layouts that
     differ from a base layout in a single object's fraction row; this
     class supports both full evaluation (:meth:`cost`) and O(affected
-    subplans) delta evaluation (:meth:`cost_with_row` after
-    :meth:`set_base`).
+    subplans) batched evaluation of such deviations
+    (:meth:`costs_for_rows`, :meth:`bounds_for_rows` and
+    :meth:`best_for_rows` after :meth:`set_base`).  Every cost path
+    computes Figure 7 through one kernel, :meth:`_fig7`.
 
     Two optimizations keep large experiments (64 disks x 800 queries)
     tractable without changing any result:
@@ -240,19 +266,8 @@ class WorkloadCostEvaluator:
         #: cache entries are tagged with the epoch they were built at
         #: and are valid only while the tags match.
         self._base_epoch: int = 0
-        #: per-object base-independent slices for batched delta eval:
-        #: ``i -> (idx, blocks_mask, inv, is_target, weights)``
-        self._slice_static: dict[int, tuple] = {}
-        #: per-object base-dependent slice state:
-        #: ``i -> (epoch, base_sub, affected_base)``
-        self._slice_base: dict[int, tuple] = {}
-        #: per-object base-independent bound slices:
-        #: ``i -> (target_coeff, weights, idx, blocks_mask, inv,
-        #: is_target)``
-        self._bound_static: dict[int, tuple] = {}
-        #: per-object base-dependent bound state:
-        #: ``i -> (epoch, other_transfer, affected_base)``
-        self._bound_base: dict[int, tuple] = {}
+        #: object row -> its gathered subplans and base state
+        self._slices: dict[int, _Slice] = {}
 
     # -- matrix plumbing -----------------------------------------------------
 
@@ -307,6 +322,26 @@ class WorkloadCostEvaluator:
 
     # -- evaluation ------------------------------------------------------------
 
+    def _fig7(self, sub: np.ndarray, inv: np.ndarray) -> np.ndarray:
+        """Figure 7 over a ``(..., S, K, m)`` stream tensor: ``(..., S)``.
+
+        ``sub[..., s, k, j]`` is the blocks stream ``k`` of subplan
+        ``s`` reads on disk ``j``; ``inv`` (broadcastable) holds the
+        streams' inverse transfer rates.  Each subplan costs the max
+        over disks of transfer time plus the ``k * S_j * min`` seek.
+        The streams are reduced along the non-innermost axis ``-2``,
+        which numpy sums sequentially: every caller sees the same
+        rounding whatever the leading shape.
+        """
+        transfer = (sub * inv).sum(axis=-2)             # (..., S, m)
+        active = sub > EPS_ZERO
+        k = active.sum(axis=-2)
+        stream_min = np.where(active, sub, np.inf).min(axis=-2,
+                                                       initial=np.inf)
+        stream_min = np.where(np.isfinite(stream_min), stream_min, 0.0)
+        seek = np.where(k > 1, k * self._seeks * stream_min, 0.0)
+        return (transfer + seek).max(axis=-1)
+
     def _subplan_costs(self, matrix: np.ndarray,
                        rows: np.ndarray | None = None) -> np.ndarray:
         """Per-subplan Figure-7 costs; ``rows`` selects a subset."""
@@ -318,43 +353,32 @@ class WorkloadCostEvaluator:
                                       self._blocks[rows],
                                       self._mask[rows], self._inv[rows])
         # sub[s, k, j]: blocks of stream k on disk j.
-        sub = matrix[idx] * blocks[:, :, None] * mask[:, :, None]
-        transfer = (sub * inv).sum(axis=1)              # (S, m)
-        active = sub > EPS_ZERO
-        k = active.sum(axis=1)                          # (S, m)
-        stream_min = np.where(active, sub, np.inf).min(axis=1,
-                                                       initial=np.inf)
-        stream_min = np.where(np.isfinite(stream_min), stream_min, 0.0)
-        seek = np.where(k > 1, k * self._seeks * stream_min, 0.0)
-        per_disk = transfer + seek
-        if per_disk.shape[0] == 0:
-            return np.zeros(0)
-        return per_disk.max(axis=1)
-
-    def cost_matrix(self, matrix: np.ndarray) -> float:
-        """Weighted workload cost of a raw fraction matrix."""
-        self._telemetry.inc("costmodel.full_evaluations")
-        return float(self._subplan_costs(matrix) @ self._weights)
+        return self._fig7(
+            matrix[idx] * blocks[:, :, None] * mask[:, :, None], inv)
 
     def cost(self, layout: Layout) -> float:
         """Weighted workload cost of a layout."""
-        return self.cost_matrix(self.matrix_of(layout))
+        self._telemetry.inc("costmodel.full_evaluations")
+        return float(self._subplan_costs(self.matrix_of(layout))
+                     @ self._weights)
 
     # -- delta evaluation ----------------------------------------------------------
 
     def set_base(self, matrix: np.ndarray) -> float:
         """Fix a base matrix; returns its total cost.
 
-        Subsequent :meth:`cost_with_row` calls evaluate single-row
-        deviations from this base in time proportional to the number of
-        subplans that touch the changed object.
+        Subsequent :meth:`costs_for_rows`, :meth:`bounds_for_rows` and
+        :meth:`best_for_rows` calls evaluate single-row deviations from
+        this base (and :meth:`cost_with_rows` multi-row ones) in time
+        proportional to the number of subplans that touch the changed
+        objects.
         """
         self._telemetry.inc("costmodel.base_evaluations")
         self._base_matrix = matrix.copy()
         self._base_costs = self._subplan_costs(matrix)
         self._base_total = float(self._base_costs @ self._weights)
-        # New base: every base-dependent cache entry is stale (the
-        # static slices survive — they never depend on the base).
+        # New base: every slice's base half is stale (the static half
+        # survives — it never depends on the base).
         self._base_epoch += 1
         return self._base_total
 
@@ -367,10 +391,10 @@ class WorkloadCostEvaluator:
         recomputed (each subplan's cost is elementwise-independent of
         the rest), and the total is re-derived as the full dot product
         over the patched per-subplan costs rather than accumulated
-        incrementally.  Base-dependent cache entries for objects whose
-        subplans are disjoint from the committed ones stay valid and
-        are re-tagged to the new epoch; everything else lazily rebuilds
-        on next use.
+        incrementally.  A slice current at the previous epoch whose
+        object's subplans are disjoint from the committed ones stays
+        valid and is re-tagged to the new epoch; every other slice
+        rebuilds its base half on next use.
 
         This is what makes an adopted search move cheap: greedy and
         annealing call this after every accepted move instead of
@@ -388,44 +412,17 @@ class WorkloadCostEvaluator:
             self._base_matrix[i] = row
         previous = self._base_epoch
         self._base_epoch += 1
-        if affected is None or affected.size == 0:
-            # No subplan reads the committed objects: costs, total and
-            # the current epoch's cache entries are untouched — carry
-            # them over.  Entries left from an older epoch stay stale.
-            for cache in (self._slice_base, self._bound_base):
-                for j, entry in cache.items():
-                    if entry[0] == previous:
-                        cache[j] = (self._base_epoch,) + entry[1:]
-            return self._base_total
-        self._base_costs[affected] = self._subplan_costs(
-            self._base_matrix, rows=affected)
-        self._base_total = float(self._base_costs @ self._weights)
-        for cache in (self._slice_base, self._bound_base):
-            for j in list(cache):
-                entry = cache[j]
-                if entry[0] != previous or np.intersect1d(
+        if affected is not None and affected.size:
+            self._base_costs[affected] = self._subplan_costs(
+                self._base_matrix, rows=affected)
+            self._base_total = float(self._base_costs @ self._weights)
+        for j, entry in self._slices.items():
+            if entry.epoch == previous and (
+                    affected is None or not np.intersect1d(
                         self._touching[j], affected,
-                        assume_unique=True).size:
-                    del cache[j]
-                else:
-                    cache[j] = (self._base_epoch,) + entry[1:]
+                        assume_unique=True).size):
+                entry.epoch = self._base_epoch
         return self._base_total
-
-    def cost_with_row(self, object_name: str,
-                      row: np.ndarray) -> float:
-        """Cost of (base matrix with one object's row replaced).
-
-        Routed through the batched kernel (:meth:`costs_for_rows`) so
-        repeated single-row probes of the same object — annealing's
-        proposal loop — reuse the epoch-keyed slice cache instead of
-        re-gathering the touched subplans per call.
-        """
-        if self._base_matrix is None or self._base_costs is None:
-            raise LayoutError("set_base() must be called before "
-                              "cost_with_row()")
-        self._telemetry.inc("costmodel.delta_evaluations")
-        row = np.asarray(row, dtype=float)
-        return float(self.costs_for_rows(object_name, row[None])[0])
 
     def cost_with_rows(self, rows: dict[str, np.ndarray]) -> float:
         """Cost of the base matrix with several rows replaced at once.
@@ -456,40 +453,30 @@ class WorkloadCostEvaluator:
             self._base_matrix[i] = old_row
         return self._base_total + delta
 
-    def _slice_parts(self, i: int) -> tuple[tuple, tuple]:
-        """Static and base-dependent slice state for object ``i``.
-
-        The static tuple (gathered subplan arrays) only depends on the
-        packed workload, so it survives every base change; the base
-        tuple (``base_sub`` — the base layout's stream spread — and the
-        affected subplans' share of the base total) is tagged with the
-        epoch it was built at and rebuilt lazily after
-        :meth:`set_base` / :meth:`commit_rows` invalidated it.
-        """
-        affected = self._touching[i]
-        static = self._slice_static.get(i)
-        if static is None:
+    def _slice(self, i: int) -> _Slice:
+        """Object ``i``'s slice, its base half current at this epoch."""
+        entry = self._slices.get(i)
+        if entry is None:
+            affected = self._touching[i]
             idx = self._idx[affected]
-            static = (
-                idx,
-                self._blocks[affected][:, :, None]
-                * self._mask[affected][:, :, None],   # (S, K, 1)
-                self._inv[affected],                  # (S, K, m)
-                (idx == i),                           # (S, K)
-                self._weights[affected],
-            )
-            self._slice_static[i] = static
-        based = self._slice_base.get(i)
-        if based is None or based[0] != self._base_epoch:
-            idx, blocks_mask = static[0], static[1]
-            based = (
-                self._base_epoch,
-                self._base_matrix[idx] * blocks_mask,  # (S, K, m)
-                float(self._base_costs[affected]
-                      @ self._weights[affected]),
-            )
-            self._slice_base[i] = based
-        return static, based
+            blocks_mask = self._blocks[affected][:, :, None] \
+                * self._mask[affected][:, :, None]
+            inv = self._inv[affected]
+            is_target = (idx == i)[:, :, None]
+            entry = _Slice(
+                idx=idx, blocks_mask=blocks_mask, inv=inv,
+                is_target=is_target, weights=self._weights[affected],
+                target_coeff=(np.where(is_target, blocks_mask, 0.0)
+                              * inv).sum(axis=1))
+            self._slices[i] = entry
+        if entry.epoch != self._base_epoch:
+            entry.epoch = self._base_epoch
+            entry.base_sub = self._base_matrix[entry.idx] \
+                * entry.blocks_mask
+            entry.affected_base = float(
+                self._base_costs[self._touching[i]] @ entry.weights)
+            entry.other_transfer = None
+        return entry
 
     def _auto_chunk(self, n_affected: int) -> int:
         """Deterministic chunk size for one vectorized pass.
@@ -504,20 +491,19 @@ class WorkloadCostEvaluator:
         return max(_CHUNK_MIN, min(_CHUNK_MAX,
                                    _CHUNK_TARGET_BYTES // per_row))
 
-    def costs_for_rows(self, object_name: str, rows: np.ndarray,
-                       chunk: int | None = None) -> np.ndarray:
+    def costs_for_rows(self, object_name: str,
+                       rows: np.ndarray) -> np.ndarray:
         """Costs of many single-row deviations from the base, batched.
 
-        Equivalent to ``[cost_with_row(object_name, r) for r in rows]``
-        but evaluated a chunk of candidates at a time in one vectorized
-        pass — the hot loop of the greedy search.
+        Candidate ``c`` costs the base with ``object_name``'s row
+        replaced by ``rows[c]``.  Only the subplans touching the object
+        are re-costed, a chunk of candidates (:meth:`_auto_chunk`) per
+        vectorized pass — the hot loop of the greedy search, and one
+        row at a time annealing's proposal cost.
 
         Args:
             object_name: The object whose fraction row varies.
             rows: Candidate rows, shape ``(C, m)``.
-            chunk: Candidates per vectorized pass (bounds memory);
-                ``None`` auto-sizes from the affected-subplan count so
-                the working set stays near a fixed byte budget.
 
         Returns:
             Array of ``C`` total workload costs.
@@ -532,38 +518,26 @@ class WorkloadCostEvaluator:
         rows = np.asarray(rows, dtype=float)
         if affected.size == 0:
             return np.full(len(rows), self._base_total)
-        static, based = self._slice_parts(i)
-        idx, blocks_mask, inv, is_target, weights = static
-        _, base_sub, affected_base = based
-        if chunk is None:
-            chunk = self._auto_chunk(affected.size)
+        entry = self._slice(i)
+        chunk = self._auto_chunk(affected.size)
         out = np.empty(len(rows))
         for start in range(0, len(rows), chunk):
             batch = rows[start:start + chunk]                # (C, m)
             # (C, S, K, m): base streams, with the target object's
             # streams re-spread per candidate row.
-            sub = np.where(is_target[None, :, :, None],
-                           batch[:, None, None, :] * blocks_mask[None],
-                           base_sub[None])
-            transfer = (sub * inv[None]).sum(axis=2)         # (C, S, m)
-            active = sub > EPS_ZERO
-            k = active.sum(axis=2)
-            stream_min = np.where(active, sub, np.inf).min(
-                axis=2, initial=np.inf)
-            stream_min = np.where(np.isfinite(stream_min), stream_min,
-                                  0.0)
-            seek = np.where(k > 1, k * self._seeks * stream_min, 0.0)
-            per_disk = transfer + seek
-            costs = per_disk.max(axis=2) if per_disk.shape[1] else \
-                np.zeros((len(batch), 0))
-            out[start:start + chunk] = \
-                self._base_total - affected_base + costs @ weights
+            sub = np.where(
+                entry.is_target[None],
+                batch[:, None, None, :] * entry.blocks_mask[None],
+                entry.base_sub[None])
+            out[start:start + chunk] = self._base_total \
+                - entry.affected_base \
+                + self._fig7(sub, entry.inv) @ entry.weights
         return out
 
     # -- transfer-only lower bound ----------------------------------------------
 
     def lower_bound_matrix(self, matrix: np.ndarray) -> float:
-        """Transfer-only lower bound on :meth:`cost_matrix`.
+        """Transfer-only lower bound on a fraction matrix's cost.
 
         Drops the Figure-7 seek term: for every subplan the bound is
         ``max_j sum_i x_ij * B_i / T_j``.  Since the seek term is
@@ -598,42 +572,19 @@ class WorkloadCostEvaluator:
         affected = self._touching[i]
         if affected.size == 0:
             return np.full(len(rows), self._base_total)
-        static = self._bound_static.get(i)
-        if static is None:
-            idx = self._idx[affected]
-            blocks_mask = self._blocks[affected][:, :, None] \
-                * self._mask[affected][:, :, None]
-            inv = self._inv[affected]
-            is_target = (idx == i)[:, :, None]           # (S, K, 1)
-            # The candidate-scaled half of the transfer split; the
-            # base-dependent half lives in the epoch-tagged entry.
-            target_coeff = (np.where(is_target, blocks_mask, 0.0)
-                            * inv).sum(axis=1)           # (S, m)
-            static = (target_coeff, self._weights[affected],
-                      idx, blocks_mask, inv, is_target)
-            self._bound_static[i] = static
-        target_coeff, weights, idx, blocks_mask, inv, is_target = static
-        based = self._bound_base.get(i)
-        if based is None or based[0] != self._base_epoch:
-            base_sub = self._base_matrix[idx] * blocks_mask
-            # Transfer per disk split into the target object's streams
-            # (scales with the candidate row) and everything else
-            # (constant across candidates).
-            other_transfer = (np.where(is_target, 0.0, base_sub)
-                              * inv).sum(axis=1)         # (S, m)
-            based = (
-                self._base_epoch,
-                other_transfer,
-                float(self._base_costs[affected]
-                      @ self._weights[affected]),
-            )
-            self._bound_base[i] = based
-        _, other_transfer, affected_base = based
+        entry = self._slice(i)
+        if entry.other_transfer is None:
+            # Transfer per disk splits into the target object's streams
+            # (``target_coeff``, scaled by the candidate row) and
+            # everything else (constant across candidates).
+            entry.other_transfer = (
+                np.where(entry.is_target, 0.0, entry.base_sub)
+                * entry.inv).sum(axis=1)                 # (S, m)
         # (C, S, m): candidate transfer time per subplan and disk.
-        transfer = other_transfer[None] \
-            + rows[:, None, :] * target_coeff[None]
-        bound = transfer.max(axis=2) @ weights            # (C,)
-        return self._base_total - affected_base + bound
+        transfer = entry.other_transfer[None] \
+            + rows[:, None, :] * entry.target_coeff[None]
+        bound = transfer.max(axis=2) @ entry.weights      # (C,)
+        return self._base_total - entry.affected_base + bound
 
     # -- fused prune + evaluate --------------------------------------------------
 

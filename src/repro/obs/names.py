@@ -66,7 +66,7 @@ METRIC_CATALOG: dict[str, tuple[str, str]] = {
     "costmodel.commit_evaluations": (
         COUNTER, "O(delta) base-cost commits of adopted moves"),
     "costmodel.delta_evaluations": (
-        COUNTER, "incremental delta cost evaluations"),
+        COUNTER, "co-location group cost evaluations"),
     "costmodel.fused_evaluations": (
         COUNTER, "fused prune+evaluate kernel invocations"),
     "costmodel.full_evaluations": (

@@ -544,17 +544,13 @@ class AdvisorService:
             if method == "greedy":
                 method = "ts-greedy"
         faults = body.get("faults")
-        given = {
-            "method": method,
-            "k": _integer(body, "k"),
-            "jobs": _integer(body, "jobs"),
-            "portfolio": _integer(body, "portfolio"),
-            "deadline": _number(body, "deadline"),
-            "retries": _integer(body, "retries"),
-            "movement_budget": _number(body, "movement_budget"),
-            "faults": None if faults is None
-            else FaultPlan.from_spec(str(faults)),
-        }
+        # The numeric options go to SearchOptions as sent: it rejects
+        # a bool, a string, or a fraction where an integer belongs.
+        given = {key: body.get(key)
+                 for key in ("k", "jobs", "portfolio", "deadline",
+                             "retries", "movement_budget")}
+        given.update(method=method, faults=None if faults is None
+                     else FaultPlan.from_spec(str(faults)))
         options = SearchOptions(**{key: value
                                    for key, value in given.items()
                                    if value is not None})
@@ -702,12 +698,3 @@ def _number(body: dict[str, Any], key: str) -> float | None:
     except (TypeError, ValueError):
         raise BadRequest(f"{key!r} must be a number") from None
 
-
-def _integer(body: dict[str, Any], key: str) -> int | None:
-    value = body.get(key)
-    if value is None:
-        return None
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise BadRequest(f"{key!r} must be an integer") from None

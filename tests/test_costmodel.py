@@ -161,6 +161,7 @@ class TestEvaluatorAgainstReference:
 
     def test_delta_evaluation_matches_full(self, mini_db, join_workload,
                                            farm8):
+        import numpy as np
         analyzed = self._analyzed(mini_db, join_workload)
         sizes = mini_db.object_sizes()
         evaluator = WorkloadCostEvaluator(analyzed, farm8, sorted(sizes))
@@ -168,19 +169,20 @@ class TestEvaluatorAgainstReference:
         evaluator.set_base(evaluator.matrix_of(base))
         candidate = base.with_fractions(
             "big", stripe_fractions([0, 1, 2], farm8))
-        delta_cost = evaluator.cost_with_row(
-            "big", list(candidate.fractions_of("big")))
+        delta_cost = evaluator.costs_for_rows(
+            "big", np.array([candidate.fractions_of("big")]))[0]
         assert delta_cost == pytest.approx(evaluator.cost(candidate))
 
     def test_delta_does_not_mutate_base(self, mini_db, join_workload,
                                         farm8):
+        import numpy as np
         analyzed = self._analyzed(mini_db, join_workload)
         sizes = mini_db.object_sizes()
         evaluator = WorkloadCostEvaluator(analyzed, farm8, sorted(sizes))
         base = full_striping(sizes, farm8)
         base_cost = evaluator.set_base(evaluator.matrix_of(base))
-        evaluator.cost_with_row("big",
-                                list(stripe_fractions([0], farm8)))
+        evaluator.costs_for_rows("big",
+                                 np.array([stripe_fractions([0], farm8)]))
         # Re-evaluating the unchanged base gives the same cost.
         assert evaluator.cost_with_rows({}) == pytest.approx(base_cost)
         assert evaluator.cost(base) == pytest.approx(base_cost)
@@ -191,10 +193,11 @@ class TestEvaluatorAgainstReference:
         evaluator = WorkloadCostEvaluator(analyzed, farm8,
                                           sorted(mini_db.object_sizes()))
         with pytest.raises(LayoutError):
-            evaluator.cost_with_row("big",
-                                    list(stripe_fractions([0], farm8)))
+            evaluator.cost_with_rows(
+                {"big": list(stripe_fractions([0], farm8))})
 
     def test_untouched_object_delta_is_free(self, mini_db, farm8):
+        import numpy as np
         workload = Workload()
         workload.add("SELECT COUNT(*) FROM big b")
         analyzed = analyze_workload(workload, mini_db)
@@ -202,12 +205,13 @@ class TestEvaluatorAgainstReference:
         evaluator = WorkloadCostEvaluator(analyzed, farm8, sorted(sizes))
         base_cost = evaluator.set_base(
             evaluator.matrix_of(full_striping(sizes, farm8)))
-        moved = evaluator.cost_with_row(
-            "small", list(stripe_fractions([0], farm8)))
+        moved = evaluator.costs_for_rows(
+            "small", np.array([stripe_fractions([0], farm8)]))[0]
         assert moved == base_cost
 
     def test_batched_costs_match_scalar_deltas(self, mini_db,
-                                               join_workload, farm8):
+                                               join_workload, farm8,
+                                               monkeypatch):
         import numpy as np
         analyzed = self._analyzed(mini_db, join_workload)
         sizes = mini_db.object_sizes()
@@ -217,8 +221,11 @@ class TestEvaluatorAgainstReference:
         rows = np.array(
             [stripe_fractions([j], farm8) for j in range(8)]
             + [stripe_fractions([0, j], farm8) for j in range(1, 8)])
-        batched = evaluator.costs_for_rows("big", rows, chunk=4)
-        scalar = [evaluator.cost_with_row("big", row) for row in rows]
+        scalar = [evaluator.costs_for_rows("big", row[None])[0]
+                  for row in rows]
+        # Four candidates per pass: the 15 rows span several chunks.
+        monkeypatch.setattr(evaluator, "_auto_chunk", lambda n: 4)
+        batched = evaluator.costs_for_rows("big", rows)
         assert batched == pytest.approx(scalar)
 
     def test_batched_costs_untouched_object(self, mini_db, farm8):

@@ -54,6 +54,17 @@ def _random_rows(rng, farm, count) -> np.ndarray:
     return np.array([_random_row(rng, farm) for _ in range(count)])
 
 
+def _assert_serves_like(warm, cold, name, rows) -> None:
+    """``warm`` answers every single-row query exactly as ``cold``."""
+    assert np.array_equal(warm.costs_for_rows(name, rows),
+                          cold.costs_for_rows(name, rows))
+    assert np.array_equal(warm.bounds_for_rows(name, rows),
+                          cold.bounds_for_rows(name, rows))
+    incumbent = cold._base_total
+    assert warm.best_for_rows(name, rows, incumbent) \
+        == cold.best_for_rows(name, rows, incumbent)
+
+
 class TestCommitRows:
     """commit_rows must be indistinguishable from a fresh set_base."""
 
@@ -65,7 +76,6 @@ class TestCommitRows:
         sizes = mini_db.object_sizes()
         incremental = WorkloadCostEvaluator(analyzed, farm8,
                                             sorted(sizes))
-        fresh = WorkloadCostEvaluator(analyzed, farm8, sorted(sizes))
         rng = np.random.default_rng(seed)
         base = full_striping(sizes, farm8)
         matrix = incremental.matrix_of(base)
@@ -81,6 +91,9 @@ class TestCommitRows:
             committed_total = incremental.commit_rows(rows)
             for name, row in rows.items():
                 matrix[names.index(name)] = row
+            # A new evaluator per step: one reused across steps would
+            # share any cache-epoch bug with the one under test.
+            fresh = WorkloadCostEvaluator(analyzed, farm8, sorted(sizes))
             fresh_total = fresh.set_base(matrix.copy())
             # Bit-identical, not approximately equal: the O(Δ) commit
             # recomputes exactly the touched subplans and re-derives
@@ -93,9 +106,8 @@ class TestCommitRows:
             # And the caches the commit preserved/invalidated serve
             # the same answers a cold evaluator computes.
             probe_name = names[int(rng.integers(0, len(names)))]
-            probe = _random_row(rng, farm8)
-            assert incremental.cost_with_row(probe_name, probe) \
-                == fresh.cost_with_row(probe_name, probe)
+            _assert_serves_like(incremental, fresh, probe_name,
+                                _random_rows(rng, farm8, 4))
 
     @_PROPERTY
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -118,10 +130,12 @@ class TestCommitRows:
         for _ in range(8):
             action = rng.integers(0, 3)
             if action == 0:
-                # Warm the per-object caches at the current epoch.
+                # Warm one object's cost and bound halves at the
+                # current epoch.
                 name = names[int(rng.integers(0, len(names)))]
-                evaluator.costs_for_rows(name,
-                                         _random_rows(rng, farm8, 3))
+                probes = _random_rows(rng, farm8, 3)
+                evaluator.costs_for_rows(name, probes)
+                evaluator.bounds_for_rows(name, probes)
             elif action == 1:
                 i = int(rng.integers(0, len(names)))
                 matrix[i] = _random_row(rng, farm8)
@@ -131,8 +145,8 @@ class TestCommitRows:
                 row = _random_row(rng, farm8)
                 matrix[i] = row
                 evaluator.commit_rows({names[i]: row})
-        # After any interleaving, every object's delta costs must
-        # match a cold evaluator given the same final base.
+        # After any interleaving, every object's delta costs and
+        # bounds must match a cold evaluator given the same final base.
         cold = WorkloadCostEvaluator(analyzed, farm8, sorted(sizes))
         cold.set_base(matrix.copy())
         for name in names:
@@ -140,6 +154,9 @@ class TestCommitRows:
             assert np.array_equal(
                 evaluator.costs_for_rows(name, probes),
                 cold.costs_for_rows(name, probes))
+            assert np.array_equal(
+                evaluator.bounds_for_rows(name, probes),
+                cold.bounds_for_rows(name, probes))
 
     def test_commit_before_set_base_raises(self, case):
         evaluator, _, _, farm = case
@@ -151,10 +168,11 @@ class TestCommitRows:
         evaluator, _, sizes, farm = case
         base_cost = evaluator.set_base(
             evaluator.matrix_of(full_striping(sizes, farm)))
-        probe = np.array(stripe_fractions([0, 1], farm))
-        before = evaluator.cost_with_row("big", probe)
+        probe = np.array([stripe_fractions([0, 1], farm)])
+        before = evaluator.costs_for_rows("big", probe)
         assert evaluator.commit_rows({}) == base_cost
-        assert evaluator.cost_with_row("big", probe) == before
+        assert np.array_equal(evaluator.costs_for_rows("big", probe),
+                              before)
 
     def test_commit_counts_metric(self, case):
         evaluator, _, sizes, farm = case
@@ -258,7 +276,7 @@ class TestBestForRows:
 
 
 class TestChunkAutoSizing:
-    def test_chunk_size_never_changes_results(self, case):
+    def test_chunk_size_never_changes_results(self, case, monkeypatch):
         evaluator, _, sizes, farm = case
         evaluator.set_base(
             evaluator.matrix_of(full_striping(sizes, farm)))
@@ -266,9 +284,10 @@ class TestChunkAutoSizing:
         rows = _random_rows(rng, farm, 100)
         auto = evaluator.costs_for_rows("big", rows)
         for chunk in (1, 16, 33, 1024):
+            monkeypatch.setattr(evaluator, "_auto_chunk",
+                                lambda n_affected, chunk=chunk: chunk)
             assert np.array_equal(
-                auto, evaluator.costs_for_rows("big", rows,
-                                               chunk=chunk))
+                auto, evaluator.costs_for_rows("big", rows))
 
     def test_auto_chunk_is_clamped_and_shape_only(self, case):
         evaluator, _, _, _ = case

@@ -94,7 +94,10 @@ class TestHarnesses:
     def test_figure11_tiny(self):
         from repro.benchdb import tpch
         cases = [(tpch.tpch_database(), ctrl.wk_ctrl1())]
-        result = run_figure11(disk_counts=(2, 4), cases=cases)
+        # 8 disks, not 4: the runs take a few ms each, and 2 vs 4
+        # disks (about 1.8x apart) is within a busy host's noise,
+        # while 2 vs 8 is about 3.4x apart.
+        result = run_figure11(disk_counts=(2, 8), cases=cases)
         ratios = result.ratios("WK-CTRL1")
         assert ratios[0] == 1.0
         assert ratios[1] > 1.0

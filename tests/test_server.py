@@ -126,6 +126,10 @@ class TestFingerprints:
                 method="ts-greedy", k=1, portfolio=None,
                 movement_budget=None), current_layout=None)
 
+    def test_integral_budget_keys_like_its_float(self):
+        assert job_fingerprint("cat", SearchOptions(movement_budget=1)) \
+            == job_fingerprint("cat", SearchOptions(movement_budget=1.0))
+
     def test_content_fields_are_the_tagged_ones(self):
         assert sorted(SearchOptions().content()) \
             == ["k", "method", "movement_budget", "portfolio"]
@@ -554,7 +558,11 @@ class TestServiceJobs:
     @pytest.mark.parametrize("bad", [
         {"k": "abc"}, {"jobs": "two"}, {"retries": -1},
         {"deadline": -1}, {"movement_budget": -3}, {"portfolio": 0},
-        {"portfolio": "abc"}])
+        {"portfolio": "abc"}, {"portfolio": [1, 2]},
+        # A fraction or a bool is not an integer; truncating one would
+        # run (or serve from cache) a different job.
+        {"k": 2.7}, {"k": True}, {"jobs": 1.5}, {"retries": False},
+        {"portfolio": 2.9}])
     def test_malformed_job_option_is_400_at_submit(self, service, bad):
         status, body, _ = service.handle(
             "POST", "/v1/tenants/t/jobs", {"workload": "w", **bad})
