@@ -346,10 +346,9 @@ def recommendation_from_dict(data: dict[str, Any], farm: DiskFarm,
                              path: str | Path | None = None):
     """Rebuild a recommendation from its JSON form.
 
-    Search telemetry is restored as the raw telemetry dict (the
-    ``search_telemetry`` attribute is not reattached as a
-    ``SearchResult`` — the layouts it referenced are gone); everything
-    a report needs is reconstructed.
+    The saved search telemetry is not restored: ``search`` stays
+    ``None``, since the layouts a ``SearchResult`` referenced are gone.
+    Everything else a report needs is reconstructed.
 
     Raises:
         RecommendationFormatError: When the payload is missing a

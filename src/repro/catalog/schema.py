@@ -182,10 +182,6 @@ class Index:
         """Leaf-level size of the index in allocation blocks."""
         return _blocks_for(self.row_count * self.entry_bytes)
 
-    @property
-    def entries_per_block(self) -> float:
-        return max(1.0, BLOCK_BYTES / self.entry_bytes)
-
     def covers(self, columns: Iterable[str]) -> bool:
         """True if every listed column is present in the index entries."""
         carried = set(self.key_columns) | set(self.included_columns)

@@ -12,7 +12,6 @@ Subcommands::
                              [--method ts-greedy] [--k 1] \\
                              [--portfolio 4] [--jobs 4] \\
                              [--deadline 30] [--retries 2] \\
-                             [--trajectory-timeout 10] \\
                              [--save-layout out.json] [--script] \\
                              [--trace trace.json] [--metrics] [-v]
     repro-advisor analyze    --database db.json --workload w.sql
@@ -57,19 +56,18 @@ findings are suppressed per line with a justified
 Performance (see ``docs/performance.md``): ``--method portfolio`` runs
 several search trajectories (seeded TS-GREEDY multi-starts plus
 annealing restarts) and keeps the best layout; ``--jobs N`` spreads
-them over ``N`` worker processes (each gets the one cost evaluator
-once, at start) when the workload is large enough to repay starting
-them, and runs them serially otherwise.  The recommendation is
-bit-identical for any ``--jobs``.
+them over up to ``N`` worker processes, at most one per usable core
+(each gets the one cost evaluator once, at start), when the workload
+is large enough to repay starting them, and runs them serially
+otherwise.  The recommendation is bit-identical for any ``--jobs``.
 
-Resilience (see ``docs/resilience.md``): ``--deadline S`` bounds the
-portfolio search's wall clock; on expiry (or worker crashes) the
-advisor returns the exact best layout over the trajectories that
-completed and marks the run *degraded* instead of raising.
-``--retries N`` grants a failed trajectory N in-process re-runs,
-``--trajectory-timeout S`` caps each worker future, and ``--faults``
-injects deterministic faults for testing (same syntax as the
-``REPRO_FAULTS`` environment variable).
+Resilience (see ``docs/resilience.md``): ``--deadline S``, the
+search's one time bound, caps the portfolio search's wall clock; on
+expiry (or worker crashes) the advisor returns the exact best layout
+over the trajectories that completed and marks the run *degraded*
+instead of raising.  ``--retries N`` grants a failed trajectory N
+in-process re-runs, and ``--faults`` injects deterministic faults for
+testing (same syntax as the ``REPRO_FAULTS`` environment variable).
 
 Incremental re-layout (see ``docs/incremental.md``): ``drift`` compares
 two workload windows and exits 1 when the shift is large enough that a
@@ -314,11 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="extra in-process attempts a failed "
                           "portfolio trajectory gets after its first "
                           "(default: %(default)s)")
-    rec.add_argument("--trajectory-timeout", type=float, default=None,
-                     metavar="SECONDS", dest="trajectory_timeout",
-                     help="per-trajectory cap while draining portfolio "
-                          "workers; slower trajectories are recorded "
-                          "as timeout failures")
     rec.add_argument("--faults", default=None, metavar="SPEC",
                      help="fault-injection plan for testing/chaos runs "
                           "(e.g. 'kill_worker=1,delay=2:0.5'); "
@@ -598,7 +591,6 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         method=method, k=args.k, jobs=args.jobs,
         portfolio=args.portfolio, deadline=args.deadline,
         retries=args.retries,
-        trajectory_timeout_s=args.trajectory_timeout,
         faults=FaultPlan.from_spec(args.faults) if args.faults
         else None,
         movement_budget=args.budget)

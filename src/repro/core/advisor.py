@@ -23,7 +23,7 @@ from repro.core.layout import Layout
 from repro.errors import DegradedResult, LayoutError
 from repro.obs import NULL_TELEMETRY
 from repro.optimizer.planner import Planner
-from repro.resilience import Budget, Deadline, FaultPlan, RetryPolicy
+from repro.resilience import Deadline, FaultPlan, RetryPolicy
 from repro.storage.disk import DiskFarm
 from repro.storage.migration import MigrationPlan, plan_migration
 from repro.workload.access import AnalyzedWorkload, analyze_workload
@@ -144,21 +144,21 @@ class SearchOptions:
         k: TS-GREEDY's widening parameter (>= 1).
         jobs: Worker count for ``method="portfolio"``: 1 runs the
             portfolio serially in-process, 0 auto-sizes to the
-            machine.  Results are identical either way.
+            machine; the pool never starts more workers than usable
+            cores.  Results are identical either way.
         portfolio: For ``method="portfolio"``: a trajectory count, a
             sequence of :class:`repro.parallel.TrajectorySpec`, or
             ``None`` for the default portfolio.
         deadline: For ``method="portfolio"``: wall-clock budget for
-            the search — seconds, a :class:`repro.resilience.Budget`
-            or a live :class:`repro.resilience.Deadline`.  When it
-            expires the advisor returns the exact best layout over the
+            the search, its one time bound — seconds (counting from
+            when the search begins) or a live
+            :class:`repro.resilience.Deadline`.  When it expires the
+            advisor returns the exact best layout over the
             trajectories that completed (a *degraded* result; a
             :class:`~repro.errors.DegradedResult` warning is emitted)
             rather than raising.
         retries: For ``method="portfolio"``: extra in-process attempts
             a failed trajectory gets after its first.
-        trajectory_timeout_s: For ``method="portfolio"``: per-
-            trajectory cap while draining worker futures.
         faults: For ``method="portfolio"``: a
             :class:`repro.resilience.FaultPlan` for tests and chaos
             runs (``None`` falls back to the ``REPRO_FAULTS``
@@ -177,9 +177,8 @@ class SearchOptions:
     jobs: int = _option(1, SLO)
     portfolio: int | Sequence[TrajectorySpec] | None = _option(
         None, CONTENT)
-    deadline: float | Budget | Deadline | None = _option(None, SLO)
+    deadline: float | Deadline | None = _option(None, SLO)
     retries: int = _option(1, SLO)
-    trajectory_timeout_s: float | None = _option(None, SLO)
     faults: FaultPlan | None = _option(None, SLO)
     movement_budget: float | None = _option(None, CONTENT)
 
@@ -204,19 +203,14 @@ class SearchOptions:
                 f"got {portfolio!r}")
         deadline = self.deadline
         if not (deadline is None
-                or isinstance(deadline, (Budget, Deadline))
+                or isinstance(deadline, Deadline)
                 or (_is_number(deadline) and deadline >= 0)):
             raise LayoutError(
-                f"deadline must be seconds >= 0, a Budget or a "
-                f"Deadline, got {deadline!r}")
+                f"deadline must be seconds >= 0 or a Deadline, "
+                f"got {deadline!r}")
         if not _is_int(self.retries) or self.retries < 0:
             raise LayoutError(f"retries must be an integer >= 0, "
                               f"got {self.retries!r}")
-        timeout = self.trajectory_timeout_s
-        if timeout is not None \
-                and not (_is_number(timeout) and timeout > 0):
-            raise LayoutError(f"trajectory_timeout_s must be > 0, "
-                              f"got {timeout!r}")
         if self.faults is not None \
                 and not isinstance(self.faults, FaultPlan):
             raise LayoutError(f"faults must be a FaultPlan, "
@@ -491,7 +485,6 @@ class LayoutAdvisor:
             self._farm, evaluator, sizes, constraints=self._constraints,
             specs=specs, jobs=options.jobs, deadline=options.deadline,
             retry=RetryPolicy(attempts=1 + options.retries),
-            trajectory_timeout_s=options.trajectory_timeout_s,
             faults=options.faults, telemetry=self._telemetry)
         initial = current_layout \
             if self._constraints.movement is not None else None

@@ -61,15 +61,6 @@ class GreedyStep:
                 "accepted": self.accepted,
                 "changed": list(self.changed)}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "GreedyStep":
-        """Inverse of :meth:`to_dict`."""
-        return cls(iteration=int(data["iteration"]),
-                   candidates=int(data["candidates"]),
-                   best_cost=float(data["best_cost"]),
-                   accepted=bool(data["accepted"]),
-                   changed=tuple(data.get("changed", ())))
-
 
 @dataclass(frozen=True)
 class TrajectoryFailure:
@@ -95,15 +86,6 @@ class TrajectoryFailure:
         return {"index": self.index, "label": self.label,
                 "cause": self.cause, "attempts": self.attempts,
                 "message": self.message}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrajectoryFailure":
-        """Inverse of :meth:`to_dict`."""
-        return cls(index=int(data["index"]),
-                   label=str(data.get("label", "")),
-                   cause=str(data.get("cause", "error")),
-                   attempts=int(data.get("attempts", 1)),
-                   message=str(data.get("message", "")))
 
     def describe(self) -> str:
         """One-line rendering for logs and reports."""
@@ -168,33 +150,6 @@ class SearchResult:
             out["degraded"] = bool(self.degraded)
             out["failures"] = [f.to_dict() for f in self.failures]
         return out
-
-    @classmethod
-    def from_telemetry(cls, layout: Layout,
-                       data: dict) -> "SearchResult":
-        """Rebuild a result from :meth:`telemetry_dict` output.
-
-        The layout travels separately (telemetry is layout-free JSON);
-        the portfolio engine uses this to resurrect per-trajectory
-        results shipped back from worker processes.
-        """
-        return cls(
-            layout=layout,
-            cost=float(data["cost"]),
-            initial_cost=float(data["initial_cost"]),
-            iterations=int(data.get("iterations", 0)),
-            evaluations=int(data.get("evaluations", 0)),
-            elapsed_s=float(data.get("elapsed_s", 0.0)),
-            steps=[GreedyStep.from_dict(s)
-                   for s in data.get("steps", ())],
-            kl_passes=int(data.get("kl_passes", 0)),
-            kl_cut_weights=tuple(float(w)
-                                 for w in data.get("kl_cut_weights", ())),
-            extras={k: float(v)
-                    for k, v in data.get("extras", {}).items()},
-            degraded=bool(data.get("degraded", False)),
-            failures=[TrajectoryFailure.from_dict(f)
-                      for f in data.get("failures", ())])
 
     def with_layout(self, layout: Layout, cost: float) -> "SearchResult":
         """A copy recommending ``layout`` but keeping the telemetry.
@@ -623,8 +578,12 @@ class _Frontiers:
         held = np.flatnonzero(now).tolist()
         allowed = self._constraints.allowed_disks(lead, self._farm)
         spare = [j for j in allowed if not now[j]]
-        masks = [now | _subset_masks(spare, size, m)
-                 for size in range(1, self._k + 1)]
+        # Widening stops at the spare disks: a larger k adds no row.
+        # The leading empty block keeps an object already on every
+        # allowed disk at an empty (0, m) frontier.
+        masks = [np.zeros((0, m), dtype=bool)]
+        masks += [now | _subset_masks(spare, size, m)
+                  for size in range(1, min(self._k, len(spare)) + 1)]
         if self._narrow:
             masks += [now & ~_subset_masks(held, size, m)
                       for size in range(1, min(self._k, len(held) - 1) + 1)]

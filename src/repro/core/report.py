@@ -209,18 +209,15 @@ def render_search_diagnostics(search, max_steps: int = 8) -> str:
     steps = list(getattr(search, "steps", ()) or ())
     extras = dict(getattr(search, "extras", {}) or {})
     if "trajectories" in extras:
-        # Deferred import: repro.parallel builds on repro.core, so the
-        # dependency must point parallel -> core at module-load time.
-        from repro.parallel import BACKEND_NAMES
         trajectories = int(extras.pop("trajectories"))
         workers = int(extras.pop("workers", 1))
         best = int(extras.pop("best_trajectory", 0))
         extras.pop("best_trajectory_cost", None)
         extras.pop("failed_trajectories", None)
-        backend = BACKEND_NAMES.get(extras.pop("backend", None))
-        via = f" via {backend} backend" if backend else ""
-        lines.append(f"portfolio: {trajectories} trajectories on "
-                     f"{workers} worker(s){via}; "
+        # More than one worker means the process pool ran.
+        where = f"on {workers} worker processes" if workers > 1 \
+            else "in-process"
+        lines.append(f"portfolio: {trajectories} trajectories {where}; "
                      f"winner: trajectory {best}")
         failures = list(getattr(search, "failures", ()) or ())
         if getattr(search, "degraded", False) or failures:

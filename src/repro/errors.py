@@ -100,6 +100,24 @@ class WorkerCrash(ReproError):
     """
 
 
+class RetriesExhausted(ReproError):
+    """:meth:`repro.resilience.RetryPolicy.run` gave up.
+
+    Raised from the last attempt's error once the policy's attempts or
+    the caller's deadline ran out.
+
+    Attributes:
+        attempts: Attempts made, the failed last one included.
+        error: The last attempt's error (also the ``__cause__``).
+    """
+
+    def __init__(self, attempts: int, error: BaseException):
+        noun = "attempt" if attempts == 1 else "attempts"
+        super().__init__(f"gave up after {attempts} {noun}: {error}")
+        self.attempts = attempts
+        self.error = error
+
+
 class FaultSpecError(ReproError):
     """A ``REPRO_FAULTS`` / ``--faults`` fault specification is malformed."""
 

@@ -144,8 +144,6 @@ METRIC_CATALOG: dict[str, tuple[str, str]] = {
     "partition.swaps": (
         COUNTER, "node-pair KL swaps applied"),
     # -- portfolio engine -----------------------------------------------
-    "portfolio.backend": (
-        GAUGE, "backend of the last run (-1 serial, 1 process)"),
     "portfolio.best_trajectory": (
         GAUGE, "index of the winning trajectory"),
     "portfolio.trajectories": (

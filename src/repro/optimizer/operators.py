@@ -96,16 +96,6 @@ def walk(plan: PlanOp) -> Iterator[PlanOp]:
         yield from walk(child)
 
 
-def total_blocks_by_object(plan: PlanOp) -> dict[str, float]:
-    """Sum blocks accessed per object over the whole plan."""
-    totals: dict[str, float] = {}
-    for node in walk(plan):
-        for acc in node.accesses:
-            totals[acc.object_name] = totals.get(acc.object_name, 0.0) \
-                + acc.blocks
-    return totals
-
-
 # --------------------------------------------------------------------------
 # Leaf access operators
 # --------------------------------------------------------------------------

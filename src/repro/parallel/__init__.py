@@ -6,7 +6,9 @@ runs serially in-process, or — for ``jobs > 1`` and an input of at
 least ``POOL_MIN_PACKED_BYTES`` — on a worker-process pool whose
 initializer hands each worker the search context, cost evaluator
 included, once (inherited through fork, or unpickled once per worker
-under spawn).
+under spawn).  A trajectory returns its ``SearchResult`` and telemetry
+snapshot the same way on either path; ``extras["workers"]`` records
+which path ran (more than one worker means the pool).
 
 Results are bit-identical regardless of ``jobs`` or the path taken:
 the trajectory list is deterministic and the winner is chosen by
@@ -24,8 +26,6 @@ contract and the fault-injection harness.
 """
 
 from repro.parallel.portfolio import (
-    BACKEND_CODES,
-    BACKEND_NAMES,
     DEFAULT_TRAJECTORIES,
     POOL_MIN_PACKED_BYTES,
     PortfolioSearch,
@@ -35,13 +35,10 @@ from repro.parallel.portfolio import (
 )
 from repro.parallel.worker import (
     TrajectoryContext,
-    rebuild_result,
     run_trajectory,
 )
 
 __all__ = [
-    "BACKEND_CODES",
-    "BACKEND_NAMES",
     "DEFAULT_TRAJECTORIES",
     "POOL_MIN_PACKED_BYTES",
     "PortfolioSearch",
@@ -49,6 +46,5 @@ __all__ = [
     "TrajectorySpec",
     "available_workers",
     "default_portfolio",
-    "rebuild_result",
     "run_trajectory",
 ]

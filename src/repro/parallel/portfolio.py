@@ -18,7 +18,8 @@ initializer hands each worker the run's
 once: workers inherit it through fork, or unpickle it once each under
 spawn.  The engine picks the pool only for inputs of at least
 :data:`POOL_MIN_PACKED_BYTES`; below that, starting the pool eats what
-the parallelism returns.
+the parallelism returns.  ``extras["workers"]`` records the path: more
+than one worker means the pool ran.
 
 Determinism: the trajectory list is fixed up front and the winner is
 ``min((cost, index))`` — exact float comparison with ties broken on
@@ -32,8 +33,8 @@ losing the whole process degrades instead of raising:
 * a killed worker (``BrokenProcessPool``) marks its trajectories
   failed and re-runs them serially in-process under the
   :class:`~repro.resilience.RetryPolicy`;
-* a hung trajectory is abandoned after its per-future timeout or the
-  run's :class:`~repro.resilience.Deadline`;
+* a hung trajectory is abandoned when the run's
+  :class:`~repro.resilience.Deadline` expires;
 * the winner is always the exact ``min((cost, index))`` over the
   trajectories that *completed*, with :class:`TrajectoryFailure`
   records for the rest (``SearchResult.degraded`` / ``failures``).
@@ -62,6 +63,7 @@ from repro.core.greedy import SearchResult, TrajectoryFailure
 from repro.errors import (
     LayoutError,
     ReproError,
+    RetriesExhausted,
     SearchTimeout,
     WorkerCrash,
 )
@@ -69,7 +71,6 @@ from repro.obs import NULL_TELEMETRY
 from repro.parallel.worker import (
     TrajectoryContext,
     init_worker,
-    rebuild_result,
     run_trajectory,
     run_trajectory_task,
 )
@@ -90,15 +91,18 @@ MAX_WORKERS_ENV = "REPRO_MAX_WORKERS"
 #: evaluator packs at least this many bytes, and serially otherwise.
 #: Set from interleaved serial-vs-pool measurements
 #: (``docs/performance.md``): below it the pool is at best within
-#: noise of serial.  A pure function of the input, so the same
-#: workload always takes the same path.
+#: noise of serial.  The pool also never gets more workers than usable
+#: cores, so a 1-core host runs serially; results are identical on
+#: either path.
 POOL_MIN_PACKED_BYTES = 4 << 10
 
-#: ``portfolio.backend`` gauge / ``extras["backend"]`` encoding.
-BACKEND_CODES = {"serial": -1, "process": 1}
+#: :func:`default_portfolio`'s slot ``i >= 1`` seeds with
+#: ``_BASE_SEED + i``.
+_BASE_SEED = 101
 
-#: Inverse of :data:`BACKEND_CODES`, for report rendering.
-BACKEND_NAMES = {code: name for name, code in BACKEND_CODES.items()}
+#: A portfolio's outcome per trajectory index: the result and its
+#: telemetry snapshot (see :func:`~repro.parallel.worker.run_trajectory`).
+Outcome = tuple[SearchResult, dict]
 
 
 @dataclass(frozen=True)
@@ -112,8 +116,6 @@ class TrajectorySpec:
         k: TS-GREEDY widening parameter.
         seed: Annealing RNG seed.
         iterations: Annealing proposal budget.
-        prune: Enable bound-based candidate pruning (TS-GREEDY only;
-            never changes the result, only the evaluation count).
         label: Optional display name for telemetry.
     """
 
@@ -122,7 +124,6 @@ class TrajectorySpec:
     k: int = 1
     seed: int = 0
     iterations: int = 2_000
-    prune: bool = True
     label: str = ""
 
     def describe(self) -> str:
@@ -135,8 +136,6 @@ class TrajectorySpec:
 
 
 def default_portfolio(n: int = DEFAULT_TRAJECTORIES, k: int = 1,
-                      base_seed: int = 101,
-                      annealing_iterations: int = 2_000,
                       include_annealing: bool = True,
                       ) -> list[TrajectorySpec]:
     """A deterministic default trajectory list of size ``n``.
@@ -145,13 +144,12 @@ def default_portfolio(n: int = DEFAULT_TRAJECTORIES, k: int = 1,
     algorithm), so a 1-trajectory portfolio degenerates to plain
     TS-GREEDY.  Remaining slots mix seeded KL variants with annealing
     restarts (every third slot); portfolios of five or more spend one
-    slot on a ``k+1`` widening.
+    slot on a ``k+1`` widening.  Slot ``i`` seeds with ``101 + i``;
+    annealing restarts get the default proposal budget.
 
     Args:
         n: Portfolio size.
         k: TS-GREEDY widening parameter for the greedy trajectories.
-        base_seed: First seed; slot ``i`` uses ``base_seed + i``.
-        annealing_iterations: Proposal budget per annealing restart.
         include_annealing: Set ``False`` for constrained problems —
             the annealing baseline only enforces capacity and raises
             on richer constraints, so its slots become seeded greedy
@@ -163,21 +161,19 @@ def default_portfolio(n: int = DEFAULT_TRAJECTORIES, k: int = 1,
                             label="greedy-base")]
     wide_k_spent = False
     for i in range(1, n):
+        seed = _BASE_SEED + i
         if i % 3 == 0 and include_annealing:
             specs.append(TrajectorySpec(
-                method="annealing", seed=base_seed + i,
-                iterations=annealing_iterations,
-                label=f"anneal-{base_seed + i}"))
+                method="annealing", seed=seed, label=f"anneal-{seed}"))
         elif n >= 5 and not wide_k_spent:
             wide_k_spent = True
             specs.append(TrajectorySpec(
-                method="ts-greedy", k=k + 1,
-                partition_seed=base_seed + i,
-                label=f"greedy-{base_seed + i}-k{k + 1}"))
+                method="ts-greedy", k=k + 1, partition_seed=seed,
+                label=f"greedy-{seed}-k{k + 1}"))
         else:
             specs.append(TrajectorySpec(
-                method="ts-greedy", k=k, partition_seed=base_seed + i,
-                label=f"greedy-{base_seed + i}"))
+                method="ts-greedy", k=k, partition_seed=seed,
+                label=f"greedy-{seed}"))
     return specs
 
 
@@ -225,24 +221,22 @@ class PortfolioSearch:
         specs: Trajectory list; defaults to :func:`default_portfolio`.
         jobs: Worker count.  ``1`` runs every trajectory serially
             in-process (bit-identical results, no pool of any kind);
-            ``0`` auto-sizes to the available cores.  A larger count
-            uses the process pool when the input packs at least
-            :data:`POOL_MIN_PACKED_BYTES`, and runs serially below it.
-        deadline: Wall-clock budget for the whole search — seconds, a
-            :class:`~repro.resilience.Budget` (starts counting when
-            :meth:`search` begins), or a live
-            :class:`~repro.resilience.Deadline`.  When it expires the
-            engine stops waiting and returns the best result found so
-            far (degraded), raising :class:`SearchTimeout` only if
-            nothing completed at all.
+            ``0`` asks for every usable core.  A larger count uses the
+            process pool when the input packs at least
+            :data:`POOL_MIN_PACKED_BYTES`, and runs serially below it;
+            the pool never gets more workers than trajectories or
+            :func:`available_workers`.
+        deadline: Wall-clock budget for the whole search, the engine's
+            one time bound — seconds (counting from when :meth:`search`
+            begins) or a live :class:`~repro.resilience.Deadline`.  When
+            it expires the engine stops waiting and returns the best
+            result found so far (degraded), raising
+            :class:`SearchTimeout` only if nothing completed at all.
         retry: :class:`~repro.resilience.RetryPolicy` for in-process
             (re-)runs of failed trajectories; defaults to two attempts
             with deterministic jitter.  Retries never change *what* a
             trajectory computes, only whether a transient failure is
             survived.
-        trajectory_timeout_s: Optional per-trajectory cap when draining
-            worker futures; a trajectory that produces no result in
-            time is recorded as a ``"timeout"`` failure.
         faults: Fault-injection plan for tests/chaos runs; defaults to
             whatever ``REPRO_FAULTS`` names (``None`` in production).
         telemetry: Optional :class:`~repro.obs.Telemetry`; opens one
@@ -270,14 +264,11 @@ class PortfolioSearch:
                  specs: Sequence[TrajectorySpec] | None = None,
                  jobs: int = 1, deadline=None,
                  retry: RetryPolicy | None = None,
-                 trajectory_timeout_s: float | None = None,
                  faults: FaultPlan | None = None,
                  telemetry=NULL_TELEMETRY,
                  clock=time.perf_counter, sleep=time.sleep):
         if jobs < 0:
             raise LayoutError("jobs must be >= 0 (0 = auto)")
-        if trajectory_timeout_s is not None and trajectory_timeout_s <= 0:
-            raise LayoutError("trajectory_timeout_s must be > 0")
         self._farm = farm
         self._evaluator = evaluator
         self._sizes = dict(object_sizes)
@@ -286,11 +277,10 @@ class PortfolioSearch:
             else tuple(default_portfolio())
         if not self._specs:
             raise LayoutError("portfolio needs at least one trajectory")
-        self._jobs = jobs if jobs > 0 else available_workers()
+        self._jobs = jobs
         self._telemetry = telemetry
         self._deadline_spec = deadline
         self._retry = retry if retry is not None else RetryPolicy()
-        self._timeout_s = trajectory_timeout_s
         if faults is None:
             faults = FaultPlan.from_env()
         self._faults = None if faults is None or faults.empty else faults
@@ -322,9 +312,7 @@ class PortfolioSearch:
         """
         start = self._clock()
         deadline = Deadline.coerce(self._deadline_spec)
-        backend = self._resolve_backend()
-        workers = 1 if backend == "serial" \
-            else min(self._jobs, len(self._specs))
+        workers = self._workers()
         context = TrajectoryContext(
             evaluator=self._evaluator, farm=self._farm,
             sizes=self._sizes, constraints=self._constraints,
@@ -336,15 +324,15 @@ class PortfolioSearch:
         fault_injection.reset_eval_counts()
         with self._telemetry.span("portfolio",
                                   trajectories=len(self._specs)) as span:
-            if backend == "serial":
-                payloads, failures, errors = self._run_serial(
+            if workers == 1:
+                outcomes, failures, errors = self._run_serial(
                     context, deadline)
             else:
-                payloads, failures, errors = self._run_parallel(
+                outcomes, failures, errors = self._run_parallel(
                     context, workers, deadline)
-            if not payloads:
+            if not outcomes:
                 self._raise_total_failure(failures, errors, deadline)
-            result = self._merge(payloads, failures, workers, backend)
+            result = self._merge(outcomes, failures, workers)
             result.elapsed_s = self._clock() - start
             span.set("best_cost", round(result.cost, 6))
             span.set("best_trajectory",
@@ -359,36 +347,36 @@ class PortfolioSearch:
                 "; ".join(failures[i].describe()
                           for i in sorted(failures)))
         logger.info(
-            "portfolio: %d trajectories on %d %s worker(s), best cost "
+            "portfolio: %d trajectories on %d worker(s), best cost "
             "%.3f from trajectory %d (%s), %.3fs", len(self._specs),
-            workers, backend, result.cost,
-            int(result.extras["best_trajectory"]),
+            workers, result.cost, int(result.extras["best_trajectory"]),
             self._specs[int(result.extras["best_trajectory"])]
             .describe(), result.elapsed_s)
         return result
 
     # -- execution paths ---------------------------------------------------
 
-    def _resolve_backend(self) -> str:
-        """``"serial"`` or ``"process"``, from the jobs and the input.
+    def _workers(self) -> int:
+        """Pool workers for this run; ``1`` runs it serially in-process.
 
-        Reads only the worker count, the trajectory count and the
-        evaluator's packing, never the machine, so the same inputs
-        always take the same path.
+        The pool runs only for inputs packing at least
+        :data:`POOL_MIN_PACKED_BYTES`, with at most one worker per
+        trajectory and per usable core.  Results are identical for any
+        worker count.
         """
-        if min(self._jobs, len(self._specs)) <= 1 \
-                or self._evaluator.packed_nbytes < POOL_MIN_PACKED_BYTES:
-            return "serial"
-        return "process"
+        if self._evaluator.packed_nbytes < POOL_MIN_PACKED_BYTES:
+            return 1
+        cores = available_workers()
+        return min(self._jobs or cores, len(self._specs), cores)
 
     def _run_serial(self, context: TrajectoryContext,
                     deadline: Deadline):
         """Run every trajectory in-process, honoring the deadline."""
-        payloads: dict[int, dict] = {}
+        outcomes: dict[int, Outcome] = {}
         failures: dict[int, TrajectoryFailure] = {}
         errors: dict[int, BaseException] = {}
         for index in range(len(self._specs)):
-            if payloads and deadline.expired():
+            if outcomes and deadline.expired():
                 self._telemetry.inc("resilience.timeouts")
                 self._telemetry.emit("timeout", index=index,
                                      label=self._label(index),
@@ -399,17 +387,11 @@ class PortfolioSearch:
                 continue
             self._telemetry.emit("trajectory-start", index=index,
                                  label=self._label(index))
-            payload, failure, error = self._attempt(context, index,
-                                                    deadline)
-            if payload is not None:
-                payloads[index] = payload
-            else:
-                failures[index] = failure
-                if error is not None:
-                    errors[index] = error
-        return payloads, failures, errors
+            self._attempt(context, index, deadline, outcomes, failures,
+                          errors)
+        return outcomes, failures, errors
 
-    def _run_parallel(self, context: TrajectoryContext, jobs: int,
+    def _run_parallel(self, context: TrajectoryContext, workers: int,
                       deadline: Deadline):
         """Run trajectories in a process pool, surviving worker loss.
 
@@ -419,11 +401,11 @@ class PortfolioSearch:
         """
         mp_context = get_context(
             "fork" if "fork" in get_all_start_methods() else "spawn")
-        payloads: dict[int, dict] = {}
+        outcomes: dict[int, Outcome] = {}
         failures: dict[int, TrajectoryFailure] = {}
         errors: dict[int, BaseException] = {}
         executor = ProcessPoolExecutor(
-            max_workers=jobs, mp_context=mp_context,
+            max_workers=workers, mp_context=mp_context,
             initializer=init_worker, initargs=(context,))
         try:
             futures = []
@@ -438,7 +420,7 @@ class PortfolioSearch:
                     future = Future()
                     future.set_exception(error)
                 futures.append(future)
-            hung = self._drain(futures, deadline, payloads, failures,
+            hung = self._drain(futures, deadline, outcomes, failures,
                                errors)
         except BaseException:
             # Interrupt/crash while draining: abandon the workers
@@ -453,28 +435,24 @@ class PortfolioSearch:
         # Timeouts are *not* re-run: a trajectory too slow for its
         # budget would blow through the deadline again in-process,
         # where it cannot be preempted.
-        self._fallback(context, deadline, payloads, failures, errors)
-        return payloads, failures, errors
+        self._fallback(context, deadline, outcomes, failures, errors)
+        return outcomes, failures, errors
 
     def _drain(self, futures, deadline: Deadline,
-               payloads: dict[int, dict],
+               outcomes: dict[int, Outcome],
                failures: dict[int, TrajectoryFailure],
                errors: dict[int, BaseException]) -> bool:
         """Collect worker results; True when a worker may be hung.
 
         Futures are visited in trajectory order; each wait is capped by
-        the remaining deadline and the per-trajectory timeout.  Because
-        workers run concurrently, the per-future cap is an *at least*
-        guarantee — a future reached late has usually finished already.
+        the time left to the deadline.
         """
         hung = False
         for index, future in enumerate(futures):
             budget = deadline.remaining()
-            if self._timeout_s is not None:
-                budget = min(budget, self._timeout_s)
             timeout = None if math.isinf(budget) else budget
             try:
-                payloads[index] = future.result(timeout=timeout)
+                outcomes[index] = future.result(timeout=timeout)
             except FutureTimeout:
                 future.cancel()
                 hung = True
@@ -510,7 +488,7 @@ class PortfolioSearch:
         return hung
 
     def _fallback(self, context: TrajectoryContext, deadline: Deadline,
-                  payloads: dict[int, dict],
+                  outcomes: dict[int, Outcome],
                   failures: dict[int, TrajectoryFailure],
                   errors: dict[int, BaseException]) -> None:
         """Re-run crashed/errored trajectories serially in-process."""
@@ -527,66 +505,51 @@ class PortfolioSearch:
             logger.warning("re-running trajectory %d (%s) in-process "
                            "after %s", index, failure.label,
                            failure.cause)
-            payload, new_failure, error = self._attempt(
-                context, index, deadline,
-                attempts_base=failure.attempts)
-            if payload is not None:
-                payloads[index] = payload
-                del failures[index]
-                errors.pop(index, None)
-            else:
-                failures[index] = new_failure
-                if error is not None:
-                    errors[index] = error
+            del failures[index]
+            errors.pop(index, None)
+            self._attempt(context, index, deadline, outcomes, failures,
+                          errors, attempts_before=failure.attempts)
 
     def _attempt(self, context: TrajectoryContext, index: int,
-                 deadline: Deadline, attempts_base: int = 0):
-        """One in-process trajectory run under the retry policy.
+                 deadline: Deadline, outcomes: dict[int, Outcome],
+                 failures: dict[int, TrajectoryFailure],
+                 errors: dict[int, BaseException],
+                 attempts_before: int = 0) -> None:
+        """Run one trajectory in-process under the retry policy.
 
-        Returns ``(payload, None, None)`` on success or
-        ``(None, TrajectoryFailure, last_error)`` once attempts (or the
-        deadline) are exhausted.  Backoff jitter is seeded from the
-        trajectory index, so the schedule is reproducible.
+        Records its outcome, or its failure and last error once the
+        attempts (or the deadline) run out.  Backoff jitter is seeded
+        from the trajectory index, so the schedule is reproducible.
         """
-        attempt = 0
-        last_error: Exception | None = None
-        for pause in self._retry.delays(seed=index):
-            if attempt and deadline.expired():
-                break
-            if pause > 0.0:
-                pause = min(pause, deadline.remaining())
-                if pause > 0.0:
-                    self._sleep(pause)
-            attempt += 1
-            if attempt > 1:
-                self._telemetry.inc("resilience.retries")
-                self._telemetry.emit("retry", index=index,
-                                     label=self._label(index),
-                                     attempt=attempts_base + attempt)
-            try:
-                payload = run_trajectory(context, index)
-            except Exception as error:
-                last_error = error
-                logger.warning(
-                    "trajectory %d (%s) attempt %d failed: %s", index,
-                    self._label(index), attempts_base + attempt, error)
-                continue
-            if attempt > 1:
-                logger.info("trajectory %d (%s) recovered on attempt "
-                            "%d", index, self._label(index),
-                            attempts_base + attempt)
-            return payload, None, None
-        assert last_error is not None
-        cause = "error"
-        if isinstance(last_error, WorkerCrash):
-            cause = "crash"
-        elif isinstance(last_error, SearchTimeout):
-            cause = "timeout"
-        failure = TrajectoryFailure(
-            index, self._label(index), cause,
-            attempts_base + attempt,
-            f"{type(last_error).__name__}: {last_error}")
-        return None, failure, last_error
+        label = self._label(index)
+
+        def on_retry(attempt: int, error: BaseException) -> None:
+            logger.warning("trajectory %d (%s) attempt %d failed: %s",
+                           index, label, attempts_before + attempt - 1,
+                           error)
+            self._telemetry.inc("resilience.retries")
+            self._telemetry.emit("retry", index=index, label=label,
+                                 attempt=attempts_before + attempt)
+
+        try:
+            outcomes[index], attempts = self._retry.run(
+                lambda: run_trajectory(context, index), seed=index,
+                deadline=deadline, sleep=self._sleep, on_retry=on_retry)
+        except RetriesExhausted as gave_up:
+            error = gave_up.error
+            cause = "error"
+            if isinstance(error, WorkerCrash):
+                cause = "crash"
+            elif isinstance(error, SearchTimeout):
+                cause = "timeout"
+            failures[index] = TrajectoryFailure(
+                index, label, cause, attempts_before + gave_up.attempts,
+                f"{type(error).__name__}: {error}")
+            errors[index] = error
+            return
+        if attempts > 1:
+            logger.info("trajectory %d (%s) recovered on attempt %d",
+                        index, label, attempts_before + attempts)
 
     def _raise_total_failure(self, failures, errors,
                              deadline: Deadline) -> None:
@@ -608,35 +571,33 @@ class PortfolioSearch:
 
     # -- result merging ----------------------------------------------------
 
-    def _merge(self, payloads: dict[int, dict],
+    def _merge(self, outcomes: dict[int, Outcome],
                failures: dict[int, TrajectoryFailure],
-               workers: int, backend: str) -> SearchResult:
-        ordered = [payloads[index] for index in sorted(payloads)]
-        best = min(ordered, key=lambda p: (p["cost"], p["index"]))
-        result = rebuild_result(best, self._farm, self._sizes)
+               workers: int) -> SearchResult:
+        ordered = sorted(outcomes)
+        best = min(ordered, key=lambda index: (outcomes[index][0].cost,
+                                               index))
+        result = outcomes[best][0]
         total_evaluations = 0
         pruned = 0.0
         bound_evaluations = 0.0
-        for payload in ordered:
-            telemetry = payload["telemetry"]
-            total_evaluations += int(telemetry.get("evaluations", 0))
-            pruned += float(telemetry.get("extras", {})
-                            .get("pruned_candidates", 0.0))
+        for index in ordered:
+            trajectory, snapshot = outcomes[index]
+            total_evaluations += trajectory.evaluations
+            pruned += trajectory.extras.get("pruned_candidates", 0.0)
             bound_evaluations += float(
-                payload["snapshot"]["metrics"]["counters"]
+                snapshot["metrics"]["counters"]
                 .get("costmodel.bound_evaluations", 0.0))
-            self._telemetry.merge(payload["snapshot"])
-            self._telemetry.emit("trajectory-end",
-                                 index=int(payload["index"]),
-                                 label=payload["label"],
-                                 cost=round(float(payload["cost"]), 6))
+            self._telemetry.merge(snapshot)
+            self._telemetry.emit("trajectory-end", index=index,
+                                 label=self._label(index),
+                                 cost=round(trajectory.cost, 6))
         result.evaluations = total_evaluations
         result.extras.update({
             "trajectories": float(len(self._specs)),
             "workers": float(workers),
-            "backend": float(BACKEND_CODES[backend]),
-            "best_trajectory": float(best["index"]),
-            "best_trajectory_cost": float(best["cost"]),
+            "best_trajectory": float(best),
+            "best_trajectory_cost": result.cost,
             "pruned_candidates": pruned,
             "bound_evaluations": bound_evaluations,
         })
@@ -660,8 +621,5 @@ class PortfolioSearch:
         self._telemetry.set_gauge("portfolio.trajectories",
                                   len(self._specs))
         self._telemetry.set_gauge("portfolio.workers", workers)
-        self._telemetry.set_gauge("portfolio.backend",
-                                  BACKEND_CODES[backend])
-        self._telemetry.set_gauge("portfolio.best_trajectory",
-                                  best["index"])
+        self._telemetry.set_gauge("portfolio.best_trajectory", best)
         return result

@@ -1,4 +1,4 @@
-"""Deadlines, budgets and retry policies for unattended search runs.
+"""Deadlines and retry policies for unattended search runs.
 
 The advisor is meant to run inside a tuning service where a hung or
 crashed recommendation is worse than a slightly suboptimal one.  This
@@ -7,13 +7,13 @@ module provides the primitives every resilient caller composes:
 * :class:`Deadline` — an absolute point on the monotonic clock; cheap
   to poll (``expired()``/``remaining()``) and to assert
   (``check()`` raises :class:`~repro.errors.SearchTimeout`).
-* :class:`Budget` — a portable wall-clock allowance that becomes a
-  :class:`Deadline` when work actually starts.
 * :class:`RetryPolicy` — bounded attempts with exponential backoff and
   **deterministic** jitter: the jitter stream is seeded from the
   caller-supplied seed (the portfolio engine passes the trajectory
   index), so two runs of the same failing trajectory sleep the exact
-  same schedule and results stay reproducible.
+  same schedule and results stay reproducible.  :meth:`RetryPolicy.run`
+  is the one retry loop; the portfolio engine and the migration
+  executor both call it.
 
 Determinism note: retrying a trajectory never changes *what* it
 computes — trajectories are pure functions of their spec — so retries
@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from repro.errors import LayoutError, SearchTimeout
+from repro.errors import LayoutError, RetriesExhausted, SearchTimeout
 
 
 class Deadline:
@@ -64,23 +64,20 @@ class Deadline:
 
     @classmethod
     def coerce(cls, value) -> "Deadline":
-        """Normalize ``None`` / seconds / :class:`Budget` / ``Deadline``.
+        """Normalize ``None`` / seconds / ``Deadline``.
 
         ``None`` becomes an unlimited deadline, a number starts counting
-        now, a :class:`Budget` is started, and an existing ``Deadline``
-        passes through unchanged.
+        now, and an existing ``Deadline`` passes through unchanged.
         """
         if value is None:
             return cls.never()
         if isinstance(value, Deadline):
             return value
-        if isinstance(value, Budget):
-            return value.start()
         if isinstance(value, (int, float)):
             return cls.after(float(value))
         raise LayoutError(
             f"cannot interpret {value!r} as a deadline "
-            "(want None, seconds, Budget or Deadline)")
+            "(want None, seconds or a Deadline)")
 
     @property
     def unlimited(self) -> bool:
@@ -109,27 +106,6 @@ class Deadline:
         if self.unlimited:
             return "Deadline(unlimited)"
         return f"Deadline(remaining={self.remaining():.3f}s)"
-
-
-@dataclass(frozen=True)
-class Budget:
-    """A wall-clock allowance that has not started counting yet.
-
-    Unlike a :class:`Deadline` (an absolute point in time), a budget is
-    portable: it can be created at configuration time, stored on an
-    engine, and started (:meth:`start`) when the work actually begins.
-    """
-
-    seconds: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.seconds is not None and self.seconds < 0:
-            raise LayoutError("budget seconds must be >= 0")
-
-    def start(self, *, clock: Callable[[], float] = time.monotonic,
-              ) -> Deadline:
-        """Begin counting: returns a live :class:`Deadline`."""
-        return Deadline(self.seconds, clock=clock)
 
 
 @dataclass(frozen=True)
@@ -192,10 +168,17 @@ class RetryPolicy:
         """Call ``fn`` under this policy; return ``(value, attempts)``.
 
         Retries on ``retry_on`` exceptions, sleeping the deterministic
-        backoff schedule between attempts.  Stops early (re-raising the
-        last error) when ``deadline`` expires — a sleep is never allowed
-        to overshoot the deadline.  ``on_retry(attempt, error)`` is
-        called after each failed attempt that will be retried.
+        backoff schedule between attempts; any other exception
+        propagates at once.  Stops early when ``deadline`` expires — a
+        sleep is never allowed to overshoot the deadline.
+        ``on_retry(attempt, error)`` is called when a retry starts, after
+        its sleep, with the number of the attempt about to run and the
+        previous attempt's error.
+
+        Raises:
+            RetriesExhausted: From the last error, carrying the number
+                of attempts made, once the attempts or the deadline
+                run out.
         """
         last_error: BaseException | None = None
         attempt = 0
@@ -209,11 +192,11 @@ class RetryPolicy:
                 if pause > 0.0:
                     sleep(pause)
             attempt += 1
+            if last_error is not None and on_retry is not None:
+                on_retry(attempt, last_error)
             try:
                 return fn(), attempt
             except retry_on as error:
                 last_error = error
-                if attempt < self.attempts and on_retry is not None:
-                    on_retry(attempt, error)
         assert last_error is not None
-        raise last_error
+        raise RetriesExhausted(attempt, last_error) from last_error

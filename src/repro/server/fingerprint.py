@@ -22,7 +22,7 @@ Two granularities:
   layout and the :class:`~repro.core.advisor.SearchOptions` fields
   tagged as content-affecting (method, k, trajectory portfolio,
   movement budget).  Keys the *recommendation* cache.  SLO-only
-  fields (jobs, deadline, retries, trajectory timeout, faults) are
+  fields (jobs, deadline, retries, faults) are
   deliberately **excluded**: they bound how long the service may
   spend, not what the search computes, so a repeat submission with a
   tighter deadline can still be served from cache instantly — the

@@ -34,11 +34,6 @@ class Extent:
     start_lba: int
     n_blocks: int
 
-    @property
-    def end_lba(self) -> int:
-        """One past the last block address of the extent."""
-        return self.start_lba + self.n_blocks
-
 
 def validate_fractions(fractions: Sequence[float],
                        obj: str | None = None,

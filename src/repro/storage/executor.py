@@ -59,6 +59,7 @@ from repro.errors import (
     JournalFormatError,
     MigrationExecutionError,
     MigrationInterrupted,
+    RetriesExhausted,
     WorkerCrash,
 )
 from repro.obs import NULL_TELEMETRY
@@ -815,13 +816,13 @@ class MigrationExecutor:
                 _, attempts = self._retry.run(
                     attempt, seed=index, retry_on=(WorkerCrash,),
                     deadline=self._deadline, sleep=self._sleep)
-            except WorkerCrash as crash:
+            except RetriesExhausted as gave_up:
                 raise MigrationExecutionError(
                     f"step {index} transfer failed permanently "
-                    f"({crash}); the journal ends in a dangling intent "
-                    f"— resume re-attempts the step, rollback undoes "
-                    f"the committed prefix", step=index,
-                    journal=self._journal_path) from crash
+                    f"({gave_up.error}); the journal ends in a dangling "
+                    f"intent — resume re-attempts the step, rollback "
+                    f"undoes the committed prefix", step=index,
+                    journal=self._journal_path) from gave_up.error
             state.apply(step.obj, step.src, step.dst,
                         float(step.blocks))
             fire_step_crash(self._faults, index, "before_done",

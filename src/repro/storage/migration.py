@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.errors import LayoutError
 from repro.obs import NULL_TELEMETRY
-from repro.storage.disk import BLOCK_BYTES, DiskFarm
+from repro.storage.disk import DiskFarm
 
 if TYPE_CHECKING:
     from repro.core.layout import Layout
@@ -114,11 +114,6 @@ class MigrationPlan:
 
     def __iter__(self):
         return iter(self.steps)
-
-    @property
-    def moved_bytes(self) -> float:
-        """Net bytes changing disks."""
-        return self.moved_blocks * BLOCK_BYTES
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready form (inverse: :meth:`from_dict`)."""

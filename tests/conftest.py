@@ -73,7 +73,11 @@ def force_pool(monkeypatch):
 
     The engine runs inputs that pack under
     ``POOL_MIN_PACKED_BYTES`` serially, which covers every fixture
-    here; tests of the pool itself lower the constant to 0.
+    here; tests of the pool itself lower the constant to 0.  The pool
+    also never gets more workers than ``available_workers()``, which
+    is pinned to 4 so pool tests keep the pool on a 1-core host.
     """
     monkeypatch.setattr(
         "repro.parallel.portfolio.POOL_MIN_PACKED_BYTES", 0)
+    monkeypatch.setattr(
+        "repro.parallel.portfolio.available_workers", lambda: 4)

@@ -200,7 +200,7 @@ class TestSearchOptions:
     @pytest.mark.parametrize("bad", [
         {"method": "quantum"}, {"k": 0}, {"jobs": -1}, {"portfolio": 0},
         {"deadline": -1.0}, {"retries": -1},
-        {"trajectory_timeout_s": 0}, {"faults": "kill_worker=1"},
+        {"deadline": "30"}, {"faults": "kill_worker=1"},
         {"movement_budget": 1.5}, {"portfolio": [1, 2]}])
     def test_bad_value_raises_layout_error(self, bad):
         with pytest.raises(LayoutError):

@@ -258,7 +258,7 @@ class TestResilienceCli:
                                                 capsys):
         rc = main(["recommend", *_args(tool_files),
                    "--method", "portfolio", "--portfolio", "2",
-                   "--retries", "3", "--trajectory-timeout", "60"])
+                   "--retries", "3", "--deadline", "60"])
         assert rc == 0
         assert "degraded" not in capsys.readouterr().out
 

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.benchdb.synth import synthetic_workload
 from repro.benchdb.tpch import tpch_database
-from repro.core import incremental
+from repro.core import greedy, incremental
 from repro.core.constraints import (
     AvailabilityRequirement,
     CoLocated,
@@ -477,6 +477,31 @@ class TestFrontierRows:
         assert len(rows) == 2 ** 12 - 2
         expected = np.array([stripe_fractions(s, farm) for s in sets])
         assert _bits(rows) == _bits(expected)
+
+    def test_widening_stops_at_the_spare_disks(self):
+        # A k past the spare disks adds no row: the frontier at
+        # k = 10**4 is k = m - 1's, built with at most m widen calls,
+        # and an object already on every disk keeps an empty frontier.
+        farm = winbench_farm(8)
+        m = len(farm)
+        sizes = {"t": 1}
+
+        def build(disks, k):
+            start = Layout(farm, sizes,
+                           {"t": stripe_fractions(disks, farm)})
+            return _Frontiers(farm, sizes, ["t"], ConstraintSet(), k,
+                              start, narrow=False)._build("t")
+
+        with mock.patch.object(greedy, "_subset_masks",
+                               wraps=greedy._subset_masks) as masks:
+            wide = build((2, 5), 10 ** 4)
+            assert masks.call_count <= m
+            masks.reset_mock()
+            everywhere = build(range(m), 10 ** 4)
+            assert masks.call_count == 0
+        assert _bits(wide) == _bits(build((2, 5), m - 1))
+        assert everywhere.shape == (0, m)
+        assert everywhere.dtype == np.float64
 
     @pytest.mark.parametrize("m", [4, 9, 12])
     def test_movement_terms_add_up_to_layout_distance(self, m):

@@ -21,7 +21,7 @@ from repro.obs import (
     render_timeline,
     validate_events,
 )
-from repro.parallel import BACKEND_CODES, PortfolioSearch, default_portfolio
+from repro.parallel import PortfolioSearch, default_portfolio
 from repro.resilience import FaultPlan
 from repro.workload.access import analyze_workload
 from repro.workload.access_graph import build_access_graph
@@ -141,15 +141,15 @@ class TestDeterminism:
         evaluator, graph, sizes, farm = case
         specs = default_portfolio(3)
 
-        def run(jobs, backend):
+        def run(jobs):
             telemetry = Telemetry()
             result = PortfolioSearch(farm, evaluator, sizes, specs=specs,
                                      jobs=jobs,
                                      telemetry=telemetry).search(graph)
-            assert result.extras["backend"] == BACKEND_CODES[backend]
+            assert result.extras["workers"] == jobs
             return canonical_lines(telemetry.events)
 
-        assert run(1, "serial") == run(2, "process")
+        assert run(1) == run(2)
 
 
 class TestResilienceTimeline:
@@ -166,7 +166,7 @@ class TestResilienceTimeline:
                 farm, evaluator, sizes, specs=specs, jobs=2,
                 faults=faults, telemetry=telemetry).search(graph)
         telemetry.close()
-        assert result.extras["backend"] == BACKEND_CODES["process"]
+        assert result.extras["workers"] == 2.0
         assert result.degraded
         events = read_events(path)
         assert validate_events(events) == []

@@ -25,7 +25,6 @@ from repro.errors import (
 )
 from repro.obs import Telemetry
 from repro.parallel import (
-    BACKEND_CODES,
     POOL_MIN_PACKED_BYTES,
     PortfolioSearch,
     TrajectorySpec,
@@ -35,7 +34,7 @@ from repro.parallel import (
 from repro.parallel import portfolio as portfolio_module
 from repro.parallel.portfolio import MAX_WORKERS_ENV
 from repro.parallel.worker import TrajectoryContext, run_trajectory
-from repro.resilience import Budget, FaultPlan, RetryPolicy
+from repro.resilience import FaultPlan, RetryPolicy
 from repro.workload.access import analyze_workload
 from repro.workload.access_graph import build_access_graph
 
@@ -55,7 +54,7 @@ def _fractions(layout):
 
 
 def _on_pool(result) -> bool:
-    return result.extras["backend"] == BACKEND_CODES["process"]
+    return result.extras["workers"] > 1
 
 
 class TestSharedEvaluator:
@@ -132,21 +131,24 @@ class TestTrajectories:
         with pytest.raises(LayoutError, match="quantum"):
             run_trajectory(context, 0)
 
-    def test_payload_rebuilds_the_result(self, case):
+    def test_trajectory_returns_its_search_result(self, case):
         evaluator, graph, sizes, farm = case
         from repro.core.constraints import ConstraintSet
-        from repro.parallel import rebuild_result
         context = TrajectoryContext(
             evaluator=evaluator, farm=farm, sizes=sizes,
             constraints=ConstraintSet(), graph=graph,
             initial_layout=None, specs=(TrajectorySpec(),))
-        payload = run_trajectory(context, 0)
-        rebuilt = rebuild_result(payload, farm, sizes)
         direct = TsGreedySearch(farm, evaluator, sizes).search(graph)
-        assert rebuilt.cost == direct.cost
-        assert _fractions(rebuilt.layout) == _fractions(direct.layout)
-        assert rebuilt.evaluations == direct.evaluations
-        assert len(rebuilt.steps) == len(direct.steps)
+        # A pool worker pickles what an in-process run returns.
+        result, snapshot = pickle.loads(pickle.dumps(
+            run_trajectory(context, 0)))
+        assert result.cost == direct.cost
+        assert _fractions(result.layout) == _fractions(direct.layout)
+        assert result.evaluations == direct.evaluations
+        assert result.steps == direct.steps
+        assert result.extras == direct.extras
+        assert {event["source"] for event in snapshot["events"]} \
+            == {"trajectory-0"}
 
     def test_default_portfolio_shape(self):
         specs = default_portfolio(6)
@@ -187,8 +189,7 @@ class TestPortfolioSearch:
             if spec.method == "ts-greedy":
                 individual.append(TsGreedySearch(
                     farm, evaluator, sizes, k=spec.k,
-                    partition_seed=spec.partition_seed,
-                    prune=spec.prune).search(graph).cost)
+                    partition_seed=spec.partition_seed).search(graph).cost)
             else:
                 from repro.core.annealing import annealing_search
                 individual.append(annealing_search(
@@ -234,10 +235,7 @@ class TestPortfolioSearch:
             PortfolioSearch(farm, evaluator, sizes, specs=[])
 
 
-def _assert_backend(result, telemetry, backend, workers):
-    code = float(BACKEND_CODES[backend])
-    assert result.extras["backend"] == code
-    assert telemetry.value("portfolio.backend") == code
+def _assert_workers(result, telemetry, workers):
     assert result.extras["workers"] == float(workers)
     assert telemetry.value("portfolio.workers") == float(workers)
 
@@ -259,19 +257,44 @@ class TestBackendChoice:
             == serial.extras["best_trajectory"]
 
     def test_backend_reported_in_extras_and_gauge(self, case,
-                                                  monkeypatch):
+                                                  monkeypatch,
+                                                  force_pool):
+        # More than one worker means the pool ran.
         evaluator, graph, sizes, farm = case
-        for jobs, threshold, backend, workers in (
-                (1, POOL_MIN_PACKED_BYTES, "serial", 1),
-                (1, 0, "serial", 1),
-                (2, 0, "process", 2)):
+        for jobs, threshold, workers in (
+                (1, POOL_MIN_PACKED_BYTES, 1),
+                (1, 0, 1),
+                (2, 0, 2)):
             monkeypatch.setattr(portfolio_module,
                                 "POOL_MIN_PACKED_BYTES", threshold)
             telemetry = Telemetry()
             result = PortfolioSearch(
                 farm, evaluator, sizes, specs=default_portfolio(2),
                 jobs=jobs, telemetry=telemetry).search(graph)
-            _assert_backend(result, telemetry, backend, workers)
+            _assert_workers(result, telemetry, workers)
+
+    def test_pool_never_starts_more_workers_than_cores(
+            self, case, monkeypatch, force_pool):
+        evaluator, graph, sizes, farm = case
+        monkeypatch.setattr(portfolio_module, "available_workers",
+                            lambda: 2)
+        started = []
+
+        class NoPool(Exception):
+            pass
+
+        def recorder(max_workers, **kwargs):
+            started.append(max_workers)
+            raise NoPool
+
+        monkeypatch.setattr(portfolio_module, "ProcessPoolExecutor",
+                            recorder)
+        for jobs in (8, 0):
+            with pytest.raises(NoPool):
+                PortfolioSearch(farm, evaluator, sizes,
+                                specs=default_portfolio(8),
+                                jobs=jobs).search(graph)
+        assert started == [2, 2]
 
     def test_small_packings_run_serially(self, case):
         # The mini workload packs far under the threshold, so jobs=2
@@ -282,7 +305,7 @@ class TestBackendChoice:
         result = PortfolioSearch(farm, evaluator, sizes,
                                  specs=default_portfolio(2), jobs=2,
                                  telemetry=telemetry).search(graph)
-        _assert_backend(result, telemetry, "serial", 1)
+        _assert_workers(result, telemetry, 1)
 
     def test_threshold_splits_the_reference_workloads(self):
         """The example TPC-H workload (13 objects) runs serially and
@@ -380,8 +403,7 @@ class TestFaultTolerance:
                                 jobs=1).search(graph)
         guarded = PortfolioSearch(
             farm, evaluator, sizes, specs=specs, jobs=2,
-            deadline=Budget(seconds=300.0), retry=RetryPolicy(),
-            trajectory_timeout_s=120.0).search(graph)
+            deadline=300.0, retry=RetryPolicy()).search(graph)
         assert _on_pool(guarded)
         assert not guarded.degraded
         assert guarded.failures == []
@@ -441,7 +463,7 @@ class TestFaultTolerance:
         evaluator, graph, sizes, farm = case
         engine = PortfolioSearch(
             farm, evaluator, sizes, specs=default_portfolio(2),
-            jobs=2, trajectory_timeout_s=0.5,
+            jobs=2, deadline=1.0,
             faults=FaultPlan(delay_trajectory=1, delay_s=3.0))
         result = engine.search(graph)
         assert _on_pool(result)
@@ -478,9 +500,9 @@ class TestFaultTolerance:
                             stuck)
         engine = PortfolioSearch(farm, evaluator, sizes,
                                  specs=default_portfolio(2), jobs=2,
-                                 trajectory_timeout_s=0.2)
-        # Nothing completes, so no result carries the backend code;
-        # check the path instead: only the pool drains futures.
+                                 deadline=0.2)
+        # Nothing completes, so no result records its workers; check
+        # the path instead: only the pool drains futures.
         drained = []
         real_drain = engine._drain
 
@@ -545,7 +567,7 @@ class TestAdvisorPortfolio:
         assert _fractions(pooled.layout) == _fractions(serial.layout)
 
     def test_examples_tpch_saves_one_recommendation_on_both_paths(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, force_pool):
         examples = Path(__file__).parent.parent / "examples" / "tpch"
         saved = {}
         for jobs, threshold in ((1, POOL_MIN_PACKED_BYTES), (2, 0)):
@@ -560,10 +582,8 @@ class TestAdvisorPortfolio:
                          "--save-recommendation", str(path)]) == 0
             saved[jobs] = json.loads(path.read_text())
         serial, pooled = saved[1], saved[2]
-        assert serial["search"]["extras"]["backend"] \
-            == BACKEND_CODES["serial"]
-        assert pooled["search"]["extras"]["backend"] \
-            == BACKEND_CODES["process"]
+        assert serial["search"]["extras"]["workers"] == 1.0
+        assert pooled["search"]["extras"]["workers"] == 2.0
         assert pooled["layout"] == serial["layout"]
         assert pooled["estimated_cost"] == serial["estimated_cost"]
         assert pooled["search"]["evaluations"] \

@@ -23,11 +23,11 @@ from repro.errors import (
     LayoutError,
     RecommendationFormatError,
     ReproError,
+    RetriesExhausted,
     SearchTimeout,
     WorkerCrash,
 )
-from repro.parallel import BACKEND_CODES
-from repro.resilience import Budget, Deadline, FaultPlan, RetryPolicy
+from repro.resilience import Deadline, FaultPlan, RetryPolicy
 from repro.resilience import faults as fault_injection
 
 
@@ -77,26 +77,14 @@ class TestDeadline:
     def test_negative_seconds_rejected(self):
         with pytest.raises(LayoutError):
             Deadline(-1.0)
-        with pytest.raises(LayoutError):
-            Budget(seconds=-0.5)
 
     def test_coerce_normalizes_every_form(self):
         assert Deadline.coerce(None).unlimited
         live = Deadline(5.0)
         assert Deadline.coerce(live) is live
         assert Deadline.coerce(3).remaining() <= 3.0
-        started = Deadline.coerce(Budget(seconds=2.0))
-        assert not started.unlimited
-        assert Deadline.coerce(Budget()).unlimited
         with pytest.raises(LayoutError):
             Deadline.coerce("soon")
-
-    def test_budget_is_portable(self):
-        clock = FakeClock()
-        budget = Budget(seconds=5.0)
-        clock.advance(100.0)  # time passes before work starts
-        deadline = budget.start(clock=clock)
-        assert deadline.remaining() == 5.0
 
 
 class TestRetryPolicy:
@@ -152,8 +140,26 @@ class TestRetryPolicy:
             raise ValueError("nope")
 
         policy = RetryPolicy(attempts=3, base_delay_s=0.0)
-        with pytest.raises(ValueError, match="nope"):
+        with pytest.raises(RetriesExhausted, match="nope") as caught:
             policy.run(always_fails, sleep=lambda _: None)
+        assert isinstance(caught.value.error, ValueError)
+        assert caught.value.__cause__ is caught.value.error
+        assert caught.value.attempts == 3
+
+    def test_on_retry_fires_when_a_retry_starts(self):
+        log = []
+
+        def fails():
+            log.append("call")
+            raise OSError("transient")
+
+        policy = RetryPolicy(attempts=3, base_delay_s=0.01)
+        with pytest.raises(RetriesExhausted):
+            policy.run(fails, sleep=lambda _: log.append("sleep"),
+                       on_retry=lambda attempt, error: log.append(
+                           (attempt, str(error))))
+        assert log == ["call", "sleep", (2, "transient"), "call",
+                       "sleep", (3, "transient"), "call"]
 
     def test_run_respects_retry_on_filter(self):
         calls = []
@@ -176,13 +182,18 @@ class TestRetryPolicy:
             clock.advance(6.0)
             raise OSError("slow failure")
 
-        calls = []
+        retries = []
         policy = RetryPolicy(attempts=10, base_delay_s=0.0)
-        with pytest.raises(OSError):
+        with pytest.raises(RetriesExhausted) as caught:
             policy.run(fails_slowly, deadline=deadline,
-                       sleep=calls.append)
-        # 6s + 6s crosses the 10s deadline: only two attempts ran.
+                       sleep=lambda _: None,
+                       on_retry=lambda attempt, _: retries.append(
+                           attempt))
+        # 6s + 6s crosses the 10s deadline: only two attempts ran, and
+        # no third retry was announced.
         assert clock.now - 100.0 == pytest.approx(12.0)
+        assert caught.value.attempts == 2
+        assert retries == [2]
 
 
 class TestFaultPlan:
@@ -283,11 +294,6 @@ class TestFaultPlan:
 
 
 class TestTrajectoryFailure:
-    def test_round_trips_through_dict(self):
-        failure = TrajectoryFailure(2, "anneal-104", "crash",
-                                    attempts=3, message="boom")
-        assert TrajectoryFailure.from_dict(failure.to_dict()) == failure
-
     def test_describe_reads_well(self):
         text = TrajectoryFailure(1, "greedy-102", "timeout",
                                  attempts=2, message="slow").describe()
@@ -295,16 +301,19 @@ class TestTrajectoryFailure:
         assert "timeout after 2 attempts" in text
         assert "slow" in text
 
-    def test_search_result_telemetry_round_trip(self, mini_db, farm8):
+    def test_healthy_telemetry_has_no_degradation_keys(self, mini_db,
+                                                       farm8):
         layout = full_striping(mini_db.object_sizes(), farm8)
+        failure = TrajectoryFailure(1, "x", "crash", 2, "dead")
         result = SearchResult(layout=layout, cost=10.0,
                               initial_cost=12.0, degraded=True,
-                              failures=[TrajectoryFailure(
-                                  1, "x", "crash", 2, "dead")])
-        restored = SearchResult.from_telemetry(layout,
-                                               result.telemetry_dict())
-        assert restored.degraded
-        assert restored.failures == result.failures
+                              failures=[failure])
+        payload = result.telemetry_dict()
+        assert payload["degraded"] is True
+        assert payload["failures"] == [{
+            "index": 1, "label": "x", "cause": "crash", "attempts": 2,
+            "message": "dead"}]
+        json.dumps(payload)
         # A healthy result's telemetry carries no degradation keys, so
         # pre-existing persisted payloads keep their exact shape.
         healthy = SearchResult(layout=layout, cost=1.0,
@@ -346,11 +355,13 @@ class TestDegradedRendering:
         assert "portfolio: 4 trajectories" in text
 
     def test_diagnostics_name_each_backend(self, mini_db, farm8):
+        # More than one worker means the process pool ran.
         result = self._degraded_result(mini_db, farm8)
-        for name, code in BACKEND_CODES.items():
-            result.extras["backend"] = float(code)
+        for workers, where in ((2.0, "on 2 worker processes"),
+                               (1.0, "in-process")):
+            result.extras["workers"] = workers
             text = render_search_diagnostics(result)
-            assert f"2 worker(s) via {name} backend" in text
+            assert f"portfolio: 4 trajectories {where};" in text
 
     def test_degraded_result_is_warning_and_repro_error(self):
         assert issubclass(DegradedResult, Warning)

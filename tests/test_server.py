@@ -116,7 +116,7 @@ class TestFingerprints:
     def test_slo_params_do_not_change_job_fingerprint(self):
         relaxed = job_fingerprint("cat", SearchOptions())
         tight = job_fingerprint("cat", SearchOptions(
-            deadline=0.5, retries=3, jobs=8, trajectory_timeout_s=1.0,
+            deadline=0.5, retries=3, jobs=8,
             faults=FaultPlan(kill_worker=1)))
         assert relaxed == tight
 
