@@ -43,7 +43,7 @@ def main() -> None:
 
     # Concurrency-aware analysis: the two reports always overlap.
     spec = ConcurrencySpec.from_groups([[0, 1]], overlap_factor=1.0)
-    rec = advisor.recommend_concurrent(analyzed, spec)
+    rec = advisor.recommend(analyzed, concurrency=spec)
 
     lineitem = set(rec.layout.disks_of("lineitem"))
     partsupp = set(rec.layout.disks_of("partsupp"))

@@ -50,7 +50,7 @@ def main() -> None:
 
     db = tpch.tpch_database()
     advisor = LayoutAdvisor(db, winbench_farm(8))
-    rec = advisor.recommend_concurrent(workload, spec)
+    rec = advisor.recommend(workload, concurrency=spec)
     lineitem = set(rec.layout.disks_of("lineitem"))
     partsupp = set(rec.layout.disks_of("partsupp"))
     print()

@@ -8,7 +8,12 @@ except the workload (which is plain SQL, handled by
 :meth:`repro.workload.Workload.load`).
 
 Formats are intentionally flat and hand-editable; every ``load_*`` is
-the inverse of the corresponding ``dump_*``.
+the inverse of the corresponding ``save_*``.  Every ``load_*`` (and
+every other JSON input the CLI takes) reads through :func:`read_json`,
+so a file that is not JSON, has the wrong top-level type or lacks a
+field raises :class:`~repro.errors.CatalogError` naming the file
+(:class:`~repro.errors.RecommendationFormatError` for saved
+recommendations, migration plans and drift reports).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.catalog.schema import (
     Column,
@@ -70,6 +75,50 @@ def payload_fingerprint(*parts: Any) -> str:
         digest.update(b":")
         digest.update(canonical)
     return digest.hexdigest()
+
+
+# -- the one reader --------------------------------------------------------------
+
+
+def read_json(path: str | Path, kind: str,
+              build: Callable[[Any], Any] | None = None,
+              shape: type = dict,
+              error: type[CatalogError] = CatalogError) -> Any:
+    """Parse the ``kind`` JSON file at ``path`` and build its object.
+
+    A file that is not JSON, whose top level is not a ``shape``
+    (``dict`` or ``list``), or whose payload ``build`` rejects with a
+    ``KeyError``, ``TypeError``, ``ValueError``, ``AttributeError`` or
+    a :class:`~repro.errors.CatalogError` that names no file raises
+    ``error`` naming the file and, for a missing field, the field.
+    Other typed errors ``build`` raises pass through.  With no
+    ``build`` the parsed payload is returned.
+    """
+    location = str(path)
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as bad:
+        raise error(f"{kind} file is not valid JSON: {bad}",
+                    path=location) from None
+    if not isinstance(data, shape):
+        expected = "an object" if shape is dict else "a list"
+        raise error(f"{kind} JSON must be {expected}, got "
+                    f"{type(data).__name__}", path=location)
+    if build is None:
+        return data
+    try:
+        return build(data)
+    except CatalogError as bad:
+        if bad.path is not None:
+            raise
+        raise error(str(bad), path=location) from None
+    except KeyError as missing:
+        key = missing.args[0] if missing.args else str(missing)
+        raise error(f"{kind} JSON missing required key",
+                    path=location, key=str(key)) from None
+    except (TypeError, ValueError, AttributeError) as bad:
+        raise error(f"{kind} JSON malformed: {bad}",
+                    path=location) from None
 
 
 # -- column statistics ---------------------------------------------------------
@@ -172,7 +221,7 @@ def save_database(db: Database, path: str | Path) -> None:
 
 def load_database(path: str | Path) -> Database:
     """Read a database catalog from JSON."""
-    return database_from_dict(json.loads(Path(path).read_text()))
+    return read_json(path, "database", database_from_dict)
 
 
 # -- disk farm -------------------------------------------------------------------
@@ -215,7 +264,7 @@ def save_farm(farm: DiskFarm, path: str | Path) -> None:
 
 def load_farm(path: str | Path) -> DiskFarm:
     """Read a disk-farm description from JSON."""
-    return farm_from_dict(json.loads(Path(path).read_text()))
+    return read_json(path, "disk", farm_from_dict, shape=list)
 
 
 # -- constraints -----------------------------------------------------------------
@@ -296,7 +345,8 @@ def save_layout(layout: Layout, path: str | Path) -> None:
 
 def load_layout(path: str | Path, farm: DiskFarm) -> Layout:
     """Read a layout from JSON."""
-    return layout_from_dict(json.loads(Path(path).read_text()), farm)
+    return read_json(path, "layout",
+                     lambda data: layout_from_dict(data, farm))
 
 
 # -- recommendation --------------------------------------------------------------
@@ -342,58 +392,39 @@ def recommendation_to_dict(recommendation,
     return out
 
 
-def recommendation_from_dict(data: dict[str, Any], farm: DiskFarm,
-                             path: str | Path | None = None):
+def recommendation_from_dict(data: dict[str, Any], farm: DiskFarm):
     """Rebuild a recommendation from its JSON form.
 
     The saved search telemetry is not restored: ``search`` stays
     ``None``, since the layouts a ``SearchResult`` referenced are gone.
     Everything else a report needs is reconstructed.
-
-    Raises:
-        RecommendationFormatError: When the payload is missing a
-            required key or a field cannot be coerced; the message
-            names ``path`` (when given) and the offending key.
     """
     from repro.analysis.diagnostics import Diagnostic, Severity
     from repro.core.advisor import Recommendation
-    location = str(path) if path is not None else None
-    try:
-        current = None
-        if "current_layout" in data:
-            current = layout_from_dict(data["current_layout"], farm)
-        diagnostics = [
-            Diagnostic(rule_id=d["rule"],
-                       severity=Severity(d["severity"]),
-                       message=d["message"],
-                       location=d.get("location", ""),
-                       suggestion=d.get("suggestion"))
-            for d in data.get("diagnostics", ())]
-        migration = None
-        if "migration" in data:
-            migration = MigrationPlan.from_dict(data["migration"])
-        budget = data.get("movement_budget")
-        return Recommendation(
-            layout=layout_from_dict(data["layout"], farm),
-            estimated_cost=float(data["estimated_cost"]),
-            current_cost=float(data["current_cost"]),
-            per_statement=[(name, float(c), float(p))
-                           for name, c, p
-                           in data.get("per_statement", ())],
-            current_layout=current,
-            diagnostics=diagnostics,
-            migration=migration,
-            movement_budget=float(budget) if budget is not None
-            else None)
-    except KeyError as missing:
-        key = missing.args[0] if missing.args else str(missing)
-        raise RecommendationFormatError(
-            "recommendation JSON missing required key",
-            path=location, key=str(key)) from None
-    except (TypeError, ValueError) as bad:
-        raise RecommendationFormatError(
-            f"recommendation JSON malformed: {bad}",
-            path=location) from None
+    current = None
+    if "current_layout" in data:
+        current = layout_from_dict(data["current_layout"], farm)
+    diagnostics = [
+        Diagnostic(rule_id=d["rule"],
+                   severity=Severity(d["severity"]),
+                   message=d["message"],
+                   location=d.get("location", ""),
+                   suggestion=d.get("suggestion"))
+        for d in data.get("diagnostics", ())]
+    migration = None
+    if "migration" in data:
+        migration = MigrationPlan.from_dict(data["migration"])
+    budget = data.get("movement_budget")
+    return Recommendation(
+        layout=layout_from_dict(data["layout"], farm),
+        estimated_cost=float(data["estimated_cost"]),
+        current_cost=float(data["current_cost"]),
+        per_statement=[(name, float(c), float(p))
+                       for name, c, p in data.get("per_statement", ())],
+        current_layout=current,
+        diagnostics=diagnostics,
+        migration=migration,
+        movement_budget=float(budget) if budget is not None else None)
 
 
 def save_recommendation(recommendation, path: str | Path,
@@ -413,19 +444,12 @@ def load_recommendation(path: str | Path, farm: DiskFarm):
 
     Raises:
         RecommendationFormatError: When the file is not valid JSON or
-            the payload is malformed; the message names the file.
+            the payload is malformed; the message names the file and,
+            for a missing field, the field.
     """
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as bad:
-        raise RecommendationFormatError(
-            f"recommendation file is not valid JSON: {bad}",
-            path=str(path)) from None
-    if not isinstance(data, dict):
-        raise RecommendationFormatError(
-            "recommendation JSON must be an object, got "
-            f"{type(data).__name__}", path=str(path))
-    return recommendation_from_dict(data, farm, path=path)
+    return read_json(path, "recommendation",
+                     lambda data: recommendation_from_dict(data, farm),
+                     error=RecommendationFormatError)
 
 
 # -- migration plan --------------------------------------------------------------
@@ -434,30 +458,6 @@ def load_recommendation(path: str | Path, farm: DiskFarm):
 def migration_plan_to_dict(plan: MigrationPlan) -> dict[str, Any]:
     """The JSON-ready form of a migration plan."""
     return plan.to_dict()
-
-
-def migration_plan_from_dict(data: dict[str, Any],
-                             path: str | Path | None = None,
-                             ) -> MigrationPlan:
-    """Rebuild a migration plan from its JSON form.
-
-    Raises:
-        RecommendationFormatError: When the payload is missing a
-            required key or a field cannot be coerced; the message
-            names ``path`` (when given) and the offending key.
-    """
-    location = str(path) if path is not None else None
-    try:
-        return MigrationPlan.from_dict(data)
-    except KeyError as missing:
-        key = missing.args[0] if missing.args else str(missing)
-        raise RecommendationFormatError(
-            "migration-plan JSON missing required key",
-            path=location, key=str(key)) from None
-    except (TypeError, ValueError, AttributeError) as bad:
-        raise RecommendationFormatError(
-            f"migration-plan JSON malformed: {bad}",
-            path=location) from None
 
 
 def save_migration_plan(plan: MigrationPlan, path: str | Path,
@@ -482,19 +482,11 @@ def load_migration_plan(path: str | Path) -> MigrationPlan:
 
     Raises:
         RecommendationFormatError: When the file is not valid JSON or
-            the payload is malformed; the message names the file.
+            the payload is malformed; the message names the file and,
+            for a missing field, the field.
     """
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as bad:
-        raise RecommendationFormatError(
-            f"migration-plan file is not valid JSON: {bad}",
-            path=str(path)) from None
-    if not isinstance(data, dict):
-        raise RecommendationFormatError(
-            "migration-plan JSON must be an object, got "
-            f"{type(data).__name__}", path=str(path))
-    return migration_plan_from_dict(data, path=path)
+    return read_json(path, "migration-plan", MigrationPlan.from_dict,
+                     error=RecommendationFormatError)
 
 
 # -- drift report ----------------------------------------------------------------
@@ -503,30 +495,6 @@ def load_migration_plan(path: str | Path) -> MigrationPlan:
 def drift_report_to_dict(report: DriftReport) -> dict[str, Any]:
     """The JSON-ready form of a workload drift report."""
     return report.to_dict()
-
-
-def drift_report_from_dict(data: dict[str, Any],
-                           path: str | Path | None = None,
-                           ) -> DriftReport:
-    """Rebuild a drift report from its JSON form.
-
-    Raises:
-        RecommendationFormatError: When the payload is missing a
-            required key or a field cannot be coerced; the message
-            names ``path`` (when given) and the offending key.
-    """
-    location = str(path) if path is not None else None
-    try:
-        return DriftReport.from_dict(data)
-    except KeyError as missing:
-        key = missing.args[0] if missing.args else str(missing)
-        raise RecommendationFormatError(
-            "drift-report JSON missing required key",
-            path=location, key=str(key)) from None
-    except (TypeError, ValueError, AttributeError) as bad:
-        raise RecommendationFormatError(
-            f"drift-report JSON malformed: {bad}",
-            path=location) from None
 
 
 def save_drift_report(report: DriftReport, path: str | Path,
@@ -551,16 +519,8 @@ def load_drift_report(path: str | Path) -> DriftReport:
 
     Raises:
         RecommendationFormatError: When the file is not valid JSON or
-            the payload is malformed; the message names the file.
+            the payload is malformed; the message names the file and,
+            for a missing field, the field.
     """
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as bad:
-        raise RecommendationFormatError(
-            f"drift-report file is not valid JSON: {bad}",
-            path=str(path)) from None
-    if not isinstance(data, dict):
-        raise RecommendationFormatError(
-            "drift-report JSON must be an object, got "
-            f"{type(data).__name__}", path=str(path))
-    return drift_report_from_dict(data, path=path)
+    return read_json(path, "drift-report", DriftReport.from_dict,
+                     error=RecommendationFormatError)

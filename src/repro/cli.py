@@ -8,10 +8,14 @@ characteristics (JSON), and optional constraints (JSON).
 Subcommands::
 
     repro-advisor recommend  --database db.json --disks disks.json \\
-                             --workload w.sql [--constraints c.json] \\
+                             (--workload w.sql | --workload-trace t.csv) \\
+                             [--constraints c.json] \\
+                             [--concurrency spec.json] \\
+                             [--current-layout l.json|rec.json] \\
                              [--method ts-greedy] [--k 1] \\
                              [--portfolio 4] [--jobs 4] \\
                              [--deadline 30] [--retries 2] \\
+                             [--budget 0.2] [--save-plan plan.json] \\
                              [--save-layout out.json] [--script] \\
                              [--trace trace.json] [--metrics] [-v]
     repro-advisor analyze    --database db.json --workload w.sql
@@ -25,9 +29,6 @@ Subcommands::
                              [--format text|json|sarif]
     repro-advisor selfcheck  [paths ...] [--format text|json|sarif] \\
                              [--select RPC1,RPC301] [--rules]
-    repro-advisor incremental --database db.json --disks disks.json \\
-                             --workload w.sql --current rec.json \\
-                             [--budget 0.2] [--save-plan plan.json] ...
     repro-advisor drift      --database db.json --before old.sql \\
                              --after new.sql [--threshold 0.1] \\
                              [--format text|json] [--save report.json]
@@ -69,13 +70,20 @@ instead of raising.  ``--retries N`` grants a failed trajectory N
 in-process re-runs, and ``--faults`` injects deterministic faults for
 testing (same syntax as the ``REPRO_FAULTS`` environment variable).
 
+Overlap information (the paper's stated future work): ``--concurrency``
+names groups of co-executing statements, and a ``--workload-trace``
+derives them from the trace's timestamps; ``--method ts-greedy`` (the
+default) and ``--method incremental`` then optimize the
+concurrency-aware cost.  Other methods exit 2: that cost is not bounded
+below, and a search without TS-GREEDY's pruning chases it.
+
 Incremental re-layout (see ``docs/incremental.md``): ``drift`` compares
 two workload windows and exits 1 when the shift is large enough that a
-re-layout is recommended; ``incremental`` re-runs the advisor seeded
-from the *current* layout (``--current`` accepts a layout JSON or a
-saved recommendation JSON) while keeping the moved fraction of the
-database within ``--budget``, and prints/saves the capacity-safe
-migration plan.
+re-layout is recommended; ``recommend --method incremental`` re-runs
+the advisor seeded from the *current* layout (``--current-layout``
+accepts a layout JSON or a saved recommendation JSON) while keeping
+the moved fraction of the database within ``--budget``, prints the
+capacity-safe migration plan and saves it with ``--save-plan``.
 
 Migration execution (see ``docs/migration.md``): ``migrate`` runs a
 saved plan step by step with a crash-safe JSONL journal.  A killed or
@@ -92,7 +100,7 @@ Observability (see ``docs/observability.md``): every subcommand takes
 ``--events out.jsonl`` (stream the run's flight-recorder timeline as
 structured JSONL events, one run per file) and ``--prom out.prom``
 (dump the metric registry in Prometheus text exposition format);
-``recommend`` and ``incremental`` additionally take ``--otlp out.json``
+``recommend`` additionally takes ``--otlp out.json``
 (OTLP-style span export); one telemetry handle per run feeds them
 all.  ``inspect`` renders a saved event log as a phase/trajectory
 timeline with a hotspot table.  ``--trace out.json`` writes the span
@@ -110,16 +118,17 @@ import logging
 import sys
 import threading
 import warnings
-from dataclasses import fields
 from pathlib import Path
 
 from repro.catalog.io import (
     constraints_from_dict,
+    layout_from_dict,
     load_database,
     load_farm,
     load_layout,
     load_migration_plan,
-    load_recommendation,
+    read_json,
+    recommendation_from_dict,
     save_drift_report,
     save_layout,
     save_migration_plan,
@@ -277,12 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="profiler trace CSV (start,end,sql); derives "
                           "both the workload and the overlap spec — "
                           "an alternative to --workload")
-    rec.add_argument("--profile-trace", type=Path, dest="profile_trace",
-                     help="deprecated alias for --workload-trace")
     rec.add_argument("--constraints", type=Path,
                      help="constraint set JSON")
     rec.add_argument("--current-layout", type=Path,
-                     help="current layout JSON (default: full striping)")
+                     help="the database's current layout: a layout "
+                          "JSON, or a saved recommendation JSON (its "
+                          "recommended layout is used); default: full "
+                          "striping")
     rec.add_argument("--method", default=SearchOptions.method,
                      choices=METHODS)
     rec.add_argument("--budget", type=float, default=None,
@@ -317,6 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "(e.g. 'kill_worker=1,delay=2:0.5'); "
                           "overrides the REPRO_FAULTS environment "
                           "variable")
+    rec.add_argument("--save-plan", type=Path,
+                     help="for --method incremental: write the "
+                          "migration plan as JSON")
     rec.add_argument("--save-layout", type=Path,
                      help="write the recommended layout as JSON")
     rec.add_argument("--script", action="store_true",
@@ -324,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--concurrency", type=Path,
                      help="overlap spec JSON: {\"groups\": [[0, 1]], "
                           "\"overlap_factor\": 0.5} — statements in a "
-                          "group are treated as co-executing; this "
-                          "search takes --k and no other search option")
+                          "group are treated as co-executing "
+                          "(ts-greedy and incremental only)")
     rec.add_argument("--trace", type=Path, metavar="OUT_JSON",
                      help="write the advisor run's span tree as JSON")
     rec.add_argument("--metrics", action="store_true",
@@ -402,37 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     selfc.add_argument("-v", "--verbose", action="count", default=0,
                        help="enable INFO (-v) / DEBUG (-vv) logging")
 
-    inc = sub.add_parser(
-        "incremental",
-        help="re-layout for a drifted workload under a data-movement "
-             "budget, with a capacity-safe migration plan")
-    _add_common_inputs(inc)
-    inc.add_argument("--current", required=True, type=Path,
-                     help="the database's current layout: a layout "
-                          "JSON, or a saved recommendation JSON "
-                          "(its recommended layout is used)")
-    inc.add_argument("--budget", type=float, default=1.0,
-                     metavar="FRACTION",
-                     help="max fraction of the database allowed to "
-                          "move (Section 2.3's Δ; default: 1.0 = "
-                          "unbounded)")
-    inc.add_argument("--constraints", type=Path,
-                     help="constraint set JSON")
-    inc.add_argument("--k", type=int, default=1,
-                     help="TS-GREEDY widening parameter")
-    inc.add_argument("--save-plan", type=Path,
-                     help="write the migration plan as JSON")
-    inc.add_argument("--save-layout", type=Path,
-                     help="write the recommended layout as JSON")
-    inc.add_argument("--save-recommendation", type=Path,
-                     help="write the full recommendation (layout, "
-                          "costs, migration plan) as JSON")
-    inc.add_argument("--trace", type=Path, metavar="OUT_JSON",
-                     help="write the run's span tree as JSON")
-    inc.add_argument("--metrics", action="store_true",
-                     help="print the metric summary after the report")
-    _add_obs_outputs(inc, otlp=True)
-
     drf = sub.add_parser(
         "drift",
         help="compare two workload windows; exit 1 when a re-layout "
@@ -468,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "saved recommendation JSON")
     what = mig.add_mutually_exclusive_group(required=True)
     what.add_argument("--plan", type=Path,
-                      help="migration plan JSON (incremental "
+                      help="migration plan JSON (recommend "
                            "--save-plan output)")
     what.add_argument("--target", type=Path,
                       help="target layout JSON; the plan is derived "
@@ -555,29 +537,40 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_constraints(args, farm, db):
     if not getattr(args, "constraints", None):
         return None
-    import json
-    data = json.loads(args.constraints.read_text())
-    return constraints_from_dict(data, farm=farm,
-                                 object_sizes=db.object_sizes())
+    return read_json(
+        args.constraints, "constraints",
+        lambda data: constraints_from_dict(
+            data, farm=farm, object_sizes=db.object_sizes()))
+
+
+def _load_current_layout(path: Path, farm):
+    """A layout from either a layout JSON or a recommendation JSON.
+
+    ``--current-layout`` (and ``migrate --current``) points at whatever
+    the DBA has on hand: the layout file the last run saved with
+    ``--save-layout``, or the full recommendation saved with
+    ``--save-recommendation`` (in which case the *recommended* layout —
+    the one presumably implemented — is the current one).
+    """
+    def build(data):
+        if "fractions" in data:
+            return layout_from_dict(data, farm)
+        return recommendation_from_dict(data, farm).layout
+    return read_json(path, "layout", build)
 
 
 def cmd_recommend(args: argparse.Namespace) -> int:
     """``recommend``: run the advisor and print/save the result."""
+    if args.save_plan is not None and args.method != "incremental":
+        print("error: --save-plan needs --method incremental (only an "
+              "incremental run plans a migration)", file=sys.stderr)
+        return 2
     db = load_database(args.database)
     farm = load_farm(args.disks)
-    trace_path = args.workload_trace
-    if args.profile_trace is not None:
-        warnings.warn(
-            "--profile-trace is deprecated; use --workload-trace",
-            DeprecationWarning, stacklevel=2)
-        print("note: --profile-trace is deprecated; "
-              "use --workload-trace", file=sys.stderr)
-        if trace_path is None:
-            trace_path = args.profile_trace
     trace_spec = None
-    if trace_path is not None:
+    if args.workload_trace is not None:
         from repro.workload.profiler import load_trace
-        workload, trace_spec = load_trace(trace_path)
+        workload, trace_spec = load_trace(args.workload_trace)
     elif args.workload is not None:
         workload = Workload.load(args.workload)
     else:
@@ -598,26 +591,12 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     if trace_spec is not None and trace_spec.groups:
         concurrency = trace_spec
     elif args.concurrency:
-        import json
-
         from repro.workload.concurrency import ConcurrencySpec
-        payload = json.loads(args.concurrency.read_text())
-        concurrency = ConcurrencySpec.from_groups(
-            payload.get("groups", ()),
-            overlap_factor=payload.get("overlap_factor", 0.5))
-    if concurrency is not None:
-        # The concurrency-aware search is TS-GREEDY with k only; any
-        # other option would be dropped without a word.
-        plain = SearchOptions(k=options.k)
-        ignored = [option.name for option in fields(SearchOptions)
-                   if getattr(options, option.name)
-                   != getattr(plain, option.name)]
-        if ignored:
-            print(f"error: the concurrency-aware search (--concurrency, "
-                  f"or overlap groups in --workload-trace) takes only "
-                  f"--k; it cannot apply: {', '.join(ignored)}",
-                  file=sys.stderr)
-            return 2
+        concurrency = read_json(
+            args.concurrency, "concurrency",
+            lambda data: ConcurrencySpec.from_groups(
+                data.get("groups", ()),
+                overlap_factor=data.get("overlap_factor", 0.5)))
     constraints = _load_constraints(args, farm, db)
     telemetry = _telemetry_begin(args, "recommend")
     telemetry.emit(
@@ -627,28 +606,29 @@ def cmd_recommend(args: argparse.Namespace) -> int:
                             telemetry=telemetry)
     current = None
     if args.current_layout:
-        current = load_layout(args.current_layout, farm)
-    if concurrency is not None:
-        recommendation = advisor.recommend_concurrent(
-            workload, concurrency, current_layout=current, k=options.k)
-    else:
-        # The CLI renders degradation itself (stderr line + report
-        # section), so the library's warning would be a duplicate.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegradedResult)
-            recommendation = advisor.recommend(
-                workload, current_layout=current, options=options)
-        search = recommendation.search
-        if search is not None and search.degraded:
-            print(f"warning: degraded: {len(search.failures)}/"
-                  f"{int(search.extras.get('trajectories', 0))} "
-                  f"trajectories failed "
-                  f"({', '.join(sorted({f.cause for f in search.failures}))})",
-                  file=sys.stderr)
+        current = _load_current_layout(args.current_layout, farm)
+    # The CLI renders degradation itself (stderr line + report
+    # section), so the library's warning would be a duplicate.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegradedResult)
+        recommendation = advisor.recommend(
+            workload, current_layout=current, options=options,
+            concurrency=concurrency)
+    search = recommendation.search
+    if search is not None and search.degraded:
+        print(f"warning: degraded: {len(search.failures)}/"
+              f"{int(search.extras.get('trajectories', 0))} "
+              f"trajectories failed "
+              f"({', '.join(sorted({f.cause for f in search.failures}))})",
+              file=sys.stderr)
     print(render_report(recommendation))
     if args.script:
         print()
         print(render_filegroup_script(recommendation.layout, db.name))
+    if args.save_plan:
+        save_migration_plan(recommendation.migration, args.save_plan,
+                            run_id=telemetry.run_id)
+        print(f"\nmigration plan written to {args.save_plan}")
     if args.save_layout:
         save_layout(recommendation.layout, args.save_layout)
         print(f"\nlayout written to {args.save_layout}")
@@ -768,7 +748,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
             return 2
         # Raw dict, not load_layout(): an invalid layout cannot be
         # constructed as a Layout, and linting it is the whole point.
-        layout = json.loads(args.layout.read_text())
+        layout = read_json(args.layout, "layout")
 
     telemetry = _telemetry_begin(args, "lint")
     report = analysis.AnalysisReport()
@@ -853,62 +833,13 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
-def _load_current_for_incremental(path: Path, farm):
-    """A layout from either a layout JSON or a recommendation JSON.
-
-    The ``incremental`` subcommand's ``--current`` points at whatever
-    the DBA has on hand: the layout file the last run saved with
-    ``--save-layout``, or the full recommendation saved with
-    ``--save-recommendation`` (in which case the *recommended* layout —
-    the one presumably implemented — is the current one).
-    """
-    import json
-    data = json.loads(path.read_text())
-    if isinstance(data, dict) and "fractions" in data:
-        from repro.catalog.io import layout_from_dict
-        return layout_from_dict(data, farm)
-    return load_recommendation(path, farm).layout
-
-
-def cmd_incremental(args: argparse.Namespace) -> int:
-    """``incremental``: budget-bounded re-layout plus migration plan."""
-    db = load_database(args.database)
-    farm = load_farm(args.disks)
-    workload = Workload.load(args.workload)
-    constraints = _load_constraints(args, farm, db)
-    telemetry = _telemetry_begin(args, "incremental")
-    telemetry.emit("workload-ingest", statements=len(workload),
-                   source="sql")
-    advisor = LayoutAdvisor(db, farm, constraints=constraints,
-                            telemetry=telemetry)
-    current = _load_current_for_incremental(args.current, farm)
-    recommendation = advisor.recommend(
-        workload, current_layout=current, method="incremental",
-        k=args.k, movement_budget=args.budget)
-    print(render_report(recommendation))
-    if args.save_plan:
-        save_migration_plan(recommendation.migration, args.save_plan,
-                            run_id=telemetry.run_id)
-        print(f"\nmigration plan written to {args.save_plan}")
-    if args.save_layout:
-        save_layout(recommendation.layout, args.save_layout)
-        print(f"\nlayout written to {args.save_layout}")
-    if args.save_recommendation:
-        save_recommendation(recommendation, args.save_recommendation,
-                            run_id=telemetry.run_id)
-        print(f"\nrecommendation written to "
-              f"{args.save_recommendation}")
-    _print_trace_and_metrics(args, telemetry)
-    _telemetry_finish(args, telemetry)
-    return 0
-
-
 def cmd_drift(args: argparse.Namespace) -> int:
     """``drift``: compare two workload windows.
 
     Exit code 1 means the drift score reached the threshold and a
     re-layout is recommended — so a cron job can chain straight into
-    ``repro-advisor incremental``; 0 means the layout still fits.
+    ``repro-advisor recommend --method incremental``; 0 means the
+    layout still fits.
     """
     import json
     db = load_database(args.database)
@@ -948,7 +879,7 @@ def cmd_migrate(args: argparse.Namespace) -> int:
     """
     from repro.storage import MigrationExecutor, plan_migration
     farm = load_farm(args.disks)
-    current = _load_current_for_incremental(args.current, farm)
+    current = _load_current_layout(args.current, farm)
     telemetry = _telemetry_begin(args, "migrate")
     if args.plan:
         plan = load_migration_plan(args.plan)
@@ -1130,7 +1061,6 @@ _COMMANDS = {
     "simulate": cmd_simulate,
     "lint": cmd_lint,
     "selfcheck": cmd_selfcheck,
-    "incremental": cmd_incremental,
     "drift": cmd_drift,
     "migrate": cmd_migrate,
     "inspect": cmd_inspect,

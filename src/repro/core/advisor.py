@@ -28,6 +28,11 @@ from repro.storage.disk import DiskFarm
 from repro.storage.migration import MigrationPlan, plan_migration
 from repro.workload.access import AnalyzedWorkload, analyze_workload
 from repro.workload.access_graph import AccessGraph, build_access_graph
+from repro.workload.concurrency import (
+    ConcurrencySpec,
+    build_access_graph_concurrent,
+    concurrent_cost_workload,
+)
 from repro.workload.workload import Workload
 
 if TYPE_CHECKING:
@@ -317,7 +322,8 @@ class LayoutAdvisor:
 
     def recommend(self, workload: Workload | AnalyzedWorkload,
                   current_layout: Layout | None = None,
-                  options: SearchOptions | None = None,
+                  options: SearchOptions | None = None, *,
+                  concurrency: ConcurrencySpec | None = None,
                   **overrides: Any) -> Recommendation:
         """Recommend a layout for the workload.
 
@@ -328,6 +334,17 @@ class LayoutAdvisor:
                 compares against.
             options: The search parameters; defaults to
                 ``SearchOptions()``.
+            concurrency: Overlap information (the paper's stated
+                future work): statements grouped by the
+                :class:`~repro.workload.concurrency.ConcurrencySpec`
+                are treated as co-executing, so both the access graph
+                and the cost being optimized include cross-statement
+                contention and the parallelism credit of disjoint
+                placement.  Only the TS-GREEDY methods take it
+                (``"ts-greedy"`` and ``"incremental"``): the expanded
+                cost is not bounded below, and the other searches
+                chase its negative values.  ``per_statement`` still
+                lists each statement's isolated cost.
             **overrides: :class:`SearchOptions` fields set on top of
                 ``options``, so ``recommend(w, method="portfolio",
                 jobs=2)`` equals ``recommend(w,
@@ -340,9 +357,13 @@ class LayoutAdvisor:
             whether (and why) trajectories were lost.
 
         Raises:
-            LayoutError: If an option value is invalid.
+            LayoutError: If an option value is invalid, or
+                ``concurrency`` is given with a method other than
+                ``"ts-greedy"`` or ``"incremental"``.
             AnalysisError: If the pre-flight static analysis finds an
                 error-level diagnostic in the constraints or workload.
+            WorkloadError: If ``concurrency`` names a statement the
+                workload does not have.
             SearchTimeout: If a ``deadline`` expired before *any*
                 portfolio trajectory completed.
             WorkerCrash: If every portfolio trajectory was lost to
@@ -352,29 +373,45 @@ class LayoutAdvisor:
             options if options is not None else SearchOptions(),
             **overrides)
         method = options.method
+        if concurrency is not None \
+                and method not in ("ts-greedy", "incremental"):
+            raise LayoutError(
+                f"method {method!r} cannot take overlap information: "
+                f"the concurrency-expanded cost is not bounded below; "
+                f"use ts-greedy or incremental")
         with self._telemetry.span("recommend", method=method) as root:
             analyzed = workload if isinstance(workload, AnalyzedWorkload) \
                 else self.analyze(workload)
+            # Pre-flight runs on the *un-expanded* workload: the
+            # concurrency expansion legitimately adds negative
+            # correction weights that ALR022 would flag.
             preflight_report = self._preflight(analyzed)
             sizes = self._db.object_sizes()
             if current_layout is None:
                 with self._telemetry.span("baseline-layout"):
                     current_layout = full_striping(sizes, self._farm)
-            evaluator = self.evaluator(analyzed)
-            graph: AccessGraph | None = None
-            if method == "ts-greedy":
+            if concurrency is None:
+                evaluator = self.evaluator(analyzed)
                 graph = self.access_graph(analyzed)
+            else:
+                with self._telemetry.span("expand-concurrency"):
+                    expanded = concurrent_cost_workload(analyzed,
+                                                        concurrency)
+                evaluator = self.evaluator(expanded)
+                with self._telemetry.span("build-access-graph"):
+                    graph = build_access_graph_concurrent(
+                        analyzed, concurrency, self._db)
+            initial = current_layout \
+                if self._constraints.movement is not None else None
+            if method == "ts-greedy":
                 search = TsGreedySearch(self._farm, evaluator, sizes,
                                         constraints=self._constraints,
                                         k=options.k,
                                         telemetry=self._telemetry)
-                initial = current_layout \
-                    if self._constraints.movement is not None else None
                 result = search.search(graph, initial_layout=initial)
             elif method == "portfolio":
-                graph = self.access_graph(analyzed)
                 result = self._portfolio_search(
-                    evaluator, sizes, graph, current_layout, options)
+                    evaluator, sizes, graph, initial, options)
                 if result.degraded:
                     detail = "; ".join(f.describe()
                                        for f in result.failures)
@@ -389,7 +426,6 @@ class LayoutAdvisor:
                 from repro.core.incremental import IncrementalSearch
                 budget = 1.0 if options.movement_budget is None \
                     else options.movement_budget
-                graph = self.access_graph(analyzed)
                 engine = IncrementalSearch(
                     self._farm, evaluator, sizes,
                     constraints=self._constraints, k=options.k,
@@ -432,10 +468,8 @@ class LayoutAdvisor:
                                              current_layout),
                         model.statement_cost(analyzed_stmt,
                                              result.layout)))
-            audit_graph = graph if graph is not None \
-                else self.access_graph(analyzed)
             diagnostics = list(preflight_report) \
-                + list(self._audit(result.layout, audit_graph))
+                + list(self._audit(result.layout, graph))
             migration = None
             budget_used = None
             if method == "incremental":
@@ -463,7 +497,7 @@ class LayoutAdvisor:
 
     def _portfolio_search(self, evaluator: WorkloadCostEvaluator,
                           sizes: dict[str, int], graph: AccessGraph,
-                          current_layout: Layout,
+                          initial: Layout | None,
                           options: SearchOptions) -> SearchResult:
         """Run the multi-start portfolio engine (method="portfolio")."""
         # Deferred import: repro.parallel builds on repro.core, so the
@@ -486,73 +520,4 @@ class LayoutAdvisor:
             specs=specs, jobs=options.jobs, deadline=options.deadline,
             retry=RetryPolicy(attempts=1 + options.retries),
             faults=options.faults, telemetry=self._telemetry)
-        initial = current_layout \
-            if self._constraints.movement is not None else None
         return engine.search(graph, initial_layout=initial)
-
-    def recommend_concurrent(self, workload: "Workload | AnalyzedWorkload",
-                             spec,
-                             current_layout: Layout | None = None,
-                             k: int = 1) -> Recommendation:
-        """Recommend a layout for a workload with overlap information.
-
-        The concurrency-aware variant of :meth:`recommend` (the paper's
-        stated future work): statements grouped by the
-        :class:`~repro.workload.concurrency.ConcurrencySpec` are treated
-        as co-executing, so both the access graph and the cost being
-        optimized include cross-statement contention and the parallelism
-        credit of disjoint placement.
-
-        Args:
-            workload: The workload (raw or pre-analyzed).
-            spec: A :class:`~repro.workload.concurrency.ConcurrencySpec`.
-            current_layout: Baseline for the improvement estimate;
-                defaults to full striping.
-            k: TS-GREEDY's widening parameter.
-        """
-        from repro.workload.concurrency import (
-            build_access_graph_concurrent,
-            concurrent_cost_workload,
-        )
-        with self._telemetry.span("recommend-concurrent"):
-            analyzed = workload \
-                if isinstance(workload, AnalyzedWorkload) \
-                else self.analyze(workload)
-            # Pre-flight runs on the *un-expanded* workload: the
-            # concurrency expansion legitimately adds negative
-            # correction weights that ALR022 would flag.
-            preflight_report = self._preflight(analyzed)
-            sizes = self._db.object_sizes()
-            if current_layout is None:
-                with self._telemetry.span("baseline-layout"):
-                    current_layout = full_striping(sizes, self._farm)
-            with self._telemetry.span("expand-concurrency"):
-                expanded = concurrent_cost_workload(analyzed, spec)
-            with self._telemetry.span("build-evaluator"):
-                evaluator = WorkloadCostEvaluator(
-                    expanded, self._farm, sorted(sizes),
-                    telemetry=self._telemetry)
-            with self._telemetry.span("build-access-graph"):
-                graph = build_access_graph_concurrent(analyzed, spec,
-                                                      self._db)
-            search = TsGreedySearch(self._farm, evaluator, sizes,
-                                    constraints=self._constraints, k=k,
-                                    telemetry=self._telemetry)
-            initial = current_layout \
-                if self._constraints.movement is not None else None
-            result = search.search(graph, initial_layout=initial)
-            self._constraints.check(result.layout)
-            with self._telemetry.span("score-current"):
-                current_cost = evaluator.cost(current_layout)
-            if result.cost > current_cost \
-                    and self._constraints.is_satisfied(current_layout):
-                result = result.with_layout(current_layout,
-                                            current_cost)
-            diagnostics = list(preflight_report) \
-                + list(self._audit(result.layout, graph))
-            return Recommendation(layout=result.layout,
-                                  estimated_cost=result.cost,
-                                  current_cost=current_cost,
-                                  search=result,
-                                  current_layout=current_layout,
-                                  diagnostics=diagnostics)

@@ -12,7 +12,29 @@ class ReproError(Exception):
 
 
 class CatalogError(ReproError):
-    """A schema or statistics object is malformed or inconsistent."""
+    """A schema or statistics object is malformed or inconsistent.
+
+    Also raised for a malformed input file (catalog, disks, layout,
+    constraints, overlap spec), naming the file and, for a missing
+    field, the field.
+
+    Attributes:
+        path: The input file's path, when known.
+        key: The missing or malformed JSON key, when known.
+    """
+
+    def __init__(self, message: str, path: str | None = None,
+                 key: str | None = None):
+        details = []
+        if path is not None:
+            details.append(f"file {path!r}")
+        if key is not None:
+            details.append(f"key {key!r}")
+        if details:
+            message = f"{message} ({', '.join(details)})"
+        super().__init__(message)
+        self.path = path
+        self.key = key
 
 
 class SqlSyntaxError(ReproError):
@@ -134,30 +156,15 @@ class DegradedResult(ReproError, UserWarning):
 
 
 class RecommendationFormatError(CatalogError):
-    """A persisted recommendation artifact is malformed.
+    """A persisted recommendation, migration plan or drift report is
+    malformed.
 
-    Raised by :func:`repro.catalog.io.load_recommendation` with the
-    offending file path and, for missing-field failures, the offending
-    key — so degraded-run artifacts fail loud when reloaded instead of
-    surfacing a bare ``KeyError``.
-
-    Attributes:
-        path: The artifact's file path, when known.
-        key: The missing or malformed JSON key, when known.
+    Raised by :func:`repro.catalog.io.load_recommendation` (and the
+    plan and drift-report loaders) with the offending file path and,
+    for missing-field failures, the offending key — so degraded-run
+    artifacts fail loud when reloaded instead of surfacing a bare
+    ``KeyError``.
     """
-
-    def __init__(self, message: str, path: str | None = None,
-                 key: str | None = None):
-        details = []
-        if path is not None:
-            details.append(f"file {path!r}")
-        if key is not None:
-            details.append(f"key {key!r}")
-        if details:
-            message = f"{message} ({', '.join(details)})"
-        super().__init__(message)
-        self.path = path
-        self.key = key
 
 
 class MigrationExecutionError(ReproError):

@@ -54,7 +54,7 @@ def run_concurrency_study(overlap_factor: float = 1.0
     spec = ConcurrencySpec.from_groups([[0, 1]],
                                        overlap_factor=overlap_factor)
     sequential = advisor.recommend(analyzed)
-    aware = advisor.recommend_concurrent(analyzed, spec)
+    aware = advisor.recommend(analyzed, concurrency=spec)
     sim = ConcurrentWorkloadSimulator(tempdb=common.tempdb_disk())
     sequential_s = sim.run_concurrent(analyzed, sequential.layout,
                                       spec).total_seconds

@@ -31,7 +31,7 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from repro.obs.names import metric_help, metric_kind
+from repro.obs.names import metric_help
 
 _NAME_OK = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _PREFIX = "repro_"

@@ -36,6 +36,7 @@ from repro.workload.access_graph import AccessGraph
 
 if TYPE_CHECKING:
     from repro.core.costmodel import WorkloadCostEvaluator
+    from repro.core.layout import Layout
     from repro.parallel.portfolio import TrajectorySpec
 
 

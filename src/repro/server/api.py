@@ -34,7 +34,9 @@ A job request names an uploaded workload and rides the advisor's
 "method": "greedy", "k": 2, "jobs": 4, "portfolio": 4,
 "deadline": 30, "retries": 2, "movement_budget": 0.25,
 "faults": "spec"}``.  ``null`` means absent, and a malformed value is
-a 400 at submit.  SLO mapping onto the resilience layer
+a 400 at submit, as is a ``portfolio`` above :data:`MAX_JOB_TRAJECTORIES`
+or ``retries`` above :data:`MAX_JOB_RETRIES`: one job may not hold a
+worker for hours.  SLO mapping onto the resilience layer
 (``docs/resilience.md``): ``deadline`` becomes a
 :class:`repro.resilience.Deadline` for the job, ``retries`` the extra
 attempts of a :class:`~repro.resilience.RetryPolicy`, and a degraded
@@ -80,12 +82,20 @@ from repro.obs.telemetry import Telemetry
 from repro.resilience import Deadline, FaultPlan
 from repro.server.cache import FingerprintCache
 from repro.server.fingerprint import catalog_fingerprint, job_fingerprint
-from repro.server.jobs import DONE, FAILED, QUEUED, RUNNING, Job, JobQueue
+from repro.server.jobs import DONE, FAILED, RUNNING, Job, JobQueue
 from repro.workload.workload import Workload
 
 #: ``method`` values a job may request.  ``greedy`` is accepted as an
 #: alias for the library's ``ts-greedy``.
 METHODS = (*SEARCH_METHODS, "greedy")
+
+#: Most portfolio trajectories one job may request (about 0.1 s each
+#: on the bundled TPC-H example).
+MAX_JOB_TRAJECTORIES = 64
+
+#: Most extra attempts one job may grant a failed trajectory (each
+#: retry may first back off for up to ``RetryPolicy.max_delay_s``).
+MAX_JOB_RETRIES = 8
 
 _JSON = {"Content-Type": "application/json"}
 _TEXT = {"Content-Type": "text/plain; version=0.0.4; charset=utf-8"}
@@ -556,6 +566,12 @@ class AdvisorService:
                                    if value is not None})
         if options.jobs < 1:
             raise BadRequest("jobs must be >= 1")
+        if isinstance(options.portfolio, int) \
+                and options.portfolio > MAX_JOB_TRAJECTORIES:
+            raise BadRequest(f"portfolio must be at most "
+                             f"{MAX_JOB_TRAJECTORIES} trajectories")
+        if options.retries > MAX_JOB_RETRIES:
+            raise BadRequest(f"retries must be at most {MAX_JOB_RETRIES}")
         return options
 
     # -- job execution (worker threads) ------------------------------------

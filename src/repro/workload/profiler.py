@@ -157,7 +157,7 @@ def load_trace(path: str | Path,
     """One-call ingestion: trace file -> (workload, concurrency spec).
 
     Feed the results straight into
-    :meth:`~repro.core.advisor.LayoutAdvisor.recommend_concurrent`.
+    ``LayoutAdvisor.recommend(workload, concurrency=spec)``.
     """
     records = read_trace(path)
     return (workload_from_trace(records, name=Path(path).stem),

@@ -111,7 +111,7 @@ class TestConcurrentAdvisor:
         advisor = LayoutAdvisor(mini_db, farm8)
         spec = ConcurrencySpec.from_groups([[0, 1]],
                                            overlap_factor=1.0)
-        rec = advisor.recommend_concurrent(workload, spec)
+        rec = advisor.recommend(workload, concurrency=spec)
         big = set(rec.layout.disks_of("big"))
         mid = set(rec.layout.disks_of("mid"))
         assert not big & mid
@@ -122,10 +122,46 @@ class TestConcurrentAdvisor:
         from repro.workload.concurrency import ConcurrencySpec
         advisor = LayoutAdvisor(mini_db, farm8)
         sequential = advisor.recommend(join_workload)
-        concurrent = advisor.recommend_concurrent(
-            join_workload, ConcurrencySpec.from_groups([]))
+        concurrent = advisor.recommend(
+            join_workload, concurrency=ConcurrencySpec.from_groups([]))
         assert concurrent.estimated_cost == \
             pytest.approx(sequential.estimated_cost)
+
+    @staticmethod
+    def _overlapping_scans():
+        from repro.workload.concurrency import ConcurrencySpec
+        from repro.workload.workload import Workload
+        workload = Workload()
+        workload.add("SELECT COUNT(*) FROM big b", name="a")
+        workload.add("SELECT COUNT(*) FROM mid m", name="b")
+        return workload, ConcurrencySpec.from_groups([[0, 1]],
+                                                     overlap_factor=1.0)
+
+    def test_incremental_takes_concurrency(self, mini_db, farm8):
+        workload, spec = self._overlapping_scans()
+        rec = LayoutAdvisor(mini_db, farm8).recommend(
+            workload, method="incremental", movement_budget=1.0,
+            concurrency=spec)
+        big = set(rec.layout.disks_of("big"))
+        mid = set(rec.layout.disks_of("mid"))
+        assert not big & mid
+        # per_statement prices each statement on its own.
+        assert [name for name, _, _ in rec.per_statement] == ["a", "b"]
+        assert rec.migration.steps
+        assert rec.migration.is_capacity_safe(rec.current_layout)
+        assert rec.movement_budget == 1.0
+
+    @pytest.mark.parametrize("method",
+                             ["portfolio", "exhaustive", "full-striping"])
+    def test_concurrency_refuses_other_methods(self, mini_db, farm8,
+                                               method):
+        # The concurrency-expanded cost is not bounded below, and a
+        # search without TS-GREEDY's pruning (annealing, exhaustive
+        # enumeration) reports layouts whose expanded cost is negative.
+        workload, spec = self._overlapping_scans()
+        with pytest.raises(LayoutError, match="ts-greedy or incremental"):
+            LayoutAdvisor(mini_db, farm8).recommend(
+                workload, method=method, concurrency=spec)
 
 
 class TestConstrainedAdvisor:

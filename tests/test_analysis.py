@@ -35,7 +35,7 @@ from repro.workload.access import (
     SubplanAccess,
     analyze_workload,
 )
-from repro.workload.access_graph import AccessGraph, build_access_graph
+from repro.workload.access_graph import build_access_graph
 from repro.workload.workload import Statement
 
 
@@ -478,6 +478,6 @@ class TestAdvisorWiring:
         from repro.workload.concurrency import ConcurrencySpec
         spec = ConcurrencySpec.from_groups([[0, 1]],
                                            overlap_factor=0.5)
-        rec = LayoutAdvisor(mini_db, farm8).recommend_concurrent(
-            join_workload, spec)
+        rec = LayoutAdvisor(mini_db, farm8).recommend(
+            join_workload, concurrency=spec)
         assert "ALR022" not in rule_ids(rec.diagnostics)

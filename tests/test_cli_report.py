@@ -104,28 +104,62 @@ class TestCli:
                if f > 0}
         assert not big & mid
 
-    def test_concurrency_rejects_options_it_cannot_apply(self, tool_files,
-                                                         capsys):
+    def test_concurrency_runs_the_incremental_method(self, tool_files,
+                                                     capsys):
+        from repro.catalog.io import load_migration_plan
         (tool_files / "conc.json").write_text(
             json.dumps({"groups": [[0, 1]]}))
+        plan = tool_files / "plan.json"
         saved = tool_files / "rec.json"
         rc = main(["recommend", *_args(tool_files),
                    "--concurrency", str(tool_files / "conc.json"),
-                   "--method", "portfolio", "--jobs", "2",
-                   "--deadline", "0.001", "--budget", "0.1",
+                   "--method", "incremental", "--budget", "0.3",
+                   "--save-plan", str(plan),
+                   "--save-recommendation", str(saved)])
+        assert rc == 0
+        assert "--- migration plan ---" in capsys.readouterr().out
+        assert load_migration_plan(plan).moved_fraction <= 0.3 + 1e-9
+        assert json.loads(saved.read_text())["movement_budget"] == 0.3
+
+    @pytest.mark.parametrize("source,extra", [
+        ("spec", ["--method", "portfolio"]),
+        ("spec", ["--method", "exhaustive"]),
+        ("trace", ["--portfolio", "2"]),
+    ], ids=["portfolio", "exhaustive", "trace-portfolio"])
+    def test_concurrency_refuses_other_methods(self, tool_files, capsys,
+                                               source, extra):
+        if source == "spec":
+            (tool_files / "conc.json").write_text(
+                json.dumps({"groups": [[0, 1]]}))
+            inputs = _args(tool_files, "--concurrency",
+                           str(tool_files / "conc.json"))
+        else:
+            # Overlapping timestamps: the trace carries one group.
+            (tool_files / "trace.csv").write_text(
+                "start,end,sql\n"
+                "0.0,10.0,SELECT COUNT(*) FROM big b\n"
+                "0.5,9.5,SELECT COUNT(*) FROM mid m\n")
+            inputs = ["--database", str(tool_files / "db.json"),
+                      "--disks", str(tool_files / "disks.json"),
+                      "--workload-trace", str(tool_files / "trace.csv")]
+        saved = tool_files / "rec.json"
+        rc = main(["recommend", *inputs, *extra,
                    "--save-recommendation", str(saved)])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        for name in ("method", "jobs", "deadline", "movement_budget"):
-            assert name in err
+        assert "ts-greedy or incremental" in err
         assert not saved.exists()
-        # --k is the one option the concurrency-aware search takes.
-        assert main(["recommend", *_args(tool_files),
-                     "--concurrency", str(tool_files / "conc.json"),
-                     "--k", "2", "--save-recommendation",
-                     str(saved)]) == 0
-        assert saved.exists()
+
+    def test_save_plan_needs_the_incremental_method(self, tool_files,
+                                                    capsys):
+        plan = tool_files / "plan.json"
+        rc = main(["recommend", *_args(tool_files),
+                   "--save-plan", str(plan)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --save-plan needs --method incremental")
+        assert not plan.exists()
 
     def test_recommend_from_profile_trace(self, tool_files, capsys):
         (tool_files / "trace.csv").write_text(
@@ -136,7 +170,7 @@ class TestCli:
         rc = main(["recommend",
                    "--database", str(tool_files / "db.json"),
                    "--disks", str(tool_files / "disks.json"),
-                   "--profile-trace", str(tool_files / "trace.csv"),
+                   "--workload-trace", str(tool_files / "trace.csv"),
                    "--save-layout", str(out_path)])
         assert rc == 0
         data = json.loads(out_path.read_text())
@@ -232,6 +266,52 @@ class TestCli:
                    "--disks", str(tool_files / "disks.json"),
                    "--workload", str(tool_files / "bad.sql")])
         assert rc == 2
+
+
+#: One malformed file per JSON input flag: (subcommand, flag, content).
+MALFORMED_INPUTS = [
+    pytest.param("analyze", "--database", '{"tables": [',
+                 id="database-truncated"),
+    pytest.param("analyze", "--database", "[1, 2, 3]",
+                 id="database-list"),
+    pytest.param("analyze", "--database", '{"tables": [{"name": "t"}]}',
+                 id="database-missing-field"),
+    pytest.param("estimate", "--disks", '{"name": "D1"}',
+                 id="disks-object"),
+    pytest.param("estimate", "--disks", '[{"name": "D1"}]',
+                 id="disks-missing-field"),
+    pytest.param("estimate", "--layout", '{"fractions": {}}',
+                 id="layout-missing-sizes"),
+    pytest.param("recommend", "--constraints",
+                 '{"availability": [{"level": "parity"}]}',
+                 id="constraints-missing-object"),
+    pytest.param("recommend", "--concurrency", '{"groups": [[0, 1]',
+                 id="concurrency-truncated"),
+    pytest.param("recommend", "--current-layout", "[1, 2]",
+                 id="current-layout-list"),
+    pytest.param("lint", "--layout", '{"fractions": ',
+                 id="lint-layout-truncated"),
+]
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("command,flag,content", MALFORMED_INPUTS)
+    def test_malformed_json_is_a_clean_error(self, tool_files, capsys,
+                                             command, flag, content):
+        bad = tool_files / "bad.json"
+        bad.write_text(content)
+        inputs = {"--database": str(tool_files / "db.json"),
+                  "--disks": str(tool_files / "disks.json"),
+                  "--workload": str(tool_files / "w.sql")}
+        if command == "analyze":
+            del inputs["--disks"]
+        inputs[flag] = str(bad)
+        argv = [command, *(part for item in inputs.items()
+                           for part in item)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(bad) in err
 
 
 class TestResilienceCli:

@@ -458,11 +458,11 @@ class TestIncrementalCli:
         db = load_database(cli_files / "db.json")
         current = full_striping(db.object_sizes(), farm)
         save_layout(current, cli_files / "current.json")
-        rc = main(["incremental",
+        rc = main(["recommend", "--method", "incremental",
                    "--database", str(cli_files / "db.json"),
                    "--disks", str(cli_files / "disks.json"),
                    "--workload", str(cli_files / "after.sql"),
-                   "--current", str(cli_files / "current.json"),
+                   "--current-layout", str(cli_files / "current.json"),
                    "--budget", "0.3",
                    "--save-plan", str(cli_files / "plan.json"),
                    "--save-recommendation",
@@ -488,11 +488,11 @@ class TestIncrementalCli:
                    "--save-recommendation",
                    str(cli_files / "rec0.json")])
         assert rc == 0
-        rc = main(["incremental",
+        rc = main(["recommend", "--method", "incremental",
                    "--database", str(cli_files / "db.json"),
                    "--disks", str(cli_files / "disks.json"),
                    "--workload", str(cli_files / "after.sql"),
-                   "--current", str(cli_files / "rec0.json"),
+                   "--current-layout", str(cli_files / "rec0.json"),
                    "--budget", "1.0"])
         assert rc == 0
         assert "migration plan" in capsys.readouterr().out

@@ -288,26 +288,6 @@ class TestCliRoundTrip:
         assert rc == 2
         assert "total order" in capsys.readouterr().err
 
-    def test_profile_trace_is_a_deprecated_alias(
-            self, tmp_path, mini_db, farm8, capsys):
-        from repro.catalog.io import save_database, save_farm
-        save_database(mini_db, tmp_path / "db.json")
-        save_farm(farm8, tmp_path / "disks.json")
-        (tmp_path / "trace.csv").write_text(
-            "start,end,sql\n"
-            "0.0,10.0,SELECT COUNT(*) FROM big b\n")
-        argv = ["recommend",
-                "--database", str(tmp_path / "db.json"),
-                "--disks", str(tmp_path / "disks.json"),
-                "--profile-trace", str(tmp_path / "trace.csv")]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = main(argv)
-        assert rc == 0
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        assert "deprecated" in capsys.readouterr().err
-
     def test_workload_trace_is_the_canonical_spelling(
             self, tmp_path, mini_db, farm8, capsys):
         from repro.catalog.io import save_database, save_farm

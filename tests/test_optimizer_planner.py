@@ -5,7 +5,6 @@ import pytest
 from repro.errors import PlanningError
 from repro.optimizer import operators as ops
 from repro.optimizer.planner import TEMPDB, plan_statement
-from repro.sql import parse_statement
 from repro.workload.access import decompose
 
 

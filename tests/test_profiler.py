@@ -136,7 +136,7 @@ class TestEndToEnd:
         assert len(workload) == 3
         assert spec.concurrent_pairs() == {(0, 1)}
         advisor = LayoutAdvisor(mini_db, farm8)
-        rec = advisor.recommend_concurrent(workload, spec)
+        rec = advisor.recommend(workload, concurrency=spec)
         big = set(rec.layout.disks_of("big"))
         mid = set(rec.layout.disks_of("mid"))
         assert not big & mid

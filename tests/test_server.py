@@ -37,7 +37,7 @@ from repro.catalog.io import (
 from repro.cli import main
 from repro.core.advisor import SearchOptions
 from repro.core.fullstripe import full_striping
-from repro.errors import QueueFull
+from repro.errors import BadRequest, QueueFull
 from repro.obs.events import validate_events
 from repro.resilience import FaultPlan
 from repro.server import (
@@ -562,7 +562,11 @@ class TestServiceJobs:
         # A fraction or a bool is not an integer; truncating one would
         # run (or serve from cache) a different job.
         {"k": 2.7}, {"k": True}, {"jobs": 1.5}, {"retries": False},
-        {"portfolio": 2.9}])
+        {"portfolio": 2.9},
+        # Bounded work: one job may not hold a worker for hours.
+        {"method": "portfolio", "portfolio": 100000},
+        {"method": "portfolio", "retries": 1000,
+         "faults": "fail_eval=0"}])
     def test_malformed_job_option_is_400_at_submit(self, service, bad):
         status, body, _ = service.handle(
             "POST", "/v1/tenants/t/jobs", {"workload": "w", **bad})
@@ -570,6 +574,18 @@ class TestServiceJobs:
         assert body["error"]
         # Rejected before the queue: no job record exists.
         assert service.handle("GET", "/v1/jobs")[1]["jobs"] == []
+
+    def test_job_work_bounds_are_inclusive(self, service):
+        from repro.server.api import MAX_JOB_RETRIES, MAX_JOB_TRAJECTORIES
+        options = service._job_options(
+            {"method": "portfolio", "portfolio": MAX_JOB_TRAJECTORIES,
+             "retries": MAX_JOB_RETRIES})
+        assert options.portfolio == 64
+        assert options.retries == 8
+        for over in ({"portfolio": MAX_JOB_TRAJECTORIES + 1},
+                     {"retries": MAX_JOB_RETRIES + 1}):
+            with pytest.raises(BadRequest):
+                service._job_options({"method": "portfolio", **over})
 
     def test_null_means_absent_and_unknown_keys_are_ignored(
             self, service, monkeypatch):
