@@ -22,12 +22,13 @@ rows, reported as ``eval_throughput_candidates_per_s`` and the
 speedup ratio.
 
 Writes a machine-readable ``BENCH_search.json`` at the repo root (wall
-times, evaluation/pruning counts, speedups, drift, and — since
-``phases_version`` 1 — a per-configuration phase breakdown plus a
-telemetry-overhead measurement) in addition to the usual
-``benchmarks/results/`` table.  The per-phase wall/CPU/count numbers
-let ``perf_gate.py`` attribute a wall-clock regression to the search
-phase that caused it.
+times, evaluation/pruning counts, speedups, drift, a per-configuration
+``spans`` map and a telemetry-overhead measurement) in addition to the
+usual ``benchmarks/results/`` table.  The ``spans`` map gives each leaf
+span of the configuration's span forest (``ts-greedy/step1``,
+``ts-greedy/step2``, ``annealing``) its count, wall and CPU seconds,
+so ``perf_gate.py`` can attribute a wall-clock regression to the span
+that caused it.
 
 Three sizes, selected with ``--mode`` (or ``REPRO_BENCH_MODE``):
 
@@ -79,7 +80,6 @@ from repro.core.greedy import TsGreedySearch  # noqa: E402
 from repro.core.layout import stripe_fractions  # noqa: E402
 from repro.experiments import common  # noqa: E402
 from repro.obs import Telemetry  # noqa: E402
-from repro.obs.profile import PROFILE_VERSION, phase_breakdown  # noqa: E402
 from repro.parallel import (  # noqa: E402
     PortfolioSearch,
     available_workers,
@@ -117,6 +117,27 @@ def _timed(fn):
     start = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - start
+
+
+def leaf_spans(telemetry: Telemetry) -> dict:
+    """Count, wall and CPU seconds of each leaf span name of a run.
+
+    Folds the leaves of the handle's span forest by name, merged
+    portfolio workers' spans included; the orchestration spans above
+    them (``ts-greedy``, ``portfolio``) would count their time twice.
+    """
+    totals: dict[str, dict] = {}
+    for root in telemetry.roots:
+        for leaf in root.leaves():
+            entry = totals.setdefault(
+                leaf.name, {"count": 0, "wall_s": 0.0, "cpu_s": 0.0})
+            entry["count"] += 1
+            entry["wall_s"] += leaf.duration_s
+            entry["cpu_s"] += leaf.cpu_s
+    return {name: {"count": entry["count"],
+                   "wall_s": round(entry["wall_s"], 9),
+                   "cpu_s": round(entry["cpu_s"], 9)}
+            for name, entry in totals.items()}
 
 
 def measure_telemetry_overhead(farm, evaluator, sizes, graph,
@@ -268,7 +289,7 @@ def run_bench(jobs: int = 0, mode: str | None = None) -> dict:
 
     # 1/2 — single-trajectory greedy, pruning off vs on.  Every
     # configuration runs under its own telemetry handle so the payload
-    # can attribute wall time to search phases (expand/kl/greedy/...).
+    # can attribute wall time to its leaf spans.
     telemetry_off = Telemetry()
     plain, t_noprune = _timed(lambda: TsGreedySearch(
         farm, evaluator, sizes, prune=False,
@@ -310,12 +331,11 @@ def run_bench(jobs: int = 0, mode: str | None = None) -> dict:
         "cores": cores,
         "jobs": jobs,
         "trajectories": n_trajectories,
-        "phases_version": PROFILE_VERSION,
         "greedy_noprune": {
             "wall_s": round(t_noprune, 4),
             "evaluations": plain.evaluations,
             "cost": plain.cost,
-            "phases": phase_breakdown(telemetry_off),
+            "spans": leaf_spans(telemetry_off),
         },
         "greedy_prune": {
             "wall_s": round(t_prune, 4),
@@ -325,21 +345,21 @@ def run_bench(jobs: int = 0, mode: str | None = None) -> dict:
             "bound_evaluations": int(telemetry_on.value(
                 "costmodel.bound_evaluations")),
             "cost": pruned_run.cost,
-            "phases": phase_breakdown(telemetry_on),
+            "spans": leaf_spans(telemetry_on),
         },
         "portfolio_serial": {
             "wall_s": round(t_serial, 4),
             "evaluations": serial.evaluations,
             "cost": serial.cost,
-            "backend": "serial",
-            "phases": phase_breakdown(telemetry_serial),
+            "workers": int(serial.extras["workers"]),
+            "spans": leaf_spans(telemetry_serial),
         },
         "portfolio_parallel": {
             "wall_s": round(t_pooled, 4),
             "evaluations": pooled.evaluations,
             "cost": pooled.cost,
-            "backend": "process",
-            "phases": phase_breakdown(telemetry_pooled),
+            "workers": int(pooled.extras["workers"]),
+            "spans": leaf_spans(telemetry_pooled),
         },
         "telemetry_overhead": measure_telemetry_overhead(
             farm, evaluator, sizes, graph),
@@ -396,8 +416,8 @@ def check_invariants(payload: dict) -> None:
         f"{payload['prune_speedup']}x"
     # Observability must stay out of the hot path: full telemetry
     # (events + spans + bound metrics) may cost at most 5%
-    # wall on the pruned greedy search.  Payloads from before
-    # phases_version 1 carry no measurement; skip, don't crash.
+    # wall on the pruned greedy search.  Payloads without the
+    # measurement skip the check instead of crashing.
     overhead_info = payload.get("telemetry_overhead")
     if overhead_info is not None:
         overhead = overhead_info["overhead_pct"]
@@ -417,11 +437,11 @@ def _render(payload: dict) -> str:
         [name, f"{payload[name]['wall_s']:.3f}s",
          payload[name]["evaluations"],
          f"{payload[name]['cost']:.4f}",
-         payload[name].get("backend", "-")]
+         payload[name].get("workers", "-")]
         for name in ("greedy_noprune", "greedy_prune",
                      "portfolio_serial", "portfolio_parallel")]
     table = common.format_table(
-        ["configuration", "wall", "evaluations", "cost", "backend"],
+        ["configuration", "wall", "evaluations", "cost", "workers"],
         rows)
     throughput = payload["eval_throughput"]
     return (f"{table}\n"

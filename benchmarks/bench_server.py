@@ -50,6 +50,7 @@ from repro.benchdb import tpch  # noqa: E402
 from repro.benchdb.synth import synthetic_workload  # noqa: E402
 from repro.catalog.io import database_to_dict, farm_to_dict  # noqa: E402
 from repro.experiments import common  # noqa: E402
+from repro.obs.metrics import percentile  # noqa: E402
 from repro.server import AdvisorService, make_server  # noqa: E402
 
 BENCH_JSON = Path(__file__).parent.parent / "BENCH_server.json"
@@ -171,15 +172,6 @@ def _drive_one(client: _Client, workload: str) -> dict:
     return outcome
 
 
-def _percentile(ordered: list[float], q: float) -> float:
-    """Nearest-rank percentile over pre-sorted samples."""
-    if not ordered:
-        return 0.0
-    rank = min(len(ordered) - 1,
-               max(0, int(round(q / 100.0 * (len(ordered) - 1)))))
-    return ordered[rank]
-
-
 def run_bench(mode: str | None = None) -> dict:
     """Run the load bench; return the BENCH_server payload."""
     mode = resolve_mode(mode)
@@ -255,9 +247,9 @@ def run_bench(mode: str | None = None) -> dict:
         "throughput_rps": round(n_ok / max(measured_s, 1e-9), 2),
         "latency_s": {
             "mean": round(sum(latencies) / max(n_ok, 1), 6),
-            "p50": round(_percentile(latencies, 50), 6),
-            "p95": round(_percentile(latencies, 95), 6),
-            "p99": round(_percentile(latencies, 99), 6),
+            "p50": round(percentile(latencies, 50), 6),
+            "p95": round(percentile(latencies, 95), 6),
+            "p99": round(percentile(latencies, 99), 6),
             "max": round(latencies[-1] if latencies else 0.0, 6),
         },
         "cache_hit_ratio": round(hit_ratio, 4),

@@ -30,9 +30,9 @@ Two classes of check:
   must not fall below the baseline's by more than the same allowance.  Only meaningful when baseline and candidate ran on
   comparable hardware — CI skips it when falling back to the committed
   baseline, which was recorded on a different machine.  When both
-  payloads carry the per-phase breakdown (``phases_version`` 1), a
-  wall violation names the search phase whose wall time grew the most
-  (e.g. ``slowest-growing phase: greedy (+0.330s, ...)``), so the
+  payloads carry the per-configuration ``spans`` map, a wall violation
+  names the leaf span whose wall time grew the most (e.g.
+  ``slowest-growing span: ts-greedy/step2 (+0.330s, ...)``), so the
   regression is attributed, not just detected.
 
 Exit status 0 on pass, 1 on any violation (all violations are listed,
@@ -71,29 +71,28 @@ EPS_COST = 1e-6
 DEFAULT_MAX_REGRESSION = 0.25
 
 
-def _attribute_phase(base_cfg: dict, cand_cfg: dict) -> str:
-    """Attribute a wall regression to the phase that grew the most.
+def _attribute_span(base_cfg: dict, cand_cfg: dict) -> str:
+    """Attribute a wall regression to the leaf span that grew the most.
 
-    Both payloads must carry the ``phases`` breakdown bench payloads
-    gained with ``phases_version`` 1; returns the empty string when
-    either predates it (the wall violation still fires, it just goes
-    unattributed) or when no phase actually grew.
+    Both payloads must carry the configuration's ``spans`` map; returns
+    the empty string when either lacks it (the wall violation still
+    fires, it just goes unattributed) or when no span actually grew.
+    A span missing from one side counts as zero seconds there.
     """
-    base = (base_cfg.get("phases") or {}).get("phases") or {}
-    cand = (cand_cfg.get("phases") or {}).get("phases") or {}
+    base = base_cfg.get("spans") or {}
+    cand = cand_cfg.get("spans") or {}
     if not base or not cand:
         return ""
-    growth = max(
-        ((float((cand.get(phase) or {}).get("wall_s", 0.0))
-          - float((base.get(phase) or {}).get("wall_s", 0.0)), phase)
-         for phase in sorted(set(base) | set(cand))))
-    delta, phase = growth
+
+    def wall(spans: dict, name: str) -> float:
+        return float((spans.get(name) or {}).get("wall_s", 0.0))
+
+    delta, name = max((wall(cand, name) - wall(base, name), name)
+                      for name in sorted(set(base) | set(cand)))
     if delta <= 0.0:
         return ""
-    before = float((base.get(phase) or {}).get("wall_s", 0.0))
-    after = float((cand.get(phase) or {}).get("wall_s", 0.0))
-    return (f"; slowest-growing phase: {phase} (+{delta:.3f}s, "
-            f"{before:.3f}s -> {after:.3f}s)")
+    return (f"; slowest-growing span: {name} (+{delta:.3f}s, "
+            f"{wall(base, name):.3f}s -> {wall(cand, name):.3f}s)")
 
 
 def compare(baseline: dict, candidate: dict,
@@ -143,7 +142,7 @@ def compare(baseline: dict, candidate: dict,
                     f"{name}: wall {cand['wall_s']:.3f}s exceeds "
                     f"{base['wall_s']:.3f}s + {max_regression:.0%} "
                     f"allowance ({limit:.3f}s)"
-                    + _attribute_phase(base, cand))
+                    + _attribute_span(base, cand))
 
     if same_mode:
         # Pruning effectiveness must not erode (small slack for

@@ -47,7 +47,7 @@ RPC304 = register(
 #: (merge paths, exporters, the catalog module) — its calls are not
 #: emissions.
 _MACHINERY = ("obs/metrics.py", "obs/names.py", "obs/events.py",
-              "obs/export.py", "obs/profile.py")
+              "obs/export.py")
 
 _METRIC_METHODS = {"inc": COUNTER, "set_gauge": GAUGE,
                    "observe": HISTOGRAM}

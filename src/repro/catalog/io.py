@@ -384,7 +384,7 @@ def recommendation_to_dict(recommendation,
     if rec.diagnostics:
         out["diagnostics"] = [d.to_dict() for d in rec.diagnostics]
     if rec.migration is not None:
-        out["migration"] = migration_plan_to_dict(rec.migration)
+        out["migration"] = rec.migration.to_dict()
     if rec.movement_budget is not None:
         out["movement_budget"] = float(rec.movement_budget)
     if run_id:
@@ -455,11 +455,6 @@ def load_recommendation(path: str | Path, farm: DiskFarm):
 # -- migration plan --------------------------------------------------------------
 
 
-def migration_plan_to_dict(plan: MigrationPlan) -> dict[str, Any]:
-    """The JSON-ready form of a migration plan."""
-    return plan.to_dict()
-
-
 def save_migration_plan(plan: MigrationPlan, path: str | Path,
                         run_id: str | None = None) -> None:
     """Write a migration plan as JSON.
@@ -471,7 +466,7 @@ def save_migration_plan(plan: MigrationPlan, path: str | Path,
             the payload as provenance; round-trips through
             :func:`load_migration_plan` as ``plan.run_id``.
     """
-    data = migration_plan_to_dict(plan)
+    data = plan.to_dict()
     if run_id:
         data["run_id"] = str(run_id)
     Path(path).write_text(json.dumps(data, indent=2))
@@ -492,11 +487,6 @@ def load_migration_plan(path: str | Path) -> MigrationPlan:
 # -- drift report ----------------------------------------------------------------
 
 
-def drift_report_to_dict(report: DriftReport) -> dict[str, Any]:
-    """The JSON-ready form of a workload drift report."""
-    return report.to_dict()
-
-
 def save_drift_report(report: DriftReport, path: str | Path,
                       run_id: str | None = None) -> None:
     """Write a drift report as JSON.
@@ -508,7 +498,7 @@ def save_drift_report(report: DriftReport, path: str | Path,
             the payload as provenance; round-trips through
             :func:`load_drift_report` as ``report.run_id``.
     """
-    data = drift_report_to_dict(report)
+    data = report.to_dict()
     if run_id:
         data["run_id"] = str(run_id)
     Path(path).write_text(json.dumps(data, indent=2))

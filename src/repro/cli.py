@@ -17,7 +17,7 @@ Subcommands::
                              [--deadline 30] [--retries 2] \\
                              [--budget 0.2] [--save-plan plan.json] \\
                              [--save-layout out.json] [--script] \\
-                             [--trace trace.json] [--metrics] [-v]
+                             [--otlp spans.json] [--metrics] [-v]
     repro-advisor analyze    --database db.json --workload w.sql
     repro-advisor estimate   --database db.json --disks disks.json \\
                              --workload w.sql --layout l.json ...
@@ -96,17 +96,18 @@ degradation plus time-to-benefit (``--throttle`` caps the migration
 bandwidth).  ``inspect`` recognizes journal files and renders/validates
 them (exit 2 on an inconsistent journal).
 
-Observability (see ``docs/observability.md``): every subcommand takes
-``--events out.jsonl`` (stream the run's flight-recorder timeline as
-structured JSONL events, one run per file) and ``--prom out.prom``
-(dump the metric registry in Prometheus text exposition format);
-``recommend`` additionally takes ``--otlp out.json``
-(OTLP-style span export); one telemetry handle per run feeds them
-all.  ``inspect`` renders a saved event log as a phase/trajectory
-timeline with a hotspot table.  ``--trace out.json`` writes the span
-tree as JSON, ``--metrics`` prints the metric summary, ``-v`` prints
-the span tree and enables INFO logging, ``-vv`` enables DEBUG logging
-(per-iteration search progress).
+Observability (see ``docs/observability.md``): every subcommand but
+``selfcheck``, ``inspect`` and ``serve`` takes ``--events out.jsonl``
+(stream the run's flight-recorder timeline as structured JSONL
+events, one run per file) and ``--prom out.prom`` (dump the metric
+registry in Prometheus text exposition format); ``serve`` takes
+``--events`` only.  ``recommend`` additionally takes ``--otlp
+out.json``, the one span-file export (OTLP-style JSON); one telemetry
+handle per run feeds them all.  ``inspect`` renders a saved event log
+as a phase/trajectory timeline with a hotspot table.  ``--metrics``
+(``recommend``, ``migrate``) prints the metric summary; ``-v`` enables
+INFO logging and, on ``recommend``, prints the span tree; ``-vv``
+enables DEBUG logging (per-iteration search progress).
 
 Run any subcommand with ``-h`` for the full options.
 """
@@ -174,8 +175,9 @@ def _add_common_inputs(parser: argparse.ArgumentParser,
         parser.add_argument("--disks", required=True, type=Path,
                             help="disk-drive list JSON")
     parser.add_argument("-v", "--verbose", action="count", default=0,
-                        help="-v: span tree + INFO logs; -vv: DEBUG "
-                             "logs (per-iteration search progress)")
+                        help="-v: INFO logs (recommend also prints "
+                             "the span tree); -vv: DEBUG logs "
+                             "(per-iteration search progress)")
 
 
 def _add_obs_outputs(parser: argparse.ArgumentParser,
@@ -207,7 +209,6 @@ def _telemetry_begin(args: argparse.Namespace, command: str):
     active = bool(getattr(args, "events", None)
                   or getattr(args, "prom", None)
                   or getattr(args, "otlp", None)
-                  or getattr(args, "trace", None)
                   or getattr(args, "metrics", False)
                   or getattr(args, "verbose", 0))
     if not active:
@@ -242,7 +243,7 @@ def _telemetry_finish(args: argparse.Namespace, telemetry,
 
 def _print_trace_and_metrics(args: argparse.Namespace,
                              telemetry) -> None:
-    """The ``-v`` span tree, ``--metrics`` summary and ``--trace`` file."""
+    """The ``-v`` span tree and the ``--metrics`` summary."""
     if args.verbose:
         print()
         print("=== trace ===")
@@ -250,9 +251,6 @@ def _print_trace_and_metrics(args: argparse.Namespace,
     if args.metrics:
         print()
         print(telemetry.metrics.render())
-    if args.trace:
-        telemetry.write_trace(args.trace)
-        print(f"\ntrace written to {args.trace}")
 
 
 def _configure_logging(verbosity: int) -> None:
@@ -339,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "\"overlap_factor\": 0.5} — statements in a "
                           "group are treated as co-executing "
                           "(ts-greedy and incremental only)")
-    rec.add_argument("--trace", type=Path, metavar="OUT_JSON",
-                     help="write the advisor run's span tree as JSON")
     rec.add_argument("--metrics", action="store_true",
                      help="print the metric summary after the report")
     rec.add_argument("--save-recommendation", type=Path,

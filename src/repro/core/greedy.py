@@ -110,14 +110,12 @@ class SearchResult:
         evaluations: Candidate layouts costed.
         elapsed_s: Wall-clock search time.
         steps: Per-iteration step-2 telemetry, in execution order.
-        kl_passes: KL partitioning passes executed in step 1 (0 when
-            step 1 was skipped, e.g. incremental mode).
-        kl_cut_weights: Cut weight after each KL pass.
+        kl_cut_weights: Cut weight after each KL pass of step 1 (empty
+            when step 1 was skipped, e.g. incremental mode).
         extras: Method-specific scalar telemetry (e.g. annealing
             accept/reject counts).
-        degraded: ``True`` when some portfolio trajectories failed and
-            the result is the exact best over the *completed* ones.
-        failures: One :class:`TrajectoryFailure` per lost trajectory.
+        failures: One :class:`TrajectoryFailure` per lost portfolio
+            trajectory.
     """
 
     layout: Layout
@@ -127,11 +125,20 @@ class SearchResult:
     evaluations: int = 0
     elapsed_s: float = 0.0
     steps: list[GreedyStep] = field(default_factory=list)
-    kl_passes: int = 0
     kl_cut_weights: tuple[float, ...] = ()
     extras: dict[str, float] = field(default_factory=dict)
-    degraded: bool = False
     failures: list[TrajectoryFailure] = field(default_factory=list)
+
+    @property
+    def kl_passes(self) -> int:
+        """KL partitioning passes executed in step 1."""
+        return len(self.kl_cut_weights)
+
+    @property
+    def degraded(self) -> bool:
+        """``True`` when some portfolio trajectories failed and the
+        result is the exact best over the *completed* ones."""
+        return bool(self.failures)
 
     def telemetry_dict(self) -> dict:
         """JSON-ready telemetry (everything except the layout itself)."""
@@ -146,8 +153,8 @@ class SearchResult:
             "kl_cut_weights": [float(w) for w in self.kl_cut_weights],
             "extras": {k: float(v) for k, v in self.extras.items()},
         }
-        if self.degraded or self.failures:
-            out["degraded"] = bool(self.degraded)
+        if self.failures:
+            out["degraded"] = True
             out["failures"] = [f.to_dict() for f in self.failures]
         return out
 
@@ -164,10 +171,8 @@ class SearchResult:
                             evaluations=self.evaluations,
                             elapsed_s=self.elapsed_s,
                             steps=list(self.steps),
-                            kl_passes=self.kl_passes,
                             kl_cut_weights=tuple(self.kl_cut_weights),
                             extras=dict(self.extras),
-                            degraded=self.degraded,
                             failures=list(self.failures))
 
 
@@ -246,7 +251,6 @@ class TsGreedySearch:
                 result = self._greedy(layout,
                                       narrow=initial_layout is not None)
             result.elapsed_s = time.perf_counter() - start
-            result.kl_passes = kl_stats.passes
             result.kl_cut_weights = tuple(kl_stats.cut_weights)
             for index, weight in enumerate(result.kl_cut_weights):
                 self._telemetry.emit("kl-pass", pass_index=index + 1,

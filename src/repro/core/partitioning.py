@@ -34,19 +34,22 @@ class PartitionStats:
     """Telemetry of one :func:`partition_access_graph` run.
 
     Attributes:
-        passes: KL improvement passes executed (≥ 1 whenever the
-            refinement loop ran at all).
         initial_cut_weight: Cut weight after greedy seeding.
         cut_weights: Cut weight after each KL pass.
         moves: Single-node moves applied across all passes.
         swaps: Pairwise swaps applied across all passes.
     """
 
-    passes: int = 0
     initial_cut_weight: float = 0.0
     cut_weights: list[float] = field(default_factory=list)
     moves: int = 0
     swaps: int = 0
+
+    @property
+    def passes(self) -> int:
+        """KL improvement passes executed (≥ 1 whenever the refinement
+        loop ran at all)."""
+        return len(self.cut_weights)
 
     @property
     def final_cut_weight(self) -> float:
@@ -138,7 +141,6 @@ def partition_access_graph(graph: AccessGraph, p: int,
                 assign[name] = best_part
                 moves += 1
         swaps = _swap_pass(graph, ordered, assign)
-        stats.passes += 1
         stats.moves += moves
         stats.swaps += swaps
         stats.cut_weights.append(graph.cut_weight(assign))

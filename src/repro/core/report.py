@@ -9,10 +9,9 @@ assignments — which is how a layout is actually realized (Section 2.1).
 
 from __future__ import annotations
 
-import math
-
 from repro.core.advisor import Recommendation
 from repro.core.layout import Layout
+from repro.obs.metrics import percentile
 from repro.storage.disk import BLOCK_BYTES
 
 
@@ -181,13 +180,6 @@ def render_online_migration(report) -> str:
     return "\n".join(lines)
 
 
-def _percentile(values: list[int], pct: float) -> float:
-    """Nearest-rank percentile (matches the metric histograms)."""
-    ordered = sorted(values)
-    rank = max(1, math.ceil(pct / 100.0 * len(ordered)))
-    return float(ordered[rank - 1])
-
-
 def render_search_diagnostics(search, max_steps: int = 8) -> str:
     """The search's per-iteration telemetry, rendered for the DBA.
 
@@ -213,14 +205,13 @@ def render_search_diagnostics(search, max_steps: int = 8) -> str:
         workers = int(extras.pop("workers", 1))
         best = int(extras.pop("best_trajectory", 0))
         extras.pop("best_trajectory_cost", None)
-        extras.pop("failed_trajectories", None)
         # More than one worker means the process pool ran.
         where = f"on {workers} worker processes" if workers > 1 \
             else "in-process"
         lines.append(f"portfolio: {trajectories} trajectories {where}; "
                      f"winner: trajectory {best}")
         failures = list(getattr(search, "failures", ()) or ())
-        if getattr(search, "degraded", False) or failures:
+        if failures:
             causes = ", ".join(sorted({f.cause for f in failures})) \
                 or "unknown"
             lines.append(f"degraded: {len(failures)}/{trajectories} "
@@ -255,9 +246,9 @@ def render_search_diagnostics(search, max_steps: int = 8) -> str:
         per_iteration = [s.candidates for s in steps]
         lines.append(
             "  candidates/iteration: "
-            f"p50={_percentile(per_iteration, 50):g} "
-            f"p95={_percentile(per_iteration, 95):g} "
-            f"p99={_percentile(per_iteration, 99):g}")
+            f"p50={percentile(per_iteration, 50):g} "
+            f"p95={percentile(per_iteration, 95):g} "
+            f"p99={percentile(per_iteration, 99):g}")
         shown = accepted
         elided = 0
         if len(accepted) > max_steps:

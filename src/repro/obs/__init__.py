@@ -5,9 +5,8 @@ recorder (an append-only JSONL event timeline), spans (each a
 ``phase-start``/``phase-end`` event pair, read back as a tree of
 :class:`Span` nodes) and metrics (:class:`MetricsRegistry`
 aggregates).  Exporters cover Prometheus text exposition and
-OTLP-style JSON spans; a deterministic phase profiler reads the same
-stream.  Every instrumented entry point in the library accepts one
-optional ``telemetry=`` argument; passing nothing selects
+OTLP-style JSON spans.  Every instrumented entry point in the library
+accepts one optional ``telemetry=`` argument; passing nothing selects
 :data:`NULL_TELEMETRY`, the one shared no-op, which keeps untouched
 callers bit-identical in behavior and essentially free in cost.
 
@@ -33,7 +32,6 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.names import METRIC_CATALOG
-from repro.obs.profile import PHASES, phase_breakdown, render_breakdown
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.obs.trace import Span
 
@@ -46,14 +44,11 @@ __all__ = [
     "METRIC_CATALOG",
     "MetricsRegistry",
     "NULL_TELEMETRY",
-    "PHASES",
     "Span",
     "Telemetry",
     "canonical_lines",
     "parse_prometheus",
-    "phase_breakdown",
     "read_events",
-    "render_breakdown",
     "render_timeline",
     "to_otlp",
     "to_prometheus",

@@ -23,8 +23,23 @@ writes through the handle's ``inc``/``set_gauge``/``observe``.
 
 from __future__ import annotations
 
-import json
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
+
+
+def percentile(values: Iterable[float], q: float) -> float:
+    """Nearest-rank percentile: the sorted value at index
+    ``round(q / 100 * (n - 1))`` (``q`` in 0..100); 0.0 for no values.
+
+    The advisor's one quantile rule: histogram summaries (and so the
+    Prometheus quantile samples) and the report's candidates/iteration
+    line both read it, so the two always agree.
+    """
+    ordered = sorted(values)
+    if not ordered:
+        return 0.0
+    rank = min(len(ordered) - 1,
+               max(0, int(round(q / 100.0 * (len(ordered) - 1)))))
+    return float(ordered[rank])
 
 
 class Counter:
@@ -104,13 +119,8 @@ class Histogram:
                 self.samples.append(float(summary[key]))
 
     def percentile(self, q: float) -> float:
-        """Nearest-rank percentile over the retained samples."""
-        if not self.samples:
-            return 0.0
-        ordered = sorted(self.samples)
-        rank = min(len(ordered) - 1,
-                   max(0, int(round(q / 100.0 * (len(ordered) - 1)))))
-        return ordered[rank]
+        """:func:`percentile` over the retained samples."""
+        return percentile(self.samples, q)
 
 
 class MetricsRegistry:
@@ -241,9 +251,6 @@ class MetricsRegistry:
                        "p99": h.percentile(99)}
                 for name, h in sorted(self._histograms.items())},
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     def render(self) -> str:
         """Human-readable metric summary, one instrument per line."""

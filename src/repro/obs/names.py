@@ -163,7 +163,7 @@ METRIC_CATALOG: dict[str, tuple[str, str]] = {
         COUNTER, "trajectories lost to dead worker processes"),
     # -- advisor service (repro.server) ---------------------------------
     "server.cache_entries": (
-        GAUGE, "recommendation/analysis cache entries resident"),
+        GAUGE, "recommendation cache entries resident"),
     "server.cache_hits": (
         COUNTER, "job submissions served from the fingerprint cache"),
     "server.cache_misses": (

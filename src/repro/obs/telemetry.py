@@ -193,12 +193,6 @@ class Telemetry:
         """Human-readable span tree with durations and percentages."""
         return render_tree(self.roots)
 
-    def write_trace(self, path: str | Path) -> None:
-        """Write the span forest as JSON: ``{"spans": [root, ...]}``."""
-        Path(path).write_text(json.dumps(
-            {"spans": [root.to_dict() for root in self.roots]},
-            indent=2))
-
     def close(self) -> None:
         """Close the streaming sink, if one is open."""
         if self._sink is not None:

@@ -5,7 +5,7 @@ emits a ``phase-start`` event when a phase opens and a ``phase-end``
 event (wall and CPU seconds plus the span's attributes) when it closes;
 :func:`spans_from_events` rebuilds the forest of :class:`Span` nodes
 from those pairs whenever a reader asks for it — the ``-v`` tree,
-``--trace``, ``--otlp``, the phase profiler and the experiments.
+``--otlp``, the search bench's per-span timings and the experiments.
 
 Span naming convention (see ``docs/observability.md``): lowercase,
 dash-separated phase names; sub-phases of an algorithm use a ``/``
@@ -65,20 +65,6 @@ class Span:
             return
         for child in self.children:
             yield from child.leaves()
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready form (plain floats, recursive children)."""
-        out: dict[str, Any] = {
-            "name": self.name,
-            "start_s": round(float(self.start_s), 9),
-            "duration_s": round(float(self.duration_s), 9),
-            "cpu_s": round(float(self.cpu_s), 9),
-        }
-        if self.attrs:
-            out["attrs"] = dict(self.attrs)
-        if self.children:
-            out["children"] = [c.to_dict() for c in self.children]
-        return out
 
 
 def spans_from_events(events: Iterable[dict[str, Any]],

@@ -602,9 +602,7 @@ class PortfolioSearch:
             "bound_evaluations": bound_evaluations,
         })
         if failures:
-            result.degraded = True
             result.failures = [failures[i] for i in sorted(failures)]
-            result.extras["failed_trajectories"] = float(len(failures))
             self._telemetry.inc("resilience.degraded", len(failures))
             for index in sorted(failures):
                 failure = failures[index]

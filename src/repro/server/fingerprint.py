@@ -1,10 +1,9 @@
 """Canonical workload fingerprints for the advisor service.
 
-The service caches expensive artifacts — analyzed workloads, access
-graphs, full recommendations — keyed by *content*, not by upload
-identity: two tenants (or the same tenant twice) submitting the same
-catalog + workload + parameters must map to the same cache entry, and
-any change to any input must miss.
+The service caches full recommendations keyed by *content*, not by
+upload identity: two tenants (or the same tenant twice) submitting the
+same catalog + workload + parameters must map to the same cache entry,
+and any change to any input must miss.
 
 Fingerprints are sha256 digests over the canonical JSON serialization
 of the inputs (:func:`repro.catalog.io.canonical_dumps` /
@@ -13,15 +12,15 @@ matters, builtin ``hash()`` (process-salted) is never involved, and
 the digests are stable across machines — so a warm cache can in
 principle be shipped between replicas.
 
-Two granularities:
+A job's key is built in two steps:
 
 * :func:`catalog_fingerprint` — database + disk farm + workload +
-  constraints.  Keys the *analysis* cache (analyzed workload, access
-  graph): anything that changes plans or co-access invalidates it.
+  constraints: everything that feeds the workload analysis.  It keys
+  nothing on its own; it is the input half of the job fingerprint.
 * :func:`job_fingerprint` — the catalog fingerprint plus the current
   layout and the :class:`~repro.core.advisor.SearchOptions` fields
   tagged as content-affecting (method, k, trajectory portfolio,
-  movement budget).  Keys the *recommendation* cache.  SLO-only
+  movement budget).  Keys the recommendation cache.  SLO-only
   fields (jobs, deadline, retries, faults) are
   deliberately **excluded**: they bound how long the service may
   spend, not what the search computes, so a repeat submission with a

@@ -111,15 +111,17 @@ def tokenize(text: str) -> list[Token]:
             col += j + 1 - i
             i = j + 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+        # isdecimal, not isdigit: '²' is a digit that int() rejects.
+        if ch.isdecimal() or (ch == "." and i + 1 < n
+                              and text[i + 1].isdecimal()):
             j = i
             seen_dot = False
-            while j < n and (text[j].isdigit()
+            while j < n and (text[j].isdecimal()
                              or (text[j] == "." and not seen_dot)):
                 if text[j] == ".":
                     # A dot not followed by a digit terminates the number
                     # (it is a qualifier dot, not a decimal point).
-                    if j + 1 >= n or not text[j + 1].isdigit():
+                    if j + 1 >= n or not text[j + 1].isdecimal():
                         break
                     seen_dot = True
                 j += 1

@@ -1,15 +1,25 @@
 """Tests for the CLI and the recommendation report renderer."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.catalog.io import save_database, save_farm, save_layout
+from repro.catalog.io import (
+    load_database,
+    save_database,
+    save_farm,
+    save_layout,
+)
 from repro.cli import main
 from repro.core.advisor import LayoutAdvisor
 from repro.core.fullstripe import full_striping
 from repro.core.report import render_filegroup_script, render_report
+from repro.obs import Telemetry
 from repro.storage.disk import winbench_farm
+from repro.workload.workload import Workload
+
+_EXAMPLE = Path(__file__).parent.parent / "examples" / "tpch"
 
 
 @pytest.fixture
@@ -48,6 +58,23 @@ class TestReport:
         assert "ADD FILEGROUP" in script
         # Full striping = one filegroup over all disks = 8 files.
         assert script.count("ADD FILE (") == 8
+
+    def test_candidate_quantiles_match_the_histogram(self):
+        # The report's candidates/iteration line and the
+        # greedy.candidates_per_iteration histogram read one rank rule;
+        # on this run the two rules once gave p99=34 against 32.
+        telemetry = Telemetry(strict=True)
+        advisor = LayoutAdvisor(load_database(_EXAMPLE / "db.json"),
+                                winbench_farm(12), telemetry=telemetry)
+        rec = advisor.recommend(Workload.load(_EXAMPLE / "workload.sql"))
+        [line] = [line for line in render_report(rec).splitlines()
+                  if "candidates/iteration:" in line]
+        reported = {key: float(value) for key, value in (
+            pair.split("=") for pair in line.split(":", 1)[1].split())}
+        histogram = telemetry.metrics.histogram(
+            "greedy.candidates_per_iteration")
+        assert reported == {f"p{q}": histogram.percentile(q)
+                            for q in (50, 95, 99)}
 
 
 class TestCli:
@@ -189,18 +216,21 @@ class TestCli:
         assert "provide --workload or --workload-trace" in \
             capsys.readouterr().err
 
-    def test_recommend_trace_writes_span_json(self, tool_files, capsys):
-        trace_path = tool_files / "trace.json"
+    def test_recommend_otlp_writes_span_json(self, tool_files, capsys):
+        otlp_path = tool_files / "otlp.json"
         rc = main(["recommend", *_args(tool_files),
-                   "--trace", str(trace_path)])
+                   "--otlp", str(otlp_path)])
         assert rc == 0
-        data = json.loads(trace_path.read_text())
-        root = data["spans"][0]
+        data = json.loads(otlp_path.read_text())
+        spans = data["resourceSpans"][0]["scopeSpans"][0]["spans"]
+        [root] = [span for span in spans if "parentSpanId" not in span]
         assert root["name"] == "recommend"
-        children = [c["name"] for c in root["children"]]
+        children = [span["name"] for span in spans
+                    if span.get("parentSpanId") == root["spanId"]]
         assert "analyze-workload" in children
         assert "ts-greedy" in children
-        assert root["duration_s"] > 0
+        assert int(root["endTimeUnixNano"]) \
+            > int(root["startTimeUnixNano"])
 
     def test_recommend_metrics_and_verbose(self, tool_files, capsys):
         rc = main(["recommend", *_args(tool_files), "--metrics", "-v"])
@@ -266,6 +296,19 @@ class TestCli:
                    "--disks", str(tool_files / "disks.json"),
                    "--workload", str(tool_files / "bad.sql")])
         assert rc == 2
+
+    def test_non_decimal_digit_is_a_clean_error(self, tool_files,
+                                                capsys):
+        (tool_files / "sup.sql").write_text(
+            "SELECT SUM(b.v) FROM big b WHERE b.v > ²;\n",
+            encoding="utf-8")
+        rc = main(["recommend",
+                   "--database", str(tool_files / "db.json"),
+                   "--disks", str(tool_files / "disks.json"),
+                   "--workload", str(tool_files / "sup.sql")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: unexpected character '²' (line 1, column 40)"]
 
 
 #: One malformed file per JSON input flag: (subcommand, flag, content).

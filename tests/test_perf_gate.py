@@ -15,8 +15,9 @@ from bench_env import (  # noqa: E402
     resolve_jobs,
     resolve_mode,
 )
+from bench_search_speed import leaf_spans  # noqa: E402
 from perf_gate import (  # noqa: E402
-    _attribute_phase,
+    _attribute_span,
     compare,
     compare_server,
     main,
@@ -26,7 +27,6 @@ from perf_gate import (  # noqa: E402
 from repro.core.costmodel import WorkloadCostEvaluator
 from repro.core.greedy import TsGreedySearch
 from repro.obs import Telemetry
-from repro.obs.profile import phase_breakdown
 from repro.workload.access import analyze_workload
 from repro.workload.access_graph import build_access_graph
 
@@ -46,10 +46,10 @@ def payload(mode="ci"):
             "cost": 54.7029},
         "portfolio_serial": {
             "wall_s": 1.2, "evaluations": 11448, "cost": 54.7029,
-            "backend": "serial"},
+            "workers": 1},
         "portfolio_parallel": {
             "wall_s": 0.8, "evaluations": 11448, "cost": 54.7029,
-            "backend": "process"},
+            "workers": 2},
         "eval_throughput_candidates_per_s": 400_000.0,
         "eval_throughput_speedup": 15.0,
         "prune_eval_reduction": 0.836,
@@ -125,47 +125,48 @@ class TestCompare:
         assert len(violations) >= 2
 
 
-def _phases(**walls):
-    """A config-level phase breakdown in the bench payload shape."""
-    return {"version": 1,
-            "phases": {name: {"wall_s": wall, "cpu_s": wall, "count": 1}
-                       for name, wall in walls.items()}}
+def _spans(walls):
+    """A configuration's ``spans`` map in the bench payload shape."""
+    return {name: {"count": 1, "wall_s": wall, "cpu_s": wall}
+            for name, wall in walls.items()}
 
 
 class TestPhaseAttribution:
     def test_wall_violation_names_slowest_growing_phase(self):
         baseline = payload()
         candidate = payload()
-        baseline["greedy_prune"]["phases"] = \
-            _phases(expand=0.02, greedy=0.10, kl=0.03)
-        candidate["greedy_prune"]["phases"] = \
-            _phases(expand=0.02, greedy=0.43, kl=0.04)
+        baseline["greedy_prune"]["spans"] = _spans(
+            {"ts-greedy/step1": 0.03, "ts-greedy/step2": 0.10})
+        candidate["greedy_prune"]["spans"] = _spans(
+            {"ts-greedy/step1": 0.04, "ts-greedy/step2": 0.43})
         candidate["greedy_prune"]["wall_s"] *= 3
         violations = compare(baseline, candidate)
         [violation] = [v for v in violations if "greedy_prune" in v]
-        assert "slowest-growing phase: greedy" in violation
+        assert "slowest-growing span: ts-greedy/step2" in violation
         assert "+0.330s" in violation
         assert "0.100s -> 0.430s" in violation
 
     def test_attribution_silent_without_phase_data(self):
-        # Payloads from before phases_version 1 still gate on wall;
-        # the violation just goes unattributed.
+        # Payloads without a spans map still gate on wall; the
+        # violation just goes unattributed.
         candidate = payload()
         candidate["portfolio_serial"]["wall_s"] *= 3
         violations = compare(payload(), candidate)
         [violation] = violations
         assert "portfolio_serial" in violation
-        assert "phase" not in violation
+        assert "span" not in violation
 
     def test_attribution_silent_when_no_phase_grew(self):
-        base_cfg = {"phases": _phases(greedy=0.2, kl=0.1)}
-        cand_cfg = {"phases": _phases(greedy=0.1, kl=0.05)}
-        assert _attribute_phase(base_cfg, cand_cfg) == ""
+        base_cfg = {"spans": _spans(
+            {"annealing": 0.2, "ts-greedy/step2": 0.1})}
+        cand_cfg = {"spans": _spans(
+            {"annealing": 0.1, "ts-greedy/step2": 0.05})}
+        assert _attribute_span(base_cfg, cand_cfg) == ""
 
     def test_injected_delay_in_greedy_evaluation_is_attributed(
             self, mini_db, farm8, join_workload, monkeypatch):
         """The acceptance demo: slow down greedy cost evaluation only,
-        and the gate must name the greedy phase in its violation."""
+        and the gate must name greedy step 2 in its violation."""
         analyzed = analyze_workload(join_workload, mini_db)
         sizes = mini_db.object_sizes()
         evaluator = WorkloadCostEvaluator(analyzed, farm8,
@@ -182,14 +183,14 @@ class TestPhaseAttribution:
                 "wall_s": time.perf_counter() - start,
                 "evaluations": result.evaluations,
                 "cost": result.cost,
-                "phases": phase_breakdown(telemetry),
+                "spans": leaf_spans(telemetry),
             }
 
         fast = run_config()
         real_costs = WorkloadCostEvaluator.costs_for_rows
 
         def slow_costs(self, *args, **kwargs):
-            time.sleep(0.003)  # the injected greedy-phase delay
+            time.sleep(0.003)  # the injected step-2 delay
             return real_costs(self, *args, **kwargs)
 
         monkeypatch.setattr(WorkloadCostEvaluator, "costs_for_rows",
@@ -208,7 +209,7 @@ class TestPhaseAttribution:
         violations = compare(baseline, candidate)
         [violation] = [v for v in violations if "greedy_prune" in v]
         assert "wall" in violation
-        assert "slowest-growing phase: greedy" in violation
+        assert "slowest-growing span: ts-greedy/step2" in violation
 
 
 class TestCli:
@@ -260,6 +261,11 @@ def test_real_small_bench_payload_passes_gate():
     """End-to-end: a real small-mode run gates cleanly against itself."""
     from bench_search_speed import run_bench
     candidate = run_bench(jobs=2, mode="small")
+    # Each configuration carries its leaf spans under their own names.
+    greedy = {"ts-greedy/step1", "ts-greedy/step2"}
+    assert set(candidate["greedy_prune"]["spans"]) == greedy
+    assert set(candidate["portfolio_parallel"]["spans"]) \
+        == greedy | {"annealing"}
     baseline = copy.deepcopy(candidate)
     assert compare(baseline, candidate) == []
     # And a tightened copy of itself fails, as the CI demo documents.

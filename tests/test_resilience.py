@@ -306,8 +306,7 @@ class TestTrajectoryFailure:
         layout = full_striping(mini_db.object_sizes(), farm8)
         failure = TrajectoryFailure(1, "x", "crash", 2, "dead")
         result = SearchResult(layout=layout, cost=10.0,
-                              initial_cost=12.0, degraded=True,
-                              failures=[failure])
+                              initial_cost=12.0, failures=[failure])
         payload = result.telemetry_dict()
         assert payload["degraded"] is True
         assert payload["failures"] == [{
@@ -329,9 +328,7 @@ class TestDegradedRendering:
                               initial_cost=12.0)
         result.extras.update({"trajectories": 4.0, "workers": 2.0,
                               "best_trajectory": 0.0,
-                              "best_trajectory_cost": 10.0,
-                              "failed_trajectories": 2.0})
-        result.degraded = True
+                              "best_trajectory_cost": 10.0})
         result.failures = [
             TrajectoryFailure(1, "greedy-102", "timeout", 1, "slow"),
             TrajectoryFailure(3, "anneal-104", "crash", 3, "dead"),
@@ -347,9 +344,8 @@ class TestDegradedRendering:
 
     def test_healthy_portfolio_unchanged(self, mini_db, farm8):
         result = self._degraded_result(mini_db, farm8)
-        result.degraded = False
         result.failures = []
-        result.extras.pop("failed_trajectories")
+        assert not result.degraded
         text = render_search_diagnostics(result)
         assert "degraded" not in text
         assert "portfolio: 4 trajectories" in text

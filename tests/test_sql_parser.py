@@ -123,6 +123,13 @@ class TestExpressions:
         with pytest.raises(SqlSyntaxError):
             self.where("a LIKE 5")
 
+    def test_non_decimal_digit_is_a_syntax_error(self):
+        # '²' is a Unicode digit but not a decimal one: int() rejects it.
+        with pytest.raises(SqlSyntaxError,
+                           match="unexpected character '²'") as info:
+            parse_statement("SELECT a FROM t WHERE a > ²")
+        assert (info.value.line, info.value.column) == (1, 27)
+
     def test_is_null_and_is_not_null(self):
         assert not self.where("a IS NULL").negated
         assert self.where("a IS NOT NULL").negated

@@ -20,6 +20,7 @@ from repro.catalog.io import save_farm
 from repro.cli import main
 from repro.core.tolerance import EPS_FRACTION
 from repro.obs import parse_prometheus, read_events, validate_events
+from repro.obs.trace import spans_from_events
 from repro.storage.disk import winbench_farm
 
 _EXAMPLE = Path(__file__).parent.parent / "examples" / "tpch"
@@ -56,7 +57,6 @@ def pooled_run(tmp_path_factory, disks12) -> Path:
                       lambda: 2)
         _recommend(disks12, 2, out, "--prom", str(out / "metrics.prom"),
                    "--events", str(out / "events.jsonl"),
-                   "--trace", str(out / "trace.json"),
                    "--otlp", str(out / "otlp.json"))
     return out
 
@@ -100,10 +100,23 @@ class TestPrometheusDump:
         assert one["repro_costmodel_full_evaluations_total"] == [({}, 1.0)]
 
 
-def _trace_names(node: dict):
-    yield node["name"]
-    for child in node.get("children", ()):
-        yield from _trace_names(child)
+def _otlp_spans(run: Path) -> list[dict]:
+    otlp = json.loads((run / "otlp.json").read_text())
+    return otlp["resourceSpans"][0]["scopeSpans"][0]["spans"]
+
+
+def _walk(span):
+    yield span
+    for child in span.children:
+        yield from _walk(child)
+
+
+def _subtree_names(spans: list[dict], span_id: str):
+    """Names of the OTLP spans below ``span_id``, in pre-order."""
+    for span in spans:
+        if span.get("parentSpanId") == span_id:
+            yield span["name"]
+            yield from _subtree_names(spans, span["spanId"])
 
 
 class TestOneChannel:
@@ -113,13 +126,10 @@ class TestOneChannel:
         assert validate_events(events) == []
         phases = Counter(event["data"]["phase"] for event in events
                          if event["type"] == "phase-end")
-        [root] = json.loads(
-            (pooled_run / "trace.json").read_text())["spans"]
-        traced = Counter(_trace_names(root))
-        otlp = json.loads((pooled_run / "otlp.json").read_text())
-        exported = Counter(
-            span["name"] for span
-            in otlp["resourceSpans"][0]["scopeSpans"][0]["spans"])
+        [root] = spans_from_events(events, "parent")
+        traced = Counter(span.name for span in _walk(root))
+        exported = Counter(span["name"]
+                           for span in _otlp_spans(pooled_run))
         groups = Counter(f"portfolio/trajectory-{i}"
                          for i in range(_TRAJECTORIES))
         assert traced == exported
@@ -127,11 +137,13 @@ class TestOneChannel:
 
     def test_worker_spans_sit_under_their_trajectory(self, pooled_run):
         events = read_events(pooled_run / "events.jsonl")
-        [root] = json.loads(
-            (pooled_run / "trace.json").read_text())["spans"]
-        [portfolio] = [child for child in root["children"]
-                       if child["name"] == "portfolio"]
-        groups = portfolio["children"]
+        spans = _otlp_spans(pooled_run)
+        [root] = [span for span in spans if "parentSpanId" not in span]
+        [portfolio] = [span for span in spans
+                       if span["name"] == "portfolio"
+                       and span["parentSpanId"] == root["spanId"]]
+        groups = [span for span in spans
+                  if span.get("parentSpanId") == portfolio["spanId"]]
         assert [group["name"] for group in groups] == [
             f"portfolio/trajectory-{i}" for i in range(_TRAJECTORIES)]
         for index, group in enumerate(groups):
@@ -139,8 +151,7 @@ class TestOneChannel:
                 event["data"]["phase"] for event in events
                 if event["type"] == "phase-end"
                 and event["source"] == f"trajectory-{index}")
-            nested = Counter(name for child in group["children"]
-                             for name in _trace_names(child))
+            nested = Counter(_subtree_names(spans, group["spanId"]))
             assert nested == worker_phases
 
 
