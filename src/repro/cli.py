@@ -152,9 +152,8 @@ from repro.obs import (
     read_events,
     render_timeline,
     validate_events,
-    write_otlp,
-    write_prometheus,
 )
+from repro.obs.export import write_otlp, write_prometheus
 from repro.resilience import FaultPlan, RetryPolicy
 from repro.optimizer.explain import explain
 from repro.simulator.measure import WorkloadSimulator

@@ -5,8 +5,10 @@ recorder (an append-only JSONL event timeline), spans (each a
 ``phase-start``/``phase-end`` event pair, read back as a tree of
 :class:`Span` nodes) and metrics (:class:`MetricsRegistry`
 aggregates).  Exporters cover Prometheus text exposition and
-OTLP-style JSON spans.  Every instrumented entry point in the library
-accepts one optional ``telemetry=`` argument; passing nothing selects
+OTLP-style JSON spans; import them from :mod:`repro.obs.export`, which
+this package leaves unloaded so ``python -m repro.obs.export`` runs
+clean.  Every instrumented entry point in the library accepts one
+optional ``telemetry=`` argument; passing nothing selects
 :data:`NULL_TELEMETRY`, the one shared no-op, which keeps untouched
 callers bit-identical in behavior and essentially free in cost.
 
@@ -22,13 +24,6 @@ from repro.obs.events import (
     read_events,
     render_timeline,
     validate_events,
-)
-from repro.obs.export import (
-    parse_prometheus,
-    to_otlp,
-    to_prometheus,
-    write_otlp,
-    write_prometheus,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.names import METRIC_CATALOG
@@ -47,12 +42,7 @@ __all__ = [
     "Span",
     "Telemetry",
     "canonical_lines",
-    "parse_prometheus",
     "read_events",
     "render_timeline",
-    "to_otlp",
-    "to_prometheus",
     "validate_events",
-    "write_otlp",
-    "write_prometheus",
 ]

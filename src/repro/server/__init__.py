@@ -10,9 +10,10 @@ workload fingerprint so repeat submissions are O(1).
 Layering (each module usable and testable on its own):
 
 * :mod:`repro.server.fingerprint` — content-addressed cache keys;
-* :mod:`repro.server.cache` — single-flight LRU;
 * :mod:`repro.server.jobs` — bounded queue + worker threads;
-* :mod:`repro.server.api` — the transport-free service core;
+* :mod:`repro.server.api` — the transport-free service core: it
+  answers a cached fingerprint at submit, attaches an identical job
+  in flight to its leader, and keeps clean results in an LRU;
 * :mod:`repro.server.app` — the stdlib HTTP adapter.
 
 See ``docs/server.md`` for the API reference and operations guide.
@@ -20,14 +21,12 @@ See ``docs/server.md`` for the API reference and operations guide.
 
 from repro.server.api import AdvisorService, Tenant
 from repro.server.app import AdvisorHTTPServer, make_server, run
-from repro.server.cache import FingerprintCache
 from repro.server.fingerprint import catalog_fingerprint, job_fingerprint
 from repro.server.jobs import Job, JobQueue
 
 __all__ = [
     "AdvisorHTTPServer",
     "AdvisorService",
-    "FingerprintCache",
     "Job",
     "JobQueue",
     "Tenant",

@@ -34,9 +34,9 @@ A job request names an uploaded workload and rides the advisor's
 "method": "greedy", "k": 2, "jobs": 4, "portfolio": 4,
 "deadline": 30, "retries": 2, "movement_budget": 0.25,
 "faults": "spec"}``.  ``null`` means absent, and a malformed value is
-a 400 at submit, as is a ``portfolio`` above :data:`MAX_JOB_TRAJECTORIES`
-or ``retries`` above :data:`MAX_JOB_RETRIES`: one job may not hold a
-worker for hours.  SLO mapping onto the resilience layer
+a 400 at submit, as is a ``portfolio`` above :data:`MAX_JOB_TRAJECTORIES`,
+``retries`` above :data:`MAX_JOB_RETRIES` or a ``delay`` fault: one job
+may not hold a worker for hours.  SLO mapping onto the resilience layer
 (``docs/resilience.md``): ``deadline`` becomes a
 :class:`repro.resilience.Deadline` for the job, ``retries`` the extra
 attempts of a :class:`~repro.resilience.RetryPolicy`, and a degraded
@@ -45,16 +45,24 @@ partial answers beat no answers, exactly as in the library API.
 
 Concurrency model: worker threads run searches; one re-entrant lock
 serializes *all* mutable service state — tenant tables, job records,
-and crucially every telemetry event and metric write (the flight
-recorder assigns ``seq`` by append position, so unserialized emission
-from worker threads would corrupt the timeline's total order).
-Searches themselves run outside the lock.
+the result cache, the jobs in flight, and crucially every telemetry
+event and metric write (the flight recorder assigns ``seq`` by append
+position, so unserialized emission from worker threads would corrupt
+the timeline's total order).  Searches themselves run outside the
+lock.  Identical jobs are deduplicated once, at admission, under that
+lock: a cached fingerprint is answered at once (200), a fingerprint
+already queued or running gets a *follower* that rides on that
+*leader* job (202, no queue slot, no worker), and anything else is
+queued.  Every way a job ends goes through one method,
+``AdvisorService._finish``: a hit at submit, a leader's result or
+error and its followers, and a non-draining close.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import replace
 from typing import Any
 
@@ -70,17 +78,22 @@ from repro.catalog.io import (
 from repro.core.advisor import METHODS as SEARCH_METHODS
 from repro.core.advisor import LayoutAdvisor, SearchOptions
 from repro.errors import (
+    AnalysisError,
     BadRequest,
+    CatalogError,
+    LayoutError,
+    PlanningError,
     QueueFull,
     ReproError,
     ServerError,
+    SqlSyntaxError,
     UnknownResource,
+    WorkloadError,
 )
 from repro.obs.events import new_run_id
 from repro.obs.export import to_prometheus
 from repro.obs.telemetry import Telemetry
 from repro.resilience import Deadline, FaultPlan
-from repro.server.cache import FingerprintCache
 from repro.server.fingerprint import catalog_fingerprint, job_fingerprint
 from repro.server.jobs import DONE, FAILED, RUNNING, Job, JobQueue
 from repro.workload.workload import Workload
@@ -96,6 +109,10 @@ MAX_JOB_TRAJECTORIES = 64
 #: Most extra attempts one job may grant a failed trajectory (each
 #: retry may first back off for up to ``RetryPolicy.max_delay_s``).
 MAX_JOB_RETRIES = 8
+
+#: Errors that blame a job's own inputs: its result is a 400, not a 500.
+INPUT_ERRORS = (PlanningError, SqlSyntaxError, CatalogError,
+                WorkloadError, LayoutError, AnalysisError)
 
 _JSON = {"Content-Type": "application/json"}
 _TEXT = {"Content-Type": "text/plain; version=0.0.4; charset=utf-8"}
@@ -144,7 +161,8 @@ class AdvisorService:
     Args:
         workers: Search worker threads.
         max_queue: Bounded queue depth; beyond it submissions get 429.
-        max_cache: Fingerprint-cache capacity (recommendations).
+        max_cache: Fingerprint-cache capacity (recommendations); 0
+            keeps none but still deduplicates jobs in flight.
         telemetry: The service's :class:`~repro.obs.Telemetry` (its
             ``server-*`` events and strict ``server.*`` metrics); a
             fresh ``Telemetry(source="server", strict=True)`` by
@@ -159,7 +177,11 @@ class AdvisorService:
             else Telemetry(source="server", strict=True)
         self._tenants: dict[str, Tenant] = {}
         self._jobs: dict[str, Job] = {}
-        self.cache = FingerprintCache(capacity=max_cache)
+        #: Clean results by fingerprint, least recently used first.
+        self._cache: OrderedDict[str, dict[str, Any]] = OrderedDict()
+        self._max_cache = max_cache
+        #: ``[leader, *followers]`` of each fingerprint queued or running.
+        self._flights: dict[str, list[Job]] = {}
         self.queue = JobQueue(runner=self._run_job, workers=workers,
                               max_queue=max_queue,
                               cancelled=self._cancel_job)
@@ -274,6 +296,8 @@ class AdvisorService:
             for job in self._jobs.values():
                 jobs_by_status[job.status] = \
                     jobs_by_status.get(job.status, 0) + 1
+            hits = int(self.telemetry.value("server.cache_hits"))
+            misses = int(self.telemetry.value("server.cache_misses"))
             return {
                 "tenants": len(self._tenants),
                 "jobs": {status: jobs_by_status[status]
@@ -281,11 +305,12 @@ class AdvisorService:
                 "queue": {"depth": self.queue.depth(),
                           "max": self.queue.max_queue,
                           "workers": self.queue.workers},
-                "cache": {"entries": len(self.cache),
-                          "capacity": self.cache.capacity,
-                          "hits": self.cache.hits,
-                          "misses": self.cache.misses,
-                          "hit_ratio": round(self.cache.hit_ratio, 4)},
+                "cache": {"entries": len(self._cache),
+                          "capacity": self._max_cache,
+                          "hits": hits,
+                          "misses": misses,
+                          "hit_ratio": round(hits / (hits + misses), 4)
+                          if hits + misses else 0.0},
             }
 
     # -- tenant resources --------------------------------------------------
@@ -444,8 +469,8 @@ class AdvisorService:
         if sub == "result":
             with self._lock:
                 if job.status == FAILED:
-                    return 500, {"job": job.describe(),
-                                 "error": job.error}, _JSON
+                    return 400 if job.bad_input else 500, {
+                        "job": job.describe(), "error": job.error}, _JSON
                 if job.status != DONE or job.payload is None:
                     return 409, {"job": job.describe(),
                                  "error": "result not ready"}, _JSON
@@ -498,43 +523,32 @@ class AdvisorService:
         job = Job(job_id=new_run_id(), tenant=name,
                   workload=workload_name, method=options.method,
                   fingerprint=fingerprint, options=options)
-
-        payload, present = self.cache.get(fingerprint)
-        if present:
-            # O(1) fast path: complete synchronously, skip the queue.
-            job.submitted_at = time.monotonic()
-            job.started_at = job.submitted_at
-            job.finished_at = time.monotonic()
-            job.status = DONE
-            job.cache = "hit"
-            job.payload = payload
-            job.degraded = bool(
-                payload.get("search", {}).get("degraded", False))
-            with self._lock:
-                self._jobs[job.job_id] = job
-                self.telemetry.inc("server.jobs_submitted")
-                self.telemetry.inc("server.cache_hits")
-                self.telemetry.inc("server.jobs_completed")
-                self.telemetry.observe("server.job_latency_s",
-                                       job.latency_s or 0.0)
-                self.telemetry.emit("server-cache-hit",
-                                    job_id=job.job_id,
-                                    fingerprint=fingerprint)
-            return 200, job.describe(), _JSON
-
-        try:
-            self.queue.submit(job)
-        except QueueFull as exc:
-            with self._lock:
-                self.telemetry.inc("server.jobs_rejected")
-                self.telemetry.emit("server-job-rejected", tenant=name,
-                                    depth=self.queue.depth(),
-                                    retry_after_s=exc.retry_after_s)
-            raise
         with self._lock:
+            job.submitted_at = time.monotonic()
+            payload = self._cache.get(fingerprint)
+            flight = self._flights.get(fingerprint)
+            if payload is None and flight is None:
+                try:
+                    self.queue.submit(job)
+                except QueueFull as exc:
+                    self.telemetry.inc("server.jobs_rejected")
+                    self.telemetry.emit("server-job-rejected",
+                                        tenant=name,
+                                        depth=self.queue.depth(),
+                                        retry_after_s=exc.retry_after_s)
+                    raise
+                flight = self._flights[fingerprint] = []
             self._jobs[job.job_id] = job
-            depth = self.queue.depth()
             self.telemetry.inc("server.jobs_submitted")
+            if payload is not None:
+                # O(1) fast path: complete synchronously, skip the queue.
+                self._cache.move_to_end(fingerprint)
+                job.started_at = job.submitted_at
+                self._finish(job, "hit", payload, at_submit=True)
+                return 200, job.describe(), _JSON
+            # A new leader, or a follower of the identical job in flight.
+            flight.append(job)
+            depth = self.queue.depth()
             self.telemetry.set_gauge("server.queue_depth", depth)
             self.telemetry.emit("server-job-queued", job_id=job.job_id,
                                 tenant=name, method=job.method,
@@ -572,6 +586,11 @@ class AdvisorService:
                              f"{MAX_JOB_TRAJECTORIES} trajectories")
         if options.retries > MAX_JOB_RETRIES:
             raise BadRequest(f"retries must be at most {MAX_JOB_RETRIES}")
+        if options.faults is not None \
+                and options.faults.delay_trajectory is not None:
+            # No deadline interrupts the sleep; operators who need a
+            # delay set REPRO_FAULTS on the daemon.
+            raise BadRequest("a job's faults may not delay a trajectory")
         return options
 
     # -- job execution (worker threads) ------------------------------------
@@ -584,42 +603,13 @@ class AdvisorService:
             self.telemetry.set_gauge("server.queue_depth",
                                      self.queue.depth())
             self.telemetry.emit("server-job-started", job_id=job.job_id)
+        payload = error = None
         try:
-            payload, verdict = self.cache.get_or_compute(
-                job.fingerprint, lambda: self._compute(job),
-                cacheable=lambda result: not result.get(
-                    "search", {}).get("degraded", False))
+            payload = self._compute(job)
         except Exception as exc:  # noqa: BLE001 - job boundary
-            with self._lock:
-                job.finished_at = time.monotonic()
-                job.status = FAILED
-                job.error = f"{type(exc).__name__}: {exc}"
-                self.telemetry.inc("server.jobs_failed")
-                self.telemetry.emit("server-job-finished",
-                                    job_id=job.job_id, status=FAILED,
-                                    degraded=False, cache="miss")
-            return
+            error = exc
         with self._lock:
-            job.finished_at = time.monotonic()
-            job.status = DONE
-            job.cache = verdict
-            job.payload = payload
-            job.degraded = bool(
-                payload.get("search", {}).get("degraded", False))
-            self.telemetry.inc("server.jobs_completed")
-            if verdict == "miss":
-                self.telemetry.inc("server.cache_misses")
-            else:
-                self.telemetry.inc("server.cache_hits")
-            if job.degraded:
-                self.telemetry.inc("server.jobs_degraded")
-            self.telemetry.observe("server.job_latency_s",
-                                   job.latency_s or 0.0)
-            self.telemetry.set_gauge("server.cache_entries",
-                                     len(self.cache))
-            self.telemetry.emit("server-job-finished", job_id=job.job_id,
-                                status=DONE, degraded=job.degraded,
-                                cache=verdict)
+            self._settle(job, payload, error)
 
     def _compute(self, job: Job) -> dict[str, Any]:
         """Run the actual advisor search for a cache miss."""
@@ -651,13 +641,71 @@ class AdvisorService:
 
     def _cancel_job(self, job: Job) -> None:
         with self._lock:
-            job.finished_at = time.monotonic()
+            self._settle(job, error="service shut down before the job "
+                                    "started")
+
+    def _settle(self, leader: Job, payload: dict[str, Any] | None = None,
+                error: Exception | str | None = None) -> None:
+        """Finish ``leader`` and its followers; keep a clean result.
+
+        A degraded result reaches the followers but is not kept, and
+        neither is an error: the next identical job computes afresh.
+        Callers hold the lock.
+        """
+        jobs = self._flights.pop(leader.fingerprint)
+        if error is None and not _degraded(payload):
+            self._cache[leader.fingerprint] = payload
+            while len(self._cache) > self._max_cache:
+                self._cache.popitem(last=False)
+        for job in jobs:
+            self._finish(job, "miss" if job is leader else "hit",
+                         payload, error)
+
+    def _finish(self, job: Job, cache: str,
+                payload: dict[str, Any] | None = None,
+                error: Exception | str | None = None,
+                at_submit: bool = False) -> None:
+        """Close ``job``: its record, its ``server.*`` counters and its
+        last event.  Callers hold the lock.
+
+        ``cache`` is ``"miss"`` for the job that ran the search and
+        ``"hit"`` for one answered by another's.  ``error`` is what
+        failed the job: the exception its leader's search raised, or
+        why it never ran.  A job answered ``at_submit`` closes with
+        ``server-cache-hit`` rather than ``server-job-finished``.
+        """
+        job.finished_at = time.monotonic()
+        if error is None:
+            job.status, job.cache, job.payload = DONE, cache, payload
+            job.degraded = _degraded(payload)
+            self.telemetry.inc("server.jobs_completed")
+            if cache == "hit":
+                self.telemetry.inc("server.cache_hits")
+            else:
+                self.telemetry.inc("server.cache_misses")
+            if job.degraded:
+                self.telemetry.inc("server.jobs_degraded")
+            self.telemetry.observe("server.job_latency_s", job.latency_s)
+            self.telemetry.set_gauge("server.cache_entries",
+                                     len(self._cache))
+        else:
             job.status = FAILED
-            job.error = "service shut down before the job started"
+            job.error = error if isinstance(error, str) \
+                else f"{type(error).__name__}: {error}"
+            job.bad_input = isinstance(error, INPUT_ERRORS)
             self.telemetry.inc("server.jobs_failed")
+        if at_submit:
+            self.telemetry.emit("server-cache-hit", job_id=job.job_id,
+                                fingerprint=job.fingerprint)
+        else:
             self.telemetry.emit("server-job-finished", job_id=job.job_id,
-                                status=FAILED, degraded=False,
-                                cache="miss")
+                                status=job.status, degraded=job.degraded,
+                                cache=cache)
+
+
+def _degraded(payload: dict[str, Any]) -> bool:
+    """Whether a recommendation payload is a degraded (partial) one."""
+    return bool(payload.get("search", {}).get("degraded", False))
 
 
 def _parse(kind: str, parser, payload: Any) -> Any:

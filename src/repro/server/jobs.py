@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import queue
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -45,9 +44,10 @@ class Job:
     """One recommendation job's full record.
 
     Timestamps are :func:`time.monotonic` readings (durations only —
-    never serialized as wall-clock dates).  ``result`` holds the
-    :class:`repro.core.advisor.Recommendation` once DONE; ``payload``
-    holds its JSON-ready form so repeat fetches never re-serialize.
+    never serialized as wall-clock dates).  ``payload`` holds the
+    JSON-ready recommendation once DONE, so repeat fetches never
+    re-serialize; ``bad_input`` marks a FAILED job whose own inputs
+    were at fault.
     """
 
     job_id: str
@@ -61,7 +61,7 @@ class Job:
     cache: str | None = None
     degraded: bool = False
     error: str | None = None
-    result: Any = None
+    bad_input: bool = False
     payload: dict[str, Any] | None = None
     submitted_at: float = 0.0
     started_at: float | None = None
@@ -143,7 +143,6 @@ class JobQueue:
         """Admit ``job`` or raise :class:`QueueFull` immediately."""
         if self._closing.is_set():
             raise QueueFull("service is shutting down", retry_after_s=5)
-        job.submitted_at = time.monotonic()
         try:
             self._queue.put_nowait(job)
         except queue.Full:
@@ -167,8 +166,7 @@ class JobQueue:
             finally:
                 self._queue.task_done()
 
-    def close(self, drain: bool = True, timeout: float | None = None,
-              ) -> None:
+    def close(self, drain: bool = True) -> None:
         """Stop intake, optionally finish queued work, join workers.
 
         Idempotent.  With ``drain=False`` every job still waiting is
@@ -190,4 +188,4 @@ class JobQueue:
         for _ in self._threads:
             self._queue.put(None)
         for thread in self._threads:
-            thread.join(timeout=timeout)
+            thread.join()

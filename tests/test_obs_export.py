@@ -3,19 +3,23 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.obs import (
-    MetricsRegistry,
-    Telemetry,
+from repro.obs import MetricsRegistry, Telemetry
+from repro.obs.export import (
+    main as export_main,
     parse_prometheus,
+    self_test,
     to_otlp,
     to_prometheus,
     write_otlp,
     write_prometheus,
 )
-from repro.obs.export import main as export_main, self_test
 
 
 def _registry():
@@ -81,6 +85,20 @@ class TestPrometheus:
     def test_module_main_self_test(self, capsys):
         assert export_main(["--self-test"]) == 0
         assert "self-test ok" in capsys.readouterr().out
+
+    def test_module_runs_without_a_runtime_warning(self):
+        # Were the package to import the module, ``-m`` would run it a
+        # second time as __main__ and runpy would warn about it.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, (
+            src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.obs.export", "--self-test"],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "self-test ok" in proc.stdout
 
     def test_module_main_check_file(self, tmp_path, capsys):
         good = tmp_path / "good.prom"

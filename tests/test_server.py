@@ -1,13 +1,13 @@
 """Tests for the advisor service (repro.server).
 
-Covers the four layers separately and end to end:
+Covers the layers separately and end to end:
 
 * fingerprints — content-addressed, order-independent, SLO-blind;
-* the single-flight LRU cache — one compute per key under concurrency,
-  failure propagation, selective admission;
 * the bounded job queue — deterministic 429, drain vs abandon;
-* the service core via ``handle()`` (no socket), then the real HTTP
-  transport on an ephemeral port.
+* the service core via ``handle()`` (no socket), its deduplication at
+  admission and its result cache included — one search per
+  fingerprint in flight, failure propagation, selective admission,
+  LRU eviction — then the real HTTP transport on an ephemeral port.
 
 The HTTP tests ride in the chaos CI job under ``-W
 error::ResourceWarning``: shutdown must close every socket and drain
@@ -16,9 +16,11 @@ every worker, the same contract as the parallel engine it wraps.
 
 from __future__ import annotations
 
+import collections
 import http.client
 import json
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -37,12 +39,18 @@ from repro.catalog.io import (
 from repro.cli import main
 from repro.core.advisor import SearchOptions
 from repro.core.fullstripe import full_striping
-from repro.errors import BadRequest, QueueFull
+from repro.errors import (
+    BadRequest,
+    LayoutError,
+    PlanningError,
+    QueueFull,
+    SearchTimeout,
+    WorkerCrash,
+)
 from repro.obs.events import validate_events
 from repro.resilience import FaultPlan
 from repro.server import (
     AdvisorService,
-    FingerprintCache,
     Job,
     JobQueue,
     catalog_fingerprint,
@@ -136,117 +144,6 @@ class TestFingerprints:
 
 
 # ---------------------------------------------------------------------------
-# single-flight LRU cache
-
-
-class TestFingerprintCache:
-    def test_miss_then_hit(self):
-        cache = FingerprintCache(capacity=4)
-        value, verdict = cache.get_or_compute("a", lambda: 1)
-        assert (value, verdict) == (1, "miss")
-        value, verdict = cache.get_or_compute("a", lambda: 2)
-        assert (value, verdict) == (1, "hit")
-        assert cache.hits == 1 and cache.misses == 1
-        assert cache.hit_ratio == pytest.approx(0.5)
-
-    def test_lru_eviction_order(self):
-        cache = FingerprintCache(capacity=2)
-        cache.get_or_compute("a", lambda: "A")
-        cache.get_or_compute("b", lambda: "B")
-        cache.get("a")  # refresh: now b is least recent
-        cache.get_or_compute("c", lambda: "C")
-        assert cache.peek("a") == ("A", True)
-        assert cache.peek("b") == (None, False)
-        assert cache.peek("c") == ("C", True)
-
-    def test_zero_capacity_always_computes(self):
-        cache = FingerprintCache(capacity=0)
-        calls = []
-        cache.get_or_compute("a", lambda: calls.append(1))
-        cache.get_or_compute("a", lambda: calls.append(1))
-        assert len(calls) == 2 and len(cache) == 0
-
-    def test_single_flight_computes_once(self):
-        """N concurrent identical requests cost exactly one compute."""
-        cache = FingerprintCache(capacity=4)
-        gate = threading.Event()
-        calls = []
-
-        def compute():
-            calls.append(1)
-            gate.wait(5.0)
-            return "value"
-
-        results = []
-        threads = [threading.Thread(
-            target=lambda: results.append(
-                cache.get_or_compute("k", compute)))
-            for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        # Give every follower time to park on the leader's event.
-        time.sleep(0.05)
-        gate.set()
-        for thread in threads:
-            thread.join(timeout=10.0)
-        assert len(calls) == 1
-        assert len(results) == 8
-        assert all(value == "value" for value, _ in results)
-        verdicts = sorted(verdict for _, verdict in results)
-        assert verdicts.count("miss") == 1
-        assert verdicts.count("hit") == 7
-
-    def test_leader_failure_propagates_and_clears(self):
-        cache = FingerprintCache(capacity=4)
-        gate = threading.Event()
-        errors = []
-
-        def explode():
-            gate.wait(5.0)
-            raise RuntimeError("search blew up")
-
-        def follower():
-            try:
-                cache.get_or_compute("k", explode)
-            except RuntimeError as exc:
-                errors.append(str(exc))
-
-        threads = [threading.Thread(target=follower)
-                   for _ in range(3)]
-        for thread in threads:
-            thread.start()
-        time.sleep(0.05)
-        gate.set()
-        for thread in threads:
-            thread.join(timeout=10.0)
-        assert errors == ["search blew up"] * 3
-        # The failure was not cached: the next call computes fresh.
-        assert cache.get_or_compute("k", lambda: "ok") == ("ok", "miss")
-
-    def test_uncacheable_value_is_returned_but_not_stored(self):
-        cache = FingerprintCache(capacity=4)
-        value, verdict = cache.get_or_compute(
-            "k", lambda: {"degraded": True},
-            cacheable=lambda v: not v["degraded"])
-        assert verdict == "miss" and value["degraded"]
-        assert cache.peek("k") == (None, False)
-        # A later clean result for the same key is admitted.
-        cache.get_or_compute("k", lambda: {"degraded": False},
-                             cacheable=lambda v: not v["degraded"])
-        assert cache.peek("k") == ({"degraded": False}, True)
-
-    def test_get_counts_hits_but_peek_does_not(self):
-        cache = FingerprintCache(capacity=4)
-        cache.get_or_compute("a", lambda: 1)
-        cache.peek("a")
-        assert cache.hits == 0
-        assert cache.get("a") == (1, True)
-        assert cache.hits == 1
-        assert cache.get("zzz") == (None, False)
-        assert cache.misses == 1  # only the compute counted a miss
-
-
-# ---------------------------------------------------------------------------
 # job queue
 
 
@@ -328,24 +225,60 @@ class TestJobQueue:
 # service core (no socket)
 
 
-@pytest.fixture
-def service(mini_db, farm4):
-    """A ready single-tenant service over the shared mini catalog."""
-    svc = AdvisorService(workers=2, max_queue=4, max_cache=8)
+def ready_service(db, farm, **kwargs):
+    """A single-tenant service with ``db``, ``farm`` and workload ``w``
+    uploaded; ``kwargs`` go to :class:`AdvisorService`."""
+    svc = AdvisorService(**kwargs)
     status, _, _ = svc.handle("POST", "/v1/tenants", {"tenant": "t"})
     assert status == 201
     status, _, _ = svc.handle("PUT", "/v1/tenants/t/database",
-                              database_to_dict(mini_db))
+                              database_to_dict(db))
     assert status == 200
     status, _, _ = svc.handle("PUT", "/v1/tenants/t/disks",
-                              farm_to_dict(farm4))
+                              farm_to_dict(farm))
     assert status == 200
     status, body, _ = svc.handle(
         "PUT", "/v1/tenants/t/workloads/w",
         {"statements": [JOIN_SQL, {"sql": SCAN_SQL, "weight": 2.0}]})
     assert status == 200 and body["statements"] == 2
+    return svc
+
+
+@pytest.fixture
+def service(mini_db, farm4):
+    """A ready single-tenant service over the shared mini catalog."""
+    svc = ready_service(mini_db, farm4, workers=2, max_queue=4,
+                        max_cache=8)
     yield svc
     svc.close()
+
+
+def submit(service, **body):
+    """POST a job for workload ``w`` (overridable) and return
+    ``(status, job record)``."""
+    status, job, _ = service.handle("POST", "/v1/tenants/t/jobs",
+                                    {"workload": "w", **body})
+    return status, job
+
+
+def held_search(payload=None, error=None):
+    """A stand-in for ``AdvisorService._compute`` that parks each call
+    until ``release`` is set, then returns ``payload`` or raises
+    ``error``.  ``started`` is set by the first call; ``calls`` counts
+    them."""
+    release, started, calls = threading.Event(), threading.Event(), []
+
+    def compute(job):
+        calls.append(job.fingerprint)
+        started.set()
+        release.wait(10.0)
+        if error is not None:
+            raise error
+        return payload or {"search": {"degraded": False}}
+
+    compute.release, compute.started, compute.calls = \
+        release, started, calls
+    return compute
 
 
 class TestServiceRouting:
@@ -541,7 +474,8 @@ class TestServiceJobs:
         assert status == 200 and result["degraded"] is True
         assert result["recommendation"]["layout"]
         # Degraded results are never admitted to the cache.
-        assert service.cache.peek(job["fingerprint"]) == (None, False)
+        assert service.handle("GET", "/v1/stats")[1]["cache"]["entries"] \
+            == 0
         status, again, _ = service.handle(
             "POST", "/v1/tenants/t/jobs",
             {"workload": "w", "method": "portfolio", "jobs": 2,
@@ -573,6 +507,17 @@ class TestServiceJobs:
         assert status == 400, (bad, body)
         assert body["error"]
         # Rejected before the queue: no job record exists.
+        assert service.handle("GET", "/v1/jobs")[1]["jobs"] == []
+
+    def test_delay_fault_is_400_at_submit(self, service, monkeypatch):
+        # No deadline interrupts the injected sleep, so the job would
+        # hold a worker for about 28 hours; the stub keeps a regression
+        # from hanging the suite.
+        monkeypatch.setattr(service, "_compute",
+                            lambda job: {"search": {"degraded": False}})
+        status, body = submit(service, method="portfolio",
+                              faults="delay=0:100000")
+        assert status == 400 and "delay" in body["error"]
         assert service.handle("GET", "/v1/jobs")[1]["jobs"] == []
 
     def test_job_work_bounds_are_inclusive(self, service):
@@ -715,8 +660,8 @@ class TestServiceJobs:
         status, stats, _ = service.handle("GET", "/v1/stats")
         assert status == 200
         assert stats["jobs"]["done"] == 2
-        assert stats["cache"]["entries"] == 1
-        assert stats["cache"]["hits"] >= 1
+        assert stats["cache"] == {"entries": 1, "capacity": 8, "hits": 1,
+                                  "misses": 1, "hit_ratio": 0.5}
         status, text, headers = service.handle("GET", "/metrics")
         assert status == 200
         assert headers["Content-Type"].startswith("text/plain")
@@ -764,6 +709,276 @@ class TestServiceJobs:
         assert events[-1]["data"]["jobs_completed"] == 3
         assert validate_events(events) == []
         svc.close()  # idempotent
+
+
+class TestFingerprintCache:
+    """The service's fingerprint-keyed result cache, seen through job
+    verdicts, results and the ``/v1/stats`` tallies."""
+
+    def test_miss_then_hit(self, service, monkeypatch):
+        calls = []
+
+        def compute(job):
+            calls.append(job.fingerprint)
+            return {"search": {"degraded": False}, "value": len(calls)}
+
+        monkeypatch.setattr(service, "_compute", compute)
+        status, first = submit(service)
+        assert status == 202
+        assert poll(service, first["job_id"])["cache"] == "miss"
+        status, repeat = submit(service)
+        assert status == 200 and repeat["cache"] == "hit"
+        _, result, _ = service.handle(
+            "GET", f"/v1/jobs/{repeat['job_id']}/result")
+        assert result["recommendation"]["value"] == 1
+        assert len(calls) == 1
+        cache = service.handle("GET", "/v1/stats")[1]["cache"]
+        assert cache["hits"] == 1 and cache["misses"] == 1
+        assert cache["hit_ratio"] == pytest.approx(0.5)
+
+
+class TestServiceDedup:
+    """Identical jobs are deduplicated once, at admission: a cached
+    fingerprint is a 200, a fingerprint in flight attaches to its
+    leader, anything else is queued."""
+
+    def test_follower_takes_no_queue_slot_or_worker(self, service,
+                                                    monkeypatch):
+        held = held_search()  # only the k=1 search is held
+        monkeypatch.setattr(
+            service, "_compute",
+            lambda job: held(job) if job.options.k == 1
+            else {"search": {"degraded": False}})
+        try:
+            status, leader = submit(service)
+            assert status == 202
+            assert held.started.wait(5.0)
+            status, follower = submit(service)
+            assert status == 202 and follower["status"] == "queued"
+            assert follower["fingerprint"] == leader["fingerprint"]
+            assert service.queue.depth() == 0
+            # The second worker is free: a distinct job runs and
+            # finishes while the leader is still held.
+            status, distinct = submit(service, k=2)
+            assert status == 202
+            assert poll(service, distinct["job_id"],
+                        timeout_s=5.0)["status"] == "done"
+            _, record, _ = service.handle(
+                "GET", f"/v1/jobs/{leader['job_id']}")
+            assert record["status"] == "running"
+        finally:
+            held.release.set()
+        assert poll(service, leader["job_id"])["cache"] == "miss"
+        done = poll(service, follower["job_id"])
+        assert done["status"] == "done" and done["cache"] == "hit"
+        assert "wait_s" not in done and done["latency_s"] > 0
+        assert len(held.calls) == 1
+        _, body, _ = service.handle(
+            "GET", f"/v1/jobs/{follower['job_id']}/events")
+        assert [event["type"] for event in body["events"]] == [
+            "server-job-queued", "server-job-finished"]
+        status, result, _ = service.handle(
+            "GET", f"/v1/jobs/{follower['job_id']}/result")
+        assert status == 200 and result["job"]["cache"] == "hit"
+
+    def test_leader_error_fails_followers_and_is_not_kept(
+            self, service, monkeypatch):
+        compute = held_search(error=RuntimeError("search blew up"))
+        monkeypatch.setattr(service, "_compute", compute)
+        _, leader = submit(service)
+        assert compute.started.wait(5.0)
+        followers = [submit(service)[1] for _ in range(2)]
+        compute.release.set()
+        for job in (leader, *followers):
+            done = poll(service, job["job_id"])
+            assert done["status"] == "failed"
+            assert done["error"] == "RuntimeError: search blew up"
+            status, body, _ = service.handle(
+                "GET", f"/v1/jobs/{job['job_id']}/result")
+            assert status == 500 and body["error"] == done["error"]
+        assert len(compute.calls) == 1
+        # The failure was not kept: the next submission computes fresh.
+        monkeypatch.setattr(service, "_compute",
+                            lambda job: {"search": {"degraded": False}})
+        status, again = submit(service)
+        assert status == 202
+        assert poll(service, again["job_id"])["cache"] == "miss"
+
+    def test_degraded_result_reaches_followers_and_is_not_kept(
+            self, service, monkeypatch):
+        compute = held_search(payload={"search": {"degraded": True}})
+        monkeypatch.setattr(service, "_compute", compute)
+        _, leader = submit(service)
+        assert compute.started.wait(5.0)
+        _, follower = submit(service)
+        compute.release.set()
+        for job, cache in ((leader, "miss"), (follower, "hit")):
+            done = poll(service, job["job_id"])
+            assert done["status"] == "done" and done["degraded"]
+            assert done["cache"] == cache
+        assert service.telemetry.value("server.jobs_degraded") == 2
+        assert service.handle("GET", "/v1/stats")[1]["cache"]["entries"] \
+            == 0
+        # A later clean result for the same fingerprint is kept.
+        monkeypatch.setattr(service, "_compute",
+                            lambda job: {"search": {"degraded": False}})
+        status, again = submit(service)
+        assert status == 202
+        assert poll(service, again["job_id"])["cache"] == "miss"
+        assert submit(service)[0] == 200
+
+    def test_zero_capacity_still_deduplicates(self, mini_db, farm4,
+                                              monkeypatch):
+        svc = ready_service(mini_db, farm4, workers=2, max_queue=4,
+                            max_cache=0)
+        try:
+            compute = held_search()
+            monkeypatch.setattr(svc, "_compute", compute)
+            jobs = [submit(svc) for _ in range(3)]
+            assert [status for status, _ in jobs] == [202] * 3
+            compute.release.set()
+            caches = sorted(poll(svc, job["job_id"])["cache"]
+                            for _, job in jobs)
+            assert caches == ["hit", "hit", "miss"]
+            assert len(compute.calls) == 1
+            assert svc.handle("GET", "/v1/stats")[1]["cache"]["entries"] \
+                == 0
+            # Nothing was kept: a later identical job computes again.
+            status, again = submit(svc)
+            assert status == 202
+            poll(svc, again["job_id"])
+            assert len(compute.calls) == 2
+        finally:
+            svc.close()
+
+    def test_lru_evicts_least_recently_used(self, mini_db, farm4,
+                                            monkeypatch):
+        svc = ready_service(mini_db, farm4, workers=1, max_queue=4,
+                            max_cache=2)
+        try:
+            monkeypatch.setattr(svc, "_compute",
+                                lambda job: {"search": {"degraded": False}})
+            for k in (1, 2):
+                _, job = submit(svc, k=k)
+                poll(svc, job["job_id"])
+            assert submit(svc, k=1)[0] == 200  # refresh: now k=2 is LRU
+            _, job = submit(svc, k=3)
+            poll(svc, job["job_id"])
+            assert submit(svc, k=1)[0] == 200
+            assert submit(svc, k=3)[0] == 200
+            assert submit(svc, k=2)[0] == 202  # evicted
+            assert svc.handle("GET", "/v1/stats")[1]["cache"]["entries"] \
+                == 2
+        finally:
+            svc.close()
+
+    def test_mixed_concurrent_submissions_search_each_once(
+            self, mini_db, farm4, monkeypatch):
+        """More submitters and workers than cores, with a short switch
+        interval: every job ends done and each fingerprint is searched
+        exactly once, whether a job lands as leader, follower or hit."""
+        svc = ready_service(mini_db, farm4, workers=4, max_queue=64)
+        calls = collections.Counter()
+        lock = threading.Lock()
+
+        def compute(job):
+            with lock:
+                calls[job.fingerprint] += 1
+            time.sleep(0.01)
+            return {"search": {"degraded": False}}
+
+        monkeypatch.setattr(svc, "_compute", compute)
+        ids = []
+
+        def client(i):
+            for j in range(10):
+                status, job = submit(svc, k=1 + (i + j) % 3)
+                if status in (200, 202):
+                    with lock:
+                        ids.append(job["job_id"])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, args=(i,))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert len(ids) == 80
+            assert all(poll(svc, job_id)["status"] == "done"
+                       for job_id in ids)
+            assert sorted(calls.values()) == [1, 1, 1]
+            assert svc.telemetry.value("server.jobs_completed") == 80
+        finally:
+            svc.close()
+
+    def test_non_draining_close_fails_followers_too(self, mini_db, farm4,
+                                                    monkeypatch):
+        svc = ready_service(mini_db, farm4, workers=1, max_queue=4)
+        compute = held_search()
+        monkeypatch.setattr(svc, "_compute", compute)
+        _, running = submit(svc, k=1)
+        assert compute.started.wait(5.0)
+        _, leader = submit(svc, k=2)
+        _, follower = submit(svc, k=2)
+        closer = threading.Thread(target=svc.close,
+                                  kwargs={"drain": False})
+        closer.start()
+        try:
+            for job in (leader, follower):
+                done = poll(svc, job["job_id"], timeout_s=5.0)
+                assert done["status"] == "failed"
+                assert done["error"] == \
+                    "service shut down before the job started"
+        finally:
+            compute.release.set()
+            closer.join(timeout=10.0)
+        assert not closer.is_alive()
+        assert poll(svc, running["job_id"])["status"] == "done"
+        assert len(compute.calls) == 1
+        assert validate_events(svc.telemetry.events) == []
+
+
+class TestServiceFailures:
+    def test_job_failing_on_its_inputs_is_400(self, service):
+        # The SQL parses, so the upload succeeds; planning then fails.
+        status, _, _ = service.handle(
+            "PUT", "/v1/tenants/t/workloads/bad",
+            {"sql": "SELECT nope FROM nosuch;"})
+        assert status == 200
+        status, job = submit(service, workload="bad")
+        assert status == 202
+        done = poll(service, job["job_id"])
+        assert done["status"] == "failed"
+        assert done["error"].startswith("PlanningError: ")
+        status, body, _ = service.handle(
+            "GET", f"/v1/jobs/{job['job_id']}/result")
+        assert status == 400 and body["error"] == done["error"]
+
+    @pytest.mark.parametrize("error, code", [
+        (PlanningError("unknown table 'x'"), 400),
+        (LayoutError("objects do not fit"), 400),
+        (WorkerCrash("worker died"), 500),
+        (SearchTimeout("deadline expired"), 500),
+        (RuntimeError("bug"), 500),
+    ], ids=["planning", "layout", "worker-crash", "timeout", "bug"])
+    def test_result_status_blames_inputs_only(self, service, monkeypatch,
+                                              error, code):
+        def compute(job):
+            raise error
+
+        monkeypatch.setattr(service, "_compute", compute)
+        _, job = submit(service)
+        assert poll(service, job["job_id"])["status"] == "failed"
+        status, _, _ = service.handle(
+            "GET", f"/v1/jobs/{job['job_id']}/result")
+        assert status == code
 
 
 # ---------------------------------------------------------------------------
@@ -865,8 +1080,8 @@ class TestHTTPServer:
 
     def test_concurrent_http_clients(self, live):
         """Eight clients hammering the same submission: every request
-        succeeds and the service computes the search at most twice
-        (the cache single-flights the thundering herd)."""
+        succeeds (the first is a leader, the rest ride on it or hit
+        the cache)."""
         statuses = []
         lock = threading.Lock()
 

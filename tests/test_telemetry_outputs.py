@@ -19,7 +19,8 @@ import pytest
 from repro.catalog.io import save_farm
 from repro.cli import main
 from repro.core.tolerance import EPS_FRACTION
-from repro.obs import parse_prometheus, read_events, validate_events
+from repro.obs import read_events, validate_events
+from repro.obs.export import parse_prometheus
 from repro.obs.trace import spans_from_events
 from repro.storage.disk import winbench_farm
 
