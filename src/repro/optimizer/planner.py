@@ -6,7 +6,8 @@ classifies WHERE conjuncts, picks per-table access paths, runs a dynamic
 program over left-deep join orders with merge / hash / index-nested-loops
 alternatives (tracking interesting orders so sort-free merge joins are
 found), and finishes the plan with semi-joins for subqueries, aggregation,
-DISTINCT, ORDER BY and TOP.
+DISTINCT, ORDER BY and TOP.  Enumeration compares cost figures only;
+operator trees are built once, for the plan the planner returns.
 
 Planning costs are internal and *layout-insensitive* — just like the
 commercial optimizers the paper piggybacks on, which "ignore the current
@@ -16,7 +17,8 @@ database layout when determining a plan".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 from repro.catalog.schema import Database, Index, Table
 from repro.errors import PlanningError
@@ -61,19 +63,36 @@ SEMI_SEL_IN = 0.5
 _AGG_NAMES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 
 
-@dataclass
-class _Candidate:
-    """A partial plan considered during enumeration."""
+#: An output ordering: (binding, column) keys, or None when unordered.
+_Order = tuple[ops.OrderKey, ...] | None
 
-    plan: ops.PlanOp
+
+@dataclass(slots=True)
+class _Candidate:
+    """A partial plan considered during enumeration.
+
+    Enumeration compares cost figures only; ``tree`` is the recipe that
+    builds the candidate's operator tree, called once, for the plan the
+    planner returns.
+    """
+
     cost: float
     rows: float
     row_bytes: float
     bindings: frozenset[str]
+    order: _Order
+    tree: Callable[[], ops.PlanOp]
 
-    @property
-    def order(self) -> tuple[ops.OrderKey, ...] | None:
-        return self.plan.order
+
+@dataclass(frozen=True, slots=True)
+class _SemiJoin:
+    """A planned IN / EXISTS subquery, ready to semi-join any outer
+    candidate."""
+
+    inner: _Candidate
+    keys: tuple[ops.OrderKey, ops.OrderKey] | None
+    anti: bool
+    sel: float
 
 
 @dataclass(frozen=True)
@@ -142,7 +161,7 @@ class Planner:
     def plan(self, stmt: ast.Statement) -> ops.PlanOp:
         """Produce an execution plan for any supported statement kind."""
         if isinstance(stmt, ast.Select):
-            return self._plan_select(stmt, outer=None).plan
+            return self._plan_select(stmt, outer=None).tree()
         if isinstance(stmt, ast.Insert):
             return self._plan_insert(stmt)
         if isinstance(stmt, ast.Update):
@@ -181,28 +200,29 @@ class Planner:
         }
         join_cands = self._join_order(scope, base, classified.joins,
                                       needed)
+        semi_joins = [self._plan_subquery(conjunct, scope)
+                      for conjunct in classified.subqueries]
         # Finish every interesting-order candidate: a slightly costlier
         # join tree whose order feeds a merge semi-join or saves the
         # final sort can win overall.
         cand: _Candidate | None = None
         for joined in join_cands:
             finished = self._apply_residual(joined, classified.residual)
-            finished = self._apply_subqueries(
-                finished, classified.subqueries, scope)
+            for semi in semi_joins:
+                finished = self._semi_join(finished, semi)
             finished = self._apply_aggregation(finished, select, scope)
             finished = self._apply_order_and_top(finished, select, scope)
             if cand is None or finished.cost < cand.cost:
                 cand = finished
         assert cand is not None
         if scalar_subs:
-            sub_cands = [self._plan_select(s, outer=scope)
-                         for s in scalar_subs]
-            seq = ops.SequenceOp([c.plan for c in sub_cands] + [cand.plan])
-            cand = _Candidate(plan=seq,
-                              cost=cand.cost + sum(c.cost
-                                                   for c in sub_cands),
-                              rows=cand.rows, row_bytes=cand.row_bytes,
-                              bindings=cand.bindings)
+            subs = [self._plan_select(s, outer=scope) for s in scalar_subs]
+            main = cand
+            cand = _Candidate(
+                main.cost + sum(c.cost for c in subs), main.rows,
+                main.row_bytes, main.bindings, main.order,
+                lambda: ops.SequenceOp([c.tree() for c in subs]
+                                       + [main.tree()]))
         return cand
 
     # -- scope / needed columns ----------------------------------------------
@@ -345,20 +365,21 @@ class Planner:
         singleton = frozenset({binding})
         cands: list[_Candidate] = []
 
-        def add(plan: ops.PlanOp, cost: float) -> None:
-            cands.append(_Candidate(plan=plan, cost=cost, rows=rows_out,
-                                    row_bytes=row_bytes,
-                                    bindings=singleton))
+        def add(cost: float, order: _Order,
+                tree: Callable[[], ops.PlanOp]) -> None:
+            cands.append(_Candidate(cost, rows_out, row_bytes, singleton,
+                                    order, tree))
 
         clustered_order = None
         if table.clustered_on:
             clustered_order = tuple((binding, c) for c in table.clustered_on)
 
         # 1. Full (clustered) table scan.
-        scan = ops.TableScanOp(table.name, binding,
-                               blocks=float(table.size_blocks),
-                               rows_out=rows_out, order=clustered_order)
-        add(scan, table.size_blocks * SEQ_IO + table.row_count * CPU_ROW)
+        add(table.size_blocks * SEQ_IO + table.row_count * CPU_ROW,
+            clustered_order,
+            partial(ops.TableScanOp, table.name, binding,
+                    blocks=float(table.size_blocks), rows_out=rows_out,
+                    order=clustered_order))
 
         # 2. Clustered range seek on the clustering key's leading column.
         if table.clustered_on:
@@ -367,12 +388,11 @@ class Planner:
             if sarg is not None:
                 sel_sarg = est.predicate(sarg)
                 blocks = max(1.0, table.size_blocks * sel_sarg)
-                seek = ops.TableScanOp(table.name, binding, blocks=blocks,
-                                       rows_out=rows_out,
-                                       order=clustered_order,
-                                       range_seek=True)
-                add(seek, blocks * SEQ_IO
-                    + table.row_count * sel_sarg * CPU_ROW)
+                add(blocks * SEQ_IO + table.row_count * sel_sarg * CPU_ROW,
+                    clustered_order,
+                    partial(ops.TableScanOp, table.name, binding,
+                            blocks=blocks, rows_out=rows_out,
+                            order=clustered_order, range_seek=True))
 
         # 3. Non-clustered index paths.
         for index in self._db.indexes_on(table.name):
@@ -384,25 +404,26 @@ class Planner:
                 sel_sarg = est.predicate(sarg)
                 leaf_blocks = max(1.0, index.size_blocks * sel_sarg)
                 matched = table.row_count * sel_sarg
-                seek = ops.IndexSeekOp(index.name, table.name, binding,
-                                       blocks=leaf_blocks, rows_out=rows_out,
-                                       order=key_order, covering=covering)
+                seek = partial(ops.IndexSeekOp, index.name, table.name,
+                               binding, blocks=leaf_blocks,
+                               rows_out=rows_out, order=key_order,
+                               covering=covering)
                 if covering:
-                    add(seek, leaf_blocks * SEQ_IO + matched * CPU_ROW)
+                    add(leaf_blocks * SEQ_IO + matched * CPU_ROW,
+                        key_order, seek)
                 else:
                     touched = yao_blocks_touched(table.size_blocks, matched)
-                    lookup = ops.RidLookupOp(seek, table.name, binding,
-                                             blocks=touched,
-                                             rows_out=rows_out)
-                    add(lookup, leaf_blocks * SEQ_IO + touched * RAND_IO
-                        + matched * (CPU_ROW + LOOKUP_CPU))
+                    add(leaf_blocks * SEQ_IO + touched * RAND_IO
+                        + matched * (CPU_ROW + LOOKUP_CPU), key_order,
+                        partial(_rid_lookup, seek, table.name, binding,
+                                touched, rows_out))
             if covering:
                 # 4. Covering index full scan (smaller than the table).
-                full = ops.IndexScanOp(index.name, table.name, binding,
-                                       blocks=float(index.size_blocks),
-                                       rows_out=rows_out, order=key_order)
-                add(full, index.size_blocks * SEQ_IO
-                    + table.row_count * CPU_ROW)
+                add(index.size_blocks * SEQ_IO + table.row_count * CPU_ROW,
+                    key_order,
+                    partial(ops.IndexScanOp, index.name, table.name,
+                            binding, blocks=float(index.size_blocks),
+                            rows_out=rows_out, order=key_order))
         return _prune_by_order(cands)
 
     def _sargable(self, preds: list[ast.Expr], column: str, binding: str,
@@ -438,20 +459,15 @@ class Planner:
                     needed: dict[str, set[str]]) -> list[_Candidate]:
         bindings = list(scope.bindings)
         if len(bindings) == 1:
-            return _prune_by_order(base[bindings[0]])
+            return base[bindings[0]]
 
         join_map: dict[frozenset[str], list[JoinPredicate]] = {}
         for jp in joins:
             join_map.setdefault(jp.bindings(), []).append(jp)
 
         # best[subset][order] = cheapest candidate with that output order
-        best: dict[frozenset[str],
-                   dict[tuple[ops.OrderKey, ...] | None, _Candidate]] = {}
-        for binding in bindings:
-            best[frozenset({binding})] = {
-                c.order: c for c in _prune_by_order(base[binding])}
-
-        full = frozenset(bindings)
+        best: dict[frozenset[str], dict[_Order, _Candidate]] = {
+            frozenset({b}): {c.order: c for c in base[b]} for b in bindings}
         for size in range(1, len(bindings)):
             subsets = [s for s in best if len(s) == size]
             for subset in subsets:
@@ -461,151 +477,195 @@ class Planner:
                                     for o in subset)]
                 targets = connected or extensions  # cross join as last resort
                 for b in targets:
-                    preds = [jp for o in subset
-                             for jp in join_map.get(frozenset({b, o}), [])]
-                    for left in list(best[subset].values()):
-                        for cand in self._join_candidates(
-                                scope, left, b, base[b], preds,
-                                needed[b]):
-                            self._remember(best, subset | {b}, cand)
+                    # FROM order, not set order: the first predicate
+                    # names the merge and index-NL key, and the product
+                    # of selectivities is rounded in this order.
+                    preds = [(o, jp) for o in bindings if o in subset
+                             for jp in join_map.get(frozenset({b, o}), ())]
+                    joined = subset | {b}
+                    self._extend(scope, list(best[subset].values()), b,
+                                 base[b], preds, needed[b], joined,
+                                 best.setdefault(joined, {}))
+        full = frozenset(bindings)
         if full not in best:
             raise PlanningError("join enumeration failed to cover all tables")
         return list(best[full].values())
 
-    @staticmethod
-    def _remember(best, subset, cand) -> None:
-        bucket = best.setdefault(subset, {})
-        existing = bucket.get(cand.order)
-        if existing is None or cand.cost < existing.cost:
-            bucket[cand.order] = cand
+    def _extend(self, scope: _Scope, lefts: list[_Candidate], binding: str,
+                rights: list[_Candidate],
+                preds: list[tuple[str, JoinPredicate]],
+                needed_cols: set[str], joined: frozenset[str],
+                bucket: dict[_Order, _Candidate]) -> None:
+        """Offer every join of a ``lefts`` candidate with an access path
+        of ``binding`` to ``bucket``, the incumbents of ``joined`` by
+        output order.
 
-    def _join_candidates(self, scope: _Scope, left: _Candidate,
-                         binding: str, right_paths: list[_Candidate],
-                         preds: list[JoinPredicate],
-                         needed_cols: set[str]) -> list[_Candidate]:
+        Each hash, merge and index nested-loops join is costed before
+        anything is built and offered in a fixed order; it replaces its
+        order's incumbent only if strictly cheaper, and only a winner
+        becomes a candidate.  Everything that does not depend on the
+        left candidate is computed once here, and everything that does
+        not depend on the access path once per left candidate.
+        """
         table = scope.bindings[binding]
-        out: list[_Candidate] = []
         sel = 1.0
-        for jp in preds:
-            other = next(iter(jp.bindings() - {binding}))
+        for other, jp in preds:
             sel *= join_selectivity(scope.bindings[other],
                                     jp.column_for(other),
                                     table, jp.column_for(binding))
-        lead = preds[0] if preds else None
-        for right in right_paths:
-            rows = max(0.0, left.rows * right.rows
-                       * (sel if preds else 1.0))
-            row_bytes = left.row_bytes + right.row_bytes
-            merged_bindings = left.bindings | right.bindings
-            keys = None
-            if lead is not None:
-                other = next(iter(lead.bindings() - {binding}))
-                keys = ((other, lead.column_for(other)),
-                        (binding, lead.column_for(binding)))
-            out.extend(self._hash_joins(left, right, rows, row_bytes,
-                                        merged_bindings, keys))
-            if lead is not None:
-                merge = self._merge_join(left, right, rows, row_bytes,
-                                         merged_bindings, keys)
-                if merge is not None:
-                    out.append(merge)
-                nl = self._index_nl(left, binding, table, rows,
-                                    row_bytes, merged_bindings, keys,
-                                    needed_cols)
-                if nl is not None:
-                    out.append(nl)
-        return out
+        keys = probe = None
+        if preds:
+            other, lead = preds[0]
+            keys = ((other, lead.column_for(other)),
+                    (binding, lead.column_for(binding)))
+            probe = self._nl_probe(table, keys[1][1], needed_cols)
+        # Every access path of one binding has the same rows and width.
+        r_rows, r_bytes = rights[0].rows, rights[0].row_bytes
+        r_spill = self._spill_cost(r_rows * r_bytes)
+        r_build, r_probe = r_rows * HASH_BUILD_ROW, r_rows * HASH_PROBE_ROW
+        if keys is not None:
+            r_sort = sort_cpu_cost(r_rows, SORT_ROW) + r_spill
+            r_sorts = [0.0 if r.order and r.order[0] == keys[1] else r_sort
+                       for r in rights]
+        for left in lefts:
+            l_cost, l_rows, l_order = left.cost, left.rows, left.order
+            rows = max(0.0, l_rows * r_rows * sel)
+            row_bytes = left.row_bytes + r_bytes
+            l_spill = self._spill_cost(l_rows * left.row_bytes)
+            l_build, l_probe = l_rows * HASH_BUILD_ROW, l_rows * HASH_PROBE_ROW
+            nl_cost = None
+            if keys is not None:
+                if l_order and l_order[0] == keys[0]:
+                    l_sort, merge_order = 0.0, l_order
+                else:
+                    l_sort = sort_cpu_cost(l_rows, SORT_ROW) + l_spill
+                    merge_order = (keys[0],)
+                merge_rows = (l_rows + r_rows) * MERGE_ROW
+                if probe is not None:
+                    nl_cost = _nl_cost(probe, l_cost, l_rows, rows)
+            for i, right in enumerate(rights):
+                pair_cost = l_cost + right.cost
+                # Hash join building the right side, probed by the left.
+                cost = pair_cost + r_spill + r_build + l_probe
+                held = bucket.get(l_order)
+                if held is None or cost < held.cost:
+                    bucket[l_order] = _Candidate(
+                        cost, rows, row_bytes, joined, l_order,
+                        partial(self._hash_join, right, left, rows, keys))
+                # Hash join building the left side, probed by the right.
+                cost = pair_cost + l_spill + l_build + r_probe
+                held = bucket.get(right.order)
+                if held is None or cost < held.cost:
+                    bucket[right.order] = _Candidate(
+                        cost, rows, row_bytes, joined, right.order,
+                        partial(self._hash_join, left, right, rows, keys))
+                if keys is None:
+                    continue
+                cost = pair_cost + l_sort + r_sorts[i] + merge_rows
+                held = bucket.get(merge_order)
+                if held is None or cost < held.cost:
+                    bucket[merge_order] = _Candidate(
+                        cost, rows, row_bytes, joined, merge_order,
+                        partial(self._merge_join, left, right, rows, keys))
+                # The index-NL join ignores the access path: a copy
+                # offered with a later path could never be cheaper.
+                if i == 0 and nl_cost is not None:
+                    held = bucket.get(l_order)
+                    if held is None or nl_cost < held.cost:
+                        bucket[l_order] = _Candidate(
+                            nl_cost, rows, row_bytes, joined, l_order,
+                            partial(self._nested_loops, left, binding,
+                                    table, probe, rows, keys))
 
-    def _hash_joins(self, left, right, rows, row_bytes, bindings,
-                    keys) -> list[_Candidate]:
-        out = []
-        for build, probe in ((right, left), (left, right)):
-            spill, spill_cost = self._spill(build.rows * build.row_bytes)
-            cost = (left.cost + right.cost + spill_cost
-                    + build.rows * HASH_BUILD_ROW
-                    + probe.rows * HASH_PROBE_ROW)
-            plan = ops.HashJoinOp(build.plan, probe.plan, rows_out=rows,
-                                  keys=keys, spill_accesses=spill)
-            out.append(_Candidate(plan=plan, cost=cost, rows=rows,
-                                  row_bytes=row_bytes, bindings=bindings))
-        return out
-
-    def _merge_join(self, left, right, rows, row_bytes, bindings,
-                    keys) -> _Candidate | None:
-        if keys is None:
-            return None
-        left_key, right_key = keys
-        left_plan, left_cost = self._ensure_order(left, left_key)
-        right_plan, right_cost = self._ensure_order(right, right_key)
-        cost = (left.cost + right.cost + left_cost + right_cost
-                + (left.rows + right.rows) * MERGE_ROW)
-        plan = ops.MergeJoinOp(left_plan, right_plan, rows_out=rows,
-                               keys=keys, order=left_plan.order)
-        return _Candidate(plan=plan, cost=cost, rows=rows,
-                          row_bytes=row_bytes, bindings=bindings)
-
-    def _ensure_order(self, cand: _Candidate,
-                      key: ops.OrderKey) -> tuple[ops.PlanOp, float]:
-        """Return a plan ordered on ``key`` plus any added sort cost."""
-        if cand.order and cand.order[0] == key:
-            return cand.plan, 0.0
-        spill, spill_cost = self._spill(cand.rows * cand.row_bytes)
-        cost = sort_cpu_cost(cand.rows, SORT_ROW) + spill_cost
-        return ops.SortOp(cand.plan, rows_out=cand.rows, order=(key,),
-                          spill_accesses=spill), cost
-
-    def _index_nl(self, left, binding, table, rows, row_bytes,
-                  bindings, keys, needed_cols) -> _Candidate | None:
-        """Index nested-loops: probe an index of the inner per outer row."""
-        if keys is None:
-            return None
-        inner_col = keys[1][1]
-        lookups = max(1.0, left.rows)
-        # Clustered-index lookup: the table itself is the index.
-        if table.clustered_on and table.clustered_on[0] == inner_col:
-            touched = yao_blocks_touched(table.size_blocks, lookups)
-            inner = ops.TableScanOp(table.name, binding, blocks=touched,
-                                    rows_out=rows, range_seek=True)
-            inner.accesses[0] = ops.ObjectAccess(table.name, touched,
-                                                 rows=rows,
-                                                 sequential=False)
-            cost = left.cost + touched * RAND_IO + lookups * LOOKUP_CPU
-            plan = ops.NestedLoopsJoinOp(left.plan, inner, rows_out=rows,
-                                         keys=keys, order=left.order)
-            return _Candidate(plan=plan, cost=cost, rows=rows,
-                              row_bytes=row_bytes, bindings=bindings)
+    def _nl_probe(self, table: Table, column: str, needed_cols: set[str],
+                  ) -> tuple[Index | None, int, int | None] | None:
+        """What an index nested-loops join on ``table.column`` probes:
+        ``(index, probe blocks, RID-lookup blocks)``.  The index is None
+        when the clustered table itself is probed; the lookup blocks are
+        None when the probe covers ``needed_cols``.  None when no index
+        leads with ``column``."""
+        if table.clustered_on and table.clustered_on[0] == column:
+            return None, table.size_blocks, None
         for index in self._db.indexes_on(table.name):
-            if index.key_columns[0] != inner_col:
-                continue
-            leaf = yao_blocks_touched(index.size_blocks, lookups)
-            seek = ops.IndexSeekOp(index.name, table.name, binding,
-                                   blocks=leaf, rows_out=rows)
-            seek.accesses[0] = ops.ObjectAccess(index.name, leaf, rows=rows,
-                                                sequential=False)
-            cost = left.cost + leaf * RAND_IO + lookups * LOOKUP_CPU
-            inner_plan: ops.PlanOp = seek
-            if not index.covers(needed_cols):
-                touched = yao_blocks_touched(table.size_blocks, rows)
-                inner_plan = ops.RidLookupOp(seek, table.name, binding,
-                                             blocks=touched, rows_out=rows)
-                cost += touched * RAND_IO
-            plan = ops.NestedLoopsJoinOp(left.plan, inner_plan,
-                                         rows_out=rows, keys=keys,
-                                         order=left.order)
-            return _Candidate(plan=plan, cost=cost, rows=rows,
-                              row_bytes=row_bytes, bindings=bindings)
+            if index.key_columns[0] == column:
+                return (index, index.size_blocks,
+                        None if index.covers(needed_cols)
+                        else table.size_blocks)
         return None
 
-    def _spill(self, data_bytes: float) -> tuple[list[ops.ObjectAccess],
-                                                 float]:
-        """Temp-object accesses and cost if an operator input overflows
-        work memory; empty when the input fits."""
+    # -- operator trees of join candidates -----------------------------------
+
+    def _hash_join(self, build: _Candidate, probe: _Candidate, rows: float,
+                   keys: tuple[ops.OrderKey, ops.OrderKey] | None,
+                   ) -> ops.PlanOp:
+        return ops.HashJoinOp(
+            build.tree(), probe.tree(), rows_out=rows, keys=keys,
+            spill_accesses=self._spill_accesses(build.rows
+                                                * build.row_bytes))
+
+    def _merge_join(self, left: _Candidate, right: _Candidate,
+                    rows: float, keys: tuple[ops.OrderKey, ops.OrderKey],
+                    ) -> ops.PlanOp:
+        left_plan = self._sorted_tree(left, keys[0])
+        right_plan = self._sorted_tree(right, keys[1])
+        return ops.MergeJoinOp(left_plan, right_plan, rows_out=rows,
+                               keys=keys, order=left_plan.order)
+
+    def _sorted_tree(self, cand: _Candidate,
+                     key: ops.OrderKey) -> ops.PlanOp:
+        """``cand``'s tree, under a sort on ``key`` unless already
+        ordered on it."""
+        if cand.order and cand.order[0] == key:
+            return cand.tree()
+        return ops.SortOp(cand.tree(), rows_out=cand.rows, order=(key,),
+                          spill_accesses=self._spill_accesses(
+                              cand.rows * cand.row_bytes))
+
+    def _nested_loops(self, left: _Candidate, binding: str, table: Table,
+                      probe: tuple[Index | None, int, int | None],
+                      rows: float,
+                      keys: tuple[ops.OrderKey, ops.OrderKey],
+                      ) -> ops.PlanOp:
+        """Index nested-loops: the inner leaf's block counts already
+        include the repetition per outer row."""
+        index, probe_blocks, lookup_blocks = probe
+        blocks = yao_blocks_touched(probe_blocks, max(1.0, left.rows))
+        inner: ops.PlanOp
+        if index is None:  # clustered-index lookup: the table is the index
+            inner = ops.TableScanOp(table.name, binding, blocks=blocks,
+                                    rows_out=rows, range_seek=True)
+            inner.accesses[0] = ops.ObjectAccess(table.name, blocks,
+                                                 rows=rows,
+                                                 sequential=False)
+        else:
+            inner = ops.IndexSeekOp(index.name, table.name, binding,
+                                    blocks=blocks, rows_out=rows)
+            inner.accesses[0] = ops.ObjectAccess(index.name, blocks,
+                                                 rows=rows,
+                                                 sequential=False)
+            if lookup_blocks is not None:
+                inner = ops.RidLookupOp(
+                    inner, table.name, binding,
+                    blocks=yao_blocks_touched(lookup_blocks, rows),
+                    rows_out=rows)
+        return ops.NestedLoopsJoinOp(left.tree(), inner, rows_out=rows,
+                                     keys=keys, order=left.order)
+
+    def _spill_cost(self, data_bytes: float) -> float:
+        """Cost of spilling an operator input that overflows work
+        memory to tempdb (written once, read once); 0 when it fits."""
         blocks = bytes_to_blocks(data_bytes, BLOCK_BYTES)
         if blocks <= self._memory_blocks:
-            return [], 0.0
-        accesses = [ops.ObjectAccess(TEMPDB, blocks, write=True),
-                    ops.ObjectAccess(TEMPDB, blocks, write=False)]
-        return accesses, 2.0 * blocks * SEQ_IO
+            return 0.0
+        return 2.0 * blocks * SEQ_IO
+
+    def _spill_accesses(self, data_bytes: float) -> list[ops.ObjectAccess]:
+        """The tempdb accesses :meth:`_spill_cost` charges."""
+        blocks = bytes_to_blocks(data_bytes, BLOCK_BYTES)
+        if blocks <= self._memory_blocks:
+            return []
+        return [ops.ObjectAccess(TEMPDB, blocks, write=True),
+                ops.ObjectAccess(TEMPDB, blocks, write=False)]
 
     # -- finishing ---------------------------------------------------------------
 
@@ -614,20 +674,11 @@ class Planner:
         if not residual:
             return cand
         rows = cand.rows * (MAGIC_RANGE ** len(residual))
-        plan = ops.FilterOp(cand.plan, rows_out=rows)
-        return _Candidate(plan=plan, cost=cand.cost + cand.rows * CPU_ROW,
-                          rows=rows, row_bytes=cand.row_bytes,
-                          bindings=cand.bindings)
+        return _on_top(cand, cand.cost + cand.rows * CPU_ROW, rows,
+                       cand.order, partial(ops.FilterOp, rows_out=rows))
 
-    def _apply_subqueries(self, cand: _Candidate,
-                          subqueries: list[ast.Expr],
-                          scope: _Scope) -> _Candidate:
-        for conjunct in subqueries:
-            cand = self._plan_subquery(cand, conjunct, scope)
-        return cand
-
-    def _plan_subquery(self, cand: _Candidate, conjunct: ast.Expr,
-                       scope: _Scope) -> _Candidate:
+    def _plan_subquery(self, conjunct: ast.Expr,
+                       scope: _Scope) -> _SemiJoin:
         if isinstance(conjunct, ast.InSubquery):
             select, negated = conjunct.subquery, conjunct.negated
             base_sel = SEMI_SEL_IN
@@ -660,35 +711,41 @@ class Planner:
                 if inner_hit is not None:
                     keys = (inner_hit, outer_hit)
         sel = (1.0 - base_sel) if negated else base_sel
-        rows = max(0.0, cand.rows * sel)
+        return _SemiJoin(inner, keys, negated, sel)
+
+    def _semi_join(self, cand: _Candidate, semi: _SemiJoin) -> _Candidate:
+        inner, keys, anti = semi.inner, semi.keys, semi.anti
+        rows = max(0.0, cand.rows * semi.sel)
         # Merge semi-join when both sides are already ordered on the
         # semi-join key (SQL Server 2000's choice on clustered keys,
         # e.g. the orderkey semi-joins of TPC-H Q4/Q18/Q21): both edges
         # pipeline, so the two sides' objects are co-accessed.
         if keys is not None:
             inner_key, outer_key = keys
-            inner_ordered = inner.plan.order is not None \
-                and inner.plan.order[0] == inner_key
+            inner_ordered = inner.order is not None \
+                and inner.order[0] == inner_key
             outer_ordered = cand.order is not None \
                 and cand.order[0] == outer_key
             if inner_ordered and outer_ordered:
-                plan = ops.SemiJoinOp(inner.plan, cand.plan,
-                                      rows_out=rows, keys=keys,
-                                      anti=negated, merge=True)
                 cost = (cand.cost + inner.cost
                         + (cand.rows + inner.rows) * MERGE_ROW)
-                return _Candidate(plan=plan, cost=cost, rows=rows,
-                                  row_bytes=cand.row_bytes,
-                                  bindings=cand.bindings)
-        spill, spill_cost = self._spill(inner.rows * inner.row_bytes)
-        plan = ops.SemiJoinOp(inner.plan, cand.plan, rows_out=rows,
-                              keys=keys, anti=negated)
-        plan.accesses.extend(spill)
-        cost = (cand.cost + inner.cost + spill_cost
+                return _Candidate(
+                    cost, rows, cand.row_bytes, cand.bindings, cand.order,
+                    lambda: ops.SemiJoinOp(inner.tree(), cand.tree(),
+                                           rows_out=rows, keys=keys,
+                                           anti=anti, merge=True))
+        data = inner.rows * inner.row_bytes
+        cost = (cand.cost + inner.cost + self._spill_cost(data)
                 + inner.rows * HASH_BUILD_ROW
                 + cand.rows * HASH_PROBE_ROW)
-        return _Candidate(plan=plan, cost=cost, rows=rows,
-                          row_bytes=cand.row_bytes, bindings=cand.bindings)
+
+        def tree() -> ops.PlanOp:
+            plan = ops.SemiJoinOp(inner.tree(), cand.tree(), rows_out=rows,
+                                  keys=keys, anti=anti)
+            plan.accesses.extend(self._spill_accesses(data))
+            return plan
+        return _Candidate(cost, rows, cand.row_bytes, cand.bindings,
+                          cand.order, tree)
 
     def _apply_aggregation(self, cand: _Candidate, select: ast.Select,
                            scope: _Scope) -> _Candidate:
@@ -703,29 +760,21 @@ class Planner:
             rows_g = grouped_rows(cand.rows, ndvs)
             cand = self._aggregate_plan(cand, group_keys, rows_g)
         elif has_agg:
-            plan = ops.StreamAggregateOp(cand.plan, rows_out=1.0)
-            cand = _Candidate(plan=plan,
-                              cost=cand.cost + cand.rows * CPU_ROW,
-                              rows=1.0, row_bytes=cand.row_bytes,
-                              bindings=cand.bindings)
+            cand = _on_top(cand, cand.cost + cand.rows * CPU_ROW, 1.0,
+                           cand.order,
+                           partial(ops.StreamAggregateOp, rows_out=1.0))
         if select.having is not None:
             conjuncts = list(split_conjuncts(select.having))
             rows = cand.rows * (MAGIC_RANGE ** len(conjuncts))
-            plan = ops.FilterOp(cand.plan, rows_out=rows)
-            cand = _Candidate(plan=plan,
-                              cost=cand.cost + cand.rows * CPU_ROW,
-                              rows=rows, row_bytes=cand.row_bytes,
-                              bindings=cand.bindings)
+            cand = _on_top(cand, cand.cost + cand.rows * CPU_ROW, rows,
+                           cand.order, partial(ops.FilterOp, rows_out=rows))
         if select.distinct and not select.group_by and not has_agg:
             rows = max(1.0, cand.rows / 2.0)
-            spill, spill_cost = self._spill(cand.rows * cand.row_bytes)
-            plan = ops.HashAggregateOp(cand.plan, rows_out=rows,
-                                       spill_accesses=spill)
-            cand = _Candidate(plan=plan,
-                              cost=cand.cost + spill_cost
-                              + cand.rows * HASH_BUILD_ROW,
-                              rows=rows, row_bytes=cand.row_bytes,
-                              bindings=cand.bindings)
+            data = cand.rows * cand.row_bytes
+            cand = _on_top(cand, cand.cost + self._spill_cost(data)
+                           + cand.rows * HASH_BUILD_ROW, rows, None,
+                           partial(ops.HashAggregateOp, rows_out=rows,
+                                   spill_accesses=self._spill_accesses(data)))
         return cand
 
     def _aggregate_plan(self, cand: _Candidate,
@@ -735,28 +784,25 @@ class Planner:
                    and len(cand.order) >= len(group_keys)
                    and set(cand.order[:len(group_keys)]) == set(group_keys))
         if ordered:
-            plan: ops.PlanOp = ops.StreamAggregateOp(cand.plan,
-                                                     rows_out=rows_g)
-            return _Candidate(plan=plan,
-                              cost=cand.cost + cand.rows * CPU_ROW,
-                              rows=rows_g, row_bytes=cand.row_bytes,
-                              bindings=cand.bindings)
-        hash_spill, hash_spill_cost = self._spill(rows_g * cand.row_bytes)
-        hash_cost = cand.rows * HASH_BUILD_ROW + hash_spill_cost
-        sort_spill, sort_spill_cost = self._spill(cand.rows
-                                                  * cand.row_bytes)
-        sort_cost = sort_cpu_cost(cand.rows, SORT_ROW) + sort_spill_cost
+            return _on_top(cand, cand.cost + cand.rows * CPU_ROW, rows_g,
+                           cand.order,
+                           partial(ops.StreamAggregateOp, rows_out=rows_g))
+        hash_data = rows_g * cand.row_bytes
+        hash_cost = cand.rows * HASH_BUILD_ROW + self._spill_cost(hash_data)
+        sort_data = cand.rows * cand.row_bytes
+        sort_cost = sort_cpu_cost(cand.rows, SORT_ROW) \
+            + self._spill_cost(sort_data)
         if group_keys is not None and sort_cost < hash_cost:
-            sort = ops.SortOp(cand.plan, rows_out=cand.rows,
-                              order=group_keys, spill_accesses=sort_spill)
-            plan = ops.StreamAggregateOp(sort, rows_out=rows_g)
-            cost = cand.cost + sort_cost + cand.rows * CPU_ROW
-        else:
-            plan = ops.HashAggregateOp(cand.plan, rows_out=rows_g,
-                                       spill_accesses=hash_spill)
-            cost = cand.cost + hash_cost
-        return _Candidate(plan=plan, cost=cost, rows=rows_g,
-                          row_bytes=cand.row_bytes, bindings=cand.bindings)
+            sort = partial(ops.SortOp, rows_out=cand.rows, order=group_keys,
+                           spill_accesses=self._spill_accesses(sort_data))
+            return _on_top(cand, cand.cost + sort_cost + cand.rows * CPU_ROW,
+                           rows_g, group_keys,
+                           lambda child: ops.StreamAggregateOp(
+                               sort(child), rows_out=rows_g))
+        return _on_top(cand, cand.cost + hash_cost, rows_g, None,
+                       partial(ops.HashAggregateOp, rows_out=rows_g,
+                               spill_accesses=self._spill_accesses(
+                                   hash_data)))
 
     def _apply_order_and_top(self, cand: _Candidate, select: ast.Select,
                              scope: _Scope) -> _Candidate:
@@ -766,22 +812,19 @@ class Planner:
             already = (keys is not None and cand.order is not None
                        and cand.order[:len(keys)] == keys)
             if not already:
-                spill, spill_cost = self._spill(cand.rows * cand.row_bytes)
-                plan = ops.SortOp(cand.plan, rows_out=cand.rows,
-                                  order=keys or ((("", "<expr>"),)),
-                                  spill_accesses=spill)
-                cand = _Candidate(
-                    plan=plan,
-                    cost=cand.cost + spill_cost
-                    + sort_cpu_cost(cand.rows, SORT_ROW),
-                    rows=cand.rows, row_bytes=cand.row_bytes,
-                    bindings=cand.bindings)
+                data = cand.rows * cand.row_bytes
+                order = keys or ((("", "<expr>"),))
+                cand = _on_top(cand, cand.cost + self._spill_cost(data)
+                               + sort_cpu_cost(cand.rows, SORT_ROW),
+                               cand.rows, order,
+                               partial(ops.SortOp, rows_out=cand.rows,
+                                       order=order,
+                                       spill_accesses=self._spill_accesses(
+                                           data)))
         if select.top is not None:
             rows = min(float(select.top), cand.rows)
-            plan = ops.TopOp(cand.plan, rows_out=rows)
-            cand = _Candidate(plan=plan, cost=cand.cost, rows=rows,
-                              row_bytes=cand.row_bytes,
-                              bindings=cand.bindings)
+            cand = _on_top(cand, cand.cost, rows, cand.order,
+                           partial(ops.TopOp, rows_out=rows))
         return cand
 
     def _order_keys(self, exprs: Sequence[ast.Expr],
@@ -819,7 +862,7 @@ class Planner:
         paths = self._access_paths(table_name, table, preds,
                                    needed[table_name], scope)
         best = min(paths, key=lambda c: c.cost)
-        return best.plan, best.rows, table
+        return best.tree(), best.rows, table
 
     def _index_write_accesses(self, table: Table, rows: float,
                               indexes: Iterable[Index]) -> list[
@@ -836,7 +879,7 @@ class Planner:
         child: ops.PlanOp | None = None
         if stmt.source is not None:
             cand = self._plan_select(stmt.source, outer=None)
-            child = cand.plan
+            child = cand.tree()
             rows = cand.rows
         else:
             rows = float(len(stmt.values))
@@ -870,6 +913,32 @@ class Planner:
 
 
 # -- module-level helpers -----------------------------------------------------
+
+def _on_top(cand: _Candidate, cost: float, rows: float, order: _Order,
+            node: Callable[[ops.PlanOp], ops.PlanOp]) -> _Candidate:
+    """A candidate whose tree is ``node`` over ``cand``'s tree."""
+    return _Candidate(cost, rows, cand.row_bytes, cand.bindings, order,
+                      lambda: node(cand.tree()))
+
+
+def _rid_lookup(seek: Callable[[], ops.PlanOp], table: str, binding: str,
+                blocks: float, rows: float) -> ops.PlanOp:
+    return ops.RidLookupOp(seek(), table, binding, blocks=blocks,
+                           rows_out=rows)
+
+
+def _nl_cost(probe: tuple[Index | None, int, int | None], left_cost: float,
+             left_rows: float, rows: float) -> float:
+    """Cost of an index nested-loops join that probes ``probe`` (see
+    :meth:`Planner._nl_probe`) once per left row."""
+    _, probe_blocks, lookup_blocks = probe
+    lookups = max(1.0, left_rows)
+    cost = left_cost + yao_blocks_touched(probe_blocks, lookups) * RAND_IO \
+        + lookups * LOOKUP_CPU
+    if lookup_blocks is not None:
+        cost += yao_blocks_touched(lookup_blocks, rows) * RAND_IO
+    return cost
+
 
 def _prune_by_order(cands: list[_Candidate]) -> list[_Candidate]:
     """Keep only the cheapest candidate per distinct output order."""

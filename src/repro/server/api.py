@@ -49,13 +49,15 @@ the result cache, the jobs in flight, and crucially every telemetry
 event and metric write (the flight recorder assigns ``seq`` by append
 position, so unserialized emission from worker threads would corrupt
 the timeline's total order).  Searches themselves run outside the
-lock.  Identical jobs are deduplicated once, at admission, under that
-lock: a cached fingerprint is answered at once (200), a fingerprint
-already queued or running gets a *follower* that rides on that
-*leader* job (202, no queue slot, no worker), and anything else is
-queued.  Every way a job ends goes through one method,
-``AdvisorService._finish``: a hit at submit, a leader's result or
-error and its followers, and a non-draining close.
+lock, on the inputs the job read from its tenant at submit, in the
+same step as the payloads it is fingerprinted from.  Identical jobs
+are deduplicated once, at admission, under that lock: a cached
+fingerprint is answered at once (200), a fingerprint already queued
+or running gets a *follower* that rides on that *leader* job (202, no
+queue slot, no worker), and anything else is queued.  Every way a job
+ends goes through one method, ``AdvisorService._finish``: a hit at
+submit, a leader's result or error and its followers, and a
+non-draining close.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ from repro.obs.export import to_prometheus
 from repro.obs.telemetry import Telemetry
 from repro.resilience import Deadline, FaultPlan
 from repro.server.fingerprint import catalog_fingerprint, job_fingerprint
-from repro.server.jobs import DONE, FAILED, RUNNING, Job, JobQueue
+from repro.server.jobs import DONE, FAILED, RUNNING, Job, JobInputs, JobQueue
 from repro.workload.workload import Workload
 
 #: ``method`` values a job may request.  ``greedy`` is accepted as an
@@ -511,18 +513,25 @@ class AdvisorService:
                 raise BadRequest(
                     f"tenant {name!r} has no database/disks uploaded")
             workload = tenant.workloads.get(workload_name)
-        if workload is None:
-            raise UnknownResource(
-                f"tenant {name!r} has no workload {workload_name!r}")
+            if workload is None:
+                raise UnknownResource(
+                    f"tenant {name!r} has no workload {workload_name!r}")
+            # One read of the tenant: the job computes from exactly the
+            # inputs its fingerprint is made of, whatever is uploaded
+            # while it waits.
+            inputs = JobInputs(tenant.db, tenant.farm, tenant.constraints,
+                               tenant.current_layout, workload)
+            db_payload, farm_payload = tenant.db_payload, tenant.farm_payload
+            constraints_payload = tenant.constraints_payload
+            layout_payload = tenant.layout_payload
         options = self._job_options(body)
         catalog_fp = catalog_fingerprint(
-            tenant.db_payload, tenant.farm_payload, workload.statements,
-            tenant.constraints_payload)
-        fingerprint = job_fingerprint(catalog_fp, options,
-                                      tenant.layout_payload)
+            db_payload, farm_payload, workload.statements,
+            constraints_payload)
+        fingerprint = job_fingerprint(catalog_fp, options, layout_payload)
         job = Job(job_id=new_run_id(), tenant=name,
                   workload=workload_name, method=options.method,
-                  fingerprint=fingerprint, options=options)
+                  fingerprint=fingerprint, options=options, inputs=inputs)
         with self._lock:
             job.submitted_at = time.monotonic()
             payload = self._cache.get(fingerprint)
@@ -612,17 +621,9 @@ class AdvisorService:
             self._settle(job, payload, error)
 
     def _compute(self, job: Job) -> dict[str, Any]:
-        """Run the actual advisor search for a cache miss."""
-        tenant = self._tenant(job.tenant)
-        with self._lock:
-            db, farm = tenant.db, tenant.farm
-            constraints = tenant.constraints
-            current_layout = tenant.current_layout
-            workload = tenant.workloads.get(job.workload)
-        if db is None or farm is None or workload is None:
-            raise UnknownResource(
-                f"tenant {job.tenant!r} catalog changed while "
-                f"job {job.job_id} was queued")
+        """Run the actual advisor search for a cache miss, on the
+        inputs the job was submitted with."""
+        inputs = job.inputs
         options = job.options
         if options.deadline is not None:
             # Start the clock now: the deadline covers the whole job,
@@ -633,9 +634,11 @@ class AdvisorService:
         # thread-safe across concurrent searches, and interleaved
         # search telemetry would be unattributable anyway.  The server
         # keeps its own `server.*` view of the work.
-        advisor = LayoutAdvisor(db, farm, constraints=constraints)
+        advisor = LayoutAdvisor(inputs.db, inputs.farm,
+                                constraints=inputs.constraints)
         recommendation = advisor.recommend(
-            workload, current_layout=current_layout, options=options)
+            inputs.workload, current_layout=inputs.current_layout,
+            options=options)
         return recommendation_to_dict(recommendation,
                                       run_id=self.telemetry.run_id)
 

@@ -39,6 +39,18 @@ DONE = "done"
 FAILED = "failed"
 
 
+@dataclass(frozen=True)
+class JobInputs:
+    """The parsed inputs a job computes from, read from its tenant at
+    submit together with the payloads its fingerprint is made of."""
+
+    db: Any
+    farm: Any
+    constraints: Any
+    current_layout: Any
+    workload: Any
+
+
 @dataclass
 class Job:
     """One recommendation job's full record.
@@ -57,6 +69,8 @@ class Job:
     fingerprint: str
     #: The job's :class:`~repro.core.advisor.SearchOptions`.
     options: Any = None
+    #: The job's :class:`JobInputs`.
+    inputs: JobInputs | None = None
     status: str = QUEUED
     cache: str | None = None
     degraded: bool = False

@@ -17,6 +17,14 @@ from repro.sql.lexer import Token, TokenKind, tokenize
 
 _COMPARISONS = {"=", "<", ">", "<=", ">=", "<>", "!="}
 
+#: Deepest nesting a statement may have.  Each opening parenthesis
+#: (grouping, subquery, IN list, call arguments), NOT, unary sign and
+#: CASE opens a level and costs the recursive descent about a dozen
+#: stack frames, so deeper SQL is refused with a syntax error instead
+#: of exhausting Python's recursion limit.  The shipped workloads nest
+#: at most 3 levels.
+MAX_NESTING = 32
+
 
 class _Parser:
     """Stateful cursor over the token stream."""
@@ -24,6 +32,7 @@ class _Parser:
     def __init__(self, tokens: Sequence[Token]):
         self._tokens = tokens
         self._pos = 0
+        self._depth = 0
 
     # -- token helpers ----------------------------------------------------
 
@@ -54,9 +63,23 @@ class _Parser:
             raise self._error(f"expected {word}")
         return tok
 
+    def _nest(self, tok: Token) -> None:
+        """Open the nesting level ``tok`` starts; callers close it with
+        ``self._depth -= 1``."""
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise SqlSyntaxError(
+                f"statement nests deeper than {MAX_NESTING} levels",
+                tok.line, tok.column)
+
     def _accept_punct(self, ch: str) -> bool:
-        if self._cur.kind is TokenKind.PUNCT and self._cur.value == ch:
+        tok = self._cur
+        if tok.kind is TokenKind.PUNCT and tok.value == ch:
             self._advance()
+            if ch == "(":
+                self._nest(tok)
+            elif ch == ")":
+                self._depth -= 1
             return True
         return False
 
@@ -277,9 +300,13 @@ class _Parser:
         return left
 
     def _not_expr(self) -> ast.Expr:
-        if self._accept_keyword("NOT"):
-            return ast.UnaryOp("NOT", self._not_expr())
-        return self._predicate()
+        tok = self._accept_keyword("NOT")
+        if tok is None:
+            return self._predicate()
+        self._nest(tok)
+        expr = ast.UnaryOp("NOT", self._not_expr())
+        self._depth -= 1
+        return expr
 
     def _predicate(self) -> ast.Expr:
         if self._cur.is_keyword("EXISTS"):
@@ -358,11 +385,13 @@ class _Parser:
             left = ast.BinaryOp(op_tok.value, left, self._unary())
 
     def _unary(self) -> ast.Expr:
-        if self._accept_operator("-"):
-            return ast.UnaryOp("-", self._unary())
-        if self._accept_operator("+"):
-            return self._unary()
-        return self._primary()
+        tok = self._accept_operator("-", "+")
+        if tok is None:
+            return self._primary()
+        self._nest(tok)
+        expr = self._unary()
+        self._depth -= 1
+        return ast.UnaryOp("-", expr) if tok.value == "-" else expr
 
     def _primary(self) -> ast.Expr:
         tok = self._cur
@@ -400,7 +429,7 @@ class _Parser:
         raise self._error("expected expression")
 
     def _case_expr(self) -> ast.Expr:
-        self._expect_keyword("CASE")
+        self._nest(self._expect_keyword("CASE"))
         whens: list[tuple[ast.Expr, ast.Expr]] = []
         while self._accept_keyword("WHEN"):
             cond = self._expr()
@@ -410,6 +439,7 @@ class _Parser:
             raise self._error("CASE requires at least one WHEN")
         else_ = self._expr() if self._accept_keyword("ELSE") else None
         self._expect_keyword("END")
+        self._depth -= 1
         return ast.CaseExpr(whens=tuple(whens), else_=else_)
 
     def _aggregate(self) -> ast.Expr:

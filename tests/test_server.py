@@ -37,7 +37,7 @@ from repro.catalog.io import (
     save_farm,
 )
 from repro.cli import main
-from repro.core.advisor import SearchOptions
+from repro.core.advisor import LayoutAdvisor, SearchOptions
 from repro.core.fullstripe import full_striping
 from repro.errors import (
     BadRequest,
@@ -781,6 +781,62 @@ class TestServiceDedup:
             "GET", f"/v1/jobs/{follower['job_id']}/result")
         assert status == 200 and result["job"]["cache"] == "hit"
 
+    def test_queued_job_computes_the_inputs_it_was_submitted_with(
+            self, mini_db, farm4, monkeypatch):
+        """A workload re-uploaded while a job waits changes neither what
+        the job computes nor what its fingerprint caches."""
+        svc = ready_service(mini_db, farm4, workers=1)
+        try:
+            status, _, _ = svc.handle("PUT", "/v1/tenants/t/workloads/hold",
+                                      {"sql": SCAN_SQL})
+            assert status == 200
+            gate, started = threading.Event(), threading.Event()
+            compute = svc._compute
+
+            def held_first(job):
+                if job.workload == "hold":
+                    started.set()
+                    gate.wait(10.0)
+                return compute(job)
+
+            monkeypatch.setattr(svc, "_compute", held_first)
+            _, holder = submit(svc, workload="hold")
+            assert started.wait(5.0)
+            status, queued = submit(svc)
+            assert status == 202
+            other = "SELECT COUNT(*) FROM big b, small s " \
+                    "WHERE b.dim_id = s.dim_id"
+            status, _, _ = svc.handle("PUT", "/v1/tenants/t/workloads/w",
+                                      {"statements": [other]})
+            assert status == 200
+            gate.set()
+            assert poll(svc, holder["job_id"])["status"] == "done"
+            assert poll(svc, queued["job_id"])["status"] == "done"
+            _, result, _ = svc.handle(
+                "GET", f"/v1/jobs/{queued['job_id']}/result")
+            first = Workload(name="w")
+            first.add(JOIN_SQL)
+            first.add(SCAN_SQL, weight=2.0)
+            fresh = LayoutAdvisor(mini_db, farm4).recommend(first)
+            assert result["recommendation"]["per_statement"] == [
+                [str(name), current, proposed]
+                for name, current, proposed in fresh.per_statement]
+            # The first workload again: its fingerprint is cached with
+            # the first workload's result.
+            status, _, _ = svc.handle(
+                "PUT", "/v1/tenants/t/workloads/w",
+                {"statements": [JOIN_SQL, {"sql": SCAN_SQL,
+                                           "weight": 2.0}]})
+            assert status == 200
+            status, repeat = submit(svc)
+            assert status == 200 and repeat["cache"] == "hit"
+            _, again, _ = svc.handle(
+                "GET", f"/v1/jobs/{repeat['job_id']}/result")
+            assert again["recommendation"] == result["recommendation"]
+        finally:
+            gate.set()
+            svc.close()
+
     def test_leader_error_fails_followers_and_is_not_kept(
             self, service, monkeypatch):
         compute = held_search(error=RuntimeError("search blew up"))
@@ -960,6 +1016,23 @@ class TestServiceFailures:
         status, body, _ = service.handle(
             "GET", f"/v1/jobs/{job['job_id']}/result")
         assert status == 400 and body["error"] == done["error"]
+
+    def test_sql_nested_too_deep_is_400(self, service):
+        deep = "(" * 200 + "b.k = 1" + ")" * 200
+        status, _, _ = service.handle(
+            "PUT", "/v1/tenants/t/workloads/deep",
+            {"sql": f"SELECT COUNT(*) FROM big b WHERE {deep};"})
+        assert status == 200
+        status, job = submit(service, workload="deep")
+        assert status == 202
+        done = poll(service, job["job_id"])
+        assert done["status"] == "failed"
+        assert done["error"].startswith(
+            "SqlSyntaxError: statement nests deeper than")
+        status, body, _ = service.handle(
+            "GET", f"/v1/jobs/{job['job_id']}/result")
+        assert status == 400 and body["error"] == done["error"]
+        assert service._jobs[job["job_id"]].bad_input
 
     @pytest.mark.parametrize("error, code", [
         (PlanningError("unknown table 'x'"), 400),

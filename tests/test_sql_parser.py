@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SqlSyntaxError
 from repro.sql import ast, parse_script, parse_statement
+from repro.sql.parser import MAX_NESTING
 
 
 class TestSelectBasics:
@@ -271,3 +272,97 @@ class TestColumnRefs:
             "SELECT * FROM t WHERE a IN (SELECT b FROM u)")
         names = {r.name for r in ast.column_refs(stmt.where)}
         assert names == {"a"}
+
+
+class TestNestingLimit:
+    """Untrusted SQL may nest at most ``MAX_NESTING`` levels; deeper
+    text is a syntax error at the token that opens the extra level,
+    never a ``RecursionError``."""
+
+    @staticmethod
+    def _shapes(n):
+        """Statements nesting ``n`` levels, one per recursive shape."""
+        where = "SELECT COUNT(*) FROM orders o WHERE "
+        return {
+            "parentheses": where + "(" * n + "o.o_orderkey = 1" + ")" * n,
+            "in-subqueries": where + "o.o_orderkey IN "
+            + "(SELECT o.o_orderkey FROM orders o WHERE o.o_orderkey IN "
+            * (n - 1) + "(SELECT o.o_orderkey FROM orders o" + ")" * n,
+            "not": where + "NOT " * n + "o.o_orderkey = 1",
+            "unary-minus": where + "o.o_orderkey = " + "- " * n + "1",
+            "scalar-subqueries": "SELECT " + "(SELECT " * n
+            + "o.o_orderkey FROM orders o" + ") FROM orders o" * n,
+            "case": "SELECT " + "CASE WHEN o.o_orderkey = 1 THEN " * n
+            + "1" + " END" * n + " FROM orders o",
+            "calls": "SELECT " + "SUM(" * n + "o.o_totalprice"
+            + ")" * n + " FROM orders o",
+        }
+
+    @pytest.mark.parametrize("shape, count, opener", [
+        ("parentheses", 150, "("),
+        ("in-subqueries", 150, "("),
+        ("not", 1000, "NOT"),
+        ("unary-minus", 1000, "-"),
+    ])
+    def test_deep_shapes_raise_a_syntax_error(self, shape, count, opener):
+        sql = "-- deep\n" + self._shapes(count)[shape]
+        with pytest.raises(SqlSyntaxError) as raised:
+            parse_statement(sql)
+        error = raised.value
+        assert str(error).startswith(
+            f"statement nests deeper than {MAX_NESTING} levels")
+        # The position is the token opening level MAX_NESTING + 1.
+        assert error.line == 2
+        line = sql.splitlines()[1]
+        assert line[error.column - 1:].startswith(opener)
+        before = line[:error.column - 1]
+        closed = before.count(")") if opener == "(" else 0
+        assert before.count(opener) - closed == MAX_NESTING
+
+    @pytest.mark.parametrize("shape", sorted(_shapes.__func__(1)))
+    def test_the_limit_itself_still_plans(self, shape):
+        from repro.benchdb.tpch import tpch_database
+        from repro.optimizer import plan_statement
+        from repro.workload.access import decompose
+        at_limit = self._shapes(MAX_NESTING)[shape]
+        assert decompose(plan_statement(at_limit, tpch_database()))
+        with pytest.raises(SqlSyntaxError):
+            parse_statement(self._shapes(MAX_NESTING + 1)[shape])
+
+    def test_shipped_workloads_stay_far_below_the_limit(self, monkeypatch):
+        from repro.benchdb.apb import apb800_workload
+        from repro.benchdb.oltp import oltp_workload
+        from repro.benchdb.sales import sales45_workload
+        from repro.benchdb.synth import synthetic_workload
+        from repro.benchdb.tpch import tpch22_workload
+        from repro.sql import parser
+        sqls = [s.sql for workload in (
+            tpch22_workload(), apb800_workload(), sales45_workload(),
+            synthetic_workload(200, 1), oltp_workload()) for s in workload]
+        monkeypatch.setattr(parser, "MAX_NESTING", 3)
+        for sql in sqls:
+            parse_statement(sql)
+        monkeypatch.setattr(parser, "MAX_NESTING", 2)
+        with pytest.raises(SqlSyntaxError):
+            parse_statement(tpch22_workload().statements[7].sql)
+        assert MAX_NESTING >= 10 * 3
+
+    @pytest.mark.parametrize("verb", ["recommend", "lint"])
+    def test_cli_exits_2_with_an_error(self, verb, tmp_path, capsys):
+        from repro.benchdb.tpch import tpch_database
+        from repro.catalog.io import save_database, save_farm
+        from repro.cli import main
+        from repro.storage.disk import winbench_farm
+        save_database(tpch_database(), tmp_path / "db.json")
+        save_farm(winbench_farm(4), tmp_path / "disks.json")
+        (tmp_path / "w.sql").write_text(
+            "-- name: deep\n" + self._shapes(200)["parentheses"] + ";\n")
+        rc = main([verb, "--database", str(tmp_path / "db.json"),
+                   "--disks", str(tmp_path / "disks.json"),
+                   "--workload", str(tmp_path / "w.sql")])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        if verb == "recommend":
+            assert err.startswith("error: statement nests deeper than")
+        else:
+            assert "ALR000" in out and "nests deeper than" in out
