@@ -15,8 +15,8 @@ paper-scale workload (TPC-H schema, seeded query generator):
    the threshold and would otherwise run serially, as would any run on
    a single-core machine.
 
-A separate micro-benchmark isolates the evaluator kernel itself: the
-per-candidate ``cost_with_rows`` loop (the pre-fusion access pattern)
+A separate micro-benchmark isolates the evaluator kernel itself: one
+``cost_with_rows`` call per candidate (one kernel call per row)
 against one fused ``best_for_rows`` call over the same candidate
 rows, reported as ``eval_throughput_candidates_per_s`` and the
 speedup ratio.
@@ -199,10 +199,10 @@ def measure_eval_throughput(farm, evaluator, sizes, graph,
     two arms over the identical rows:
 
     * ``loop`` — one ``cost_with_rows({name: row})`` call per
-      candidate plus a Python running-minimum: the pre-fusion
-      per-candidate access pattern (the dict path re-gathers the
-      touched subplans on every call, where :meth:`costs_for_rows`
-      reads them from the evaluator's per-object slice cache);
+      candidate plus a Python running-minimum: the per-candidate
+      access pattern.  Each call is a one-row :meth:`costs_for_rows`
+      call through the same slice cache, so the arm pays the kernel's
+      fixed per-call cost once per candidate and prunes nothing;
     * ``fused`` — a single :meth:`best_for_rows` call (vectorized
       bounds prune + chunked batch evaluation of the survivors).
 

@@ -30,7 +30,7 @@ thousands of layouts.  They agree to float precision (tested).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -66,6 +66,13 @@ _CHUNK_MAX = 1024
 #: ``packed_nbytes``); mutable per-search state is never in this list.
 PACKED_ARRAYS = ("_idx", "_blocks", "_mask", "_inv", "_weights",
                  "_seeks")
+
+
+def _move_rows(rows: np.ndarray) -> np.ndarray:
+    """Candidate rows as ``(C, G, m)``: a lone object's ``(C, m)`` rows
+    gain a member axis (a view)."""
+    rows = np.asarray(rows, dtype=float)
+    return rows[:, None, :] if rows.ndim == 2 else rows
 
 
 class CostModel:
@@ -141,21 +148,25 @@ class CostModel:
 
 @dataclass(eq=False)
 class _Slice:
-    """One object's touched subplans, gathered for candidate evaluation.
+    """One move's touched subplans, gathered for candidate evaluation.
 
-    The first six fields depend only on the packed workload and are
-    built once.  ``base_sub`` and ``affected_base`` describe the base
-    layout at ``epoch`` and are (re)built whenever the evaluator's base
-    epoch differs from it; ``other_transfer`` is derived from
-    ``base_sub`` by the first bound pass at that epoch.
+    A *move* is one object, or a co-location group whose ``G`` members
+    move as one (Section 2.3); its candidates are ``(C, G, m)`` row
+    arrays.  The fields up to ``target_coeff`` depend only on the packed
+    workload and are built once.  ``base_sub`` and ``affected_base``
+    describe the base layout at ``epoch`` and are (re)built whenever the
+    evaluator's base epoch differs from it; ``other_transfer`` is
+    derived from ``base_sub`` by the first bound pass at that epoch.
     """
 
+    affected: np.ndarray       # (S,) subplans touching any member
     idx: np.ndarray            # (S, K) object row of each stream
     blocks_mask: np.ndarray    # (S, K, 1) stream blocks, 0 on padding
     inv: np.ndarray            # (S, K, m) inverse transfer rates
-    is_target: np.ndarray      # (S, K, 1) streams of this object
+    is_target: np.ndarray      # (S, K, 1) streams of the move's members
+    member: np.ndarray | None  # (S, K) member of each stream; None if G < 2
     weights: np.ndarray        # (S,) subplan weights
-    target_coeff: np.ndarray   # (S, m) this object's transfer per unit row
+    target_coeff: tuple        # G x (S, m): each member's transfer per unit row
     epoch: int = -1
     base_sub: np.ndarray = field(init=False)  # (S, K, m) base stream spread
     affected_base: float = field(init=False)  # these subplans' base total
@@ -166,12 +177,13 @@ class WorkloadCostEvaluator:
     """Precompiled, vectorized workload cost evaluation.
 
     The search algorithms evaluate thousands of candidate layouts that
-    differ from a base layout in a single object's fraction row; this
+    differ from a base layout by one *move*: a single object's fraction
+    row, or the rows of a co-location group that moves as one.  This
     class supports both full evaluation (:meth:`cost`) and O(affected
-    subplans) batched evaluation of such deviations
-    (:meth:`costs_for_rows`, :meth:`bounds_for_rows` and
-    :meth:`best_for_rows` after :meth:`set_base`).  Every cost path
-    computes Figure 7 through one kernel, :meth:`_fig7`.
+    subplans) batched evaluation of such moves (:meth:`costs_for_rows`,
+    :meth:`bounds_for_rows` and :meth:`best_for_rows` after
+    :meth:`set_base`).  Every cost path computes Figure 7 through one
+    kernel, :meth:`_fig7`.
 
     Two optimizations keep large experiments (64 disks x 800 queries)
     tractable without changing any result:
@@ -266,8 +278,9 @@ class WorkloadCostEvaluator:
         #: cache entries are tagged with the epoch they were built at
         #: and are valid only while the tags match.
         self._base_epoch: int = 0
-        #: object row -> its gathered subplans and base state
-        self._slices: dict[int, _Slice] = {}
+        #: move (object name or group tuple) -> its gathered subplans
+        #: and base state
+        self._slices: dict[str | tuple[str, ...], _Slice] = {}
 
     # -- matrix plumbing -----------------------------------------------------
 
@@ -368,10 +381,9 @@ class WorkloadCostEvaluator:
         """Fix a base matrix; returns its total cost.
 
         Subsequent :meth:`costs_for_rows`, :meth:`bounds_for_rows` and
-        :meth:`best_for_rows` calls evaluate single-row deviations from
-        this base (and :meth:`cost_with_rows` multi-row ones) in time
-        proportional to the number of subplans that touch the changed
-        objects.
+        :meth:`best_for_rows` calls evaluate moves away from this base
+        in time proportional to the number of subplans that touch the
+        moved objects.
         """
         self._telemetry.inc("costmodel.base_evaluations")
         self._base_matrix = matrix.copy()
@@ -392,7 +404,7 @@ class WorkloadCostEvaluator:
         the rest), and the total is re-derived as the full dot product
         over the patched per-subplan costs rather than accumulated
         incrementally.  A slice current at the previous epoch whose
-        object's subplans are disjoint from the committed ones stays
+        move's subplans are disjoint from the committed ones stays
         valid and is re-tagged to the new epoch; every other slice
         rebuilds its base half on next use.
 
@@ -404,79 +416,78 @@ class WorkloadCostEvaluator:
             raise LayoutError("set_base() must be called before "
                               "commit_rows()")
         self._telemetry.inc("costmodel.commit_evaluations")
-        affected: np.ndarray | None = None
-        for name, row in rows.items():
-            i = self._index[name]
-            affected = self._touching[i] if affected is None else \
-                np.union1d(affected, self._touching[i])
+        objects = [self._index[name] for name in rows]
+        for i, row in zip(objects, rows.values()):
             self._base_matrix[i] = row
+        touched = self._touched(objects)
+        affected = np.flatnonzero(touched)
         previous = self._base_epoch
         self._base_epoch += 1
-        if affected is not None and affected.size:
+        if affected.size:
             self._base_costs[affected] = self._subplan_costs(
                 self._base_matrix, rows=affected)
             self._base_total = float(self._base_costs @ self._weights)
-        for j, entry in self._slices.items():
-            if entry.epoch == previous and (
-                    affected is None or not np.intersect1d(
-                        self._touching[j], affected,
-                        assume_unique=True).size):
+        for entry in self._slices.values():
+            if entry.epoch == previous \
+                    and not touched[entry.affected].any():
                 entry.epoch = self._base_epoch
         return self._base_total
 
     def cost_with_rows(self, rows: dict[str, np.ndarray]) -> float:
         """Cost of the base matrix with several rows replaced at once.
 
-        Used when co-location constraints force a group of objects to
-        move together.
+        One candidate of :meth:`costs_for_rows` for the move
+        ``tuple(rows)``: the same kernel and slice cache the search
+        uses.
         """
-        if self._base_matrix is None or self._base_costs is None:
-            raise LayoutError("set_base() must be called before "
-                              "cost_with_rows()")
-        self._telemetry.inc("costmodel.delta_evaluations")
-        affected: np.ndarray | None = None
-        saved: dict[int, np.ndarray] = {}
-        for name, row in rows.items():
-            i = self._index[name]
-            affected = self._touching[i] if affected is None else \
-                np.union1d(affected, self._touching[i])
-            saved[i] = self._base_matrix[i].copy()
-            self._base_matrix[i] = row
-        if affected is None or affected.size == 0:
-            for i, old_row in saved.items():
-                self._base_matrix[i] = old_row
-            return self._base_total
-        new_costs = self._subplan_costs(self._base_matrix, rows=affected)
-        delta = float((new_costs - self._base_costs[affected])
-                      @ self._weights[affected])
-        for i, old_row in saved.items():
-            self._base_matrix[i] = old_row
-        return self._base_total + delta
+        candidate = np.asarray(list(rows.values()), dtype=float).reshape(
+            1, len(rows), len(self._farm))
+        return float(self.costs_for_rows(tuple(rows), candidate)[0])
 
-    def _slice(self, i: int) -> _Slice:
-        """Object ``i``'s slice, its base half current at this epoch."""
-        entry = self._slices.get(i)
+    def _slice(self, move: str | tuple[str, ...]) -> _Slice:
+        """The move's slice, its base half current at this epoch (a
+        move that touches no subplan has no base half)."""
+        entry = self._slices.get(move)
         if entry is None:
-            affected = self._touching[i]
-            idx = self._idx[affected]
-            blocks_mask = self._blocks[affected][:, :, None] \
-                * self._mask[affected][:, :, None]
-            inv = self._inv[affected]
-            is_target = (idx == i)[:, :, None]
-            entry = _Slice(
-                idx=idx, blocks_mask=blocks_mask, inv=inv,
-                is_target=is_target, weights=self._weights[affected],
-                target_coeff=(np.where(is_target, blocks_mask, 0.0)
-                              * inv).sum(axis=1))
-            self._slices[i] = entry
-        if entry.epoch != self._base_epoch:
+            entry = self._slices[move] = self._gather(move)
+        if entry.epoch != self._base_epoch and entry.affected.size:
             entry.epoch = self._base_epoch
             entry.base_sub = self._base_matrix[entry.idx] \
                 * entry.blocks_mask
             entry.affected_base = float(
-                self._base_costs[self._touching[i]] @ entry.weights)
+                self._base_costs[entry.affected] @ entry.weights)
             entry.other_transfer = None
         return entry
+
+    def _gather(self, move: str | tuple[str, ...]) -> _Slice:
+        """The static half of a move's slice: the subplans touching any
+        member, and each member's streams and transfer coefficients."""
+        members = np.array([self._index[name] for name in
+                            ((move,) if isinstance(move, str) else move)],
+                           dtype=np.intp)
+        affected = np.flatnonzero(self._touched(members))
+        idx = self._idx[affected]
+        blocks_mask = self._blocks[affected][:, :, None] \
+            * self._mask[affected][:, :, None]
+        inv = self._inv[affected]
+        # owner[g, s, k]: stream k of subplan s belongs to member g.
+        owner = idx[None] == members[:, None, None]
+        return _Slice(
+            affected=affected, idx=idx, blocks_mask=blocks_mask, inv=inv,
+            is_target=owner.any(axis=0)[:, :, None],
+            member=owner.argmax(axis=0) if len(members) > 1 else None,
+            weights=self._weights[affected],
+            target_coeff=tuple(
+                (np.where(owner[..., None], blocks_mask, 0.0) * inv)
+                .sum(axis=2)))
+
+    def _touched(self, objects: Iterable[int]) -> np.ndarray:
+        """``(S,)`` mask of the subplans that touch any of ``objects``
+        (object rows)."""
+        touched = np.zeros(self._n_subplans, dtype=bool)
+        for i in objects:
+            touched[self._touching[i]] = True
+        return touched
 
     def _auto_chunk(self, n_affected: int) -> int:
         """Deterministic chunk size for one vectorized pass.
@@ -491,19 +502,21 @@ class WorkloadCostEvaluator:
         return max(_CHUNK_MIN, min(_CHUNK_MAX,
                                    _CHUNK_TARGET_BYTES // per_row))
 
-    def costs_for_rows(self, object_name: str,
+    def costs_for_rows(self, move: str | tuple[str, ...],
                        rows: np.ndarray) -> np.ndarray:
-        """Costs of many single-row deviations from the base, batched.
+        """Costs of many candidate moves away from the base, batched.
 
-        Candidate ``c`` costs the base with ``object_name``'s row
-        replaced by ``rows[c]``.  Only the subplans touching the object
-        are re-costed, a chunk of candidates (:meth:`_auto_chunk`) per
+        Candidate ``c`` costs the base with the move's rows replaced by
+        ``rows[c]``.  Only the subplans touching a member are
+        re-costed, a chunk of candidates (:meth:`_auto_chunk`) per
         vectorized pass — the hot loop of the greedy search, and one
         row at a time annealing's proposal cost.
 
         Args:
-            object_name: The object whose fraction row varies.
-            rows: Candidate rows, shape ``(C, m)``.
+            move: The object whose fraction row varies, or the tuple of
+                a co-location group's members.
+            rows: Candidate rows: ``(C, m)`` for one object, or
+                ``(C, G, m)`` with ``rows[c, g]`` member ``g``'s row.
 
         Returns:
             Array of ``C`` total workload costs.
@@ -513,22 +526,23 @@ class WorkloadCostEvaluator:
                               "costs_for_rows()")
         self._telemetry.inc("costmodel.batch_evaluations")
         self._telemetry.inc("costmodel.batch_rows", len(rows))
-        i = self._index[object_name]
-        affected = self._touching[i]
-        rows = np.asarray(rows, dtype=float)
-        if affected.size == 0:
+        rows = _move_rows(rows)
+        entry = self._slice(move)
+        if entry.affected.size == 0:
             return np.full(len(rows), self._base_total)
-        entry = self._slice(i)
-        chunk = self._auto_chunk(affected.size)
+        chunk = self._auto_chunk(entry.affected.size)
         out = np.empty(len(rows))
         for start in range(0, len(rows), chunk):
-            batch = rows[start:start + chunk]                # (C, m)
-            # (C, S, K, m): base streams, with the target object's
-            # streams re-spread per candidate row.
-            sub = np.where(
-                entry.is_target[None],
-                batch[:, None, None, :] * entry.blocks_mask[None],
-                entry.base_sub[None])
+            batch = rows[start:start + chunk]                # (C, G, m)
+            # Each stream's candidate row: a broadcast view for a lone
+            # object, a gather for a group.
+            spread = batch[:, :, None, :] if entry.member is None \
+                else batch[:, entry.member]
+            # (C, S, K, m): base streams, with the members' streams
+            # re-spread per candidate row.
+            sub = np.where(entry.is_target[None],
+                           spread * entry.blocks_mask[None],
+                           entry.base_sub[None])
             out[start:start + chunk] = self._base_total \
                 - entry.affected_base \
                 + self._fig7(sub, entry.inv) @ entry.weights
@@ -536,62 +550,46 @@ class WorkloadCostEvaluator:
 
     # -- transfer-only lower bound ----------------------------------------------
 
-    def lower_bound_matrix(self, matrix: np.ndarray) -> float:
-        """Transfer-only lower bound on a fraction matrix's cost.
-
-        Drops the Figure-7 seek term: for every subplan the bound is
-        ``max_j sum_i x_ij * B_i / T_j``.  Since the seek term is
-        non-negative, this never exceeds the true cost — a provable
-        underestimate usable for branch-and-bound style pruning.
-        """
-        self._telemetry.inc("costmodel.bound_evaluations")
-        sub = matrix[self._idx] * self._blocks[:, :, None] \
-            * self._mask[:, :, None]
-        transfer = (sub * self._inv).sum(axis=1)        # (S, m)
-        if transfer.shape[0] == 0:
-            return 0.0
-        return float(transfer.max(axis=1) @ self._weights)
-
-    def bounds_for_rows(self, object_name: str,
+    def bounds_for_rows(self, move: str | tuple[str, ...],
                         rows: np.ndarray) -> np.ndarray:
         """Lower bounds on :meth:`costs_for_rows`, one per candidate.
 
-        For the subplans touching ``object_name`` only the seek-free
-        transfer term is charged (a per-subplan underestimate); every
-        untouched subplan keeps its exact base cost.  The result
-        therefore never exceeds the true candidate cost, and costs
-        ``O(C * S_affected * m)`` — no per-stream axis and no seek
-        bookkeeping, an order of magnitude cheaper than full evaluation.
+        For the subplans touching the move only the seek-free transfer
+        term is charged (a per-subplan underestimate while subplan
+        weights are non-negative); every untouched subplan keeps its
+        exact base cost.  The result therefore never exceeds the true
+        candidate cost, and costs ``O(C * S_affected * m)`` — no
+        per-stream axis and no seek bookkeeping, an order of magnitude
+        cheaper than full evaluation.
         """
         if self._base_matrix is None or self._base_costs is None:
             raise LayoutError("set_base() must be called before "
                               "bounds_for_rows()")
-        rows = np.asarray(rows, dtype=float)
+        rows = _move_rows(rows)
         self._telemetry.inc("costmodel.bound_evaluations", len(rows))
-        i = self._index[object_name]
-        affected = self._touching[i]
-        if affected.size == 0:
+        entry = self._slice(move)
+        if entry.affected.size == 0:
             return np.full(len(rows), self._base_total)
-        entry = self._slice(i)
         if entry.other_transfer is None:
-            # Transfer per disk splits into the target object's streams
-            # (``target_coeff``, scaled by the candidate row) and
+            # Transfer per disk splits into each member's streams
+            # (``target_coeff``, scaled by its candidate row) and
             # everything else (constant across candidates).
             entry.other_transfer = (
                 np.where(entry.is_target, 0.0, entry.base_sub)
                 * entry.inv).sum(axis=1)                 # (S, m)
         # (C, S, m): candidate transfer time per subplan and disk.
-        transfer = entry.other_transfer[None] \
-            + rows[:, None, :] * entry.target_coeff[None]
+        transfer = entry.other_transfer
+        for g, coeff in enumerate(entry.target_coeff):
+            transfer = transfer + rows[:, g, None] * coeff
         bound = transfer.max(axis=2) @ entry.weights      # (C,)
         return self._base_total - entry.affected_base + bound
 
     # -- fused prune + evaluate --------------------------------------------------
 
-    def best_for_rows(self, object_name: str, rows: np.ndarray,
+    def best_for_rows(self, move: str | tuple[str, ...], rows: np.ndarray,
                       incumbent: float, prune: bool = True,
                       ) -> tuple[float, int, int]:
-        """Fused prune+evaluate: the best single-row deviation, one call.
+        """Fused prune+evaluate: the best candidate of one move, one call.
 
         Computes transfer-only lower bounds for all ``C`` candidates in
         one vectorized pass, fully evaluates only the survivors (bound
@@ -602,8 +600,8 @@ class WorkloadCostEvaluator:
         ``costs_for_rows`` → Python-loop composition it replaces.
 
         Args:
-            object_name: The object whose fraction row varies.
-            rows: Candidate rows, shape ``(C, m)``.
+            move: The object, or co-location group, that moves.
+            rows: Candidate rows, as :meth:`costs_for_rows` takes them.
             incumbent: The cost to beat (the search's running best).
             prune: Disable to evaluate every candidate (results are
                 identical; only the evaluation count changes).
@@ -619,7 +617,7 @@ class WorkloadCostEvaluator:
         if len(rows) == 0:
             return float(incumbent), -1, 0
         if prune:
-            bounds = self.bounds_for_rows(object_name, rows)
+            bounds = self.bounds_for_rows(move, rows)
             keep = np.nonzero(bounds < incumbent - EPS_COST)[0]
             pruned = len(rows) - int(keep.size)
         else:
@@ -627,7 +625,7 @@ class WorkloadCostEvaluator:
             pruned = 0
         if keep.size == 0:
             return float(incumbent), -1, pruned
-        costs = self.costs_for_rows(object_name, rows[keep])
+        costs = self.costs_for_rows(move, rows[keep])
         best_cost = float(incumbent)
         best_index = -1
         # Sequential epsilon acceptance, not argmin: each later

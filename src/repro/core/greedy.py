@@ -25,7 +25,7 @@ from repro.core.constraints import ConstraintSet
 from repro.core.costmodel import WorkloadCostEvaluator
 from repro.core.layout import Layout, stripe_fractions
 from repro.core.partitioning import PartitionStats, partition_access_graph
-from repro.core.tolerance import EPS_CAPACITY, EPS_COST, EPS_ZERO
+from repro.core.tolerance import EPS_CAPACITY, EPS_ZERO
 from repro.errors import LayoutError
 from repro.obs import NULL_TELEMETRY
 from repro.storage.disk import DiskFarm
@@ -196,11 +196,14 @@ class TsGreedySearch:
             partitioning; an integer shuffles its processing order
             (deterministically per seed), yielding a different step-1
             starting point — the portfolio engine's multi-start lever.
-        prune: Skip full evaluation of candidate rows whose transfer-
+        prune: Skip full evaluation of candidate moves whose transfer-
             only lower bound already exceeds the iteration's best cost.
-            The bound is a provable underestimate, so the search result
-            is bit-identical with pruning on or off; only the number of
-            full evaluations changes.
+            While every subplan weight is non-negative the bound is a
+            provable underestimate, so the search result is
+            bit-identical with pruning on or off; only the number of
+            full evaluations changes.  A concurrency-expanded workload
+            (``repro.workload.concurrency``) can carry negative
+            weights, and there the two can differ.
     """
 
     def __init__(self, farm: DiskFarm, evaluator: WorkloadCostEvaluator,
@@ -396,43 +399,28 @@ class TsGreedySearch:
             best_cost = cost
             best_change: dict[str, np.ndarray] | None = None
             for group in groups:
-                members = frontiers.candidates(group)
-                if members is None:
+                rows = frontiers.candidates(group)
+                if rows is None:
                     continue
-                if len(group) == 1:
-                    # Single-object moves: one fused prune+evaluate
-                    # call — bounds for every candidate, full costs
-                    # for the survivors, selection inside the kernel.
-                    name = group[0]
-                    rows = members[name]
-                    candidate_cost, index, pruned = \
-                        self._evaluator.best_for_rows(
-                            name, rows, best_cost, prune=self._prune)
-                    pruned_total += pruned
-                    evaluated = len(rows) - pruned
-                    result.evaluations += evaluated
-                    iteration_evals += evaluated
-                    if index >= 0:
-                        best_cost = candidate_cost
-                        best_change = {name: rows[index]}
-                else:
-                    count = len(members[group[0]])
-                    result.evaluations += count
-                    iteration_evals += count
-                    for position in range(count):
-                        change = {name: rows[position]
-                                  for name, rows in members.items()}
-                        candidate_cost = self._evaluator.cost_with_rows(
-                            change)
-                        if candidate_cost < best_cost - EPS_COST:
-                            best_cost = candidate_cost
-                            best_change = change
+                # One fused prune+evaluate call per move: bounds for
+                # every candidate, full costs for the survivors,
+                # selection inside the kernel.
+                candidate_cost, index, pruned = \
+                    self._evaluator.best_for_rows(
+                        group, rows, best_cost, prune=self._prune)
+                pruned_total += pruned
+                evaluated = len(rows) - pruned
+                result.evaluations += evaluated
+                iteration_evals += evaluated
+                if index >= 0:
+                    best_cost = candidate_cost
+                    best_change = dict(zip(group, rows[index]))
             if best_change is not None:
                 frontiers.commit(best_change)
                 # O(Δ) adoption: only the subplans touching the moved
                 # objects are re-costed (bit-identical to a full
                 # set_base).
-                cost = self._evaluator.commit_rows(dict(best_change))
+                cost = self._evaluator.commit_rows(best_change)
             step = GreedyStep(
                 iteration=result.iterations, candidates=iteration_evals,
                 best_cost=float(cost), accepted=best_change is not None,
@@ -493,15 +481,18 @@ class _Frontiers:
     """Step 2's candidate moves and their feasibility, for one run.
 
     Holds the run's mutable state: each object's current row and the
-    blocks used on each disk.  A co-location group's *frontier* is every
-    row one move can give it, as one ``(C, m)`` matrix in move order:
-    widen by 1..k allowed disks, then (``narrow``, seeded runs) drop
-    1..k of its disks, each in ``itertools.combinations`` order.  It is
-    built from boolean disk masks and the read-rate vector, and depends
-    only on the lead object's disk set, so it is cached until the group
-    itself moves.  Row totals accumulate in ascending disk order, as
-    :func:`stripe_fractions` sums them, so every row is bit-identical to
-    that function's.
+    blocks used on each disk.  A *move* widens or narrows one object, or
+    a co-location group whose members move as one.  A group's
+    *frontier* is every move one step can make, as one ``(C, G, m)``
+    array in move order (``[c, g]`` is member ``g``'s row in move
+    ``c``; ``G = 1`` for a lone object): widen by 1..k allowed disks,
+    then (``narrow``, seeded runs) drop 1..k of its disks, each in
+    ``itertools.combinations`` order.  It is built from boolean disk
+    masks and the read-rate vector, and depends only on the lead
+    object's disk set, so it is cached until the group itself moves.
+    Row totals accumulate in ascending disk order, as
+    :func:`stripe_fractions` sums them, so every row is bit-identical
+    to that function's.
 
     Capacity and the movement constraint are then checked for the whole
     frontier at once, with the same floating-point operations per row as
@@ -547,14 +538,12 @@ class _Frontiers:
                                                self.current[name])
                            for name, (size, base) in self._baseline.items()}
 
-    def candidates(self, group: tuple[str, ...],
-                   ) -> dict[str, np.ndarray] | None:
-        """Each member's feasible candidate rows, in move order.
+    def candidates(self, group: tuple[str, ...]) -> np.ndarray | None:
+        """The group's feasible moves, in move order, as ``(C, G, m)``.
 
         Returns ``None`` when the group has no feasible move.
         """
-        rows = self._frontier(group)
-        return self._feasible(dict.fromkeys(group, rows))
+        return self._feasible(group, self._frontier(group))
 
     def commit(self, change: dict[str, np.ndarray]) -> None:
         """Adopt one group's move (``change`` keys are the group, in
@@ -573,7 +562,10 @@ class _Frontiers:
     def _frontier(self, group: tuple[str, ...]) -> np.ndarray:
         rows = self._rows.get(group)
         if rows is None:
-            rows = self._rows[group] = self._build(group[0])
+            lead = self._build(group[0])
+            # Every member takes the lead's row: a read-only view.
+            rows = self._rows[group] = np.broadcast_to(
+                lead[:, None, :], (len(lead), len(group), lead.shape[1]))
         return rows
 
     def _build(self, lead: str) -> np.ndarray:
@@ -596,25 +588,24 @@ class _Frontiers:
         # pairwise sum(axis=1), which changes the low bits of some rows.
         return rated / np.cumsum(rated, axis=1)[:, -1:]
 
-    def _feasible(self, members: dict[str, np.ndarray],
-                  ) -> dict[str, np.ndarray] | None:
-        """The rows of ``members`` (one matrix per member, row ``c``
-        being candidate ``c``) that fit capacity and the movement
-        constraint."""
-        delta = sum(self._sizes[name] * (rows - self.current[name])
-                    for name, rows in members.items())
+    def _feasible(self, group: tuple[str, ...],
+                  rows: np.ndarray) -> np.ndarray | None:
+        """The moves of ``rows`` (``(C, G, m)``) that fit capacity and
+        the movement constraint."""
+        delta = sum(self._sizes[name] * (rows[:, g] - self.current[name])
+                    for g, name in enumerate(group))
         fits = ~(self.disk_used + delta > self._limit).any(axis=1)
         if self._baseline:
             # Summed in the baseline's object order, as
             # Layout.data_movement_blocks does.
             moved = 0.0
             for name, (size, base) in self._baseline.items():
-                rows = members.get(name)
-                moved = moved + (self._moved[name] if rows is None
-                                 else _moved_blocks(size, base, rows))
+                moved = moved + (
+                    _moved_blocks(size, base, rows[:, group.index(name)])
+                    if name in group else self._moved[name])
             fits &= ~(moved > self._max_moved)
         if not fits.any():
             return None
         if fits.all():
-            return members
-        return {name: rows[fits] for name, rows in members.items()}
+            return rows
+        return rows[fits]

@@ -34,7 +34,12 @@ import numpy as np
 
 from repro.core.constraints import ConstraintSet, MaxDataMovement
 from repro.core.costmodel import WorkloadCostEvaluator
-from repro.core.greedy import SearchResult, TsGreedySearch, _Frontiers
+from repro.core.greedy import (
+    SearchResult,
+    TsGreedySearch,
+    _Frontiers,
+    _moved_blocks,
+)
 from repro.core.layout import Layout
 from repro.core.tolerance import EPS_CAPACITY, EPS_COST
 from repro.errors import LayoutError
@@ -44,63 +49,40 @@ from repro.workload.access_graph import AccessGraph
 
 
 class _BudgetedFrontiers(_Frontiers):
-    """Frontiers whose over-budget rows are projected, not dropped.
+    """Frontiers whose over-budget moves are projected, not dropped.
 
-    Before the capacity and movement checks, every frontier row that
+    Before the capacity and movement checks, every frontier move that
     would overshoot the remaining budget is replaced by its largest
     feasible blend toward each member's current row, so the search can
     keep harvesting the improving direction of a move it can no longer
-    afford in full.  Each object's current movement is kept up to date
-    on commit.
+    afford in full.  Movement is measured as the movement constraint
+    measures it: :func:`_moved_blocks` per row and the parent class's
+    running ``_moved`` tally.
     """
 
     def __init__(self, *args):
         super().__init__(*args)
-        # Python floats, so the per-group sums below add exactly as
-        # sum() over scalars does.
-        self._spent = {name: float(self._movement_of(name, row))
-                       for name, row in self.current.items()}
         self._projected = 0
 
-    def _movement_of(self, name: str, rows: np.ndarray) -> np.ndarray:
-        """Blocks object ``name`` moves (vs. baseline) on each row.
-
-        numpy's own (pairwise) row sum, as the budget has always been
-        measured; the movement constraint sums like
-        ``Layout.data_movement_blocks`` instead, and the two differ in
-        the low bits of some rows.
-        """
-        _, base = self._baseline[name]
-        return self._sizes[name] * np.abs(rows - base).sum(axis=-1) / 2.0
-
-    def candidates(self, group: tuple[str, ...],
-                   ) -> dict[str, np.ndarray] | None:
+    def candidates(self, group: tuple[str, ...]) -> np.ndarray | None:
         rows = self._frontier(group)
-        moved = sum(self._movement_of(name, rows) for name in group)
-        used_others = sum(self._spent[name] for name in self.current
+        moved = sum(_moved_blocks(*self._baseline[name], rows[:, g])
+                    for g, name in enumerate(group))
+        used_others = sum(self._moved[name] for name in self.current
                           if name not in group)
         budget = self._constraints.movement.max_blocks - used_others
         over = moved > budget + EPS_CAPACITY
         if not over.any():
-            return self._feasible(dict.fromkeys(group, rows))
-        moved_now = sum(self._spent[name] for name in group)
+            return self._feasible(group, rows)
+        moved_now = sum(self._moved[name] for name in group)
         headroom = budget - moved_now
         blend = over & (moved > moved_now) & (headroom > EPS_CAPACITY)
-        t = (headroom / (moved[blend] - moved_now))[:, None]
-        keep = ~over | blend
-        members = {}
-        for name in group:
-            blended = rows.copy()
-            blended[blend] = (1.0 - t) * self.current[name] \
-                + t * rows[blend]
-            members[name] = blended[keep]
+        t = (headroom / (moved[blend] - moved_now))[:, None, None]
+        current = np.array([self.current[name] for name in group])
+        blended = rows.copy()
+        blended[blend] = (1.0 - t) * current + t * rows[blend]
         self._projected += int(blend.sum())
-        return self._feasible(members)
-
-    def commit(self, change: dict[str, np.ndarray]) -> None:
-        super().commit(change)
-        for name, row in change.items():
-            self._spent[name] = float(self._movement_of(name, row))
+        return self._feasible(group, blended[~over | blend])
 
     def extras(self) -> dict[str, float]:
         return {"projected_moves": float(self._projected)}

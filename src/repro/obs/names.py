@@ -65,8 +65,6 @@ METRIC_CATALOG: dict[str, tuple[str, str]] = {
         COUNTER, "lower-bound evaluations used to prune candidates"),
     "costmodel.commit_evaluations": (
         COUNTER, "O(delta) base-cost commits of adopted moves"),
-    "costmodel.delta_evaluations": (
-        COUNTER, "co-location group cost evaluations"),
     "costmodel.fused_evaluations": (
         COUNTER, "fused prune+evaluate kernel invocations"),
     "costmodel.full_evaluations": (

@@ -25,6 +25,16 @@ _COMPARISONS = {"=", "<", ">", "<=", ">=", "<>", "!="}
 #: at most 3 levels.
 MAX_NESTING = 32
 
+#: Most AND, OR, arithmetic and ``||`` operators one statement may
+#: hold.  The parser builds each chain of them as a left-deep tree, and
+#: the walks over an expression (column references, conjunct
+#: splitting) recurse once per operand, so a longer chain would exhaust
+#: Python's recursion limit in planning: on the TPC-H catalog, 1,000
+#: ANDed predicates or a 1,000-term sum did.  A chain at the limit
+#: still plans from 300 frames deep, inside 30 parentheses.  The
+#: shipped workloads hold at most 17 per statement.
+MAX_OPERATORS = 500
+
 
 class _Parser:
     """Stateful cursor over the token stream."""
@@ -33,6 +43,7 @@ class _Parser:
         self._tokens = tokens
         self._pos = 0
         self._depth = 0
+        self._operators = 0
 
     # -- token helpers ----------------------------------------------------
 
@@ -72,6 +83,15 @@ class _Parser:
                 f"statement nests deeper than {MAX_NESTING} levels",
                 tok.line, tok.column)
 
+    def _chain(self, tok: Token) -> None:
+        """Count one chaining operator of the statement (see
+        :data:`MAX_OPERATORS`)."""
+        self._operators += 1
+        if self._operators > MAX_OPERATORS:
+            raise SqlSyntaxError(
+                f"statement chains more than {MAX_OPERATORS} operators",
+                tok.line, tok.column)
+
     def _accept_punct(self, ch: str) -> bool:
         tok = self._cur
         if tok.kind is TokenKind.PUNCT and tok.value == ch:
@@ -101,6 +121,7 @@ class _Parser:
 
     def parse_statement(self) -> ast.Statement:
         """Parse one statement, consuming a trailing semicolon if present."""
+        self._operators = 0
         if self._cur.is_keyword("SELECT"):
             stmt: ast.Statement = self._select()
         elif self._cur.is_keyword("INSERT"):
@@ -289,13 +310,15 @@ class _Parser:
 
     def _or_expr(self) -> ast.Expr:
         left = self._and_expr()
-        while self._accept_keyword("OR"):
+        while (tok := self._accept_keyword("OR")) is not None:
+            self._chain(tok)
             left = ast.BinaryOp("OR", left, self._and_expr())
         return left
 
     def _and_expr(self) -> ast.Expr:
         left = self._not_expr()
-        while self._accept_keyword("AND"):
+        while (tok := self._accept_keyword("AND")) is not None:
+            self._chain(tok)
             left = ast.BinaryOp("AND", left, self._not_expr())
         return left
 
@@ -374,6 +397,7 @@ class _Parser:
             op_tok = self._accept_operator("+", "-", "||")
             if op_tok is None:
                 return left
+            self._chain(op_tok)
             left = ast.BinaryOp(op_tok.value, left, self._multiplicative())
 
     def _multiplicative(self) -> ast.Expr:
@@ -382,6 +406,7 @@ class _Parser:
             op_tok = self._accept_operator("*", "/", "%")
             if op_tok is None:
                 return left
+            self._chain(op_tok)
             left = ast.BinaryOp(op_tok.value, left, self._unary())
 
     def _unary(self) -> ast.Expr:

@@ -8,22 +8,29 @@ replaced; these tests hold it to that — ``==`` and
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.benchdb.synth import synthetic_workload
+from repro.benchdb.tpch import tpch_database
 from repro.core.costmodel import (
     _CHUNK_MAX,
     _CHUNK_MIN,
+    CostModel,
     WorkloadCostEvaluator,
 )
 from repro.core.fullstripe import full_striping
 from repro.core.greedy import TsGreedySearch
 from repro.core.layout import stripe_fractions
-from repro.core.tolerance import EPS_COST
+from repro.core.random_layout import random_layout
+from repro.core.tolerance import EPS_COST, EPS_FRACTION
 from repro.errors import LayoutError
 from repro.obs import Telemetry
+from repro.storage.disk import winbench_farm
 from repro.workload.access import analyze_workload
 from repro.workload.access_graph import build_access_graph
 
@@ -273,6 +280,87 @@ class TestBestForRows:
         rows = np.array([stripe_fractions([0], farm)])
         evaluator.best_for_rows("big", rows, incumbent)
         assert telemetry.value("costmodel.fused_evaluations") == 1.0
+
+
+_TPCH = tpch_database()
+_TPCH_SIZES = _TPCH.object_sizes()
+_TPCH_NAMES = sorted(_TPCH_SIZES)
+
+
+@functools.lru_cache(maxsize=None)
+def _synthetic(seed: int):
+    return analyze_workload(synthetic_workload(6, seed), _TPCH)
+
+
+class TestGroupMoves:
+    """A co-location group's move through the same kernel as a lone
+    object's: costs, bounds and the fused selection."""
+
+    @settings(deadline=None, max_examples=25, derandomize=True)
+    @given(data=st.data())
+    def test_property_group_kernel(self, data):
+        m = data.draw(st.integers(3, 10))
+        farm = winbench_farm(m, seed=data.draw(st.integers(0, 1000)))
+        analyzed = _synthetic(data.draw(st.integers(0, 3)))
+        evaluator = WorkloadCostEvaluator(analyzed, farm, _TPCH_NAMES)
+        base = random_layout(_TPCH_SIZES, farm,
+                             seed=data.draw(st.integers(0, 10_000)))
+        base_cost = evaluator.set_base(evaluator.matrix_of(base))
+        group = tuple(data.draw(st.lists(st.sampled_from(_TPCH_NAMES),
+                                         min_size=2, max_size=3,
+                                         unique=True)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+        # Members share each candidate's row, as a frontier builds
+        # them, or get rows of their own, as budget projection does.
+        shared = data.draw(st.booleans())
+        rows = []
+        for _ in range(data.draw(st.integers(1, 12))):
+            if shared:
+                rows.append([_random_row(rng, farm)] * len(group))
+            else:
+                rows.append([_random_row(rng, farm) for _ in group])
+        rows = np.array(rows)                             # (C, G, m)
+        costs = evaluator.costs_for_rows(group, rows)
+        model = CostModel(farm)
+        for candidate, cost in zip(rows, costs):
+            layout = base
+            for name, row in zip(group, candidate):
+                layout = layout.with_fractions(name, tuple(row),
+                                               check_capacity=False)
+            assert cost == pytest.approx(
+                model.workload_cost(analyzed, layout), rel=EPS_FRACTION)
+        bounds = evaluator.bounds_for_rows(group, rows)
+        assert np.all(bounds <= costs + 1e-9)
+        incumbent = float(base_cost * rng.uniform(0.5, 1.2))
+        pruned = evaluator.best_for_rows(group, rows, incumbent,
+                                         prune=True)
+        full = evaluator.best_for_rows(group, rows, incumbent,
+                                       prune=False)
+        assert pruned[:2] == full[:2]
+        assert full[2] == 0
+
+    def test_one_member_group_is_the_object(self, case):
+        evaluator, _, sizes, farm = case
+        incumbent = evaluator.set_base(
+            evaluator.matrix_of(full_striping(sizes, farm)))
+        rows = _random_rows(np.random.default_rng(3), farm, 20)
+        assert np.array_equal(evaluator.costs_for_rows(("big",),
+                                                       rows[:, None]),
+                              evaluator.costs_for_rows("big", rows))
+        assert np.array_equal(evaluator.bounds_for_rows(("big",),
+                                                        rows[:, None]),
+                              evaluator.bounds_for_rows("big", rows))
+        assert evaluator.best_for_rows(("big",), rows[:, None], incumbent) \
+            == evaluator.best_for_rows("big", rows, incumbent)
+
+    def test_cost_with_rows_is_one_kernel_candidate(self, case):
+        evaluator, _, sizes, farm = case
+        evaluator.set_base(evaluator.matrix_of(full_striping(sizes, farm)))
+        change = {"big": np.array(stripe_fractions([0, 1], farm)),
+                  "mid": np.array(stripe_fractions([2], farm))}
+        rows = np.array([list(change.values())])
+        assert evaluator.cost_with_rows(change) \
+            == evaluator.costs_for_rows(("big", "mid"), rows)[0]
 
 
 class TestChunkAutoSizing:

@@ -2,13 +2,17 @@
 search they replaced.
 
 Step 2 builds each co-location group's candidate moves as one row
-matrix and checks capacity, the movement constraint and the movement
+array and checks capacity, the movement constraint and the movement
 budget for the whole frontier at once.  The reference below is the
-per-candidate step 2 it replaced, kept as it was: one
-``stripe_fractions`` call, one dict and one ``_fits`` check per
-candidate, a ``Layout`` per candidate under a movement constraint, and
-one projection per over-budget candidate.  Results, counters and events
-must be identical — compared bit for bit, not approximately.
+per-candidate step 2 it replaced: one ``stripe_fractions`` call, one
+dict and one ``_fits`` check per candidate, a ``Layout`` per candidate
+under a movement constraint, and one projection per over-budget
+candidate.  Two parts follow the current definitions rather than the
+old code: a co-location group's candidates are costed as one move
+through ``best_for_rows``, pruning included, and the movement budget is
+measured as the movement constraint measures it (half the L1 distance
+summed in ascending disk order).  Results, counters and events must be
+identical — compared bit for bit, not approximately.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from repro.core.greedy import (
 from repro.core.incremental import IncrementalSearch
 from repro.core.layout import Layout, stripe_fractions
 from repro.core.random_layout import random_layout
-from repro.core.tolerance import EPS_CAPACITY, EPS_COST, EPS_ZERO
+from repro.core.tolerance import EPS_CAPACITY, EPS_ZERO
 from repro.errors import LayoutError, ReproError
 from repro.obs import Telemetry
 from repro.obs.events import canonical_lines
@@ -96,25 +100,23 @@ class ReferenceGreedy(TsGreedySearch):
                 if len(group) == 1:
                     rows = np.array([change[name]
                                      for change in feasible])
-                    candidate_cost, index, pruned = \
-                        self._evaluator.best_for_rows(
-                            name, rows, best_cost, prune=self._prune)
-                    pruned_total += pruned
-                    evaluated = len(feasible) - pruned
-                    result.evaluations += evaluated
-                    iteration_evals += evaluated
-                    if index >= 0:
-                        best_cost = candidate_cost
-                        best_change = feasible[index]
+                    move = name
                 else:
-                    result.evaluations += len(feasible)
-                    iteration_evals += len(feasible)
-                    for change in feasible:
-                        candidate_cost = self._evaluator.cost_with_rows(
-                            dict(change))
-                        if candidate_cost < best_cost - EPS_COST:
-                            best_cost = candidate_cost
-                            best_change = change
+                    # A group is costed as one move: (C, G, m) rows
+                    # through the same kernel, pruning included.
+                    rows = np.array([[change[member] for member in group]
+                                     for change in feasible])
+                    move = group
+                candidate_cost, index, pruned = \
+                    self._evaluator.best_for_rows(
+                        move, rows, best_cost, prune=self._prune)
+                pruned_total += pruned
+                evaluated = len(feasible) - pruned
+                result.evaluations += evaluated
+                iteration_evals += evaluated
+                if index >= 0:
+                    best_cost = candidate_cost
+                    best_change = feasible[index]
             if best_change is None:
                 result.steps.append(GreedyStep(
                     iteration=result.iterations,
@@ -212,9 +214,19 @@ class ReferenceBudgeted(ReferenceGreedy):
     def _reference_extras(self) -> dict[str, float]:
         return {"projected_moves": float(self.projected_moves)}
 
-    def _movement_of(self, name, row) -> float:
+    def _movement_of(self, name, row) -> np.float64:
+        """The movement constraint's measure: half the L1 distance,
+        summed in ascending disk order, times the object's size.
+
+        A numpy scalar, so ``sum()`` adds these in order on every
+        Python version (3.12's ``sum()`` compensates Python floats), as
+        the search does.
+        """
         base = self._baseline_rows[name]
-        return self._sizes[name] * float(np.abs(row - base).sum()) / 2.0
+        distance = 0.0
+        for value in np.abs(row - base):
+            distance += float(value)
+        return np.float64(self._sizes[name] * distance / 2.0)
 
     def _moves(self, group, current):
         used_others = sum(
@@ -432,9 +444,9 @@ def _frontier(farm: DiskFarm, disks, allowed, k: int,
     start = Layout(farm, sizes, {"t": stripe_fractions(disks, farm)})
     constraints = ConstraintSet(availability=[
         AvailabilityRequirement("t", Availability.MIRRORING)])
-    members = _Frontiers(farm, sizes, ["t"], constraints, k, start,
-                         narrow).candidates(("t",))
-    return np.empty((0, len(farm))) if members is None else members["t"]
+    rows = _Frontiers(farm, sizes, ["t"], constraints, k, start,
+                      narrow).candidates(("t",))
+    return np.empty((0, len(farm))) if rows is None else rows[:, 0]
 
 
 def _expected(disks, allowed, k: int,

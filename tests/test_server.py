@@ -1034,6 +1034,22 @@ class TestServiceFailures:
         assert status == 400 and body["error"] == done["error"]
         assert service._jobs[job["job_id"]].bad_input
 
+    def test_sql_chaining_too_many_operators_is_400(self, service):
+        chain = " AND ".join(f"b.k <> {i}" for i in range(1000))
+        status, _, _ = service.handle(
+            "PUT", "/v1/tenants/t/workloads/long",
+            {"sql": f"SELECT COUNT(*) FROM big b WHERE {chain};"})
+        assert status == 200
+        status, job = submit(service, workload="long")
+        assert status == 202
+        done = poll(service, job["job_id"])
+        assert done["status"] == "failed"
+        assert done["error"].startswith(
+            "SqlSyntaxError: statement chains more than")
+        status, body, _ = service.handle(
+            "GET", f"/v1/jobs/{job['job_id']}/result")
+        assert status == 400 and body["error"] == done["error"]
+
     @pytest.mark.parametrize("error, code", [
         (PlanningError("unknown table 'x'"), 400),
         (LayoutError("objects do not fit"), 400),

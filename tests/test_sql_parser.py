@@ -1,10 +1,12 @@
 """Tests for the SQL parser."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.errors import SqlSyntaxError
 from repro.sql import ast, parse_script, parse_statement
-from repro.sql.parser import MAX_NESTING
+from repro.sql.parser import MAX_NESTING, MAX_OPERATORS
 
 
 class TestSelectBasics:
@@ -366,3 +368,100 @@ class TestNestingLimit:
             assert err.startswith("error: statement nests deeper than")
         else:
             assert "ALR000" in out and "nests deeper than" in out
+
+
+class TestOperatorLimit:
+    """A statement may chain at most ``MAX_OPERATORS`` AND, OR,
+    arithmetic and ``||`` operators; a longer chain is a syntax error at
+    the operator past the limit, never a ``RecursionError`` in
+    planning."""
+
+    @staticmethod
+    def _shapes(n):
+        """Statements chaining ``n`` operators, one per chain shape."""
+        where = "SELECT COUNT(*) FROM orders o WHERE "
+        return {
+            "and": where + " AND ".join(
+                f"o.o_orderkey <> {i}" for i in range(n + 1)),
+            "sum": where + "o.o_orderkey = "
+            + " + ".join("1" for _ in range(n + 1)),
+        }
+
+    @pytest.mark.parametrize("shape, operator", [("and", "AND"),
+                                                 ("sum", "+")])
+    def test_one_past_the_limit_is_a_syntax_error(self, shape, operator):
+        sql = "-- long\n" + self._shapes(MAX_OPERATORS + 1)[shape]
+        with pytest.raises(SqlSyntaxError) as raised:
+            parse_statement(sql)
+        error = raised.value
+        assert str(error).startswith(
+            f"statement chains more than {MAX_OPERATORS} operators")
+        # The position is the operator past the limit.
+        assert error.line == 2
+        line = sql.splitlines()[1]
+        assert line[error.column - 1:].startswith(operator)
+        assert line[:error.column - 1].count(f" {operator} ") \
+            == MAX_OPERATORS
+
+    @pytest.mark.parametrize("shape", ["and", "sum"])
+    def test_the_limit_plans_deep_in_the_stack(self, shape):
+        # At the limit, the chain still plans inside 30 parentheses
+        # with 300 extra caller frames.
+        from repro.benchdb.tpch import tpch_database
+        from repro.optimizer import plan_statement
+        from repro.workload.access import decompose
+        head, where = self._shapes(MAX_OPERATORS)[shape].split(" WHERE ")
+        sql = f"{head} WHERE {'(' * 30}{where}{')' * 30}"
+        db = tpch_database()
+
+        def nested(frames):
+            if frames == 0:
+                return decompose(plan_statement(sql, db))
+            return nested(frames - 1)
+
+        assert nested(300)
+
+    def test_the_count_is_per_statement(self):
+        half = "SELECT COUNT(*) FROM orders o WHERE o.o_orderkey = " \
+            + " + ".join("1" for _ in range(MAX_OPERATORS + 1))
+        assert len(parse_script(f"{half};\n{half};")) == 2
+
+    def test_shipped_workloads_stay_far_below_the_limit(self, monkeypatch):
+        from repro.benchdb.apb import apb800_workload
+        from repro.benchdb.oltp import oltp_workload
+        from repro.benchdb.sales import sales45_workload
+        from repro.benchdb.synth import synthetic_workload
+        from repro.benchdb.tpch import tpch22_workload
+        from repro.sql import parser
+        from repro.workload.workload import Workload
+        example = Workload.loads((Path(__file__).resolve().parent.parent
+                                  / "examples" / "tpch" / "workload.sql")
+                                 .read_text())
+        sqls = [s.sql for workload in (
+            tpch22_workload(), apb800_workload(), sales45_workload(),
+            synthetic_workload(200, 1), oltp_workload(), example)
+            for s in workload]
+        monkeypatch.setattr(parser, "MAX_OPERATORS", 20)
+        for sql in sqls:
+            parse_statement(sql)
+        assert MAX_OPERATORS >= 20 * 20
+
+    @pytest.mark.parametrize("verb", ["recommend", "lint"])
+    def test_cli_exits_2_with_an_error(self, verb, tmp_path, capsys):
+        from repro.benchdb.tpch import tpch_database
+        from repro.catalog.io import save_database, save_farm
+        from repro.cli import main
+        from repro.storage.disk import winbench_farm
+        save_database(tpch_database(), tmp_path / "db.json")
+        save_farm(winbench_farm(4), tmp_path / "disks.json")
+        (tmp_path / "w.sql").write_text(
+            "-- name: long\n" + self._shapes(1000)["and"] + ";\n")
+        rc = main([verb, "--database", str(tmp_path / "db.json"),
+                   "--disks", str(tmp_path / "disks.json"),
+                   "--workload", str(tmp_path / "w.sql")])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        if verb == "recommend":
+            assert err.startswith("error: statement chains more than")
+        else:
+            assert "ALR000" in out and "chains more than" in out
