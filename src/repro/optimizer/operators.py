@@ -378,7 +378,8 @@ class TopOp(PlanOp):
 
 
 class SequenceOp(PlanOp):
-    """Runs children one after another (used for scalar subqueries).
+    """Runs children one after another (used for every subquery planned
+    outside a semi-join).
 
     Every edge is blocking: child *i* finishes before child *i+1* starts,
     so no two children's objects are co-accessed.  The last child is the

@@ -62,6 +62,8 @@ SEMI_SEL_IN = 0.5
 
 _AGG_NAMES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 
+_SUBQUERY_NODES = (ast.InSubquery, ast.ExistsExpr, ast.ScalarSubquery)
+
 
 #: An output ordering: (binding, column) keys, or None when unordered.
 _Order = tuple[ops.OrderKey, ...] | None
@@ -176,21 +178,22 @@ class Planner:
                      outer: _Scope | None) -> _Candidate:
         scope = self._make_scope(select, outer)
         needed = self._needed_columns(select, scope)
-        classified, correlations, scalar_subs = \
+        classified, correlations, subqueries = \
             self._classify(select, scope)
-        # Correlations only arise under an outer scope (scalar subqueries
-        # planned via this entry point).  They are dropped as filters —
-        # the subquery still reads the right objects, which is all the
-        # access graph needs; IN/EXISTS subqueries go through
-        # _plan_subquery instead, which turns them into semi-join keys.
+        # Correlations only arise under an outer scope (subqueries planned
+        # outside a semi-join come through this entry point).  They are
+        # dropped as filters — the subquery still reads the right objects,
+        # which is all the access graph needs; top-level IN/EXISTS
+        # conjuncts go through _plan_subquery instead, which turns them
+        # into semi-join keys.
         del correlations
         return self._plan_resolved(select, scope, needed, classified,
-                                   scalar_subs)
+                                   subqueries)
 
     def _plan_resolved(self, select: ast.Select, scope: _Scope,
                        needed: dict[str, set[str]],
                        classified: ClassifiedPredicates,
-                       scalar_subs: list[ast.Select]) -> _Candidate:
+                       subqueries: list[ast.Select]) -> _Candidate:
         base = {
             binding: self._access_paths(
                 binding, scope.bindings[binding],
@@ -205,18 +208,20 @@ class Planner:
         # Finish every interesting-order candidate: a slightly costlier
         # join tree whose order feeds a merge semi-join or saves the
         # final sort can win overall.
+        has_agg = _has_aggregate(select)
         cand: _Candidate | None = None
         for joined in join_cands:
             finished = self._apply_residual(joined, classified.residual)
             for semi in semi_joins:
                 finished = self._semi_join(finished, semi)
-            finished = self._apply_aggregation(finished, select, scope)
+            finished = self._apply_aggregation(finished, select, scope,
+                                               has_agg)
             finished = self._apply_order_and_top(finished, select, scope)
             if cand is None or finished.cost < cand.cost:
                 cand = finished
         assert cand is not None
-        if scalar_subs:
-            subs = [self._plan_select(s, outer=scope) for s in scalar_subs]
+        if subqueries:
+            subs = [self._plan_select(s, outer=scope) for s in subqueries]
             main = cand
             cand = _Candidate(
                 main.cost + sum(c.cost for c in subs), main.rows,
@@ -277,9 +282,12 @@ class Planner:
 
     def _classify(self, select: ast.Select, scope: _Scope) -> tuple[
             ClassifiedPredicates, list[_Correlation], list[ast.Select]]:
+        """Sort the WHERE and ON conjuncts, and collect the subqueries
+        planned outside a semi-join: every one in the query block's
+        expressions but the top-level IN / EXISTS conjuncts."""
         classified = ClassifiedPredicates()
         correlations: list[_Correlation] = []
-        scalar_subs: list[ast.Select] = []
+        subqueries: list[ast.Select] = []
         conjuncts: list[ast.Expr] = list(split_conjuncts(select.where))
         for join in select.joins:
             conjuncts.extend(split_conjuncts(join.condition))
@@ -287,19 +295,21 @@ class Planner:
             conjunct = _normalize_not(raw)
             if isinstance(conjunct, (ast.InSubquery, ast.ExistsExpr)):
                 classified.subqueries.append(conjunct)
-                continue
-            if _find_scalar_subqueries(conjunct, scalar_subs):
-                # comparison against a scalar subquery: the subquery plans
-                # separately; the comparison itself is a residual filter.
+                if isinstance(conjunct, ast.InSubquery):
+                    subqueries.extend(_subqueries(conjunct.operand))
+            elif found := _subqueries(conjunct):
+                # The subqueries plan separately; the conjunct itself is
+                # a residual filter.
+                subqueries.extend(found)
                 classified.residual.append(conjunct)
-                continue
-            self._classify_simple(conjunct, scope, classified, correlations)
-        # HAVING may compare an aggregate against a scalar subquery
-        # (TPC-H Q11/Q15); the subquery must still be planned so its
-        # object accesses appear in the statement's plan.
-        for conjunct in split_conjuncts(select.having):
-            _find_scalar_subqueries(conjunct, scalar_subs)
-        return classified, correlations, scalar_subs
+            else:
+                self._classify_simple(conjunct, scope, classified,
+                                      correlations)
+        for expr in (*(item.expr for item in select.items),
+                     *select.group_by, select.having,
+                     *(item.expr for item in select.order_by)):
+            subqueries.extend(_subqueries(expr))
+        return classified, correlations, subqueries
 
     def _classify_simple(self, conjunct: ast.Expr, scope: _Scope,
                          classified: ClassifiedPredicates,
@@ -689,12 +699,12 @@ class Planner:
             raise PlanningError("unsupported subquery conjunct")
         inner_scope = self._make_scope(select, outer=scope)
         needed = self._needed_columns(select, inner_scope)
-        classified, correlations, scalar_subs = \
+        classified, correlations, subqueries = \
             self._classify(select, inner_scope)
         for corr in correlations:
             needed[corr.inner_binding].add(corr.inner_column)
         inner = self._plan_resolved(select, inner_scope, needed,
-                                    classified, scalar_subs)
+                                    classified, subqueries)
         keys = None
         if correlations:
             corr = correlations[0]
@@ -748,8 +758,7 @@ class Planner:
                           cand.order, tree)
 
     def _apply_aggregation(self, cand: _Candidate, select: ast.Select,
-                           scope: _Scope) -> _Candidate:
-        has_agg = _has_aggregate(select)
+                           scope: _Scope, has_agg: bool) -> _Candidate:
         if select.group_by:
             group_keys = self._order_keys(select.group_by, scope)
             ndvs = []
@@ -888,7 +897,9 @@ class Planner:
                                    write=True, sequential=True)]
         writes.extend(self._index_write_accesses(
             table, rows, self._db.indexes_on(table.name)))
-        return ops.DmlOp("INSERT", child, writes, rows_affected=rows)
+        return self._after_subqueries(
+            ops.DmlOp("INSERT", child, writes, rows_affected=rows),
+            (expr for row in stmt.values for expr in row), None)
 
     def _plan_update(self, stmt: ast.Update) -> ops.PlanOp:
         child, rows, table = self._dml_source(stmt.table, stmt.where)
@@ -900,7 +911,10 @@ class Planner:
                     if updated_cols & (set(ix.key_columns)
                                        | set(ix.included_columns))]
         writes.extend(self._index_write_accesses(table, rows, affected))
-        return ops.DmlOp("UPDATE", child, writes, rows_affected=rows)
+        return self._after_subqueries(
+            ops.DmlOp("UPDATE", child, writes, rows_affected=rows),
+            (*(expr for _, expr in stmt.assignments), stmt.where),
+            _Scope({stmt.table: table}))
 
     def _plan_delete(self, stmt: ast.Delete) -> ops.PlanOp:
         child, rows, table = self._dml_source(stmt.table, stmt.where)
@@ -909,7 +923,19 @@ class Planner:
                                    write=True, sequential=False)]
         writes.extend(self._index_write_accesses(
             table, rows, self._db.indexes_on(table.name)))
-        return ops.DmlOp("DELETE", child, writes, rows_affected=rows)
+        return self._after_subqueries(
+            ops.DmlOp("DELETE", child, writes, rows_affected=rows),
+            (stmt.where,), _Scope({stmt.table: table}))
+
+    def _after_subqueries(self, plan: ops.PlanOp,
+                          exprs: Iterable[ast.Expr | None],
+                          outer: _Scope | None) -> ops.PlanOp:
+        """A DML statement's ``plan``, run after the subqueries in its
+        ``exprs``, each planned under ``outer``: one Sequence, as a
+        query block runs its subqueries outside a semi-join."""
+        subs = [self._plan_select(select, outer=outer).tree()
+                for expr in exprs for select in _subqueries(expr)]
+        return ops.SequenceOp(subs + [plan]) if subs else plan
 
 
 # -- module-level helpers -----------------------------------------------------
@@ -962,50 +988,20 @@ def _normalize_not(expr: ast.Expr) -> ast.Expr:
     return expr
 
 
-def _find_scalar_subqueries(expr: ast.Expr,
-                            sink: list[ast.Select]) -> bool:
-    """Collect scalar subqueries inside ``expr``; True if any found."""
-    found = False
-    if isinstance(expr, ast.ScalarSubquery):
-        sink.append(expr.subquery)
-        return True
-    if isinstance(expr, ast.BinaryOp):
-        found |= _find_scalar_subqueries(expr.left, sink)
-        found |= _find_scalar_subqueries(expr.right, sink)
-    elif isinstance(expr, ast.UnaryOp):
-        found |= _find_scalar_subqueries(expr.operand, sink)
-    elif isinstance(expr, ast.BetweenExpr):
-        for sub in (expr.operand, expr.lo, expr.hi):
-            found |= _find_scalar_subqueries(sub, sink)
-    return found
+def _subqueries(expr: ast.Expr | None) -> list[ast.Select]:
+    """The subqueries in ``expr``'s own scope, in source order."""
+    return [e.subquery for e in ast.walk(expr) if type(e) in _SUBQUERY_NODES]
 
 
 def _contains_any_subquery(expr: ast.Expr) -> bool:
-    sink: list[ast.Select] = []
-    if isinstance(expr, (ast.InSubquery, ast.ExistsExpr)):
-        return True
-    if isinstance(expr, ast.UnaryOp) and expr.op == "NOT":
-        return _contains_any_subquery(expr.operand)
-    return _find_scalar_subqueries(expr, sink)
+    return bool(_subqueries(expr))
 
 
 def _has_aggregate(select: ast.Select) -> bool:
-    def check(expr: ast.Expr | None) -> bool:
-        if expr is None:
-            return False
-        if isinstance(expr, ast.FuncCall):
-            return expr.name in _AGG_NAMES or \
-                any(check(a) for a in expr.args)
-        if isinstance(expr, ast.BinaryOp):
-            return check(expr.left) or check(expr.right)
-        if isinstance(expr, ast.UnaryOp):
-            return check(expr.operand)
-        if isinstance(expr, ast.CaseExpr):
-            return any(check(c) or check(v) for c, v in expr.whens) \
-                or check(expr.else_)
-        return False
-    return any(check(item.expr) for item in select.items) \
-        or check(select.having)
+    return any(type(e) is ast.FuncCall and e.name in _AGG_NAMES
+               for expr in (*(item.expr for item in select.items),
+                            select.having)
+               for e in ast.walk(expr))
 
 
 def plan_statement(stmt: ast.Statement | str, db: Database,

@@ -30,9 +30,6 @@ MAGIC_LIKE_CONTAINS = 0.25
 
 _DATE_RE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})$")
 
-_COMPARISON_OPS = frozenset({"=", "<", ">", "<=", ">=", "<>"})
-
-
 def literal_to_float(value: object) -> float | None:
     """Map a literal to the numeric domain used by column statistics.
 
@@ -87,7 +84,7 @@ class ClassifiedPredicates:
         subqueries: IN / EXISTS subquery conjuncts (handled by the
             planner's semi-join machinery).
         residual: Everything else — cross-binding non-equi conjuncts,
-            ORs spanning tables, scalar-subquery comparisons.  Applied
+            ORs spanning tables, conjuncts holding a subquery.  Applied
             as a filter on top of the join tree.
     """
 
@@ -102,30 +99,15 @@ class ClassifiedPredicates:
 
 
 def split_conjuncts(expr: ast.Expr | None) -> Iterator[ast.Expr]:
-    """Yield the top-level AND-ed conjuncts of an expression."""
+    """Yield the top-level AND-ed conjuncts of an expression, left to
+    right, flattening parenthesized AND chains."""
     if expr is None:
         return
-    if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
-        yield from split_conjuncts(expr.left)
-        yield from split_conjuncts(expr.right)
+    if isinstance(expr, ast.Chain) and expr.ops[0] == "AND":
+        for operand in expr.operands:
+            yield from split_conjuncts(operand)
     else:
         yield expr
-
-
-def _contains_subquery(expr: ast.Expr) -> bool:
-    """True if the expression contains any subquery node."""
-    if isinstance(expr, (ast.InSubquery, ast.ExistsExpr, ast.ScalarSubquery)):
-        return True
-    if isinstance(expr, ast.BinaryOp):
-        return _contains_subquery(expr.left) or _contains_subquery(expr.right)
-    if isinstance(expr, ast.UnaryOp):
-        return _contains_subquery(expr.operand)
-    if isinstance(expr, ast.BetweenExpr):
-        return any(_contains_subquery(e)
-                   for e in (expr.operand, expr.lo, expr.hi))
-    if isinstance(expr, (ast.InList, ast.LikeExpr, ast.IsNullExpr)):
-        return _contains_subquery(expr.operand)
-    return False
 
 
 class SelectivityEstimator:
@@ -152,14 +134,16 @@ class SelectivityEstimator:
     def predicate(self, expr: ast.Expr) -> float:
         """Selectivity of one boolean predicate expression."""
         if isinstance(expr, ast.BinaryOp):
-            if expr.op == "AND":
-                return self.predicate(expr.left) * self.predicate(expr.right)
-            if expr.op == "OR":
-                s1 = self.predicate(expr.left)
-                s2 = self.predicate(expr.right)
-                return min(1.0, s1 + s2 - s1 * s2)
-            if expr.op in _COMPARISON_OPS:
-                return self._comparison(expr)
+            return self._comparison(expr)
+        if isinstance(expr, ast.Chain):
+            if expr.ops[0] == "AND":
+                return self.conjunction(expr.operands)
+            if expr.ops[0] == "OR":
+                sel = self.predicate(expr.operands[0])
+                for operand in expr.operands[1:]:
+                    s2 = self.predicate(operand)
+                    sel = min(1.0, sel + s2 - sel * s2)
+                return sel
             return MAGIC_RANGE
         if isinstance(expr, ast.UnaryOp) and expr.op == "NOT":
             return max(0.0, 1.0 - self.predicate(expr.operand))

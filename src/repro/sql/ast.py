@@ -1,8 +1,9 @@
 """Typed abstract syntax tree for the SQL subset.
 
-Every node is an immutable dataclass.  Expressions know how to report the
-column references they contain (:func:`column_refs`), which the optimizer
-uses for predicate classification.
+Every node is an immutable dataclass.  A run of operators of one
+precedence level is one flat :class:`Chain`, so an expression is only as
+deep as it nests.  :func:`walk` visits an expression's nodes; the
+optimizer filters it for column references, subqueries and aggregates.
 """
 
 from __future__ import annotations
@@ -32,22 +33,26 @@ class Literal:
 
     value: int | float | str | None
 
-    def __str__(self) -> str:
-        if isinstance(self.value, str):
-            return f"'{self.value}'"
-        return str(self.value)
-
 
 @dataclass(frozen=True)
 class BinaryOp:
-    """Arithmetic or comparison operator application."""
+    """A comparison: ``=``, ``<``, ``>``, ``<=``, ``>=`` or ``<>``."""
 
     op: str
     left: "Expr"
     right: "Expr"
 
-    def __str__(self) -> str:
-        return f"({self.left} {self.op} {self.right})"
+
+@dataclass(frozen=True)
+class Chain:
+    """A run of operators of one precedence level, left-associative:
+    ``AND``; ``OR``; ``+``, ``-`` and ``||``; or ``*``, ``/`` and ``%``.
+
+    ``ops[i]`` joins ``operands[i]`` and ``operands[i + 1]``.
+    """
+
+    ops: tuple[str, ...]
+    operands: tuple["Expr", ...]
 
 
 @dataclass(frozen=True)
@@ -56,9 +61,6 @@ class UnaryOp:
 
     op: str
     operand: "Expr"
-
-    def __str__(self) -> str:
-        return f"({self.op} {self.operand})"
 
 
 @dataclass(frozen=True)
@@ -73,13 +75,6 @@ class FuncCall:
     distinct: bool = False
     star: bool = False
 
-    def __str__(self) -> str:
-        if self.star:
-            return f"{self.name}(*)"
-        inner = ", ".join(str(a) for a in self.args)
-        prefix = "DISTINCT " if self.distinct else ""
-        return f"{self.name}({prefix}{inner})"
-
 
 @dataclass(frozen=True)
 class CaseExpr:
@@ -87,12 +82,6 @@ class CaseExpr:
 
     whens: tuple[tuple["Expr", "Expr"], ...]
     else_: "Expr | None" = None
-
-    def __str__(self) -> str:
-        parts = [f"WHEN {c} THEN {v}" for c, v in self.whens]
-        if self.else_ is not None:
-            parts.append(f"ELSE {self.else_}")
-        return "CASE " + " ".join(parts) + " END"
 
 
 @dataclass(frozen=True)
@@ -104,23 +93,14 @@ class BetweenExpr:
     hi: "Expr"
     negated: bool = False
 
-    def __str__(self) -> str:
-        neg = "NOT " if self.negated else ""
-        return f"({self.operand} {neg}BETWEEN {self.lo} AND {self.hi})"
-
 
 @dataclass(frozen=True)
 class InList:
-    """``expr [NOT] IN (v1, v2, ...)`` with literal values."""
+    """``expr [NOT] IN (v1, v2, ...)``."""
 
     operand: "Expr"
     values: tuple["Expr", ...]
     negated: bool = False
-
-    def __str__(self) -> str:
-        neg = "NOT " if self.negated else ""
-        vals = ", ".join(str(v) for v in self.values)
-        return f"({self.operand} {neg}IN ({vals}))"
 
 
 @dataclass(frozen=True)
@@ -131,10 +111,6 @@ class InSubquery:
     subquery: "Select"
     negated: bool = False
 
-    def __str__(self) -> str:
-        neg = "NOT " if self.negated else ""
-        return f"({self.operand} {neg}IN (<subquery>))"
-
 
 @dataclass(frozen=True)
 class ExistsExpr:
@@ -143,19 +119,12 @@ class ExistsExpr:
     subquery: "Select"
     negated: bool = False
 
-    def __str__(self) -> str:
-        neg = "NOT " if self.negated else ""
-        return f"({neg}EXISTS (<subquery>))"
-
 
 @dataclass(frozen=True)
 class ScalarSubquery:
     """A subquery used as a scalar value, e.g. ``x = (SELECT MIN(...) ...)``."""
 
     subquery: "Select"
-
-    def __str__(self) -> str:
-        return "(<scalar subquery>)"
 
 
 @dataclass(frozen=True)
@@ -166,10 +135,6 @@ class LikeExpr:
     pattern: str
     negated: bool = False
 
-    def __str__(self) -> str:
-        neg = "NOT " if self.negated else ""
-        return f"({self.operand} {neg}LIKE '{self.pattern}')"
-
 
 @dataclass(frozen=True)
 class IsNullExpr:
@@ -178,46 +143,53 @@ class IsNullExpr:
     operand: "Expr"
     negated: bool = False
 
-    def __str__(self) -> str:
-        neg = "NOT " if self.negated else ""
-        return f"({self.operand} IS {neg}NULL)"
+
+Expr = Union[ColumnRef, Literal, BinaryOp, Chain, UnaryOp, FuncCall,
+             CaseExpr, BetweenExpr, InList, InSubquery, ExistsExpr,
+             ScalarSubquery, LikeExpr, IsNullExpr]
+
+#: The sub-expressions of each expression type, in source order.  A
+#: subquery's body is not among them: its names resolve in its own scope.
+_CHILDREN = {
+    ColumnRef: lambda e: (),
+    Literal: lambda e: (),
+    BinaryOp: lambda e: (e.left, e.right),
+    Chain: lambda e: e.operands,
+    UnaryOp: lambda e: (e.operand,),
+    FuncCall: lambda e: e.args,
+    CaseExpr: lambda e: (*(x for when in e.whens for x in when), e.else_),
+    BetweenExpr: lambda e: (e.operand, e.lo, e.hi),
+    InList: lambda e: (e.operand, *e.values),
+    InSubquery: lambda e: (e.operand,),
+    ExistsExpr: lambda e: (),
+    ScalarSubquery: lambda e: (),
+    LikeExpr: lambda e: (e.operand,),
+    IsNullExpr: lambda e: (e.operand,),
+}
 
 
-Expr = Union[ColumnRef, Literal, BinaryOp, UnaryOp, FuncCall, CaseExpr,
-             BetweenExpr, InList, InSubquery, ExistsExpr, ScalarSubquery,
-             LikeExpr, IsNullExpr]
+#: The leaves most expressions are made of: :func:`walk` yields them in
+#: place instead of opening a generator for each.
+_LEAVES = frozenset({ColumnRef, Literal})
+
+
+def walk(expr: Expr | None) -> Iterator[Expr]:
+    """Yield ``expr`` and every expression inside it, pre-order in source
+    order, without entering subquery bodies.  The recursion is as deep
+    as the expression nests, which the parser bounds."""
+    if expr is None:
+        return
+    yield expr
+    for child in _CHILDREN[type(expr)](expr):
+        if type(child) in _LEAVES:
+            yield child
+        else:
+            yield from walk(child)
 
 
 def column_refs(expr: Expr | None) -> Iterator[ColumnRef]:
-    """Yield every :class:`ColumnRef` inside ``expr`` (subqueries excluded).
-
-    Subqueries are excluded because their column references resolve in
-    their own scope; the planner handles them separately.
-    """
-    if expr is None:
-        return
-    if isinstance(expr, ColumnRef):
-        yield expr
-    elif isinstance(expr, BinaryOp):
-        yield from column_refs(expr.left)
-        yield from column_refs(expr.right)
-    elif isinstance(expr, UnaryOp):
-        yield from column_refs(expr.operand)
-    elif isinstance(expr, FuncCall):
-        for a in expr.args:
-            yield from column_refs(a)
-    elif isinstance(expr, CaseExpr):
-        for cond, val in expr.whens:
-            yield from column_refs(cond)
-            yield from column_refs(val)
-        yield from column_refs(expr.else_)
-    elif isinstance(expr, BetweenExpr):
-        yield from column_refs(expr.operand)
-        yield from column_refs(expr.lo)
-        yield from column_refs(expr.hi)
-    elif isinstance(expr, (InList, LikeExpr, IsNullExpr, InSubquery)):
-        yield from column_refs(expr.operand)
-    # ExistsExpr / ScalarSubquery: nothing in this scope.
+    """Yield every :class:`ColumnRef` of ``expr``'s own scope."""
+    return (e for e in walk(expr) if type(e) is ColumnRef)
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,7 @@ three DML statements.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.errors import SqlSyntaxError
 from repro.sql import ast
@@ -19,21 +19,19 @@ _COMPARISONS = {"=", "<", ">", "<=", ">=", "<>", "!="}
 
 #: Deepest nesting a statement may have.  Each opening parenthesis
 #: (grouping, subquery, IN list, call arguments), NOT, unary sign and
-#: CASE opens a level and costs the recursive descent about a dozen
-#: stack frames, so deeper SQL is refused with a syntax error instead
-#: of exhausting Python's recursion limit.  The shipped workloads nest
-#: at most 3 levels.
+#: CASE opens a level and costs the recursive descent up to 15 stack
+#: frames (a subquery inside an OR, an AND and both arithmetic chains;
+#: a NOT or a sign costs 1), so deeper SQL is refused with a
+#: syntax error instead of exhausting Python's recursion limit.  A run
+#: of AND, OR or arithmetic operators is one flat
+#: :class:`~repro.sql.ast.Chain` however long it is, so nesting is the
+#: only depth an expression has.  The shipped workloads nest at most 3
+#: levels.
 MAX_NESTING = 32
 
-#: Most AND, OR, arithmetic and ``||`` operators one statement may
-#: hold.  The parser builds each chain of them as a left-deep tree, and
-#: the walks over an expression (column references, conjunct
-#: splitting) recurse once per operand, so a longer chain would exhaust
-#: Python's recursion limit in planning: on the TPC-H catalog, 1,000
-#: ANDed predicates or a 1,000-term sum did.  A chain at the limit
-#: still plans from 300 frames deep, inside 30 parentheses.  The
-#: shipped workloads hold at most 17 per statement.
-MAX_OPERATORS = 500
+#: The operators of the two arithmetic precedence levels.
+_ADDITIVE = ("+", "-", "||")
+_MULTIPLICATIVE = ("*", "/", "%")
 
 
 class _Parser:
@@ -43,7 +41,6 @@ class _Parser:
         self._tokens = tokens
         self._pos = 0
         self._depth = 0
-        self._operators = 0
 
     # -- token helpers ----------------------------------------------------
 
@@ -83,15 +80,6 @@ class _Parser:
                 f"statement nests deeper than {MAX_NESTING} levels",
                 tok.line, tok.column)
 
-    def _chain(self, tok: Token) -> None:
-        """Count one chaining operator of the statement (see
-        :data:`MAX_OPERATORS`)."""
-        self._operators += 1
-        if self._operators > MAX_OPERATORS:
-            raise SqlSyntaxError(
-                f"statement chains more than {MAX_OPERATORS} operators",
-                tok.line, tok.column)
-
     def _accept_punct(self, ch: str) -> bool:
         tok = self._cur
         if tok.kind is TokenKind.PUNCT and tok.value == ch:
@@ -107,6 +95,10 @@ class _Parser:
         if not self._accept_punct(ch):
             raise self._error(f"expected {ch!r}")
 
+    def _at_operator(self, ops: Sequence[str]) -> bool:
+        tok = self._cur
+        return tok.kind is TokenKind.OPERATOR and tok.value in ops
+
     def _accept_operator(self, *ops: str) -> Token | None:
         if self._cur.kind is TokenKind.OPERATOR and self._cur.value in ops:
             return self._advance()
@@ -121,7 +113,6 @@ class _Parser:
 
     def parse_statement(self) -> ast.Statement:
         """Parse one statement, consuming a trailing semicolon if present."""
-        self._operators = 0
         if self._cur.is_keyword("SELECT"):
             stmt: ast.Statement = self._select()
         elif self._cur.is_keyword("INSERT"):
@@ -309,18 +300,31 @@ class _Parser:
         return self._or_expr()
 
     def _or_expr(self) -> ast.Expr:
-        left = self._and_expr()
-        while (tok := self._accept_keyword("OR")) is not None:
-            self._chain(tok)
-            left = ast.BinaryOp("OR", left, self._and_expr())
-        return left
+        first = self._and_expr()
+        if self._cur.is_keyword("OR"):
+            return self._chain_from(first, TokenKind.KEYWORD, ("OR",),
+                                    self._and_expr)
+        return first
 
     def _and_expr(self) -> ast.Expr:
-        left = self._not_expr()
-        while (tok := self._accept_keyword("AND")) is not None:
-            self._chain(tok)
-            left = ast.BinaryOp("AND", left, self._not_expr())
-        return left
+        first = self._not_expr()
+        if self._cur.is_keyword("AND"):
+            return self._chain_from(first, TokenKind.KEYWORD, ("AND",),
+                                    self._not_expr)
+        return first
+
+    def _chain_from(self, first: ast.Expr, kind: TokenKind,
+                    ops: Sequence[str],
+                    operand: Callable[[], ast.Expr]) -> ast.Chain:
+        """The chain ``first`` starts, the cursor being on one of ``ops``
+        (tokens of ``kind``): each link is an operator and an
+        ``operand()``."""
+        links: list[str] = []
+        operands = [first]
+        while self._cur.kind is kind and self._cur.value in ops:
+            links.append(self._advance().value)
+            operands.append(operand())
+        return ast.Chain(tuple(links), tuple(operands))
 
     def _not_expr(self) -> ast.Expr:
         tok = self._accept_keyword("NOT")
@@ -392,22 +396,18 @@ class _Parser:
             self._tokens[self._pos + 1].is_keyword("SELECT")
 
     def _additive(self) -> ast.Expr:
-        left = self._multiplicative()
-        while True:
-            op_tok = self._accept_operator("+", "-", "||")
-            if op_tok is None:
-                return left
-            self._chain(op_tok)
-            left = ast.BinaryOp(op_tok.value, left, self._multiplicative())
+        first = self._multiplicative()
+        if self._at_operator(_ADDITIVE):
+            return self._chain_from(first, TokenKind.OPERATOR, _ADDITIVE,
+                                    self._multiplicative)
+        return first
 
     def _multiplicative(self) -> ast.Expr:
-        left = self._unary()
-        while True:
-            op_tok = self._accept_operator("*", "/", "%")
-            if op_tok is None:
-                return left
-            self._chain(op_tok)
-            left = ast.BinaryOp(op_tok.value, left, self._unary())
+        first = self._unary()
+        if self._at_operator(_MULTIPLICATIVE):
+            return self._chain_from(first, TokenKind.OPERATOR,
+                                    _MULTIPLICATIVE, self._unary)
+        return first
 
     def _unary(self) -> ast.Expr:
         tok = self._accept_operator("-", "+")

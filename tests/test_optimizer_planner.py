@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro.benchdb.tpch import tpch_database
 from repro.errors import PlanningError
 from repro.optimizer import operators as ops
-from repro.optimizer.planner import TEMPDB, plan_statement
+from repro.optimizer.planner import TEMPDB, Planner, plan_statement
+from repro.sql import parse_statement
 from repro.workload.access import decompose
+from tests.reference_planner import ReferencePlanner
+from tests.test_planner_enumeration import _signature
 
 
 def _leafs(plan, kind):
@@ -215,6 +219,109 @@ class TestSubqueries:
             "SELECT COUNT(*) FROM mid m WHERE m.w > "
             "(SELECT AVG(b.v) FROM big b WHERE b.k = m.k)", mini_db)
         assert "big" in _objects(plan)
+
+
+class TestEverySubqueryIsPlanned:
+    """Every subquery outside a top-level IN / EXISTS conjunct plans
+    into a Sequence, wherever it sits in the statement, so its table
+    reaches the access graph."""
+
+    QUERY = "(SELECT AVG(l.l_extendedprice) FROM lineitem l)"
+    SELECTS = {
+        "function-call": "SELECT COUNT(*) FROM orders o WHERE "
+        f"ABS(o.o_totalprice - {QUERY}) < 5",
+        "case": "SELECT COUNT(*) FROM orders o WHERE CASE WHEN "
+        f"o.o_totalprice > {QUERY} THEN 1 ELSE 0 END = 1",
+        "in-list": "SELECT COUNT(*) FROM orders o WHERE "
+        f"o.o_totalprice IN (1, {QUERY})",
+        "select-list": "SELECT (SELECT MAX(l.l_extendedprice) "
+        "FROM lineitem l) FROM orders o",
+        "nested-exists": "SELECT COUNT(*) FROM orders o WHERE "
+        "o.o_totalprice IS NULL OR EXISTS (SELECT * FROM lineitem l "
+        "WHERE l.l_orderkey = o.o_orderkey)",
+        "in-operand": "SELECT COUNT(*) FROM orders o WHERE "
+        f"o.o_totalprice - {QUERY} IN (SELECT c.c_acctbal "
+        "FROM customer c)",
+    }
+    DML = {
+        "delete-in": ("DELETE FROM orders WHERE o_custkey IN "
+                      "(SELECT c_custkey FROM customer WHERE c_acctbal < 0)",
+                      "customer"),
+        "update-set": ("UPDATE orders SET o_totalprice = (SELECT "
+                       "MAX(l_extendedprice) FROM lineitem) "
+                       "WHERE o_orderkey = 1", "lineitem"),
+        "update-correlated-exists": (
+            "UPDATE orders SET o_orderstatus = 'F' WHERE EXISTS (SELECT * "
+            "FROM lineitem l WHERE l.l_orderkey = o_orderkey)", "lineitem"),
+        "insert-values": ("INSERT INTO nation (n_nationkey, n_name) VALUES "
+                          "((SELECT MAX(r_regionkey) FROM region), 'x')",
+                          "region"),
+    }
+
+    @staticmethod
+    def _accessed(plan):
+        return {a.object_name for s in decompose(plan) for a in s.accesses}
+
+    @pytest.mark.parametrize("shape", sorted(SELECTS))
+    def test_select_shapes(self, shape):
+        db = tpch_database()
+        stmt = parse_statement(self.SELECTS[shape])
+        plan = Planner(db).plan(stmt)
+        assert "lineitem" in self._accessed(plan)
+        assert _leafs(plan, ops.SequenceOp)
+        assert _signature(plan) == \
+            _signature(ReferencePlanner(db).plan(stmt))
+
+    @pytest.mark.parametrize("shape", sorted(DML))
+    def test_dml_shapes(self, shape):
+        sql, table = self.DML[shape]
+        plan = plan_statement(sql, tpch_database())
+        assert table in self._accessed(plan)
+        # The modified table's read and writes stay one pipeline, after
+        # the subquery.
+        assert isinstance(plan, ops.SequenceOp)
+        assert all(plan.blocking_edges)
+        assert isinstance(plan.children[-1], ops.DmlOp)
+
+    def test_top_level_in_is_planned_once(self):
+        plan = plan_statement(
+            "SELECT COUNT(*) FROM orders o WHERE o.o_custkey IN "
+            "(SELECT c.c_custkey FROM customer c)", tpch_database())
+        assert _leafs(plan, ops.SemiJoinOp)
+        assert not _leafs(plan, ops.SequenceOp)
+        scans = [n for n in _leafs(plan, ops.TableScanOp)
+                 if n.table == "customer"]
+        assert len(scans) == 1
+
+
+class TestWalkedClassification:
+    """Classification sees every sub-expression: IN-list values and
+    aggregates under BETWEEN, IN, LIKE and IS NULL."""
+
+    def test_in_list_values_count_as_column_references(self):
+        # c.c_acctbal in the IN list makes the predicate span both
+        # tables: a residual filter over the join, not a local
+        # predicate of o that shrinks o to a 2-row index seek.
+        plan = plan_statement(
+            "SELECT COUNT(*) FROM orders o, customer c "
+            "WHERE o.o_custkey = c.c_custkey "
+            "AND o.o_totalprice IN (1, c.c_acctbal)", tpch_database())
+        assert not _leafs(plan, ops.NestedLoopsJoinOp)
+        filters = _leafs(plan, ops.FilterOp)
+        assert filters
+        assert isinstance(filters[0].children[0], ops.HashJoinOp)
+
+    @pytest.mark.parametrize("having", [
+        "SUM(o.o_totalprice) BETWEEN 1 AND 2",
+        "SUM(o.o_totalprice) IN (1, 2)",
+        "MAX(o.o_comment) LIKE 'x%'",
+        "MIN(o.o_totalprice) IS NULL",
+    ], ids=["between", "in", "like", "is-null"])
+    def test_aggregates_under_any_predicate_are_seen(self, having):
+        plan = plan_statement(
+            f"SELECT 1 FROM orders o HAVING {having}", tpch_database())
+        aggregates = _leafs(plan, ops.StreamAggregateOp)
+        assert aggregates and aggregates[0].rows_out == 1.0
 
 
 class TestDml:

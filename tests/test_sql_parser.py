@@ -1,12 +1,10 @@
 """Tests for the SQL parser."""
 
-from pathlib import Path
-
 import pytest
 
 from repro.errors import SqlSyntaxError
 from repro.sql import ast, parse_script, parse_statement
-from repro.sql.parser import MAX_NESTING, MAX_OPERATORS
+from repro.sql.parser import MAX_NESTING
 
 
 class TestSelectBasics:
@@ -84,21 +82,38 @@ class TestExpressions:
 
     def test_precedence_or_and(self):
         expr = self.where("a = 1 OR b = 2 AND c = 3")
-        assert isinstance(expr, ast.BinaryOp) and expr.op == "OR"
-        assert isinstance(expr.right, ast.BinaryOp)
-        assert expr.right.op == "AND"
+        assert isinstance(expr, ast.Chain) and expr.ops == ("OR",)
+        conjunction = expr.operands[1]
+        assert isinstance(conjunction, ast.Chain)
+        assert conjunction.ops == ("AND",)
+        assert len(conjunction.operands) == 2
 
     def test_arithmetic_precedence(self):
         expr = self.where("a = 1 + 2 * 3")
         plus = expr.right
-        assert isinstance(plus, ast.BinaryOp) and plus.op == "+"
-        assert isinstance(plus.right, ast.BinaryOp)
-        assert plus.right.op == "*"
+        assert isinstance(plus, ast.Chain) and plus.ops == ("+",)
+        times = plus.operands[1]
+        assert isinstance(times, ast.Chain) and times.ops == ("*",)
+        assert times.operands == (ast.Literal(2), ast.Literal(3))
 
     def test_parenthesized(self):
         expr = self.where("(a = 1 OR b = 2) AND c = 3")
-        assert expr.op == "AND"
-        assert expr.left.op == "OR"
+        assert expr.ops == ("AND",)
+        assert expr.operands[0].ops == ("OR",)
+
+    def test_one_chain_per_precedence_level(self):
+        expr = self.where("a - b + c || d * e / f % g = 1 AND x AND y")
+        assert expr.ops == ("AND", "AND") and len(expr.operands) == 3
+        additive = expr.operands[0].left
+        assert additive.ops == ("-", "+", "||")
+        assert [type(o).__name__ for o in additive.operands] == \
+            ["ColumnRef", "ColumnRef", "ColumnRef", "Chain"]
+        assert additive.operands[3].ops == ("*", "/", "%")
+
+    def test_parentheses_keep_their_chain(self):
+        expr = self.where("(a = 1 AND b = 2) AND c = 3")
+        assert expr.ops == ("AND",)
+        assert expr.operands[0].ops == ("AND",)
 
     def test_between(self):
         expr = self.where("a BETWEEN 1 AND 10")
@@ -182,7 +197,8 @@ class TestExpressions:
 
     def test_string_concat(self):
         expr = self.where("a || 'x' = 'yx'")
-        assert expr.left.op == "||"
+        assert isinstance(expr.left, ast.Chain)
+        assert expr.left.ops == ("||",)
 
 
 class TestSubqueries:
@@ -370,84 +386,85 @@ class TestNestingLimit:
             assert "ALR000" in out and "nests deeper than" in out
 
 
-class TestOperatorLimit:
-    """A statement may chain at most ``MAX_OPERATORS`` AND, OR,
-    arithmetic and ``||`` operators; a longer chain is a syntax error at
-    the operator past the limit, never a ``RecursionError`` in
-    planning."""
+class TestLongChains:
+    """A run of AND, OR or arithmetic operators is one flat chain, so a
+    statement may hold any number of them: planning recurses as deep as
+    the statement nests, never once per operand."""
+
+    N = 3_000
 
     @staticmethod
     def _shapes(n):
-        """Statements chaining ``n`` operators, one per chain shape."""
+        """Statements chaining ``n`` operands, one per chain shape."""
         where = "SELECT COUNT(*) FROM orders o WHERE "
         return {
             "and": where + " AND ".join(
-                f"o.o_orderkey <> {i}" for i in range(n + 1)),
+                f"o.o_orderkey <> {i}" for i in range(n)),
+            "or": where + " OR ".join(
+                f"o.o_orderkey = {i}" for i in range(n)),
             "sum": where + "o.o_orderkey = "
-            + " + ".join("1" for _ in range(n + 1)),
+            + " + ".join("1" for _ in range(n)),
+            "mixed": where + "o.o_orderkey = "
+            + " - ".join("2 * 3" for _ in range(n)),
         }
 
-    @pytest.mark.parametrize("shape, operator", [("and", "AND"),
-                                                 ("sum", "+")])
-    def test_one_past_the_limit_is_a_syntax_error(self, shape, operator):
-        sql = "-- long\n" + self._shapes(MAX_OPERATORS + 1)[shape]
-        with pytest.raises(SqlSyntaxError) as raised:
-            parse_statement(sql)
-        error = raised.value
-        assert str(error).startswith(
-            f"statement chains more than {MAX_OPERATORS} operators")
-        # The position is the operator past the limit.
-        assert error.line == 2
-        line = sql.splitlines()[1]
-        assert line[error.column - 1:].startswith(operator)
-        assert line[:error.column - 1].count(f" {operator} ") \
-            == MAX_OPERATORS
-
-    @pytest.mark.parametrize("shape", ["and", "sum"])
-    def test_the_limit_plans_deep_in_the_stack(self, shape):
-        # At the limit, the chain still plans inside 30 parentheses
-        # with 300 extra caller frames.
-        from repro.benchdb.tpch import tpch_database
+    @staticmethod
+    def _accessed(sql, db):
         from repro.optimizer import plan_statement
         from repro.workload.access import decompose
-        head, where = self._shapes(MAX_OPERATORS)[shape].split(" WHERE ")
+        return {a.object_name
+                for s in decompose(plan_statement(sql, db))
+                for a in s.accesses}
+
+    @pytest.mark.parametrize("shape", ["and", "or", "sum", "mixed"])
+    def test_long_chains_plan(self, shape):
+        from repro.benchdb.tpch import tpch_database
+        sql = self._shapes(self.N)[shape]
+        where = parse_statement(sql).where
+        chain = where if shape in ("and", "or") else where.right
+        assert len(chain.operands) == self.N
+        assert self._accessed(sql, tpch_database()) == {"orders"}
+
+    @pytest.mark.parametrize("shape", ["and", "or", "sum", "mixed"])
+    def test_long_chains_plan_deep_in_the_stack(self, shape):
+        # The chain plans inside 30 parentheses with 300 extra caller
+        # frames.
+        from repro.benchdb.tpch import tpch_database
+        head, where = self._shapes(self.N)[shape].split(" WHERE ")
         sql = f"{head} WHERE {'(' * 30}{where}{')' * 30}"
         db = tpch_database()
 
         def nested(frames):
             if frames == 0:
-                return decompose(plan_statement(sql, db))
+                return self._accessed(sql, db)
             return nested(frames - 1)
 
-        assert nested(300)
+        assert nested(300) == {"orders"}
 
-    def test_the_count_is_per_statement(self):
-        half = "SELECT COUNT(*) FROM orders o WHERE o.o_orderkey = " \
-            + " + ".join("1" for _ in range(MAX_OPERATORS + 1))
-        assert len(parse_script(f"{half};\n{half};")) == 2
+    @pytest.mark.parametrize("grouped", [
+        "(o.o_orderkey < 10 AND o.o_custkey = 3) AND o.o_totalprice > 5",
+        "o.o_orderkey < 10 AND (o.o_custkey = 3 AND o.o_totalprice > 5)",
+    ], ids=["left", "right"])
+    def test_grouped_conjunctions_plan_like_the_flat_one(self, grouped):
+        from repro.benchdb.tpch import tpch_database
+        from repro.optimizer import plan_statement
+        from repro.optimizer.explain import explain
+        from repro.workload.access import decompose
+        db = tpch_database()
+        head = "SELECT COUNT(*) FROM orders o, customer c " \
+            "WHERE o.o_custkey = c.c_custkey AND "
+        flat = "o.o_orderkey < 10 AND o.o_custkey = 3 AND o.o_totalprice > 5"
 
-    def test_shipped_workloads_stay_far_below_the_limit(self, monkeypatch):
-        from repro.benchdb.apb import apb800_workload
-        from repro.benchdb.oltp import oltp_workload
-        from repro.benchdb.sales import sales45_workload
-        from repro.benchdb.synth import synthetic_workload
-        from repro.benchdb.tpch import tpch22_workload
-        from repro.sql import parser
-        from repro.workload.workload import Workload
-        example = Workload.loads((Path(__file__).resolve().parent.parent
-                                  / "examples" / "tpch" / "workload.sql")
-                                 .read_text())
-        sqls = [s.sql for workload in (
-            tpch22_workload(), apb800_workload(), sales45_workload(),
-            synthetic_workload(200, 1), oltp_workload(), example)
-            for s in workload]
-        monkeypatch.setattr(parser, "MAX_OPERATORS", 20)
-        for sql in sqls:
-            parse_statement(sql)
-        assert MAX_OPERATORS >= 20 * 20
+        def signature(where):
+            plan = plan_statement(head + where, db)
+            return explain(plan), [
+                [(a.object_name, repr(a.blocks), repr(a.rows))
+                 for a in s.accesses] for s in decompose(plan)]
+
+        assert signature(grouped) == signature(flat)
 
     @pytest.mark.parametrize("verb", ["recommend", "lint"])
-    def test_cli_exits_2_with_an_error(self, verb, tmp_path, capsys):
+    def test_cli_exits_0(self, verb, tmp_path, capsys):
         from repro.benchdb.tpch import tpch_database
         from repro.catalog.io import save_database, save_farm
         from repro.cli import main
@@ -460,8 +477,5 @@ class TestOperatorLimit:
                    "--disks", str(tmp_path / "disks.json"),
                    "--workload", str(tmp_path / "w.sql")])
         out, err = capsys.readouterr()
-        assert rc == 2
-        if verb == "recommend":
-            assert err.startswith("error: statement chains more than")
-        else:
-            assert "ALR000" in out and "chains more than" in out
+        assert rc == 0, (out, err)
+        assert "error" not in err
