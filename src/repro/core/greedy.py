@@ -187,7 +187,8 @@ class TsGreedySearch:
         constraints: Optional manageability/availability constraints.
         k: Max disks added to one object per greedy move (paper uses 1).
         telemetry: Optional :class:`repro.obs.Telemetry`; opens a
-            ``ts-greedy`` span with ``ts-greedy/step1`` and
+            ``ts-greedy`` span with ``ts-greedy/step1`` (under the
+            caller's span when :meth:`step1` ran ahead) and
             ``ts-greedy/step2`` children, emits one ``greedy-iteration``
             event per step-2 iteration and one ``kl-pass`` event per
             converged KL pass, and records ``greedy.*`` and
@@ -226,8 +227,26 @@ class TsGreedySearch:
         missing = set(self._names) - set(self._sizes)
         if missing:
             raise LayoutError(f"no sizes for objects: {sorted(missing)}")
+        # (graph, layout, KL stats, seconds) of the last step1() run.
+        self._step1: tuple | None = None
 
     # -- public API ---------------------------------------------------------
+
+    def step1(self, graph: AccessGraph) -> Layout:
+        """Run step 1 alone and return its layout.
+
+        The next :meth:`search` of the same ``graph`` without an
+        initial layout refines this layout instead of partitioning
+        again, so a caller can look at the starting point before it
+        pays for step 2 and still pays for step 1 once.
+        """
+        start = time.perf_counter()
+        kl_stats = PartitionStats()
+        with self._telemetry.span("ts-greedy/step1"):
+            layout = self._initial_layout(graph, kl_stats)
+        self._step1 = (graph, layout, kl_stats,
+                       time.perf_counter() - start)
+        return layout
 
     def search(self, graph: AccessGraph,
                initial_layout: Layout | None = None) -> SearchResult:
@@ -239,21 +258,23 @@ class TsGreedySearch:
                 used for incremental mode under a data-movement
                 constraint.
         """
-        start = time.perf_counter()
         with self._telemetry.span("ts-greedy", k=self._k) as span:
-            kl_stats = PartitionStats()
             if initial_layout is None:
-                with self._telemetry.span("ts-greedy/step1"):
-                    layout = self._initial_layout(graph, kl_stats)
+                if self._step1 is None or self._step1[0] is not graph:
+                    self.step1(graph)
+                _, layout, kl_stats, step1_s = self._step1
+                self._step1 = None
             else:
-                layout = initial_layout
+                layout, kl_stats, step1_s = \
+                    initial_layout, PartitionStats(), 0.0
+            start = time.perf_counter()
             with self._telemetry.span("ts-greedy/step2"):
                 # Incremental mode: refining an arbitrary starting layout
                 # (e.g. full striping) also needs *narrowing* moves, or a
                 # fully-striped start would be a trivial fixed point.
                 result = self._greedy(layout,
                                       narrow=initial_layout is not None)
-            result.elapsed_s = time.perf_counter() - start
+            result.elapsed_s = step1_s + time.perf_counter() - start
             result.kl_cut_weights = tuple(kl_stats.cut_weights)
             for index, weight in enumerate(result.kl_cut_weights):
                 self._telemetry.emit("kl-pass", pass_index=index + 1,

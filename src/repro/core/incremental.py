@@ -18,7 +18,11 @@ could only *validate* (ALR015) into something it can *search under*:
   inside it, the engine **falls back to full TS-GREEDY** and keeps
   whichever result costs less — so ``Δ = 1`` degenerates to the
   unconstrained search, and a hopeless budget degenerates to "keep the
-  current layout" (cost never exceeds the current layout's).
+  current layout" (cost never exceeds the current layout's).  The
+  fallback's step-1 layout already bounds how far it moves
+  (:func:`_fallback_movement_bound`); when that bound overshoots the
+  budget, the fallback could never be adopted and its step 2 is
+  skipped.
 
 Projection safety: movement is measured per object as half the L1
 distance between fraction rows times the object size.  For the blend
@@ -41,7 +45,12 @@ from repro.core.greedy import (
     _moved_blocks,
 )
 from repro.core.layout import Layout
-from repro.core.tolerance import EPS_CAPACITY, EPS_COST
+from repro.core.tolerance import (
+    EPS_CAPACITY,
+    EPS_COST,
+    EPS_FRACTION,
+    EPS_ZERO,
+)
 from repro.errors import LayoutError
 from repro.obs import NULL_TELEMETRY
 from repro.storage.disk import DiskFarm
@@ -99,6 +108,64 @@ class _BudgetedGreedySearch(TsGreedySearch):
                                   narrow)
 
 
+def _widened_distance(current: np.ndarray, support: np.ndarray,
+                      spare: np.ndarray, rates: np.ndarray) -> float:
+    """A lower bound on the L1 distance from row ``current`` to every
+    rate-proportional row over a disk set ``S`` with
+    ``support ⊆ S ⊆ support | spare`` (boolean disk masks).
+
+    For each count ``e`` of added disks, the rate total ``R(S)`` lies
+    between ``R(support)`` plus the ``e`` slowest spare rates and
+    ``R(support)`` plus the ``e`` fastest, so each term
+    ``|c_j − rate_j / R|`` is at least its minimum over that interval.
+    A spare disk left out keeps its ``c_j``; the ``e`` spare disks whose
+    interval term undercuts ``c_j`` most are the cheapest to add.  The
+    minimum over ``e`` bounds every such ``S`` in ``O(m² log m)``.
+    """
+    base = rates[support].sum()
+    ascending = np.sort(rates[spare])
+    low = base + np.concatenate(([0.0], np.cumsum(ascending)))
+    high = base + np.concatenate(([0.0], np.cumsum(ascending[::-1])))
+
+    def gap(mask: np.ndarray) -> np.ndarray:
+        # (e, disk): distance from c_j to [rate_j / high, rate_j / low].
+        c, r = current[mask], rates[mask]
+        return np.maximum(0.0, np.maximum(r / high[:, None] - c,
+                                          c - r / low[:, None]))
+
+    held = gap(support).sum(axis=1)
+    cheapest = np.cumsum(np.sort(gap(spare) - current[spare], axis=1),
+                         axis=1)
+    added = np.concatenate((np.zeros((len(low), 1)), cheapest), axis=1)
+    e = np.arange(len(low))
+    return float(current[~support].sum() + (held + added[e, e]).min())
+
+
+def _fallback_movement_bound(current: Layout, start: Layout,
+                             constraints: ConstraintSet) -> float:
+    """Blocks a fresh TS-GREEDY from step-1 layout ``start`` moves away
+    from ``current`` at least.
+
+    A fresh step 2 only widens (:class:`_Frontiers` with
+    ``narrow=False``), and every row it builds is rate-proportional over
+    the object's step-1 disks plus some allowed spare disks (a
+    co-location group shares one step-1 row and one allowed set).  So
+    each object's final row is one that :func:`_widened_distance`
+    bounds.
+    """
+    farm = start.farm
+    rates = np.array([disk.read_mb_s for disk in farm], dtype=float)
+    bound = 0.0
+    for name in start.object_names:
+        support = np.asarray(start.fractions_of(name)) > EPS_ZERO
+        spare = np.zeros(len(farm), dtype=bool)
+        spare[constraints.allowed_disks(name, farm)] = True
+        bound += current.size_of(name) * _widened_distance(
+            np.asarray(current.fractions_of(name), dtype=float),
+            support, spare & ~support, rates) / 2.0
+    return bound
+
+
 class IncrementalSearch:
     """Movement-budget-bounded re-layout seeded from the current layout.
 
@@ -116,7 +183,12 @@ class IncrementalSearch:
             ``incremental/full-relayout`` children, records
             ``incremental.*`` instruments, and is handed to the inner
             greedy searches (their spans, ``greedy-iteration`` /
-            ``kl-pass`` events and ``greedy.*`` counters).
+            ``kl-pass`` events and ``greedy.*`` counters).  A fallback
+            skipped on its step-1 bound records its
+            ``ts-greedy/step1`` span and ``partition.*`` instruments
+            only, sets ``full_relayout_skipped`` on the
+            ``incremental`` span and counts
+            ``incremental.full_relayout_skips``.
     """
 
     def __init__(self, farm: DiskFarm, evaluator: WorkloadCostEvaluator,
@@ -177,15 +249,26 @@ class IncrementalSearch:
             # Fall back to a from-scratch re-layout when the budget can
             # afford it: seeding from the current layout is a local
             # refinement and cannot re-partition, so Δ -> 1 must
-            # converge to the unconstrained TS-GREEDY result.
+            # converge to the unconstrained TS-GREEDY result.  Its
+            # step-1 layout already bounds how far it moves; step 2
+            # runs only when that bound fits the budget (the slack
+            # covers rounding in both sums), so a skipped fallback is
+            # one that could never have been adopted.
+            used_full = False
             with self._telemetry.span("incremental/full-relayout"):
-                full = TsGreedySearch(
+                fresh = TsGreedySearch(
                     self._farm, self._evaluator, self._sizes,
                     constraints=self._constraints, k=self._k,
-                    telemetry=self._telemetry).search(graph)
-            full_moved = current_layout.data_movement_blocks(full.layout)
-            used_full = (full_moved <= max_blocks + EPS_CAPACITY
-                         and full.cost < result.cost - EPS_COST)
+                    telemetry=self._telemetry)
+                bound = _fallback_movement_bound(
+                    current_layout, fresh.step1(graph), self._constraints)
+                skipped = bound > max_blocks + EPS_FRACTION * total_blocks
+                if not skipped:
+                    full = fresh.search(graph)
+                    full_moved = current_layout.data_movement_blocks(
+                        full.layout)
+                    used_full = (full_moved <= max_blocks + EPS_CAPACITY
+                                 and full.cost < result.cost - EPS_COST)
             if used_full:
                 evaluations = result.evaluations + full.evaluations
                 result = full
@@ -210,4 +293,8 @@ class IncrementalSearch:
             self._telemetry.inc("incremental.projected_moves", projected)
             if used_full:
                 self._telemetry.inc("incremental.full_relayout_fallbacks")
+            if skipped:
+                span.set("full_relayout_skipped",
+                         round(bound / total_blocks, 4))
+                self._telemetry.inc("incremental.full_relayout_skips")
         return result

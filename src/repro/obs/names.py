@@ -103,6 +103,9 @@ METRIC_CATALOG: dict[str, tuple[str, str]] = {
     # -- incremental re-layout ------------------------------------------
     "incremental.full_relayout_fallbacks": (
         COUNTER, "incremental searches that fell back to full re-layout"),
+    "incremental.full_relayout_skips": (
+        COUNTER, "full re-layouts whose step 2 was skipped: their step-1 "
+                 "layout already overshot the movement budget"),
     "incremental.migration_steps": (
         COUNTER, "steps in the produced migration plan"),
     "incremental.moved_blocks": (

@@ -689,12 +689,8 @@ class Planner:
 
     def _plan_subquery(self, conjunct: ast.Expr,
                        scope: _Scope) -> _SemiJoin:
-        if isinstance(conjunct, ast.InSubquery):
+        if isinstance(conjunct, (ast.InSubquery, ast.ExistsExpr)):
             select, negated = conjunct.subquery, conjunct.negated
-            base_sel = SEMI_SEL_IN
-        elif isinstance(conjunct, ast.ExistsExpr):
-            select, negated = conjunct.subquery, conjunct.negated
-            base_sel = SEMI_SEL_EXISTS
         else:  # pragma: no cover - classification guarantees the above
             raise PlanningError("unsupported subquery conjunct")
         inner_scope = self._make_scope(select, outer=scope)
@@ -720,8 +716,8 @@ class Planner:
                 inner_hit = inner_scope.resolve_local(inner_expr)
                 if inner_hit is not None:
                     keys = (inner_hit, outer_hit)
-        sel = (1.0 - base_sel) if negated else base_sel
-        return _SemiJoin(inner, keys, negated, sel)
+        return _SemiJoin(inner, keys, negated,
+                         _subquery_selectivity(conjunct))
 
     def _semi_join(self, cand: _Candidate, semi: _SemiJoin) -> _Candidate:
         inner, keys, anti = semi.inner, semi.keys, semi.anti
@@ -865,13 +861,19 @@ class Planner:
         """Access path producing the rows a DML statement modifies."""
         table = self._db.table(table_name)
         scope = _Scope({table_name: table})
-        preds = [p for p in split_conjuncts(where)
-                 if not _contains_any_subquery(p)]
+        conjuncts = list(split_conjuncts(where))
+        preds = [p for p in conjuncts if not _contains_any_subquery(p)]
         needed = {table_name: {c.name for c in table.columns}}
         paths = self._access_paths(table_name, table, preds,
                                    needed[table_name], scope)
         best = min(paths, key=lambda c: c.cost)
-        return best.tree(), best.rows, table
+        # A conjunct that holds a subquery filters the rows as it would
+        # in a query block; its subqueries plan in _after_subqueries.
+        rows = best.rows
+        for conjunct in conjuncts:
+            if _contains_any_subquery(conjunct):
+                rows *= _subquery_selectivity(conjunct)
+        return best.tree(), rows, table
 
     def _index_write_accesses(self, table: Table, rows: float,
                               indexes: Iterable[Index]) -> list[
@@ -995,6 +997,20 @@ def _subqueries(expr: ast.Expr | None) -> list[ast.Select]:
 
 def _contains_any_subquery(expr: ast.Expr) -> bool:
     return bool(_subqueries(expr))
+
+
+def _subquery_selectivity(conjunct: ast.Expr) -> float:
+    """The selectivity a query block gives a WHERE conjunct that holds
+    a subquery: a top-level IN / EXISTS semi-joins (anti-joins when
+    negated), any other conjunct is a residual filter."""
+    conjunct = _normalize_not(conjunct)
+    if isinstance(conjunct, ast.InSubquery):
+        sel = SEMI_SEL_IN
+    elif isinstance(conjunct, ast.ExistsExpr):
+        sel = SEMI_SEL_EXISTS
+    else:
+        return MAGIC_RANGE
+    return (1.0 - sel) if conjunct.negated else sel
 
 
 def _has_aggregate(select: ast.Select) -> bool:

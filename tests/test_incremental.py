@@ -12,22 +12,34 @@ unconstrained TS-GREEDY result.
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from repro.analysis.audit_rules import check_migration
+from repro.benchdb.synth import synthetic_workload
 from repro.catalog.io import load_database, load_farm
+from repro.core import greedy as greedy_module
+from repro.core import incremental as incremental_module
 from repro.core.advisor import LayoutAdvisor
+from repro.core.costmodel import WorkloadCostEvaluator
 from repro.core.fullstripe import full_striping
 from repro.core.incremental import IncrementalSearch
-from repro.core.layout import Layout
+from repro.core.layout import Layout, stripe_fractions
 from repro.core.tolerance import EPS_COST, EPS_FRACTION
 from repro.core import tolerance
 from repro.errors import LayoutError
 from repro.obs import Telemetry
 from repro.storage import migration as migration_module
-from repro.storage.disk import DiskSpec, DiskFarm, uniform_farm
+from repro.storage.disk import (
+    DiskFarm,
+    DiskSpec,
+    uniform_farm,
+    winbench_farm,
+)
 from repro.storage.migration import (
     MigrationPlan,
     MigrationStep,
@@ -397,6 +409,126 @@ class TestTpchAcceptance:
         # the engine runs full TS-GREEDY as a fallback and keeps the
         # cheaper of (seeded, full, current).
         assert rec.estimated_cost <= full.estimated_cost + EPS_COST
+
+
+# -- the full re-layout fallback's step-1 skip -------------------------------
+
+SKIP_BUDGETS = (0.0, 0.05, 0.2, 0.5, 1.0)
+
+
+@pytest.fixture(scope="module")
+def skip_scenarios(tpch_scenario):
+    """Inputs of ``IncrementalSearch.search``: the TPC-H acceptance
+    scenario, and one 80-statement synthetic window re-laid out on a
+    12-disk farm from a random 1-3-disk layout of every object."""
+    advisor, _, shifted, current = tpch_scenario
+    analyzed = advisor.analyze(shifted)
+    scenarios = {"tpch": (load_farm(EXAMPLES / "disks.json"), analyzed,
+                          advisor.access_graph(analyzed), current)}
+    farm = winbench_farm(12)
+    db = load_database(EXAMPLES / "db.json")
+    rng = random.Random(1985)
+    current = Layout(farm, db.object_sizes(), {
+        name: stripe_fractions(rng.sample(range(12), rng.randint(1, 3)),
+                               farm)
+        for name in sorted(db.object_sizes())})
+    window = Workload.loads("\n".join(
+        f"-- name: {s.name}\n{s.sql};\n"
+        for s in synthetic_workload(80, seed=3_000_014).statements))
+    advisor = LayoutAdvisor(db, farm)
+    analyzed = advisor.analyze(window)
+    scenarios["window"] = (farm, analyzed,
+                           advisor.access_graph(analyzed), current)
+    return scenarios
+
+
+def _incremental_run(scenario, budget: float, telemetry=None):
+    farm, analyzed, graph, current = scenario
+    sizes = current.object_sizes
+    evaluator = WorkloadCostEvaluator(analyzed, farm, sorted(sizes))
+    return IncrementalSearch(
+        farm, evaluator, sizes,
+        telemetry=telemetry or Telemetry()).search(graph, current, budget)
+
+
+def _never_skipping_run(scenario, budget: float):
+    with mock.patch.object(incremental_module, "_fallback_movement_bound",
+                           lambda *args: 0.0):
+        return _incremental_run(scenario, budget)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestFullRelayoutSkip:
+    @pytest.mark.parametrize("name, skips", [
+        ("tpch", [1, 0, 0, 0, 0]),
+        ("window", [1, 1, 1, 0, 0]),
+    ])
+    def test_results_equal_a_run_that_never_skips(self, skip_scenarios,
+                                                  name, skips):
+        scenario = skip_scenarios[name]
+        fired = []
+        for budget in SKIP_BUDGETS:
+            telemetry = Telemetry(strict=True)
+            result = _incremental_run(scenario, budget, telemetry)
+            reference = _never_skipping_run(scenario, budget)
+            fired.append(
+                telemetry.value("incremental.full_relayout_skips"))
+            for obj in reference.layout.object_names:
+                assert _bits(result.layout.fractions_of(obj)) \
+                    == _bits(reference.layout.fractions_of(obj)), obj
+            assert _bits(result.cost) == _bits(reference.cost)
+            assert _bits(result.initial_cost) \
+                == _bits(reference.initial_cost)
+            assert result.iterations == reference.iterations
+            assert result.evaluations == reference.evaluations
+            assert [s.to_dict() for s in result.steps] \
+                == [s.to_dict() for s in reference.steps]
+            assert result.extras == reference.extras
+            assert result.kl_cut_weights == reference.kl_cut_weights
+        # The window's bound is about a quarter of all blocks: the skip
+        # fires up to Δ = 0.2 and never at a budget the fallback fits.
+        assert fired == skips
+
+    def test_a_skip_is_recorded_once(self, skip_scenarios):
+        telemetry = Telemetry(strict=True)
+        result = _incremental_run(skip_scenarios["window"], 0.2,
+                                  telemetry)
+        assert telemetry.value("incremental.full_relayout_skips") == 1
+        span = telemetry.find("incremental")
+        assert span.attrs["full_relayout_skipped"] > 0.2
+        # Step 1 ran; nothing of the skipped step 2 was recorded.
+        fallback = span.find("incremental/full-relayout")
+        assert [c.name for c in fallback.children] == ["ts-greedy/step1"]
+        assert telemetry.value("partition.kl_passes") > 0
+        assert telemetry.value("greedy.iterations") == result.iterations
+        assert len([e for e in telemetry.events
+                    if e["type"] == "greedy-iteration"]) \
+            == result.iterations
+        assert not [e for e in telemetry.events if e["type"] == "kl-pass"]
+        assert not [k for k in result.extras if "skip" in k]
+
+    def test_a_fallback_that_fits_runs_in_full(self, skip_scenarios):
+        telemetry = Telemetry(strict=True)
+        _incremental_run(skip_scenarios["window"], 1.0, telemetry)
+        assert telemetry.value("incremental.full_relayout_skips") == 0
+        span = telemetry.find("incremental")
+        assert "full_relayout_skipped" not in span.attrs
+        fallback = span.find("incremental/full-relayout")
+        assert [c.name for c in fallback.children] \
+            == ["ts-greedy/step1", "ts-greedy"]
+        assert fallback.find("ts-greedy").find("ts-greedy/step2")
+        assert [e for e in telemetry.events if e["type"] == "kl-pass"]
+
+    @pytest.mark.parametrize("budget", [0.2, 1.0])
+    def test_step1_runs_once(self, skip_scenarios, budget):
+        with mock.patch.object(
+                greedy_module, "partition_access_graph",
+                wraps=greedy_module.partition_access_graph) as partition:
+            _incremental_run(skip_scenarios["window"], budget)
+        assert partition.call_count == 1
 
 
 @pytest.fixture

@@ -359,6 +359,28 @@ class TestDml:
         assert plan.children
         assert plan.rows_out > 0
 
+    @pytest.mark.parametrize("where", [
+        "o_custkey IN (SELECT c_custkey FROM customer "
+        "WHERE c_acctbal < 0)",
+        "NOT EXISTS (SELECT * FROM lineitem l "
+        "WHERE l.l_orderkey = o_orderkey)",
+        "o_totalprice > (SELECT AVG(l_extendedprice) FROM lineitem)",
+        "o_orderdate < '1995-01-01' AND o_custkey NOT IN "
+        "(SELECT c_custkey FROM customer)",
+    ], ids=["in", "not-exists", "scalar", "local-and-not-in"])
+    def test_subquery_conjuncts_filter_as_in_a_select(self, where):
+        # A subquery conjunct filters the modified rows as it filters
+        # the rows of the SELECT with the same WHERE.
+        db = tpch_database()
+        select = plan_statement(f"SELECT * FROM orders WHERE {where}", db)
+        for verb in ("UPDATE orders SET o_comment = 'x'",
+                     "DELETE FROM orders"):
+            plan = plan_statement(f"{verb} WHERE {where}", db)
+            dml = _leafs(plan, ops.DmlOp)[0]
+            assert dml.rows_out == pytest.approx(select.rows_out,
+                                                 rel=1e-12)
+            assert dml.rows_out < db.table("orders").row_count
+
 
 class TestErrors:
     def test_unknown_table(self, mini_db):
